@@ -1,0 +1,624 @@
+"""Isometric embeddings of finite metric spaces into constant-curvature spaces.
+
+A finite metric space embeds into the sphere of curvature kappa > 0 exactly
+when sqrt(kappa) times its diameter stays within pi and the cosine Gram
+matrix cos(sqrt(kappa) d(i,j)) is positive semidefinite; into hyperbolic
+space of curvature kappa < 0 when the leading principal minors of the
+hyperbolic Gram matrix cosh(sqrt(-kappa) d(i,j)) alternate in sign starting
+positive; and into Euclidean space when the leading minors of the bordered
+Cayley-Menger matrix alternate as (-1)^k, allowing a vanishing tail for
+degenerate (lower-dimensional) configurations.
+
+For the uniform complete graph K_n with edge weight w the spherical boundary
+is explicit: kappa_max(n, w) = (arccos(-1/(n-1)) / w)^2, where the Gram
+matrix loses exactly one rank and the embedding drops to the (n-2)-sphere.
+The principal minors of the uniform Gram matrix obey a closed form and a
+three-term recursion, implemented here next to the generic determinant
+tests; both routes are kept and cross-checked rather than merged.
+"""
+
+from __future__ import annotations
+
+import enum
+import logging
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import FactorizationFailure, InvalidArgs, NotEmbeddable
+from .hamiltonian import RingSpec
+from .metric import DistanceMatrix, RingClassification, classify_ring, distance_matrix
+from .spectral import jacobi_eigh
+
+logger = logging.getLogger(__name__)
+
+PSD_TOL_FACTOR = 1e-9
+CM_ZERO_FACTOR = 1e-10
+DEFAULT_REALIZE_TOL = 1e-8
+BISECTION_ITERATIONS = 60
+MONOTONICITY_SAMPLES = 16
+
+
+def kappa_max(n: int, w: float) -> float:
+    """Largest spherical curvature admitting the uniform K_n with edge weight w.
+
+    Equals (arccos(-1/(n-1)) / w)^2.
+    """
+    if n < 2:
+        raise InvalidArgs(f"need at least 2 points, got n={n}")
+    if not w > 0:
+        raise InvalidArgs(f"edge weight must be positive, got {w}")
+    return (math.acos(-1.0 / (n - 1)) / w) ** 2
+
+
+@dataclass(frozen=True)
+class KappaMaxQuery:
+    """A (point count, edge weight) query with its curvature bound."""
+
+    n: int
+    w: float
+    value: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", kappa_max(self.n, self.w))
+
+
+def toeplitz_minor_closed_form(k: int, c: float) -> float:
+    """Determinant of the k x k matrix with unit diagonal and constant off-diagonal c.
+
+    Closed form (1 - c)^(k-1) * ((k - 1) c + 1).
+    """
+    if k < 1:
+        raise InvalidArgs(f"minor order must be at least 1, got {k}")
+    return (1.0 - c) ** (k - 1) * ((k - 1) * c + 1.0)
+
+
+def toeplitz_minor_recursion(k_max: int, c: float) -> list:
+    """Minor sequence t_1..t_{k_max} by the three-term recursion.
+
+    t_{k+1} = (1-c) t_k + (1-c)^2 t_{k-1} - (1-c)^3 t_{k-2}, seeded with
+    t_1 = 1, t_2 = 1 - c^2, t_3 = (1-c)^2 (2c + 1).
+    """
+    if k_max < 3:
+        raise InvalidArgs(f"recursion needs k_max >= 3, got {k_max}")
+    u = 1.0 - c
+    t = [1.0, 1.0 - c * c, u * u * (2.0 * c + 1.0)]
+    while len(t) < k_max:
+        t.append(u * t[-1] + u * u * t[-2] - u * u * u * t[-3])
+    return t
+
+
+def toeplitz_eigenvalues(n: int, c: float):
+    """Eigenvalues of the unit-diagonal constant-off-diagonal matrix.
+
+    Returns (simple eigenvalue (n-1)c + 1, repeated eigenvalue 1 - c,
+    multiplicity n - 1).  The simple eigenvector is the all-ones direction.
+    """
+    if n < 2:
+        raise InvalidArgs(f"need n >= 2, got {n}")
+    return ((n - 1) * c + 1.0, 1.0 - c, n - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class CayleyMengerMatrix:
+    """Bordered squared-distance matrix: first row and column (0, 1, .., 1)."""
+
+    dim: int
+    entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.entries, dtype=float, copy=True)
+        if arr.shape != (self.dim, self.dim):
+            raise InvalidArgs(f"expected shape ({self.dim}, {self.dim}), got {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+
+
+def cayley_menger_matrix(d: DistanceMatrix) -> CayleyMengerMatrix:
+    """Bordered matrix of an n-point metric: (n+1) x (n+1) with squared distances."""
+    n = d.n_effective
+    cm = np.zeros((n + 1, n + 1))
+    cm[0, 1:] = 1.0
+    cm[1:, 0] = 1.0
+    cm[1:, 1:] = d.entries**2
+    return CayleyMengerMatrix(n + 1, cm)
+
+
+def cayley_menger_minors(d_uniform: float, k_max: int) -> list:
+    """Minors cm_2..cm_{k_max} of the uniform-distance bordered matrix.
+
+    cm_k is the determinant of the (k+1) x (k+1) bordered matrix on k points
+    at pairwise distance d.  Computed through the Schur-complement recursion
+    on the inner squared-distance blocks T_k (zero diagonal, d^2 elsewhere):
+
+        t_k  = -((k - 1) d^2 / (k - 2)) t_{k-1}
+        cm_k = -(k / (d^2 (k - 1))) t_k
+
+    seeded with the direct 2 x 2 determinant t_2 = -d^4, where the recursion
+    denominator would vanish.  The signs alternate as (-1)^k.
+    """
+    if not d_uniform > 0:
+        raise InvalidArgs(f"uniform distance must be positive, got {d_uniform}")
+    if k_max < 3:
+        raise InvalidArgs(f"need k_max >= 3, got {k_max}")
+    d2 = d_uniform * d_uniform
+    t = -(d2 * d2)
+    minors = []
+    for k in range(2, k_max + 1):
+        if k > 2:
+            t = -((k - 1) * d2 / (k - 2)) * t
+        minors.append(-(k / (d2 * (k - 1))) * t)
+    return minors
+
+
+class GramRegime(enum.Enum):
+    SPHERICAL = "Spherical"
+    HYPERBOLIC = "Hyperbolic"
+
+
+@dataclass(frozen=True, eq=False)
+class GramMatrix:
+    """Unit-diagonal Gram matrix of geodesic angles for a nonzero curvature."""
+
+    dim: int
+    curvature: float
+    entries: np.ndarray
+    regime: GramRegime
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.entries, dtype=float, copy=True)
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+
+
+def _spherical_entries(matrix: np.ndarray, kappa: float) -> np.ndarray:
+    g = np.cos(math.sqrt(kappa) * matrix)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def _hyperbolic_entries(matrix: np.ndarray, kappa: float) -> np.ndarray:
+    g = np.cosh(math.sqrt(-kappa) * matrix)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def spherical_gram(d: DistanceMatrix, kappa: float) -> GramMatrix:
+    """Gram matrix cos(sqrt(kappa) d); requires kappa > 0 and diameter within pi."""
+    if not kappa > 0:
+        raise InvalidArgs(f"spherical curvature must be positive, got {kappa}")
+    if math.sqrt(kappa) * float(d.entries.max()) > math.pi:
+        raise InvalidArgs("diameter exceeds pi at this curvature")
+    return GramMatrix(
+        d.n_effective, kappa, _spherical_entries(d.entries, kappa), GramRegime.SPHERICAL
+    )
+
+
+def hyperbolic_gram(d: DistanceMatrix, kappa: float) -> GramMatrix:
+    """Gram matrix cosh(sqrt(-kappa) d); requires kappa < 0."""
+    if not kappa < 0:
+        raise InvalidArgs(f"hyperbolic curvature must be negative, got {kappa}")
+    return GramMatrix(
+        d.n_effective, kappa, _hyperbolic_entries(d.entries, kappa), GramRegime.HYPERBOLIC
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SphericalVerdict:
+    """Spherical embeddability test outcome with the Gram spectrum."""
+
+    embeddable: bool
+    cap_ok: bool
+    psd_ok: bool
+    eigenvalues: np.ndarray
+    rank: int
+
+
+@dataclass(frozen=True)
+class MinorSignVerdict:
+    """Minor-sign embeddability test outcome (hyperbolic or Euclidean)."""
+
+    embeddable: bool
+    minors: tuple
+    signs: tuple
+
+
+def embeddable_spherical(d: DistanceMatrix, kappa: float) -> SphericalVerdict:
+    """Decide embeddability into the curvature-kappa sphere.
+
+    True exactly when sqrt(kappa) times the diameter is at most pi and the
+    cosine Gram matrix is positive semidefinite.  Eigenvalues at least
+    -1e-9 times the largest count as nonnegative; the rank counts those
+    above 1e-9 times the largest, so a single lost rank (the boundary case)
+    maps to an embedding one dimension down.
+    """
+    if not kappa > 0:
+        raise InvalidArgs(f"spherical curvature must be positive, got {kappa}")
+    matrix = d.entries
+    cap_ok = math.sqrt(kappa) * float(matrix.max()) <= math.pi
+    g = _spherical_entries(matrix, kappa)
+    w, _ = jacobi_eigh(g)
+    lam_max = float(w[-1])
+    psd_ok = bool(w[0] >= -PSD_TOL_FACTOR * lam_max)
+    rank = int(np.count_nonzero(w > PSD_TOL_FACTOR * lam_max))
+    return SphericalVerdict(
+        embeddable=cap_ok and psd_ok,
+        cap_ok=cap_ok,
+        psd_ok=psd_ok,
+        eigenvalues=w,
+        rank=rank,
+    )
+
+
+def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> MinorSignVerdict:
+    """Decide embeddability into hyperbolic space of curvature kappa < 0.
+
+    The leading principal minors of the cosh Gram matrix must alternate in
+    sign starting positive: sign det G(1..k) = (-1)^(k+1).
+    """
+    if not kappa < 0:
+        raise InvalidArgs(f"hyperbolic curvature must be negative, got {kappa}")
+    g = _hyperbolic_entries(d.entries, kappa)
+    n = d.n_effective
+    minors = [float(np.linalg.det(g[:k, :k])) for k in range(1, n + 1)]
+    signs = [int(np.sign(m)) for m in minors]
+    ok = all(signs[k - 1] == (-1) ** (k + 1) for k in range(1, n + 1))
+    return MinorSignVerdict(embeddable=ok, minors=tuple(minors), signs=tuple(signs))
+
+
+def embeddable_euclidean(d: DistanceMatrix) -> MinorSignVerdict:
+    """Decide embeddability into Euclidean space by Cayley-Menger minor signs.
+
+    Minor cm_k on the first k points must carry sign (-1)^k; minors within
+    1e-10 of zero (relative to the diameter scale) may open a vanishing tail,
+    after which every later minor must vanish as well.
+    """
+    n = d.n_effective
+    cm = cayley_menger_matrix(d).entries
+    dmax2 = max(1.0, float(d.entries.max()) ** 2)
+    minors = []
+    signs = []
+    ok = True
+    tail = False
+    for k in range(2, n + 1):
+        value = float(np.linalg.det(cm[: k + 1, : k + 1]))
+        minors.append(value)
+        near_zero = abs(value) <= CM_ZERO_FACTOR * dmax2**k
+        signs.append(0 if near_zero else int(np.sign(value)))
+        if tail:
+            if not near_zero:
+                ok = False
+        elif near_zero:
+            tail = True
+        elif signs[-1] != (-1) ** k:
+            ok = False
+    return MinorSignVerdict(embeddable=ok, minors=tuple(minors), signs=tuple(signs))
+
+
+class EmbeddingSpace(enum.Enum):
+    SPHERICAL = "Spherical"
+    EUCLIDEAN = "Euclidean"
+    HYPERBOLIC = "Hyperbolic"
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddingResult:
+    """Realized coordinates for a successful embedding.
+
+    Coordinates are one row per point.  Spherical rows have Euclidean norm
+    1/sqrt(kappa); hyperbolic rows live on the upper hyperboloid sheet with
+    Minkowski square -1/|kappa| (first coordinate timelike).  The distortion
+    is the largest absolute deviation between realized geodesic distances
+    and the target distances across distinct point pairs.
+    """
+
+    space: EmbeddingSpace
+    curvature: float
+    ambient_dim: int
+    coordinates: np.ndarray
+    max_distortion: float
+    irreducible: bool
+
+
+def _canonical_columns(x: np.ndarray) -> np.ndarray:
+    """Flip column signs so the largest-magnitude entry of each is positive."""
+    y = x.copy()
+    for c in range(y.shape[1]):
+        col = y[:, c]
+        pivot = int(np.argmax(np.abs(col)))
+        if col[pivot] < 0:
+            y[:, c] = -col
+    return y
+
+
+def _pair_distortion(dhat: np.ndarray, target: np.ndarray) -> float:
+    n = target.shape[0]
+    iu = np.triu_indices(n, 1)
+    if iu[0].size == 0:
+        return 0.0
+    return float(np.abs(dhat - target)[iu].max())
+
+
+def _realize_spherical(d: DistanceMatrix, kappa: float, tol: float) -> EmbeddingResult:
+    verdict = embeddable_spherical(d, kappa)
+    if not verdict.embeddable:
+        raise NotEmbeddable(
+            f"not spherically embeddable at kappa={kappa!r} "
+            f"(cap_ok={verdict.cap_ok}, psd_ok={verdict.psd_ok})"
+        )
+    matrix = d.entries
+    n = d.n_effective
+    g = _spherical_entries(matrix, kappa)
+    w, v = jacobi_eigh(g)
+    lam_max = float(w[-1])
+    if w[0] < -PSD_TOL_FACTOR * lam_max:
+        raise FactorizationFailure(f"Gram matrix indefinite: min eigenvalue {w[0]:.3e}")
+    kept = np.flatnonzero(w > PSD_TOL_FACTOR * lam_max)[::-1]
+    radius = 1.0 / math.sqrt(kappa)
+    coords = radius * _canonical_columns(v[:, kept] * np.sqrt(np.clip(w[kept], 0.0, None)))
+    gram_hat = (coords @ coords.T) / radius**2
+    dhat = radius * np.arccos(np.clip(gram_hat, -1.0, 1.0))
+    distortion = _pair_distortion(dhat, matrix)
+    if distortion > tol:
+        raise FactorizationFailure(
+            f"spherical round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
+        )
+    return EmbeddingResult(
+        space=EmbeddingSpace.SPHERICAL,
+        curvature=kappa,
+        ambient_dim=len(kept),
+        coordinates=coords,
+        max_distortion=distortion,
+        irreducible=len(kept) < n,
+    )
+
+
+def _realize_euclidean(d: DistanceMatrix, tol: float) -> EmbeddingResult:
+    verdict = embeddable_euclidean(d)
+    if not verdict.embeddable:
+        raise NotEmbeddable("Cayley-Menger minor signs reject a Euclidean realization")
+    matrix = d.entries
+    n = d.n_effective
+    center = np.eye(n) - np.full((n, n), 1.0 / n)
+    b = -0.5 * center @ (matrix**2) @ center
+    b = 0.5 * (b + b.T)
+    w, v = jacobi_eigh(b)
+    lam_max = max(float(w[-1]), 0.0)
+    if lam_max > 0.0 and w[0] < -PSD_TOL_FACTOR * lam_max:
+        raise FactorizationFailure(
+            f"centered Gram matrix indefinite: min eigenvalue {w[0]:.3e}"
+        )
+    kept = np.flatnonzero(w > PSD_TOL_FACTOR * lam_max)[::-1]
+    coords = _canonical_columns(v[:, kept] * np.sqrt(np.clip(w[kept], 0.0, None)))
+    delta = coords[:, None, :] - coords[None, :, :]
+    dhat = np.sqrt((delta**2).sum(axis=2))
+    distortion = _pair_distortion(dhat, matrix)
+    if distortion > tol:
+        raise FactorizationFailure(
+            f"Euclidean round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
+        )
+    return EmbeddingResult(
+        space=EmbeddingSpace.EUCLIDEAN,
+        curvature=0.0,
+        ambient_dim=len(kept),
+        coordinates=coords,
+        max_distortion=distortion,
+        irreducible=True,
+    )
+
+
+def _realize_hyperbolic(d: DistanceMatrix, kappa: float, tol: float) -> EmbeddingResult:
+    verdict = embeddable_hyperbolic(d, kappa)
+    if not verdict.embeddable:
+        raise NotEmbeddable(f"cosh Gram minors reject kappa={kappa!r}")
+    matrix = d.entries
+    n = d.n_effective
+    radius = 1.0 / math.sqrt(-kappa)
+    target = -(radius**2) * _hyperbolic_entries(matrix, kappa)
+    w, v = jacobi_eigh(target)
+    scale = float(np.abs(w).max())
+    negative = np.flatnonzero(w < -PSD_TOL_FACTOR * scale)
+    if len(negative) != 1:
+        raise FactorizationFailure(
+            f"Minkowski Gram matrix needs exactly one timelike direction, got {len(negative)}"
+        )
+    v0 = v[:, 0]
+    if v0.sum() < 0:
+        v0 = -v0
+    time_col = math.sqrt(-float(w[0])) * v0
+    positive = np.flatnonzero(w > PSD_TOL_FACTOR * scale)[::-1]
+    spatial = _canonical_columns(v[:, positive] * np.sqrt(np.clip(w[positive], 0.0, None)))
+    coords = np.column_stack([time_col, spatial])
+    mink_hat = spatial @ spatial.T - np.outer(time_col, time_col)
+    dhat = radius * np.arccosh(np.clip(-mink_hat / radius**2, 1.0, None))
+    distortion = _pair_distortion(dhat, matrix)
+    if distortion > tol:
+        raise FactorizationFailure(
+            f"hyperbolic round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
+        )
+    return EmbeddingResult(
+        space=EmbeddingSpace.HYPERBOLIC,
+        curvature=kappa,
+        ambient_dim=coords.shape[1],
+        coordinates=coords,
+        max_distortion=distortion,
+        irreducible=len(positive) == n - 1,
+    )
+
+
+def realize(
+    d: DistanceMatrix,
+    space: EmbeddingSpace,
+    kappa: float = 0.0,
+    tol: float = DEFAULT_REALIZE_TOL,
+) -> EmbeddingResult:
+    """Realize an embeddable metric as explicit coordinates in the model space.
+
+    Spherical: factor the cosine Gram matrix through its eigendecomposition,
+    zeroing eigenvalues below 1e-9 of the largest, and scale columns onto the
+    radius-1/sqrt(kappa) sphere.  Euclidean: classical double centering of
+    squared distances.  Hyperbolic: factor the Minkowski Gram matrix with one
+    timelike direction (the positive eigenvector of the cosh Gram matrix)
+    onto the upper hyperboloid sheet.
+
+    Raises
+    ------
+    NotEmbeddable
+        When the matching embeddability test rejects the metric.
+    FactorizationFailure
+        When the factor is indefinite beyond tolerance or the recomputed
+        geodesic distances miss the input by more than ``tol``.
+    """
+    if space is EmbeddingSpace.SPHERICAL:
+        return _realize_spherical(d, kappa, tol)
+    if space is EmbeddingSpace.EUCLIDEAN:
+        return _realize_euclidean(d, tol)
+    if space is EmbeddingSpace.HYPERBOLIC:
+        return _realize_hyperbolic(d, kappa, tol)
+    raise InvalidArgs(f"unknown embedding space {space!r}")
+
+
+@dataclass(frozen=True)
+class FeasibilityThreshold:
+    """Bisection bracket for the largest spherically feasible curvature."""
+
+    kappa: float
+    upper: float
+    cap: float
+    feasible_at_cap: bool
+    iterations: int
+    monotone_ok: bool
+
+
+def spherical_feasibility_threshold(
+    d: DistanceMatrix,
+    iterations: int = BISECTION_ITERATIONS,
+    monotonicity_samples: int = MONOTONICITY_SAMPLES,
+) -> FeasibilityThreshold:
+    """Largest curvature at which the spherical Gram matrix stays feasible.
+
+    Bisects kappa over (0, pi^2 / diameter^2].  Monotonicity of feasibility
+    in kappa is assumed on that interval and spot-checked by sampling interior
+    points below the returned threshold; a failed spot check is logged and
+    reported, never silently ignored.
+    """
+    diameter = float(d.entries.max())
+    if not diameter > 0:
+        raise InvalidArgs("feasibility search needs a positive diameter")
+    cap = math.pi**2 / diameter**2
+    feasible_at_cap = embeddable_spherical(d, cap).embeddable
+    if feasible_at_cap:
+        lo, hi = cap, cap
+    else:
+        lo, hi = 0.0, cap
+        for _ in range(iterations):
+            mid = 0.5 * (lo + hi)
+            if embeddable_spherical(d, mid).embeddable:
+                lo = mid
+            else:
+                hi = mid
+    monotone_ok = True
+    if lo > 0.0:
+        for s in range(1, monotonicity_samples + 1):
+            probe = lo * s / (monotonicity_samples + 1)
+            if not embeddable_spherical(d, probe).embeddable:
+                monotone_ok = False
+                logger.warning("feasibility not monotone: infeasible at kappa=%r", probe)
+                break
+    return FeasibilityThreshold(
+        kappa=lo,
+        upper=hi,
+        cap=cap,
+        feasible_at_cap=feasible_at_cap,
+        iterations=iterations,
+        monotone_ok=monotone_ok,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class RingEmbeddingReport:
+    """Full embedding pipeline outcome for one ring.
+
+    Even rings are quotiented first, so the embedded space is the complete
+    graph on the antipodal classes.  The curvature bound uses the mean edge
+    weight, bracketed by the minimum and maximum when distances are not
+    uniform.  The hyperbolic section is evaluated at the reference curvature
+    -1 (any negative curvature behaves identically for uniform weights).
+    """
+
+    spec: RingSpec
+    quotiented: bool
+    n_points: int
+    classification: RingClassification
+    distances: DistanceMatrix
+    weight_mean: float
+    weight_min: float
+    weight_max: float
+    kappa_max_query: KappaMaxQuery
+    spherical_verdict: SphericalVerdict
+    spherical_realization: EmbeddingResult | None
+    threshold: FeasibilityThreshold
+    euclidean_verdict: MinorSignVerdict
+    euclidean_realization: EmbeddingResult | None
+    hyperbolic_kappa: float
+    hyperbolic_verdict: MinorSignVerdict
+    hyperbolic_realization: EmbeddingResult | None
+
+
+def ring_embedding_report(
+    spec: RingSpec, tol: float = DEFAULT_REALIZE_TOL
+) -> RingEmbeddingReport:
+    """Classify a ring and decide/realize its constant-curvature embeddings.
+
+    Runs the spherical test at kappa_max(points, mean weight) plus a
+    bisection search for the largest feasible curvature, and the Euclidean
+    and hyperbolic tests with realizations where the verdict allows.
+    """
+    quotient = spec.n % 2 == 0
+    d = distance_matrix(spec, quotient)
+    classification = classify_ring(spec.n, d)
+    values = d.offdiagonal()
+    weight_mean = float(values.mean())
+    weight_min = float(values.min())
+    weight_max = float(values.max())
+    query = KappaMaxQuery(d.n_effective, weight_mean)
+
+    spherical_verdict = embeddable_spherical(d, query.value)
+    spherical_realization = (
+        _realize_spherical(d, query.value, tol) if spherical_verdict.embeddable else None
+    )
+    threshold = spherical_feasibility_threshold(d)
+
+    euclidean_verdict = embeddable_euclidean(d)
+    euclidean_realization = (
+        _realize_euclidean(d, tol) if euclidean_verdict.embeddable else None
+    )
+
+    hyperbolic_kappa = -1.0
+    hyperbolic_verdict = embeddable_hyperbolic(d, hyperbolic_kappa)
+    hyperbolic_realization = (
+        _realize_hyperbolic(d, hyperbolic_kappa, tol)
+        if hyperbolic_verdict.embeddable
+        else None
+    )
+
+    return RingEmbeddingReport(
+        spec=spec,
+        quotiented=quotient,
+        n_points=d.n_effective,
+        classification=classification,
+        distances=d,
+        weight_mean=weight_mean,
+        weight_min=weight_min,
+        weight_max=weight_max,
+        kappa_max_query=query,
+        spherical_verdict=spherical_verdict,
+        spherical_realization=spherical_realization,
+        threshold=threshold,
+        euclidean_verdict=euclidean_verdict,
+        euclidean_realization=euclidean_realization,
+        hyperbolic_kappa=hyperbolic_kappa,
+        hyperbolic_verdict=hyperbolic_verdict,
+        hyperbolic_realization=hyperbolic_realization,
+    )

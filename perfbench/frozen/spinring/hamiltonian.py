@@ -1,0 +1,215 @@
+"""Spin-ring Hamiltonians: full Hilbert space at desk scale, and the one-excitation block.
+
+A ring of n spins carries the exchange Hamiltonian
+
+    H = sum_bonds J * (sx_i sx_j + sy_i sy_j + eps * sz_i sz_j)
+
+over the n cyclic nearest-neighbour bonds, including the bond that closes
+spin n back to spin 1.  With eps = 0 this is the XX model, with eps = 1 the
+Heisenberg model.  H preserves the number of up spins, so its restriction to
+the n-dimensional one-excitation sector is an n x n circulant matrix H_1 with
+off-diagonal coupling h and a uniform diagonal shift.  The off-diagonal value
+is derived constructively (h = 2J for both couplings) and verified against
+the full-space restriction rather than hardcoded.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DimensionTooLarge, InvalidSpec, RestrictionMismatch
+
+FULL_SPACE_CAP = 14
+RESTRICTION_TOL = 1e-12
+
+
+class Coupling(enum.Enum):
+    """Exchange coupling model of the ring."""
+
+    XX = "xx"
+    HEISENBERG = "heisenberg"
+
+    @property
+    def epsilon(self) -> float:
+        """Weight of the sz sz term: 0 for XX, 1 for Heisenberg."""
+        return 0.0 if self is Coupling.XX else 1.0
+
+
+@dataclass(frozen=True)
+class RingSpec:
+    """Uniform ring of n spins with nearest-neighbour exchange coupling.
+
+    Parameters
+    ----------
+    n : int
+        Number of spins, at least 3.
+    coupling : Coupling
+        XX or Heisenberg exchange.
+    strength : float
+        Uniform positive coupling constant J on every bond.
+    """
+
+    n: int
+    coupling: Coupling = Coupling.XX
+    strength: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.n < 3:
+            raise InvalidSpec(f"ring needs at least 3 spins, got n={self.n}")
+        if not self.strength > 0:
+            raise InvalidSpec(f"coupling strength must be positive, got {self.strength}")
+
+    @property
+    def subspace_coupling(self) -> float:
+        """Off-diagonal entry h of the one-excitation block, h = 2J."""
+        return 2.0 * self.strength
+
+    @property
+    def subspace_shift(self) -> float:
+        """Uniform diagonal of the one-excitation block, J * eps * (n - 4)."""
+        return self.strength * self.coupling.epsilon * (self.n - 4)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseSymmetricMatrix:
+    """Real symmetric matrix stored dense; entries are immutable after construction.
+
+    Builders write both (i, j) and (j, i), so symmetry holds exactly and is
+    never repaired after the fact.
+    """
+
+    dim: int
+    entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.entries, dtype=float, copy=True)
+        if arr.shape != (self.dim, self.dim):
+            raise InvalidSpec(f"expected shape ({self.dim}, {self.dim}), got {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+
+
+def single_excitation_index(n: int, site: int) -> int:
+    """Computational-basis index of the state with only spin `site` (1-based) up.
+
+    Spin 1 occupies the most significant bit, so site i maps to 1 << (n - i).
+    """
+    return 1 << (n - site)
+
+
+def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
+    """Dense 2^n x 2^n ring Hamiltonian summed over all n cyclic bonds.
+
+    The sx sx + sy sy part of a bond hops an up spin to its down neighbour
+    with amplitude 2J (the product of the two imaginary sy factors is real,
+    so the matrix is real symmetric).  The sz sz part contributes J * eps
+    times +1 for aligned and -1 for anti-aligned bond spins on the diagonal.
+
+    Raises
+    ------
+    DimensionTooLarge
+        If n exceeds the desk-scale cap of 14 spins.
+    """
+    if spec.n > FULL_SPACE_CAP:
+        raise DimensionTooLarge(
+            f"full space needs n <= {FULL_SPACE_CAP}, got n={spec.n}"
+        )
+    n = spec.n
+    dim = 1 << n
+    strength = spec.strength
+    eps = spec.coupling.epsilon
+    ham = np.zeros((dim, dim))
+    bonds = [(a, (a + 1) % n) for a in range(n)]
+    for state in range(dim):
+        diag = 0.0
+        for a, b in bonds:
+            bit_a = (state >> (n - 1 - a)) & 1
+            bit_b = (state >> (n - 1 - b)) & 1
+            if bit_a != bit_b:
+                flipped = state ^ (1 << (n - 1 - a)) ^ (1 << (n - 1 - b))
+                ham[state, flipped] += 2.0 * strength
+                diag -= strength * eps
+            else:
+                diag += strength * eps
+        ham[state, state] = diag
+    return DenseSymmetricMatrix(dim, ham)
+
+
+def build_single_excitation_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
+    """Direct n x n circulant build of the one-excitation block H_1.
+
+    Off-diagonal h sits on the cyclic super and sub diagonal including the
+    (1, n) corner; the diagonal is the uniform shift J * eps * (n - 4).
+    """
+    n = spec.n
+    h = spec.subspace_coupling
+    block = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        block[i, j] = h
+        block[j, i] = h
+    np.fill_diagonal(block, spec.subspace_shift)
+    return DenseSymmetricMatrix(n, block)
+
+
+@dataclass(frozen=True)
+class RestrictionCheck:
+    """Outcome of comparing the full-space restriction with the direct build."""
+
+    ok: bool
+    max_abs_deviation: float
+
+
+def verify_subspace_restriction(
+    spec: RingSpec, tol: float = RESTRICTION_TOL
+) -> RestrictionCheck:
+    """Check that the full Hamiltonian restricts to the direct one-excitation build.
+
+    Projects the full 2^n Hamiltonian onto the basis states with a single up
+    spin, compares entrywise with ``build_single_excitation_hamiltonian``,
+    and additionally checks that the full Hamiltonian does not couple the
+    one-excitation sector to any other excitation sector.
+
+    Returns
+    -------
+    RestrictionCheck
+        ``ok`` is True and ``max_abs_deviation`` is the worst entry error.
+
+    Raises
+    ------
+    RestrictionMismatch
+        If any block entry or any leakage entry exceeds ``tol``; the error
+        carries the worst offending indices.
+    """
+    full = build_full_hamiltonian(spec).entries
+    direct = build_single_excitation_hamiltonian(spec).entries
+    n = spec.n
+    idx = np.array([single_excitation_index(n, site) for site in range(1, n + 1)])
+
+    block = full[np.ix_(idx, idx)]
+    block_dev = np.abs(block - direct)
+    leak = np.array(full[idx, :])
+    leak[:, idx] = 0.0
+    leak_dev = np.abs(leak)
+
+    worst_block = float(block_dev.max())
+    worst_leak = float(leak_dev.max())
+    deviation = max(worst_block, worst_leak)
+    if deviation > tol:
+        if worst_block >= worst_leak:
+            i, j = np.unravel_index(int(block_dev.argmax()), block_dev.shape)
+            indices = (int(i) + 1, int(j) + 1)
+            what = f"block entry at sites {indices}"
+        else:
+            i, s = np.unravel_index(int(leak_dev.argmax()), leak_dev.shape)
+            indices = (int(i) + 1, int(s))
+            what = f"leakage from site {int(i) + 1} to basis state {int(s)}"
+        raise RestrictionMismatch(
+            f"restriction deviates by {deviation:.3e} > {tol:.1e} ({what})",
+            indices=indices,
+            deviation=deviation,
+        )
+    return RestrictionCheck(True, deviation)

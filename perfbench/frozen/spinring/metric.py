@@ -1,0 +1,387 @@
+"""Transfer-probability distances on rings and their metric-space properties.
+
+The peak transfer probability between excitation sites i and j is
+
+    p_max(i, j) = (sum_k |<i| Pi_k |j>|)^2
+
+and the induced distance is d(i, j) = -log p_max(i, j).  For a ring the sum
+collapses to a closed-form cosine sum over separation m = |i - j| mod n; odd
+and even ring sizes use slightly different branches.  Even rings place
+antipodal sites at distance zero, which makes the raw space a semi-metric;
+identifying antipodal sites (the quotient) restores separation.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import IndexOutOfRange, InvalidArgs, QuotientOnOddRing
+from .hamiltonian import Coupling, RingSpec
+from .spectral import SpectralDecomposition, circulant_spectrum, projector_overlaps
+
+DISTINCT_VALUE_TOL = 1e-10
+TRIANGLE_TOL = 1e-10
+ZERO_DISTANCE_TOL = 1e-12
+EXHAUSTIVE_TRIPLE_LIMIT = 200
+MONTE_CARLO_TRIPLES = 10**6
+
+
+@dataclass(frozen=True, eq=False)
+class DistanceMatrix:
+    """Symmetric nonnegative distance matrix with quotient metadata.
+
+    ``n_effective`` is the point count: n for a plain ring, n/2 after
+    antipodal identification.  ``source_spec`` records the originating ring
+    when there is one; hand-built metric spaces leave it as None.
+    """
+
+    n_effective: int
+    entries: np.ndarray
+    quotiented: bool = False
+    source_spec: RingSpec | None = None
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.entries, dtype=float, copy=True)
+        if arr.shape != (self.n_effective, self.n_effective):
+            raise InvalidArgs(
+                f"expected shape ({self.n_effective}, {self.n_effective}), got {arr.shape}"
+            )
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def from_entries(
+        cls,
+        entries,
+        quotiented: bool = False,
+        source_spec: RingSpec | None = None,
+    ) -> "DistanceMatrix":
+        """Wrap an explicit square array, validating shape, symmetry and sign."""
+        arr = np.asarray(entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InvalidArgs(f"expected a square matrix, got shape {arr.shape}")
+        if not np.array_equal(arr, arr.T):
+            raise InvalidArgs("distance matrix must be symmetric")
+        if np.any(np.diag(arr) != 0.0):
+            raise InvalidArgs("distance matrix must have a zero diagonal")
+        if np.any(arr < 0.0):
+            raise InvalidArgs("distances must be nonnegative")
+        return cls(arr.shape[0], arr, quotiented, source_spec)
+
+    def offdiagonal(self) -> np.ndarray:
+        """Upper-triangle distance values as a flat array."""
+        iu = np.triu_indices(self.n_effective, 1)
+        return self.entries[iu]
+
+
+class MetricClassification(enum.Enum):
+    METRIC = "Metric"
+    SEMI_METRIC_ANTIPODAL = "SemiMetricAntipodal"
+    NOT_SEMI_METRIC = "NotSemiMetric"
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed axiom instance; sites are 1-based."""
+
+    kind: str
+    sites: tuple
+    magnitude: float
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    """Verdict on the four metric axioms with located violations."""
+
+    identity_ok: bool
+    symmetry_ok: bool
+    triangle_ok: bool
+    separation_ok: bool
+    violations: tuple
+    classification: MetricClassification
+    exhaustive: bool
+
+
+class RingKind(enum.Enum):
+    PRIME = "Prime"
+    TWICE_PRIME = "TwicePrime"
+    ODD_COMPOSITE = "OddComposite"
+    TWICE_COMPOSITE = "TwiceComposite"
+
+
+@dataclass(frozen=True)
+class RingClassification:
+    """Uniformity classification of a ring's distance multiset."""
+
+    kind: RingKind
+    uniform: bool
+    distinct_values: tuple
+
+
+def sqrt_p_max_closed_form(n: int, m: int) -> float:
+    """Closed-form square root of the peak transfer probability at separation m.
+
+    For n = 2n' + 1 this is 1/n + (2/n) sum_{k=1}^{n'} |cos(2 pi k m / n)|;
+    for n = 2n' + 2 the leading term becomes 2/n with the same sum.
+    """
+    if n < 3:
+        raise InvalidArgs(f"ring size must be at least 3, got {n}")
+    if not (0 <= m <= n // 2):
+        raise InvalidArgs(f"separation must lie in 0..{n // 2}, got {m}")
+    if n % 2 == 1:
+        half = (n - 1) // 2
+        lead = 1.0 / n
+    else:
+        half = (n - 2) // 2
+        lead = 2.0 / n
+    total = lead
+    for k in range(1, half + 1):
+        total += (2.0 / n) * abs(math.cos(2.0 * math.pi * k * m / n))
+    return total
+
+
+def p_max_closed_form(n: int, m: int) -> float:
+    """Peak transfer probability at separation m, by the closed-form cosine sum."""
+    s = sqrt_p_max_closed_form(n, m)
+    return min(s * s, 1.0)
+
+
+def p_max(dec: SpectralDecomposition, i: int, j: int) -> float:
+    """Peak transfer probability between 1-based sites from eigenprojector overlaps."""
+    overlaps = projector_overlaps(dec, i, j)
+    total = float(overlaps.sum())
+    return min(total * total, 1.0)
+
+
+def _distance_from_sqrt(s: float) -> float:
+    return max(0.0, -2.0 * math.log(s))
+
+
+def distance_profile(n: int) -> np.ndarray:
+    """Distance per separation class m = 0..floor(n/2) for an n-ring."""
+    return np.array(
+        [0.0] + [_distance_from_sqrt(sqrt_p_max_closed_form(n, m)) for m in range(1, n // 2 + 1)]
+    )
+
+
+def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
+    """Distance matrix -log p_max of a ring, optionally after antipodal identification.
+
+    With ``quotient`` the points are the antipodal classes of an even ring,
+    represented by sites 1..n/2; class distances are well defined because the
+    profile satisfies d(m) = d(n/2 - m) for even n.
+
+    Raises
+    ------
+    QuotientOnOddRing
+        If the quotient is requested for odd n.
+    """
+    n = spec.n
+    if quotient and n % 2 == 1:
+        raise QuotientOnOddRing(f"antipodal identification needs even n, got n={n}")
+    points = n // 2 if quotient else n
+    profile = distance_profile(n)
+    idx = np.arange(points)
+    sep = np.abs(np.subtract.outer(idx, idx))
+    sep = np.minimum(sep, n - sep)
+    matrix = profile[sep]
+    np.fill_diagonal(matrix, 0.0)
+    return DistanceMatrix(points, matrix, quotient, spec)
+
+
+def _triangle_violations_exhaustive(d: np.ndarray):
+    """All (i, j, k) with d(i,j) - d(i,k) - d(k,j) above tolerance, vectorized per k."""
+    n = d.shape[0]
+    found = []
+    for k in range(n):
+        slack = d - (d[:, k][:, None] + d[k, :][None, :])
+        bad = np.argwhere(slack > TRIANGLE_TOL)
+        for i, j in bad:
+            if i != j and i != k and j != k:
+                found.append(
+                    Violation("triangle", (int(i) + 1, int(j) + 1, k + 1), float(slack[i, j]))
+                )
+    return found
+
+
+def _triangle_violations_sampled(d: np.ndarray, seed: int, samples: int):
+    rng = np.random.default_rng(seed)
+    n = d.shape[0]
+    i = rng.integers(0, n, samples)
+    j = rng.integers(0, n, samples)
+    k = rng.integers(0, n, samples)
+    slack = d[i, j] - d[i, k] - d[k, j]
+    bad = np.flatnonzero(slack > TRIANGLE_TOL)
+    found = []
+    for b in bad:
+        if i[b] != j[b] and i[b] != k[b] and j[b] != k[b]:
+            found.append(
+                Violation(
+                    "triangle",
+                    (int(i[b]) + 1, int(j[b]) + 1, int(k[b]) + 1),
+                    float(slack[b]),
+                )
+            )
+    return found
+
+
+def check_metric_axioms(
+    d: DistanceMatrix,
+    seed: int = 0,
+    exhaustive_limit: int = EXHAUSTIVE_TRIPLE_LIMIT,
+    mc_samples: int = MONTE_CARLO_TRIPLES,
+) -> MetricReport:
+    """Verify identity, symmetry, separation and the triangle inequality.
+
+    Triples are checked exhaustively up to ``exhaustive_limit`` points and by
+    seeded Monte-Carlo sampling above it.  Zero distances between distinct
+    points are separation violations; when every one of them sits on an
+    antipodal pair (j - i = n/2) the space classifies as a semi-metric that
+    becomes a metric after antipodal identification.
+    """
+    matrix = d.entries
+    n = d.n_effective
+    violations = []
+
+    diag = np.abs(np.diag(matrix))
+    for i in np.flatnonzero(diag > ZERO_DISTANCE_TOL):
+        violations.append(Violation("identity", (int(i) + 1,), float(diag[i])))
+    identity_ok = not any(v.kind == "identity" for v in violations)
+
+    asym = np.abs(matrix - matrix.T)
+    for i, j in np.argwhere(np.triu(asym, 1) > ZERO_DISTANCE_TOL):
+        violations.append(Violation("symmetry", (int(i) + 1, int(j) + 1), float(asym[i, j])))
+    symmetry_ok = not any(v.kind == "symmetry" for v in violations)
+
+    zero_pairs = []
+    iu = np.triu_indices(n, 1)
+    for i, j in zip(*iu):
+        if matrix[i, j] <= ZERO_DISTANCE_TOL:
+            zero_pairs.append((int(i), int(j)))
+            violations.append(
+                Violation("separation", (int(i) + 1, int(j) + 1), float(matrix[i, j]))
+            )
+    separation_ok = not zero_pairs
+
+    exhaustive = n <= exhaustive_limit
+    if exhaustive:
+        triangle = _triangle_violations_exhaustive(matrix)
+    else:
+        triangle = _triangle_violations_sampled(matrix, seed, mc_samples)
+    violations.extend(triangle)
+    triangle_ok = not triangle
+
+    if identity_ok and symmetry_ok and triangle_ok and separation_ok:
+        classification = MetricClassification.METRIC
+    else:
+        antipodal = {(i, i + n // 2) for i in range(n // 2)} if n % 2 == 0 else set()
+        only_antipodal = (
+            identity_ok
+            and symmetry_ok
+            and triangle_ok
+            and bool(zero_pairs)
+            and set(zero_pairs) == antipodal
+        )
+        classification = (
+            MetricClassification.SEMI_METRIC_ANTIPODAL
+            if only_antipodal
+            else MetricClassification.NOT_SEMI_METRIC
+        )
+    return MetricReport(
+        identity_ok=identity_ok,
+        symmetry_ok=symmetry_ok,
+        triangle_ok=triangle_ok,
+        separation_ok=separation_ok,
+        violations=tuple(violations),
+        classification=classification,
+        exhaustive=exhaustive,
+    )
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def merge_distinct_values(values: np.ndarray, tol: float = DISTINCT_VALUE_TOL) -> tuple:
+    """Sorted distinct representatives of a value multiset, merging within tol."""
+    if values.size == 0:
+        return ()
+    ordered = np.sort(values)
+    groups = []
+    start = 0
+    for i in range(1, len(ordered)):
+        if ordered[i] - ordered[i - 1] > tol:
+            groups.append(float(np.mean(ordered[start:i])))
+            start = i
+    groups.append(float(np.mean(ordered[start:])))
+    return tuple(groups)
+
+
+def classify_ring(n: int, d: DistanceMatrix) -> RingClassification:
+    """Uniformity classification of a ring distance matrix (quotiented when even)."""
+    if n % 2 == 0:
+        kind = RingKind.TWICE_PRIME if _is_prime(n // 2) else RingKind.TWICE_COMPOSITE
+    else:
+        kind = RingKind.PRIME if _is_prime(n) else RingKind.ODD_COMPOSITE
+    distinct = merge_distinct_values(d.offdiagonal())
+    return RingClassification(kind=kind, uniform=len(distinct) == 1, distinct_values=distinct)
+
+
+def asymptotic_distance() -> float:
+    """Large-n limit of the ring distance, 2 log(pi / 2)."""
+    return 2.0 * math.log(math.pi / 2.0)
+
+
+def distance_variance_sweep(
+    n_min: int, n_max: int, quotient_policy: str = "auto"
+) -> list:
+    """Variance of the off-diagonal distance multiset for each ring size.
+
+    ``quotient_policy`` is "auto" (identify antipodal sites on even rings)
+    or "never".  Returns a list of (n, variance) pairs ready for plotting.
+    """
+    if not 3 <= n_min <= n_max:
+        raise InvalidArgs(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
+    if quotient_policy not in ("auto", "never"):
+        raise InvalidArgs(f"unknown quotient policy {quotient_policy!r}")
+    rows = []
+    for n in range(n_min, n_max + 1):
+        spec = RingSpec(n, Coupling.XX, 1.0)
+        quotient = quotient_policy == "auto" and n % 2 == 0
+        values = distance_matrix(spec, quotient).offdiagonal()
+        rows.append((n, float(np.var(values))))
+    return rows
+
+
+def transfer_probability_time_series(
+    spec: RingSpec, i: int, j: int, t_grid
+) -> np.ndarray:
+    """Transfer probability p(t) = |<i| exp(-iHt) |j>|^2 on a caller-supplied grid.
+
+    Evaluated through the eigenspace expansion with real cosine and sine
+    arithmetic.  Every sample is bounded by the peak probability; the library
+    never claims a grid maximum is the supremum over all times.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if np.any(t < 0.0):
+        raise InvalidArgs("time samples must be nonnegative")
+    dec = circulant_spectrum(spec)
+    n = dec.n
+    if not (1 <= i <= n) or not (1 <= j <= n):
+        raise IndexOutOfRange(f"sites must lie in 1..{n}, got ({i}, {j})")
+    coeff = np.array([float(p[i - 1, j - 1]) for p in dec.projectors])
+    phases = np.outer(t, dec.eigenvalues)
+    amp_re = np.cos(phases) @ coeff
+    amp_im = np.sin(phases) @ coeff
+    return amp_re**2 + amp_im**2
