@@ -55,7 +55,7 @@ from .metric import (
     p_max_closed_form,
     transfer_probability_time_series,
 )
-from .spectral import numerical_spectrum
+from .spectral import circulant_spectrum, numerical_spectrum
 
 SCHEMA_VERSION = "1"
 ZERO_PAIR_TOL = 1e-12
@@ -127,7 +127,6 @@ def cmd_distance(args) -> int:
         "quotient": args.quotient,
         "format": args.format,
         "seed": args.seed,
-        "threads": args.threads,
     }
     if args.format == "csv":
         rows = [
@@ -160,7 +159,6 @@ def cmd_metric_check(args) -> int:
         "n": args.n,
         "quotient": args.quotient,
         "seed": args.seed,
-        "threads": args.threads,
     }
     payload = {
         "n": args.n,
@@ -190,7 +188,7 @@ def cmd_classify(args) -> int:
     quotient = args.n % 2 == 0
     d = distance_matrix(spec, quotient=quotient)
     classification = classify_ring(args.n, d)
-    params = {"n": args.n, "seed": args.seed, "threads": args.threads}
+    params = {"n": args.n, "seed": args.seed}
     payload = {
         "n": args.n,
         "n_effective": d.n_effective,
@@ -282,7 +280,6 @@ def cmd_embed(args) -> int:
         "space": args.space,
         "kappa": args.kappa,
         "seed": args.seed,
-        "threads": args.threads,
     }
     payload = {
         "n": args.n,
@@ -323,7 +320,6 @@ def cmd_variance_sweep(args) -> int:
         "quotient_policy": args.quotient_policy,
         "format": args.format,
         "seed": args.seed,
-        "threads": args.threads,
     }
     if args.format == "csv":
         _emit(
@@ -360,22 +356,14 @@ def _check_subspace_restriction(n_max_full: int) -> dict:
 
 
 def _check_spectrum_agreement(n_max_subspace: int, inject_fault: bool) -> dict:
-    factor = 1.0 + 1e-6 if inject_fault else 1.0
+    strength = 1.0 + 1e-6 if inject_fault else 1.0
     worst = 0.0
     for n in range(3, n_max_subspace + 1):
-        spec = RingSpec(n)
-        decomposition = numerical_spectrum(build_single_excitation_hamiltonian(spec))
-        numeric = np.sort(
-            np.repeat(decomposition.eigenvalues, decomposition.multiplicities)
-        )
-        h = spec.subspace_coupling * factor
-        shift = spec.subspace_shift
-        expected = []
-        for k in range(n // 2 + 1):
-            value = shift + 2.0 * h * math.cos(2.0 * math.pi * k / n)
-            count = 1 if k == 0 or (n % 2 == 0 and k == n // 2) else 2
-            expected.extend([value] * count)
-        worst = max(worst, float(np.abs(np.sort(expected) - numeric).max()))
+        numeric = numerical_spectrum(build_single_excitation_hamiltonian(RingSpec(n)))
+        closed = circulant_spectrum(RingSpec(n, strength=strength))
+        gap = (np.repeat(closed.eigenvalues, closed.multiplicities)
+               - np.repeat(numeric.eigenvalues, numeric.multiplicities))
+        worst = max(worst, float(np.abs(gap).max()))
     ok = worst <= 1e-9
     return {"name": "spectrum_agreement", "ok": ok, "worst": worst,
             "tolerance": 1e-9, "detail": f"n=3..{n_max_subspace}, closed form vs solver"}
@@ -439,7 +427,6 @@ def cmd_verify(args) -> int:
         "n_max_subspace": args.n_max_subspace,
         "inject_fault": args.inject_fault,
         "seed": args.seed,
-        "threads": args.threads,
     }
     payload = {
         "n_max_full": args.n_max_full,
@@ -467,8 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output to a file instead of standard output")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks (default 0)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap internal parallelism (recorded; computations are single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distance", parents=[common],

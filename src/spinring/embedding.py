@@ -29,7 +29,6 @@ import numpy as np
 from .errors import FactorizationFailure, InvalidArgs, NotEmbeddable
 from .hamiltonian import RingSpec
 from .metric import DistanceMatrix, RingClassification, classify_ring, distance_matrix
-from .spectral import jacobi_eigh
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +237,7 @@ def embeddable_spherical(d: DistanceMatrix, kappa: float) -> SphericalVerdict:
     matrix = d.entries
     cap_ok = math.sqrt(kappa) * float(matrix.max()) <= math.pi
     g = _spherical_entries(matrix, kappa)
-    w, _ = jacobi_eigh(g)
+    w, _ = np.linalg.eigh(g)
     lam_max = float(w[-1])
     psd_ok = bool(w[0] >= -PSD_TOL_FACTOR * lam_max)
     rank = int(np.count_nonzero(w > PSD_TOL_FACTOR * lam_max))
@@ -350,7 +349,7 @@ def _realize_spherical(d: DistanceMatrix, kappa: float, tol: float) -> Embedding
     matrix = d.entries
     n = d.n_effective
     g = _spherical_entries(matrix, kappa)
-    w, v = jacobi_eigh(g)
+    w, v = np.linalg.eigh(g)
     lam_max = float(w[-1])
     if w[0] < -PSD_TOL_FACTOR * lam_max:
         raise FactorizationFailure(f"Gram matrix indefinite: min eigenvalue {w[0]:.3e}")
@@ -383,7 +382,7 @@ def _realize_euclidean(d: DistanceMatrix, tol: float) -> EmbeddingResult:
     center = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * center @ (matrix**2) @ center
     b = 0.5 * (b + b.T)
-    w, v = jacobi_eigh(b)
+    w, v = np.linalg.eigh(b)
     lam_max = max(float(w[-1]), 0.0)
     if lam_max > 0.0 and w[0] < -PSD_TOL_FACTOR * lam_max:
         raise FactorizationFailure(
@@ -416,7 +415,7 @@ def _realize_hyperbolic(d: DistanceMatrix, kappa: float, tol: float) -> Embeddin
     n = d.n_effective
     radius = 1.0 / math.sqrt(-kappa)
     target = -(radius**2) * _hyperbolic_entries(matrix, kappa)
-    w, v = jacobi_eigh(target)
+    w, v = np.linalg.eigh(target)
     scale = float(np.abs(w).max())
     negative = np.flatnonzero(w < -PSD_TOL_FACTOR * scale)
     if len(negative) != 1:

@@ -4,7 +4,7 @@ The circulant structure of H_1 gives eigenvalues delta + 2h cos(2 pi k / n)
 for k = 0..floor(n/2), simple at k = 0 and (for even n) at k = n/2, double
 otherwise.  Complex circulant eigenvectors are replaced by their real and
 imaginary parts, which span the same eigenspaces, so every projector is a
-real symmetric matrix.  A hand-rolled cyclic Jacobi eigensolver provides the
+real symmetric matrix.  A round-robin Jacobi eigensolver provides the
 independent numerical route; both produce the same ``SpectralDecomposition``
 shape so downstream code never cares which route built it.
 """
@@ -12,6 +12,7 @@ shape so downstream code never cares which route built it.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -26,14 +27,6 @@ logger = logging.getLogger(__name__)
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_FACTOR = 1e-14
 DEGENERACY_FACTOR = 1e-8
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
 
 class SpectralSource(enum.Enum):
     """Which route produced a decomposition."""
@@ -69,118 +62,109 @@ class SpectralDecomposition:
         return self.projectors[0].shape[0]
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p, q], numpy-vectorized row/col update."""
-    apq = a[p, q]
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - s * rq
-    a[q, :] = s * rp + c * rq
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - s * cq
-    a[:, q] = s * cp + c * cq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+@functools.lru_cache(maxsize=64)
+def _round_robin_schedule(m: int):
+    """Index arrays for round-robin Jacobi on an even m, as read-only arrays.
+
+    The matrix is stored so that each round pairs slot i with slot k + i,
+    k = m / 2.  Between rounds the slots are reshuffled by one fixed
+    permutation, the circle method of Brent & Luk (1985): seat 0 stays, the
+    other m - 1 seats move one place.  After m - 1 rounds every pair has met
+    once and the slots are back in their original order.
+
+    The arrays index the 2m x m stack of the matrix over its eigenvector
+    matrix: the row and column shuffles (the row shuffle leaves the
+    eigenvector rows in place), the flat indices of (a_pp, a_qq, a_pq) for
+    the 2k rotated rows, of the paired off-diagonal entries and of all
+    off-diagonal entries, and the half-angle signs that give the p rows
+    -sin and the q rows +sin.
+    """
+    k = m // 2
+    seat_of_slot = np.concatenate((np.arange(k), np.arange(m - 1, k - 1, -1)))
+    seat_from = np.concatenate(([0, m - 1], np.arange(1, m - 1)))
+    shuffle = np.argsort(seat_of_slot)[seat_from[seat_of_slot]]
+    shuffle_rows = np.concatenate((shuffle, np.arange(m, 2 * m)))[:, None]
+    p = np.arange(k)
+    q = p + k
+    pair_entries = np.tile(np.stack((p * (m + 1), q * (m + 1), p * m + q)), 2)
+    pair_flat = np.concatenate((p * m + q, q * m + p))
+    off_flat = np.flatnonzero(~np.eye(m, dtype=bool))
+    half_signs = np.repeat([-0.5, 0.5], k)
+    schedule = (shuffle_rows, shuffle, pair_entries, pair_flat, off_flat, half_signs)
+    for array in schedule:
+        array.flags.writeable = False
+    return schedule
 
 
-def _jacobi_numpy(a: np.ndarray, v: np.ndarray, off_target: float, max_sweeps: int) -> int:
-    n = a.shape[0]
+def _jacobi_sweeps(av: np.ndarray, off_target: float, max_sweeps: int):
+    """Round-robin Jacobi sweeps on the stack of an even-sized symmetric a over v.
+
+    Each round applies its m / 2 disjoint rotations at once, as whole-array
+    operations: the rows of a, then the columns of a and v together.
+    Rotations on disjoint index pairs commute, so a round equals the same
+    rotations applied one after another.  A pair whose off-diagonal entry is
+    zero gets the identity rotation.
+
+    Returns the rotated stack and the sweeps used, or -1 when the
+    off-diagonal norm of a does not reach ``off_target`` in ``max_sweeps``.
+    """
+    m = av.shape[1]
+    k = m // 2
+    shuffle_rows, shuffle, pair_entries, pair_flat, off_flat, half_signs = (
+        _round_robin_schedule(m)
+    )
     for sweep in range(max_sweeps + 1):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= off_target:
-            return sweep
+        off = av.take(off_flat)
+        if math.sqrt(float(off @ off)) <= off_target:
+            return av, sweep
         if sweep == max_sweeps:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] != 0.0:
-                    _rotate(a, v, p, q)
-    return -1
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _jacobi_numba(a, v, off_target, max_sweeps):  # pragma: no cover - compiled
-        n = a.shape[0]
-        for sweep in range(max_sweeps + 1):
-            off = 0.0
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    off += a[i, j] * a[i, j]
-            off = math.sqrt(2.0 * off)
-            if off <= off_target:
-                return sweep
-            if sweep == max_sweeps:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                    else:
-                        t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    for r in range(n):
-                        arp = a[r, p]
-                        arq = a[r, q]
-                        a[r, p] = c * arp - s * arq
-                        a[r, q] = s * arp + c * arq
-                    for r in range(n):
-                        apr = a[p, r]
-                        aqr = a[q, r]
-                        a[p, r] = c * apr - s * aqr
-                        a[q, r] = s * apr + c * aqr
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    for r in range(n):
-                        vrp = v[r, p]
-                        vrq = v[r, q]
-                        v[r, p] = c * vrp - s * vrq
-                        v[r, q] = s * vrp + c * vrq
-        return -1
+        for _ in range(m - 1):
+            app, aqq, apq = av.take(pair_entries)
+            tau = aqq - app
+            # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi / 4.
+            phi = half_signs * np.arctan2(np.copysign(2.0, tau) * apq, np.abs(tau))
+            c = np.cos(phi).reshape(2, k)
+            s = np.sin(phi).reshape(2, k)
+            rows = av[:m].reshape(2, k, m)
+            rows[:] = c[:, :, None] * rows + s[:, :, None] * rows[::-1]
+            cols = av.reshape(2 * m, 2, k)
+            av = (c * cols + s * cols[:, ::-1]).reshape(2 * m, m)
+            av.put(pair_flat, 0.0)
+            av = av[shuffle_rows, shuffle]
+    return av, -1
 
 
 def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a real symmetric matrix by round-robin Jacobi sweeps.
 
-    Returns eigenvalues sorted ascending and the matching orthonormal
-    eigenvector columns.  Convergence target is an off-diagonal Frobenius
-    norm below 1e-14 times the Frobenius norm of the input.
+    The independent oracle for the closed-form spectrum; embedding code uses
+    LAPACK.  An odd-sized matrix is padded with one decoupled index, which no
+    rotation touches and which is dropped from the result.  Returns
+    eigenvalues sorted ascending and the matching orthonormal eigenvector
+    columns.  Convergence target is an off-diagonal Frobenius norm below
+    1e-14 times the Frobenius norm of the input.
 
     Raises
     ------
     NoConvergence
         If the target is not reached within ``max_sweeps`` sweeps.
     """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    off_target = JACOBI_OFF_FACTOR * float(np.linalg.norm(a))
-    if NUMBA_AVAILABLE:
-        sweeps = _jacobi_numba(a, v, off_target, max_sweeps)
-    else:
-        sweeps = _jacobi_numpy(a, v, off_target, max_sweeps)
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    m = n + n % 2
+    av = np.zeros((2 * m, m))
+    av[:n, :n] = matrix
+    np.fill_diagonal(av[m:], 1.0)
+    off_target = JACOBI_OFF_FACTOR * float(np.linalg.norm(matrix))
+    av, sweeps = _jacobi_sweeps(av, off_target, max_sweeps)
     if sweeps < 0:
         raise NoConvergence(
             f"off-diagonal norm above {off_target:.3e} after {max_sweeps} sweeps"
         )
-    w = np.diag(a).copy()
+    w = np.diag(av)[:n]
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], av[m : m + n, order]
 
 
 def _group_eigenvalues(w: np.ndarray, tol: float):

@@ -18,6 +18,7 @@ from spinring import (
     embeddable_hyperbolic,
     embeddable_spherical,
     hyperbolic_gram,
+    jacobi_eigh,
     kappa_max,
     numerical_spectrum,
     realize,
@@ -166,6 +167,18 @@ def test_spherical_verdict_at_boundary():
     above = embeddable_spherical(uniform_points(3, w), 1.01 * boundary)
     assert not above.embeddable
     assert not above.psd_ok
+
+
+def test_spherical_eigenvalues_match_jacobi_oracle():
+    for n in range(5, 31):
+        d = distance_matrix(RingSpec(n), quotient=n % 2 == 0)
+        kappa = KappaMaxQuery(d.n_effective, float(d.offdiagonal().mean())).value
+        gram = np.cos(math.sqrt(kappa) * d.entries)
+        np.fill_diagonal(gram, 1.0)
+        w = embeddable_spherical(d, kappa).eigenvalues
+        reference, _ = jacobi_eigh(gram)
+        scale = max(1.0, float(np.abs(reference).max()))
+        assert np.abs(w - reference).max() <= 1e-10 * scale, n
 
 
 def test_spherical_verdict_validation():

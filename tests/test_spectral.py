@@ -5,6 +5,7 @@ from spinring import (
     Coupling,
     DenseSymmetricMatrix,
     IndexOutOfRange,
+    NoConvergence,
     RingSpec,
     SpectralSource,
     build_single_excitation_hamiltonian,
@@ -102,15 +103,26 @@ def test_numerical_spectrum_distinct_diagonal():
 
 def test_jacobi_against_library_solver():
     rng = np.random.default_rng(7)
-    for n in (5, 12, 30):
+    matrices = []
+    for n in (3, 5, 7, 12, 15, 30, 31, 64):
         base = rng.standard_normal((n, n))
-        matrix = 0.5 * (base + base.T)
+        matrices.append(0.5 * (base + base.T))
+    # Degenerate spectrum: every mode but two is a double eigenvalue.
+    matrices.append(build_single_excitation_hamiltonian(RingSpec(64)).entries)
+    for matrix in matrices:
+        n = matrix.shape[0]
         w, v = jacobi_eigh(matrix)
         reference = np.linalg.eigvalsh(matrix)
         scale = max(1.0, float(np.abs(reference).max()))
-        assert np.abs(w - reference).max() <= 1e-10 * scale
-        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
-        assert np.abs(v @ np.diag(w) @ v.T - matrix).max() <= 1e-11 * scale
+        assert np.abs(w - reference).max() <= 1e-10 * scale, n
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12, n
+        assert np.abs(v @ np.diag(w) @ v.T - matrix).max() <= 1e-11 * scale, n
+
+
+def test_jacobi_no_convergence():
+    matrix = build_single_excitation_hamiltonian(RingSpec(5)).entries
+    with pytest.raises(NoConvergence):
+        jacobi_eigh(matrix, max_sweeps=0)
 
 
 def test_projector_overlaps_uniform_mode():
