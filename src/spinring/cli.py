@@ -3,7 +3,9 @@
 Every command emits a single self-describing JSON document with a stable
 field order (or CSV with a fixed header where tabular output makes sense),
 so identical inputs produce byte-identical output.  Floats are serialized
-with Python's shortest round-trip representation.  Exit codes: 0 for
+with Python's shortest round-trip representation, the text of
+``json.dumps(doc, indent=2)``; float matrices are rendered with one ``repr``
+per distinct value and spliced into that text.  Exit codes: 0 for
 success or a verified positive verdict, 1 for a negative mathematical
 verdict or failed verification, 2 for usage errors.
 """
@@ -11,9 +13,7 @@ verdict or failed verification, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import enum
-import io
 import json
 import math
 import sys
@@ -62,11 +62,12 @@ ZERO_PAIR_TOL = 1e-12
 
 
 def _jsonable(value):
-    """Recursively convert numpy containers and enums to plain JSON types."""
+    """Recursively convert numpy scalars, containers and enums to plain JSON types.
+
+    Arrays stay arrays; ``_emit_json`` serializes them.
+    """
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.integer):
@@ -95,17 +96,71 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _float_reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float, computed once per distinct bit pattern (-0.0 apart from 0.0)."""
+    distinct, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[index].reshape(values.shape)
+
+
+def _spliceable(value) -> bool:
+    """Whether ``_emit_json`` renders this value itself: a finite, non-empty float matrix."""
+    return (
+        isinstance(value, np.ndarray)
+        and value.dtype == np.float64
+        and value.ndim == 2
+        and value.size > 0
+        and bool(np.isfinite(value).all())
+    )
+
+
+def _matrix_json(matrix: np.ndarray, indent: int) -> str:
+    """``json.dumps(matrix.tolist(), indent=2)`` as it reads nested ``indent`` spaces deep."""
+    pad = "\n" + " " * indent
+    rows = [("," + pad + "    ").join(row) for row in _float_reprs(matrix).tolist()]
+    rows = ["[" + pad + "    " + row + pad + "  ]" for row in rows]
+    return "[" + pad + "  " + ("," + pad + "  ").join(rows) + pad + "]"
+
+
+_SPLICE = "@matrix@"
+
+
 def _emit_json(doc: dict, out_path) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+    """Write ``json.dumps(doc, indent=2)`` with arrays as lists, byte for byte.
+
+    Each finite float matrix is left out of the ``json.dumps`` call as a
+    placeholder string and its text spliced in at the placeholder's indent;
+    other arrays go through ``tolist``.
+    """
+    matrices = []
+
+    def hide(value):
+        if isinstance(value, dict):
+            return {key: hide(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [hide(item) for item in value]
+        if _spliceable(value):
+            matrices.append(value)
+            return _SPLICE
+        return value
+
+    text = json.dumps(hide(doc), indent=2, default=np.ndarray.tolist)
+    parts = text.split(json.dumps(_SPLICE))
+    if len(parts) != len(matrices) + 1:
+        # A string in the document equals the placeholder: render it all plainly.
+        parts = [json.dumps(doc, indent=2, default=np.ndarray.tolist)]
+        matrices = []
+    out = [parts[0]]
+    for matrix, part in zip(matrices, parts[1:]):
+        line = out[-1].rsplit("\n", 1)[-1]
+        out.append(_matrix_json(matrix, len(line) - len(line.lstrip(" "))))
+        out.append(part)
+    _emit("".join(out) + "\n", out_path)
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+def _csv_text(header: str, rows) -> str:
+    """CSV of string fields that never need quoting: integers and float reprs."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def cmd_distance(args) -> int:
@@ -114,12 +169,7 @@ def cmd_distance(args) -> int:
     entries = d.entries
     p = np.exp(-entries)
     np.fill_diagonal(p, 1.0)
-    zero_pairs = [
-        [i + 1, j + 1]
-        for i in range(d.n_effective)
-        for j in range(i + 1, d.n_effective)
-        if entries[i, j] < ZERO_PAIR_TOL
-    ]
+    zero_pairs = (np.argwhere(np.triu(entries < ZERO_PAIR_TOL, 1)) + 1).tolist()
     params = {
         "n": args.n,
         "coupling": args.coupling,
@@ -129,12 +179,12 @@ def cmd_distance(args) -> int:
         "seed": args.seed,
     }
     if args.format == "csv":
-        rows = [
-            [i + 1, j + 1, repr(float(entries[i, j])), repr(float(p[i, j]))]
-            for i in range(d.n_effective)
-            for j in range(i + 1, d.n_effective)
-        ]
-        _emit(_csv_text(["i", "j", "distance", "p_max"], rows), args.out)
+        i_up, j_up = np.triu_indices(d.n_effective, 1)
+        sites = np.array([str(k) for k in range(1, d.n_effective + 1)], dtype=object)
+        columns = (sites[i_up], sites[j_up],
+                   _float_reprs(entries[i_up, j_up]), _float_reprs(p[i_up, j_up]))
+        rows = zip(*(column.tolist() for column in columns))
+        _emit(_csv_text("i,j,distance,p_max", rows), args.out)
         return 0
     payload = {
         "n": args.n,
@@ -323,7 +373,7 @@ def cmd_variance_sweep(args) -> int:
     }
     if args.format == "csv":
         _emit(
-            _csv_text(["n", "variance"], [[n, repr(v)] for n, v in rows]),
+            _csv_text("n,variance", [(str(n), repr(v)) for n, v in rows]),
             args.out,
         )
         return 0

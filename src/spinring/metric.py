@@ -5,10 +5,13 @@ The peak transfer probability between excitation sites i and j is
     p_max(i, j) = (sum_k |<i| Pi_k |j>|)^2
 
 and the induced distance is d(i, j) = -log p_max(i, j).  For a ring the sum
-collapses to a closed-form cosine sum over separation m = |i - j| mod n; odd
-and even ring sizes use slightly different branches.  Even rings place
-antipodal sites at distance zero, which makes the raw space a semi-metric;
-identifying antipodal sites (the quotient) restores separation.
+collapses to a cosine sum over separation m = |i - j| mod n
+(``sqrt_p_max_closed_form``), and that sum depends only on the order
+q = n / gcd(n, m) of m in Z_n.  ``distance_profile`` evaluates the divisor
+closed form in q once per distinct order, so a profile costs O(n); the
+cosine sum stays as its oracle.  Even rings place antipodal sites (q = 2)
+at distance zero, which makes the raw space a semi-metric; identifying
+antipodal sites (the quotient) restores separation.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ TRIANGLE_TOL = 1e-10
 ZERO_DISTANCE_TOL = 1e-12
 EXHAUSTIVE_TRIPLE_LIMIT = 200
 MONTE_CARLO_TRIPLES = 10**6
+SAMPLE_CHUNK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +161,36 @@ def p_max(dec: SpectralDecomposition, i: int, j: int) -> float:
     return min(total * total, 1.0)
 
 
-def _distance_from_sqrt(s: float) -> float:
+def _distance_by_order(q: int) -> float:
+    """Distance -2 log sqrt(p_max) at a separation of order q in Z_n.
+
+    Odd q gives sqrt(p_max) = 1 / (q sin(pi / 2q)), which is 1 at q = 1;
+    q = 0 (mod 4) gives 2 cot(pi / q) / q; q = 2 (mod 4) gives
+    2 csc(pi / q) / q, the odd value at q / 2, which is 1 at q = 2.
+    """
+    if q % 4 == 2:
+        q //= 2
+    if q % 4 == 0:
+        s = 2.0 / (q * math.tan(math.pi / q))
+    else:
+        s = 1.0 / (q * math.sin(math.pi / (2 * q)))
     return max(0.0, -2.0 * math.log(s))
 
 
 def distance_profile(n: int) -> np.ndarray:
-    """Distance per separation class m = 0..floor(n/2) for an n-ring."""
-    return np.array(
-        [0.0] + [_distance_from_sqrt(sqrt_p_max_closed_form(n, m)) for m in range(1, n // 2 + 1)]
-    )
+    """Distance per separation class m = 0..floor(n/2) for an n-ring.
+
+    The closed form is evaluated once per distinct order q = n / gcd(n, m);
+    the orders are the divisors of n, found in O(sqrt(n)) steps.
+    """
+    if n < 3:
+        raise InvalidArgs(f"ring size must be at least 3, got {n}")
+    by_order = np.empty(n + 1)
+    for f in range(1, math.isqrt(n) + 1):
+        if n % f == 0:
+            by_order[f] = _distance_by_order(f)
+            by_order[n // f] = _distance_by_order(n // f)
+    return by_order[n // np.gcd(n, np.arange(n // 2 + 1))]
 
 
 def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
@@ -214,7 +239,15 @@ def _triangle_violations_sampled(d: np.ndarray, seed: int, samples: int):
     i = rng.integers(0, n, samples)
     j = rng.integers(0, n, samples)
     k = rng.integers(0, n, samples)
-    slack = d[i, j] - d[i, k] - d[k, j]
+    # Gather through flat indices, a chunk at a time so that the index
+    # temporaries stay small beside the drawn triples.
+    flat = d.ravel()
+    slack = np.empty(samples)
+    for start in range(0, samples, SAMPLE_CHUNK):
+        ci, cj, ck = (x[start:start + SAMPLE_CHUNK] for x in (i, j, k))
+        slack[start:start + SAMPLE_CHUNK] = (
+            flat[ci * n + cj] - flat[ci * n + ck] - flat[ck * n + cj]
+        )
     bad = np.flatnonzero(slack > TRIANGLE_TOL)
     found = []
     for b in bad:
@@ -257,14 +290,11 @@ def check_metric_axioms(
         violations.append(Violation("symmetry", (int(i) + 1, int(j) + 1), float(asym[i, j])))
     symmetry_ok = not any(v.kind == "symmetry" for v in violations)
 
-    zero_pairs = []
-    iu = np.triu_indices(n, 1)
-    for i, j in zip(*iu):
-        if matrix[i, j] <= ZERO_DISTANCE_TOL:
-            zero_pairs.append((int(i), int(j)))
-            violations.append(
-                Violation("separation", (int(i) + 1, int(j) + 1), float(matrix[i, j]))
-            )
+    zero = np.argwhere(np.triu(matrix <= ZERO_DISTANCE_TOL, 1))
+    zero_pairs = [(int(i), int(j)) for i, j in zero]
+    violations.extend(
+        Violation("separation", (i + 1, j + 1), float(matrix[i, j])) for i, j in zero_pairs
+    )
     separation_ok = not zero_pairs
 
     exhaustive = n <= exhaustive_limit
@@ -318,14 +348,8 @@ def merge_distinct_values(values: np.ndarray, tol: float = DISTINCT_VALUE_TOL) -
     if values.size == 0:
         return ()
     ordered = np.sort(values)
-    groups = []
-    start = 0
-    for i in range(1, len(ordered)):
-        if ordered[i] - ordered[i - 1] > tol:
-            groups.append(float(np.mean(ordered[start:i])))
-            start = i
-    groups.append(float(np.mean(ordered[start:])))
-    return tuple(groups)
+    cuts = np.flatnonzero(np.diff(ordered) > tol) + 1
+    return tuple(float(np.mean(group)) for group in np.split(ordered, cuts))
 
 
 def classify_ring(n: int, d: DistanceMatrix) -> RingClassification:

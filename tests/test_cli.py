@@ -1,24 +1,36 @@
+import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from spinring import RingSpec, distance_matrix, kappa_max
+import spinring
+from spinring import RingSpec, cli, distance_matrix, kappa_max
 
 SCHEMA = json.loads(
     resources.files("spinring").joinpath("schemas/output-v1.schema.json").read_text()
 )
 
 
+# The subprocesses import the same spinring as the tests, installed or not.
+PACKAGE_ROOT = str(Path(spinring.__file__).resolve().parent.parent)
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "spinring", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -69,6 +81,89 @@ def test_distance_csv_format():
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "2"
     assert float(first[3]) == pytest.approx(0.25, abs=1e-12)
+
+
+def _plain(value):
+    """The document with every array as nested lists, as json.dumps needs it."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _emitted(monkeypatch, argv):
+    """Run one command in process; return (documents passed to _emit_json, emitted texts)."""
+    docs, texts = [], []
+    emit_json = cli._emit_json
+
+    def record(doc, out_path):
+        docs.append(doc)
+        emit_json(doc, out_path)
+
+    monkeypatch.setattr(cli, "_emit_json", record)
+    monkeypatch.setattr(cli, "_emit", lambda text, out_path: texts.append(text))
+    cli.main(argv)
+    return docs, texts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--n", "3"],
+        ["distance", "--n", "9"],
+        ["distance", "--n", "12"],
+        ["distance", "--n", "12", "--quotient"],
+        ["embed", "--n", "5", "--space", "euclidean"],
+    ],
+)
+def test_emit_json_matches_json_dumps(monkeypatch, argv):
+    docs, texts = _emitted(monkeypatch, argv)
+    assert len(docs) == 1 and len(texts) == 1
+    assert texts[0] == json.dumps(_plain(docs[0]), indent=2) + "\n"
+
+
+def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
+    texts = []
+    monkeypatch.setattr(cli, "_emit", lambda text, out_path: texts.append(text))
+    signed = np.array([[0.0, -0.0, 1e-300], [-0.0, 0.0, 1.5], [2.0, 1.5, 0.1 + 0.2]])
+    docs = [
+        {"a": {"nan": np.array([[0.0, math.nan], [math.inf, 1.0]]), "signed": signed}},
+        {"empty": np.zeros((0, 0)), "rows": np.zeros((2, 0)), "vector": np.arange(3.0)},
+        [signed, [signed.T, {"m": np.asfortranarray(signed)}]],
+        # A string equal to the splice placeholder falls back to plain json.dumps.
+        {"kappa": "@matrix@", "m": signed},
+    ]
+    for doc in docs:
+        cli._emit_json(doc, None)
+    assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
+
+
+@pytest.mark.parametrize("n, quotient", [(3, False), (6, True), (9, False)])
+def test_distance_csv_matches_csv_writer(monkeypatch, n, quotient):
+    argv = ["distance", "--n", str(n), "--format", "csv"] + (["--quotient"] if quotient else [])
+    _, texts = _emitted(monkeypatch, argv)
+    d = distance_matrix(RingSpec(n), quotient=quotient)
+    p = np.exp(-d.entries)
+    np.fill_diagonal(p, 1.0)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["i", "j", "distance", "p_max"])
+    for i in range(d.n_effective):
+        for j in range(i + 1, d.n_effective):
+            writer.writerow([i + 1, j + 1, repr(float(d.entries[i, j])), repr(float(p[i, j]))])
+    assert texts == [buffer.getvalue()]
+
+
+def test_variance_sweep_csv_matches_csv_writer(monkeypatch):
+    _, texts = _emitted(monkeypatch, ["variance-sweep", "--n-min", "3", "--n-max", "12"])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["n", "variance"])
+    writer.writerows([n, repr(v)] for n, v in spinring.distance_variance_sweep(3, 12))
+    assert texts == [buffer.getvalue()]
 
 
 def test_usage_errors_exit_2():

@@ -24,6 +24,7 @@ from spinring import (
     sqrt_p_max_closed_form,
     transfer_probability_time_series,
 )
+from spinring.metric import SAMPLE_CHUNK
 
 
 def test_p_max_closed_form_small_rings():
@@ -85,6 +86,62 @@ def test_even_ring_antipodal_zero_and_reflection():
 def test_quotient_requires_even_ring():
     with pytest.raises(QuotientOnOddRing):
         distance_matrix(RingSpec(5), quotient=True)
+
+
+def test_metric_axioms_sampled_matches_direct_gather():
+    # Several gather chunks, against the same draws gathered by 2-D indexing.
+    space = _axiom_test_space()
+    samples = 2 * SAMPLE_CHUNK + 5
+    report = check_metric_axioms(space, seed=11, exhaustive_limit=0, mc_samples=samples)
+    rng = np.random.default_rng(11)
+    i, j, k = (rng.integers(0, 5, samples) for _ in range(3))
+    d = space.entries
+    slack = d[i, j] - d[i, k] - d[k, j]
+    expected = [
+        ("triangle", (a + 1, b + 1, c + 1), s)
+        for a, b, c, s in zip(i, j, k, slack)
+        if s > 1e-10 and len({a, b, c}) == 3
+    ]
+    assert len(expected) > 1000
+    assert [v for v in _violations(report) if v[0] == "triangle"] == expected
+
+
+def test_distance_profile_matches_cosine_sum_oracle():
+    for n in range(3, 201):
+        profile = distance_profile(n)
+        assert profile.shape == (n // 2 + 1,)
+        oracle = [
+            max(0.0, -2.0 * math.log(sqrt_p_max_closed_form(n, m))) for m in range(n // 2 + 1)
+        ]
+        np.testing.assert_allclose(profile, oracle, rtol=0.0, atol=1e-12, err_msg=f"n={n}")
+
+
+def test_distance_profile_matches_vectorized_cosine_sum():
+    # sqrt(p_max) from the profile against the cosine sum evaluated with numpy,
+    # at one separation of each order q | n and at a few random separations.
+    rng = np.random.default_rng(0)
+    for n in range(3, 2001):
+        half = n // 2
+        orders = [q for q in range(1, n + 1) if n % q == 0 and n // q <= half]
+        m = np.unique(np.concatenate([[n // q for q in orders], rng.integers(0, half + 1, 3)]))
+        lead = 2.0 / n if n % 2 == 0 else 1.0 / n
+        k = np.arange(1, (n - 1) // 2 + 1)
+        cosine = np.abs(np.cos(2.0 * np.pi * np.outer(m, k) / n))
+        cosine_sum = lead + (2.0 / n) * cosine.sum(axis=1)
+        from_profile = np.exp(-0.5 * distance_profile(n)[m])
+        np.testing.assert_allclose(
+            from_profile, cosine_sum, rtol=0.0, atol=1e-13, err_msg=f"n={n}"
+        )
+
+
+def test_distance_profile_validation_and_antipodes():
+    for n in (-1, 0, 1, 2):
+        with pytest.raises(InvalidArgs):
+            distance_profile(n)
+    for n in range(4, 2001, 2):
+        antipode = distance_profile(n)[n // 2]
+        # q = 2 gives sqrt(p_max) = 1 exactly, so the distance is +0.0.
+        assert antipode == 0.0 and not math.copysign(1.0, antipode) < 0, n
 
 
 def test_distance_matrix_from_entries_validation():
@@ -149,6 +206,69 @@ def test_metric_axioms_sampled_path_on_large_ring():
 def test_merge_distinct_values():
     values = np.array([1.0, 1.0 + 5e-11, 2.0])
     assert len(merge_distinct_values(values)) == 2
+    assert merge_distinct_values(np.array([])) == ()
+    assert merge_distinct_values(np.array([0.75])) == (0.75,)
+    # Each value lies within tol of the next, so the chain is one group even
+    # though its ends are 3e-10 apart.
+    chain = 1.0 + 0.75e-10 * np.arange(5)
+    assert merge_distinct_values(chain[::-1]) == (float(np.mean(chain)),)
+
+
+def _axiom_test_space():
+    """Five hand-built points that fail identity at 1, separation at (2, 4) and triangles."""
+    entries = np.array(
+        [
+            [0.5, 1.0, 3.0, 1.0, 2.0],
+            [1.0, 0.0, 1.0, 0.0, 1.0],
+            [3.0, 1.0, 0.0, 1.0, 4.5],
+            [1.0, 0.0, 1.0, 0.0, 1.0],
+            [2.0, 1.0, 4.5, 1.0, 0.0],
+        ]
+    )
+    return DistanceMatrix(5, entries)
+
+
+def _violations(report):
+    return [(v.kind, v.sites, v.magnitude) for v in report.violations]
+
+
+def test_metric_axioms_exhaustive_violations_are_pinned():
+    report = check_metric_axioms(_axiom_test_space())
+    assert report.exhaustive
+    assert report.classification is MetricClassification.NOT_SEMI_METRIC
+    assert _violations(report) == [
+        ("identity", (1,), 0.5),
+        ("separation", (2, 4), 0.0),
+        ("triangle", (1, 3, 2), 1.0),
+        ("triangle", (3, 1, 2), 1.0),
+        ("triangle", (3, 5, 2), 2.5),
+        ("triangle", (5, 3, 2), 2.5),
+        ("triangle", (1, 3, 4), 1.0),
+        ("triangle", (3, 1, 4), 1.0),
+        ("triangle", (3, 5, 4), 2.5),
+        ("triangle", (5, 3, 4), 2.5),
+    ]
+
+
+def test_metric_axioms_sampled_violations_are_pinned():
+    report = check_metric_axioms(
+        _axiom_test_space(), seed=3, exhaustive_limit=0, mc_samples=200
+    )
+    assert not report.exhaustive
+    assert report.classification is MetricClassification.NOT_SEMI_METRIC
+    # The draws are those of the seeded generator, in draw order, repeats kept.
+    assert _violations(report) == [
+        ("identity", (1,), 0.5),
+        ("separation", (2, 4), 0.0),
+        ("triangle", (1, 3, 4), 1.0),
+        ("triangle", (5, 3, 2), 2.5),
+        ("triangle", (3, 5, 4), 2.5),
+        ("triangle", (5, 3, 2), 2.5),
+        ("triangle", (3, 1, 4), 1.0),
+        ("triangle", (1, 3, 2), 1.0),
+        ("triangle", (5, 3, 2), 2.5),
+        ("triangle", (1, 3, 2), 1.0),
+    ]
 
 
 def test_classify_ring_kinds():
