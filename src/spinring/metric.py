@@ -12,6 +12,12 @@ closed form in q once per distinct order, so a profile costs O(n); the
 cosine sum stays as its oracle.  Even rings place antipodal sites (q = 2)
 at distance zero, which makes the raw space a semi-metric; identifying
 antipodal sites (the quotient) restores separation.
+
+Ring distance matrices, raw and quotiented, are circulant and carry their
+generator, so ``check_metric_axioms`` decides the triangle inequality
+exactly over the O(N^2) profile pairs at every size.  The dense routines
+(exhaustive triples up to 200 points, seeded Monte-Carlo beyond) serve
+matrices without a profile and are the oracle for the profile route.
 """
 
 from __future__ import annotations
@@ -41,12 +47,17 @@ class DistanceMatrix:
     ``n_effective`` is the point count: n for a plain ring, n/2 after
     antipodal identification.  ``source_spec`` records the originating ring
     when there is one; hand-built metric spaces leave it as None.
+    ``profile`` is the circulant generator of a ring metric,
+    ``profile[s] = d(site 1, site 1 + s)`` for s = 0..n_effective - 1, so that
+    ``entries[i, j] = profile[(j - i) mod n_effective]``; it is None for a
+    matrix not known to be circulant.  The constructor checks the first row.
     """
 
     n_effective: int
     entries: np.ndarray
     quotiented: bool = False
     source_spec: RingSpec | None = None
+    profile: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float, copy=True)
@@ -56,6 +67,12 @@ class DistanceMatrix:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+        if self.profile is not None:
+            profile = np.array(self.profile, dtype=float, copy=True)
+            if not np.array_equal(profile, arr[0]):
+                raise InvalidArgs("circulant profile must equal the first row of entries")
+            profile.flags.writeable = False
+            object.__setattr__(self, "profile", profile)
 
     @classmethod
     def from_entries(
@@ -193,12 +210,19 @@ def distance_profile(n: int) -> np.ndarray:
     return by_order[n // np.gcd(n, np.arange(n // 2 + 1))]
 
 
+def _windows(profile: np.ndarray) -> np.ndarray:
+    """View W with W[r, b] = profile[(r + b) mod N] for r = 0..N, built without copying."""
+    doubled = np.concatenate((profile, profile))
+    return np.lib.stride_tricks.sliding_window_view(doubled, len(profile))
+
+
 def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     """Distance matrix -log p_max of a ring, optionally after antipodal identification.
 
     With ``quotient`` the points are the antipodal classes of an even ring,
     represented by sites 1..n/2; class distances are well defined because the
-    profile satisfies d(m) = d(n/2 - m) for even n.
+    profile satisfies d(m) = d(n/2 - m) for even n.  Either way the matrix is
+    circulant on Z_{n_effective} and carries its generator as ``profile``.
 
     Raises
     ------
@@ -209,13 +233,11 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     if quotient and n % 2 == 1:
         raise QuotientOnOddRing(f"antipodal identification needs even n, got n={n}")
     points = n // 2 if quotient else n
-    profile = distance_profile(n)
-    idx = np.arange(points)
-    sep = np.abs(np.subtract.outer(idx, idx))
-    sep = np.minimum(sep, n - sep)
-    matrix = profile[sep]
-    np.fill_diagonal(matrix, 0.0)
-    return DistanceMatrix(points, matrix, quotient, spec)
+    sep = np.arange(points)
+    profile = distance_profile(n)[np.minimum(sep, n - sep)]
+    # Row i holds profile[(j - i) mod points], which is window points - i.
+    matrix = _windows(profile)[points:0:-1]
+    return DistanceMatrix(points, matrix, quotient, spec, profile)
 
 
 def _triangle_violations_exhaustive(d: np.ndarray):
@@ -262,6 +284,42 @@ def _triangle_violations_sampled(d: np.ndarray, seed: int, samples: int):
     return found
 
 
+def _symmetry_violations(matrix: np.ndarray):
+    asym = np.abs(matrix - matrix.T)
+    return [
+        Violation("symmetry", (int(i) + 1, int(j) + 1), float(asym[i, j]))
+        for i, j in np.argwhere(np.triu(asym, 1) > ZERO_DISTANCE_TOL)
+    ]
+
+
+def _circulant_zero_pairs(profile: np.ndarray):
+    """Row-major pairs i < j (0-based) with profile[j - i] <= ZERO_DISTANCE_TOL."""
+    n = len(profile)
+    zero = np.flatnonzero(profile[1:] <= ZERO_DISTANCE_TOL) + 1
+    i = np.repeat(np.arange(n), len(zero))
+    j = i + np.tile(zero, n)
+    keep = j < n
+    return i[keep], j[keep]
+
+
+def _circulant_triangle_ok(profile: np.ndarray) -> bool:
+    """Whether no slack c[a + b] - (c[a] + c[b]) of a circulant exceeds TRIANGLE_TOL.
+
+    The triple (i, i + a, i + a + b) has this slack, bit for bit the dense
+    check's d(i, j) - (d(i, k) + d(k, j)), so checking every (a, b) is exact.
+    The pairs with b = 0 or a + b = 0 (mod N) are no triples; their slacks
+    -c[0] and c[0] - (c[a] + c[-a]) are not positive when c[0] = 0 and
+    c >= 0, and a positive one only sends the caller to the dense listing.
+    When c[-x] == c[x] exactly, (a, b) and (-a, -b) share a slack and rows
+    a > N/2 are skipped.
+    """
+    n = len(profile)
+    rows = n // 2 if np.array_equal(profile, profile[-np.arange(n)]) else n - 1
+    slack = np.add.outer(profile[1:rows + 1], profile)
+    np.subtract(_windows(profile)[1:rows + 1], slack, out=slack)
+    return not (slack > TRIANGLE_TOL).any()
+
+
 def check_metric_axioms(
     d: DistanceMatrix,
     seed: int = 0,
@@ -270,35 +328,52 @@ def check_metric_axioms(
 ) -> MetricReport:
     """Verify identity, symmetry, separation and the triangle inequality.
 
-    Triples are checked exhaustively up to ``exhaustive_limit`` points and by
-    seeded Monte-Carlo sampling above it.  Zero distances between distinct
-    points are separation violations; when every one of them sits on an
-    antipodal pair (j - i = n/2) the space classifies as a semi-metric that
-    becomes a metric after antipodal identification.
+    A matrix that carries its circulant ``profile`` (every ring metric, the
+    antipodal quotient included) is checked exactly at every size from the
+    O(N^2) profile pairs: the check is always exhaustive and ``seed`` is not
+    used.  Violations found there are listed by the dense routines, so they
+    come in the same order and with the same magnitudes as for the dense
+    matrix.  Without a profile, triples are checked exhaustively up to
+    ``exhaustive_limit`` points and by seeded Monte-Carlo sampling above it.
+    Zero distances between distinct points are separation violations; when
+    every one of them sits on an antipodal pair (j - i = n/2) the space
+    classifies as a semi-metric that becomes a metric after antipodal
+    identification.
     """
     matrix = d.entries
     n = d.n_effective
+    profile = d.profile
     violations = []
 
     diag = np.abs(np.diag(matrix))
     for i in np.flatnonzero(diag > ZERO_DISTANCE_TOL):
         violations.append(Violation("identity", (int(i) + 1,), float(diag[i])))
-    identity_ok = not any(v.kind == "identity" for v in violations)
+    identity_ok = not violations
 
-    asym = np.abs(matrix - matrix.T)
-    for i, j in np.argwhere(np.triu(asym, 1) > ZERO_DISTANCE_TOL):
-        violations.append(Violation("symmetry", (int(i) + 1, int(j) + 1), float(asym[i, j])))
-    symmetry_ok = not any(v.kind == "symmetry" for v in violations)
+    if profile is None or np.any(
+        np.abs(profile - profile[-np.arange(n)]) > ZERO_DISTANCE_TOL
+    ):
+        symmetry = _symmetry_violations(matrix)
+    else:
+        symmetry = []
+    violations.extend(symmetry)
+    symmetry_ok = not symmetry
 
-    zero = np.argwhere(np.triu(matrix <= ZERO_DISTANCE_TOL, 1))
-    zero_pairs = [(int(i), int(j)) for i, j in zero]
+    if profile is None:
+        zero_i, zero_j = np.nonzero(np.triu(matrix <= ZERO_DISTANCE_TOL, 1))
+    else:
+        zero_i, zero_j = _circulant_zero_pairs(profile)
+    zero_pairs = list(zip(zero_i.tolist(), zero_j.tolist()))
     violations.extend(
-        Violation("separation", (i + 1, j + 1), float(matrix[i, j])) for i, j in zero_pairs
+        Violation("separation", (i + 1, j + 1), magnitude)
+        for (i, j), magnitude in zip(zero_pairs, matrix[zero_i, zero_j].tolist())
     )
     separation_ok = not zero_pairs
 
-    exhaustive = n <= exhaustive_limit
-    if exhaustive:
+    exhaustive = profile is not None or n <= exhaustive_limit
+    if profile is not None and _circulant_triangle_ok(profile):
+        triangle = []
+    elif exhaustive:
         triangle = _triangle_violations_exhaustive(matrix)
     else:
         triangle = _triangle_violations_sampled(matrix, seed, mc_samples)

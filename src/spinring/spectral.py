@@ -220,14 +220,12 @@ def _circulant_projector(n: int, k: int) -> np.ndarray:
     return (2.0 / n) * np.cos(2.0 * math.pi * k * diff / n)
 
 
-def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
-    """Closed-form eigenspace decomposition of the one-excitation block.
+def circulant_modes(spec: RingSpec):
+    """Closed-form distinct eigenvalues ascending, their multiplicities and modes.
 
-    Modes k = 0..floor(n/2) carry eigenvalues delta + 2h cos(2 pi k / n);
-    k = 0 and (even n) k = n/2 are simple, all other modes are double.
-    Distinct modes can never share an eigenvalue here because the cosine is
-    strictly decreasing over the mode range, but a merge path exists and is
-    logged if numerical coincidence ever triggers it.
+    Returns the eigenvalues and multiplicities of ``circulant_spectrum`` as
+    arrays, and per eigenvalue the list of modes k it merges, without
+    building any projector.
     """
     n = spec.n
     h = spec.subspace_coupling
@@ -245,7 +243,7 @@ def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
     tol = DEGENERACY_FACTOR * spread
     eigenvalues = []
     multiplicities = []
-    projectors = []
+    groups = []
     for start, stop in _group_eigenvalues(lam, tol):
         group_modes = modes[start:stop]
         if len(group_modes) > 1:
@@ -254,15 +252,31 @@ def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
                 group_modes,
                 float(np.mean(lam[start:stop])),
             )
-        proj = np.zeros((n, n))
-        for k in group_modes:
-            proj += _circulant_projector(n, k)
         eigenvalues.append(float(np.mean(lam[start:stop])))
         multiplicities.append(int(mult[start:stop].sum()))
+        groups.append(group_modes)
+    return np.array(eigenvalues), np.array(multiplicities, dtype=int), groups
+
+
+def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
+    """Closed-form eigenspace decomposition of the one-excitation block.
+
+    Modes k = 0..floor(n/2) carry eigenvalues delta + 2h cos(2 pi k / n);
+    k = 0 and (even n) k = n/2 are simple, all other modes are double.
+    Distinct modes can never share an eigenvalue here because the cosine is
+    strictly decreasing over the mode range, but a merge path exists and is
+    logged if numerical coincidence ever triggers it.
+    """
+    eigenvalues, multiplicities, groups = circulant_modes(spec)
+    projectors = []
+    for group_modes in groups:
+        proj = np.zeros((spec.n, spec.n))
+        for k in group_modes:
+            proj += _circulant_projector(spec.n, k)
         projectors.append(proj)
     return SpectralDecomposition(
-        eigenvalues=np.array(eigenvalues),
-        multiplicities=np.array(multiplicities, dtype=int),
+        eigenvalues=eigenvalues,
+        multiplicities=multiplicities,
         projectors=tuple(projectors),
         source=SpectralSource.CLOSED_FORM,
     )

@@ -191,6 +191,23 @@ def test_metric_check_exit_codes_and_classification():
     assert parse(result)["payload"]["classification"] == "Metric"
 
 
+def test_metric_check_is_exhaustive_on_large_rings():
+    result = run_cli("metric-check", "--n", "301")
+    assert result.returncode == 0
+    payload = parse(result)["payload"]
+    assert payload["exhaustive"] is True
+    assert payload["classification"] == "Metric"
+
+    result = run_cli("metric-check", "--n", "400")
+    assert result.returncode == 0
+    payload = parse(result)["payload"]
+    assert payload["exhaustive"] is True
+    assert payload["classification"] == "SemiMetricAntipodal"
+    assert [(v["kind"], v["sites"]) for v in payload["violations"]] == [
+        ("separation", [i, i + 200]) for i in range(1, 201)
+    ]
+
+
 def test_classify_kinds():
     payload = parse(run_cli("classify", "--n", "13"))["payload"]
     assert payload["kind"] == "Prime"

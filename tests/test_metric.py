@@ -198,9 +198,77 @@ def test_metric_axioms_detect_identity_violation():
 
 
 def test_metric_axioms_sampled_path_on_large_ring():
-    report = check_metric_axioms(distance_matrix(RingSpec(201)), seed=0)
+    ring = distance_matrix(RingSpec(201))
+    report = check_metric_axioms(DistanceMatrix.from_entries(ring.entries), seed=0)
     assert not report.exhaustive
     assert report.classification is MetricClassification.METRIC
+    report = check_metric_axioms(ring, seed=0)
+    assert report.exhaustive
+    assert report.classification is MetricClassification.METRIC
+
+
+def test_distance_matrix_carries_circulant_profile():
+    for n, quotient in ((7, False), (8, False), (8, True), (12, True)):
+        d = distance_matrix(RingSpec(n), quotient)
+        points = d.n_effective
+        i, j = np.indices((points, points))
+        assert np.array_equal(d.entries, d.profile[(j - i) % points])
+        assert not d.profile.flags.writeable
+    assert DistanceMatrix.from_entries(d.entries).profile is None
+    with pytest.raises(InvalidArgs):
+        DistanceMatrix(points, d.entries, profile=d.profile[::-1] + 1.0)
+
+
+def _circulant_space(profile):
+    profile = np.asarray(profile, dtype=float)
+    i, j = np.indices((len(profile), len(profile)))
+    return DistanceMatrix(len(profile), profile[(j - i) % len(profile)], profile=profile)
+
+
+def test_metric_axioms_profile_route_matches_dense_oracle_on_rings():
+    for n in range(3, 201):
+        for quotient in (False, True) if n % 2 == 0 else (False,):
+            ring = distance_matrix(RingSpec(n), quotient)
+            dense = DistanceMatrix.from_entries(ring.entries, quotient, ring.source_spec)
+            oracle = check_metric_axioms(dense)
+            assert oracle.exhaustive
+            assert check_metric_axioms(ring) == oracle, (n, quotient)
+
+
+@pytest.mark.parametrize(
+    "profile, classification",
+    [
+        # Triangle violations: d(1, 3) = 3 > d(1, 2) + d(2, 3).
+        ([0.0, 1.0, 3.0, 3.0, 1.0], MetricClassification.NOT_SEMI_METRIC),
+        # Zeros at separation 2 and 4, not at the antipode 3.
+        ([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], MetricClassification.NOT_SEMI_METRIC),
+        # Antipodal zeros only.
+        ([0.0, 1.0, 1.0, 0.0, 1.0, 1.0], MetricClassification.SEMI_METRIC_ANTIPODAL),
+        # Not symmetric; its only triangle violations have a, b > N/2.
+        ([0.0, 2.0, 2.0, 3.0, 1.0], MetricClassification.NOT_SEMI_METRIC),
+    ],
+)
+def test_metric_axioms_profile_route_matches_dense_oracle_on_hand_built(
+    profile, classification
+):
+    space = _circulant_space(profile)
+    report = check_metric_axioms(space)
+    assert report == check_metric_axioms(DistanceMatrix(space.n_effective, space.entries))
+    assert report.exhaustive
+    assert report.classification is classification
+
+
+def test_metric_axioms_profile_route_matches_dense_oracle_on_random_profiles():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        points = int(rng.integers(1, 9))
+        profile = rng.integers(0, 4, points).astype(float)
+        if rng.random() < 0.5:
+            profile = np.maximum(profile, profile[-np.arange(points)])
+        profile[0] = 0.0 if rng.random() < 0.9 else 1.0
+        space = _circulant_space(profile)
+        dense = DistanceMatrix(points, space.entries)
+        assert check_metric_axioms(space) == check_metric_axioms(dense), profile
 
 
 def test_merge_distinct_values():

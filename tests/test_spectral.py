@@ -9,6 +9,7 @@ from spinring import (
     RingSpec,
     SpectralSource,
     build_single_excitation_hamiltonian,
+    circulant_modes,
     circulant_spectrum,
     jacobi_eigh,
     numerical_spectrum,
@@ -35,6 +36,10 @@ def test_multiplicity_pattern():
         dec = circulant_spectrum(RingSpec(n))
         assert list(dec.multiplicities) == expected, n
         assert int(dec.multiplicities.sum()) == n
+        eigenvalues, multiplicities, modes = circulant_modes(RingSpec(n))
+        assert np.array_equal(eigenvalues, dec.eigenvalues)
+        assert np.array_equal(multiplicities, dec.multiplicities)
+        assert sorted(k for group in modes for k in group) == list(range(n // 2 + 1))
 
 
 def check_resolution(dec, matrix):
