@@ -52,10 +52,11 @@ from .metric import (
     classify_ring,
     distance_matrix,
     distance_variance_sweep,
+    p_max,
     p_max_closed_form,
     transfer_probability_time_series,
 )
-from .spectral import circulant_modes, numerical_spectrum
+from .spectral import circulant_modes, numerical_spectra
 
 SCHEMA_VERSION = "1"
 ZERO_PAIR_TOL = 1e-12
@@ -405,29 +406,41 @@ def _check_subspace_restriction(n_max_full: int) -> dict:
             "tolerance": 1e-12, "detail": detail}
 
 
-def _check_spectrum_agreement(n_max_subspace: int, inject_fault: bool) -> dict:
+def _subspace_spectra(n_max_subspace: int):
+    """Jacobi decompositions of the XX and the Heisenberg blocks for n = 3..n_max_subspace.
+
+    Both couplings go into one ``numerical_spectra`` call, so the four
+    blocks of each padded size share one Jacobi stack.
+    """
+    sizes = range(3, n_max_subspace + 1)
+    blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
+              for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in sizes]
+    spectra = numerical_spectra(blocks)
+    return spectra[:len(sizes)], spectra[len(sizes):]
+
+
+def _check_spectrum_agreement(xx_spectra, inject_fault: bool) -> dict:
     strength = 1.0 + 1e-6 if inject_fault else 1.0
     worst = 0.0
-    for n in range(3, n_max_subspace + 1):
-        numeric = numerical_spectrum(build_single_excitation_hamiltonian(RingSpec(n)))
-        eigenvalues, multiplicities, _ = circulant_modes(RingSpec(n, strength=strength))
+    for numeric in xx_spectra:
+        eigenvalues, multiplicities, _ = circulant_modes(RingSpec(numeric.n, strength=strength))
         gap = (np.repeat(eigenvalues, multiplicities)
                - np.repeat(numeric.eigenvalues, numeric.multiplicities))
         worst = max(worst, float(np.abs(gap).max()))
     ok = worst <= 1e-9
     return {"name": "spectrum_agreement", "ok": ok, "worst": worst,
-            "tolerance": 1e-9, "detail": f"n=3..{n_max_subspace}, closed form vs solver"}
+            "tolerance": 1e-9, "detail": f"n=3..{xx_spectra[-1].n}, closed form vs solver"}
 
 
-def _check_coupling_invariance(n_max_subspace: int) -> dict:
+def _check_coupling_invariance(xx_spectra, heisenberg_spectra) -> dict:
     worst = 0.0
-    for n in range(3, n_max_subspace + 1):
-        d_xx = distance_matrix(RingSpec(n, Coupling.XX)).entries
-        d_heis = distance_matrix(RingSpec(n, Coupling.HEISENBERG)).entries
-        worst = max(worst, float(np.abs(d_xx - d_heis).max()))
+    for xx, heisenberg in zip(xx_spectra, heisenberg_spectra):
+        sites = 1 + np.arange(1, xx.n // 2 + 1)
+        gap = p_max(xx, 1, sites) - p_max(heisenberg, 1, sites)
+        worst = max(worst, float(np.abs(gap).max()))
     ok = worst <= 1e-10
     return {"name": "coupling_invariance", "ok": ok, "worst": worst,
-            "tolerance": 1e-10, "detail": f"n=3..{n_max_subspace}, XX vs Heisenberg"}
+            "tolerance": 1e-10, "detail": f"n=3..{xx_spectra[-1].n}, XX vs Heisenberg"}
 
 
 def _check_toeplitz_minors() -> dict:
@@ -454,20 +467,26 @@ def _check_transfer_bound() -> dict:
     for n in (3, 4, 5, 7, 8):
         spec = RingSpec(n)
         grid = np.linspace(0.0, 50.0 / spec.subspace_coupling, 2001)
-        for separation in range(1, n // 2 + 1):
+        separations = range(1, n // 2 + 1)
+        series = transfer_probability_time_series(spec, 1, 1 + np.array(separations), grid)
+        for separation, column in zip(separations, series.T):
             bound = p_max_closed_form(n, separation)
-            series = transfer_probability_time_series(spec, 1, 1 + separation, grid)
-            worst = max(worst, float(series.max()) - bound)
+            worst = max(worst, float(column.max()) - bound)
     ok = worst <= 1e-10
     return {"name": "transfer_bound", "ok": ok, "worst": worst,
             "tolerance": 1e-10, "detail": "n in {3,4,5,7,8}, 2001-point grids over [0, 50/h]"}
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--n-max-full", args.n_max_full),
+                        ("--n-max-subspace", args.n_max_subspace)):
+        if value < 3:
+            raise InvalidArgs(f"{flag} must be at least 3, got {value}")
+    xx_spectra, heisenberg_spectra = _subspace_spectra(args.n_max_subspace)
     checks = [
         _check_subspace_restriction(args.n_max_full),
-        _check_spectrum_agreement(args.n_max_subspace, args.inject_fault),
-        _check_coupling_invariance(args.n_max_subspace),
+        _check_spectrum_agreement(xx_spectra, args.inject_fault),
+        _check_coupling_invariance(xx_spectra, heisenberg_spectra),
         _check_toeplitz_minors(),
         _check_transfer_bound(),
     ]

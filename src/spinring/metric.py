@@ -30,7 +30,12 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidArgs, QuotientOnOddRing
 from .hamiltonian import Coupling, RingSpec
-from .spectral import SpectralDecomposition, circulant_spectrum, projector_overlaps
+from .spectral import (
+    SpectralDecomposition,
+    circulant_modes,
+    circulant_projector_entries,
+    projector_overlaps,
+)
 
 DISTINCT_VALUE_TOL = 1e-10
 TRIANGLE_TOL = 1e-10
@@ -171,11 +176,13 @@ def p_max_closed_form(n: int, m: int) -> float:
     return min(s * s, 1.0)
 
 
-def p_max(dec: SpectralDecomposition, i: int, j: int) -> float:
-    """Peak transfer probability between 1-based sites from eigenprojector overlaps."""
-    overlaps = projector_overlaps(dec, i, j)
-    total = float(overlaps.sum())
-    return min(total * total, 1.0)
+def p_max(dec: SpectralDecomposition, i: int, j):
+    """Peak transfer probability between 1-based sites from eigenprojector overlaps.
+
+    A 1-D array of sites ``j`` gives one value per site.
+    """
+    total = projector_overlaps(dec, i, j).sum(axis=0)
+    return np.minimum(total * total, 1.0)
 
 
 def _distance_by_order(q: int) -> float:
@@ -464,23 +471,37 @@ def distance_variance_sweep(
 
 
 def transfer_probability_time_series(
-    spec: RingSpec, i: int, j: int, t_grid
+    spec: RingSpec, i: int, j, t_grid
 ) -> np.ndarray:
     """Transfer probability p(t) = |<i| exp(-iHt) |j>|^2 on a caller-supplied grid.
 
     Evaluated through the eigenspace expansion with real cosine and sine
-    arithmetic.  Every sample is bounded by the peak probability; the library
-    never claims a grid maximum is the supremum over all times.
+    arithmetic: the eigenvalues and mode groups come from ``circulant_modes``
+    and the projector entries <i| Pi_k |j> from their closed form.  ``j`` is
+    one site, which gives a series of len(t_grid) samples, or a 1-D array of
+    sites, which gives one column per site; the cosines and sines of the
+    phases are evaluated once for all sites.  Every sample is bounded by the
+    peak probability; the library never claims a grid maximum is the
+    supremum over all times.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0.0):
         raise InvalidArgs("time samples must be nonnegative")
-    dec = circulant_spectrum(spec)
-    n = dec.n
-    if not (1 <= i <= n) or not (1 <= j <= n):
+    n = spec.n
+    sites = np.asarray(j)
+    if sites.ndim > 1 or sites.size == 0 or not np.issubdtype(sites.dtype, np.integer):
+        raise InvalidArgs(f"j must be a site or a non-empty 1-D array of sites, got {j!r}")
+    if not (1 <= i <= n) or np.any((sites < 1) | (sites > n)):
         raise IndexOutOfRange(f"sites must lie in 1..{n}, got ({i}, {j})")
-    coeff = np.array([float(p[i - 1, j - 1]) for p in dec.projectors])
-    phases = np.outer(t, dec.eigenvalues)
-    amp_re = np.cos(phases) @ coeff
-    amp_im = np.sin(phases) @ coeff
-    return amp_re**2 + amp_im**2
+    eigenvalues, _, groups = circulant_modes(spec)
+    coeff = np.zeros((sites.size, len(groups)))
+    for column, modes in enumerate(groups):
+        for k in modes:
+            coeff[:, column] += circulant_projector_entries(n, k, i - sites.ravel())
+    phases = np.outer(t, eigenvalues)
+    cos = np.cos(phases)
+    sin = np.sin(phases)
+    # One matrix-vector product per site, so each column is bit-identical
+    # to the single-site series.
+    series = [(cos @ row) ** 2 + (sin @ row) ** 2 for row in coeff]
+    return series[0] if sites.ndim == 0 else np.stack(series, axis=1)

@@ -4,9 +4,16 @@ The circulant structure of H_1 gives eigenvalues delta + 2h cos(2 pi k / n)
 for k = 0..floor(n/2), simple at k = 0 and (for even n) at k = n/2, double
 otherwise.  Complex circulant eigenvectors are replaced by their real and
 imaginary parts, which span the same eigenspaces, so every projector is a
-real symmetric matrix.  A round-robin Jacobi eigensolver provides the
-independent numerical route; both produce the same ``SpectralDecomposition``
-shape so downstream code never cares which route built it.
+real symmetric matrix, and its entries are a closed form in the separation
+i - j (``circulant_projector_entries``).
+
+A round-robin Jacobi eigensolver provides the independent numerical route.
+It runs on stacks: matrices of one padded size m = n + n % 2 share one
+rotation schedule and are rotated together (``jacobi_eigh_many``,
+``numerical_spectra``); the single-matrix ``jacobi_eigh`` and
+``numerical_spectrum`` are stacks of one.  Both routes produce the same
+``SpectralDecomposition`` shape so downstream code never cares which route
+built it.
 """
 
 from __future__ import annotations
@@ -72,99 +79,129 @@ def _round_robin_schedule(m: int):
     other m - 1 seats move one place.  After m - 1 rounds every pair has met
     once and the slots are back in their original order.
 
-    The arrays index the 2m x m stack of the matrix over its eigenvector
-    matrix: the row and column shuffles (the row shuffle leaves the
-    eigenvector rows in place), the flat indices of (a_pp, a_qq, a_pq) for
-    the 2k rotated rows, of the paired off-diagonal entries and of all
-    off-diagonal entries, and the half-angle signs that give the p rows
-    -sin and the q rows +sin.
+    The arrays hold flat indices into the 2m x m stack of the matrix over
+    its eigenvector matrix: the shuffle of rows and columns together (the
+    eigenvector rows stay in place), (a_pp, a_qq, a_pq) for the 2k rotated
+    rows, the paired off-diagonal entries and all off-diagonal entries; and
+    the half-angle signs that give the p rows -sin and the q rows +sin.
     """
     k = m // 2
     seat_of_slot = np.concatenate((np.arange(k), np.arange(m - 1, k - 1, -1)))
     seat_from = np.concatenate(([0, m - 1], np.arange(1, m - 1)))
     shuffle = np.argsort(seat_of_slot)[seat_from[seat_of_slot]]
-    shuffle_rows = np.concatenate((shuffle, np.arange(m, 2 * m)))[:, None]
+    shuffle_rows = np.concatenate((shuffle, np.arange(m, 2 * m)))
+    shuffle_flat = (shuffle_rows[:, None] * m + shuffle).ravel()
     p = np.arange(k)
     q = p + k
     pair_entries = np.tile(np.stack((p * (m + 1), q * (m + 1), p * m + q)), 2)
     pair_flat = np.concatenate((p * m + q, q * m + p))
     off_flat = np.flatnonzero(~np.eye(m, dtype=bool))
     half_signs = np.repeat([-0.5, 0.5], k)
-    schedule = (shuffle_rows, shuffle, pair_entries, pair_flat, off_flat, half_signs)
+    schedule = (shuffle_flat, pair_entries, pair_flat, off_flat, half_signs)
     for array in schedule:
         array.flags.writeable = False
     return schedule
 
 
-def _jacobi_sweeps(av: np.ndarray, off_target: float, max_sweeps: int):
-    """Round-robin Jacobi sweeps on the stack of an even-sized symmetric a over v.
+def _jacobi_sweeps(av: np.ndarray, off_targets: np.ndarray, max_sweeps: int):
+    """Round-robin Jacobi sweeps on a b x 2m x m stack of symmetric a over v.
 
-    Each round applies its m / 2 disjoint rotations at once, as whole-array
-    operations: the rows of a, then the columns of a and v together.
-    Rotations on disjoint index pairs commute, so a round equals the same
-    rotations applied one after another.  A pair whose off-diagonal entry is
-    zero gets the identity rotation.
-
-    Returns the rotated stack and the sweeps used, or -1 when the
-    off-diagonal norm of a does not reach ``off_target`` in ``max_sweeps``.
-    """
-    m = av.shape[1]
-    k = m // 2
-    shuffle_rows, shuffle, pair_entries, pair_flat, off_flat, half_signs = (
-        _round_robin_schedule(m)
-    )
-    for sweep in range(max_sweeps + 1):
-        off = av.take(off_flat)
-        if math.sqrt(float(off @ off)) <= off_target:
-            return av, sweep
-        if sweep == max_sweeps:
-            break
-        for _ in range(m - 1):
-            app, aqq, apq = av.take(pair_entries)
-            tau = aqq - app
-            # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi / 4.
-            phi = half_signs * np.arctan2(np.copysign(2.0, tau) * apq, np.abs(tau))
-            c = np.cos(phi).reshape(2, k)
-            s = np.sin(phi).reshape(2, k)
-            rows = av[:m].reshape(2, k, m)
-            rows[:] = c[:, :, None] * rows + s[:, :, None] * rows[::-1]
-            cols = av.reshape(2 * m, 2, k)
-            av = (c * cols + s * cols[:, ::-1]).reshape(2 * m, m)
-            av.put(pair_flat, 0.0)
-            av = av[shuffle_rows, shuffle]
-    return av, -1
-
-
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Full eigendecomposition of a real symmetric matrix by round-robin Jacobi sweeps.
-
-    The independent oracle for the closed-form spectrum; embedding code uses
-    LAPACK.  An odd-sized matrix is padded with one decoupled index, which no
-    rotation touches and which is dropped from the result.  Returns
-    eigenvalues sorted ascending and the matching orthonormal eigenvector
-    columns.  Convergence target is an off-diagonal Frobenius norm below
-    1e-14 times the Frobenius norm of the input.
+    Each round applies the m / 2 disjoint rotations of every member at once,
+    as whole-array operations: the rows of a, then the columns of a and v
+    together.  Rotations on disjoint index pairs commute, so a round equals
+    the same rotations applied one after another.  A pair whose off-diagonal
+    entry is zero gets the identity rotation.  The stack stops when the
+    off-diagonal norm of every member's a is within its own target.
 
     Raises
     ------
     NoConvergence
-        If the target is not reached within ``max_sweeps`` sweeps.
+        If some member misses its target after ``max_sweeps`` sweeps.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    m = n + n % 2
-    av = np.zeros((2 * m, m))
-    av[:n, :n] = matrix
-    np.fill_diagonal(av[m:], 1.0)
-    off_target = JACOBI_OFF_FACTOR * float(np.linalg.norm(matrix))
-    av, sweeps = _jacobi_sweeps(av, off_target, max_sweeps)
-    if sweeps < 0:
-        raise NoConvergence(
-            f"off-diagonal norm above {off_target:.3e} after {max_sweeps} sweeps"
-        )
-    w = np.diag(av)[:n]
-    order = np.argsort(w, kind="stable")
-    return w[order], av[m : m + n, order]
+    b, _, m = av.shape
+    k = m // 2
+    shuffle_flat, pair_entries, pair_flat, off_flat, half_signs = _round_robin_schedule(m)
+    # Flat indices into the whole stack: member r starts at r * 2m^2.
+    base = np.arange(b) * (2 * m * m)
+    shuffle_flat = base[:, None] + shuffle_flat
+    pair_entries = base[:, None, None] + pair_entries
+    pair_flat = base[:, None] + pair_flat
+    off_flat = base[:, None] + off_flat
+    for sweep in range(max_sweeps + 1):
+        off = av.take(off_flat)
+        norms = np.sqrt(np.einsum("ij,ij->i", off, off))
+        if (norms <= off_targets).all():
+            return av
+        if sweep == max_sweeps:
+            break
+        for _ in range(m - 1):
+            entries = av.take(pair_entries)
+            app, aqq, apq = entries[:, 0], entries[:, 1], entries[:, 2]
+            tau = aqq - app
+            # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi / 4.
+            phi = half_signs * np.arctan2(np.copysign(2.0, tau) * apq, np.abs(tau))
+            c = np.cos(phi).reshape(b, 2, k)
+            s = np.sin(phi).reshape(b, 2, k)
+            rows = av[:, :m].reshape(b, 2, k, m)
+            swapped = s[..., None] * rows[:, ::-1]
+            rows *= c[..., None]
+            rows += swapped
+            cols = av.reshape(b, 2 * m, 2, k)
+            av = c[:, None] * cols
+            av += s[:, None] * cols[:, :, ::-1]
+            av.put(pair_flat, 0.0)
+            av = av.take(shuffle_flat).reshape(b, 2 * m, m)
+    worst = int(np.argmax(norms - off_targets))
+    raise NoConvergence(
+        f"off-diagonal norm {norms[worst]:.3e} above {off_targets[worst]:.3e} "
+        f"after {max_sweeps} sweeps"
+    )
+
+
+def jacobi_eigh_many(matrices, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
+    """Eigendecompositions of real symmetric matrices by stacked round-robin Jacobi.
+
+    The independent oracle for the closed-form spectrum; embedding code uses
+    LAPACK.  Every matrix is rotated in one stack with the others of its
+    padded size m = n + n % 2, which share one round-robin schedule; an
+    odd-sized matrix is padded with one decoupled index, which no rotation
+    touches and which is dropped from the result.  Each member converges to
+    an off-diagonal Frobenius norm below 1e-14 times its own Frobenius norm.
+    Returns, in input order, pairs of eigenvalues sorted ascending and the
+    matching orthonormal eigenvector columns.
+
+    Raises
+    ------
+    NoConvergence
+        If a stack misses its targets within ``max_sweeps`` sweeps.
+    """
+    matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
+    stacks = {}
+    for index, matrix in enumerate(matrices):
+        n = matrix.shape[0]
+        stacks.setdefault(n + n % 2, []).append(index)
+    results = [None] * len(matrices)
+    for m, members in stacks.items():
+        av = np.zeros((len(members), 2 * m, m))
+        av[:, m:] = np.eye(m)
+        off_targets = np.empty(len(members))
+        for row, index in enumerate(members):
+            matrix = matrices[index]
+            n = matrix.shape[0]
+            av[row, :n, :n] = matrix
+            off_targets[row] = JACOBI_OFF_FACTOR * float(np.linalg.norm(matrix))
+        av = _jacobi_sweeps(av, off_targets, max_sweeps)
+        for row, index in enumerate(members):
+            n = matrices[index].shape[0]
+            w = np.diag(av[row])[:n]
+            order = np.argsort(w, kind="stable")
+            results[index] = (w[order], av[row, m : m + n][:, order])
+    return results
+
+
+def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
+    """Eigenvalues ascending and eigenvectors of one matrix: a stack of one."""
+    return jacobi_eigh_many([matrix], max_sweeps)[0]
 
 
 def _group_eigenvalues(w: np.ndarray, tol: float):
@@ -179,19 +216,10 @@ def _group_eigenvalues(w: np.ndarray, tol: float):
     return groups
 
 
-def numerical_spectrum(
-    matrix: DenseSymmetricMatrix, degeneracy_tol: float | None = None
-) -> SpectralDecomposition:
-    """Eigenspace decomposition of a dense symmetric matrix via Jacobi sweeps.
-
-    Eigenvalues within ``degeneracy_tol`` of each other (default 1e-8 times
-    the spectral range) are merged into one eigenspace, and the eigenspace
-    projector is the sum of outer products of its orthonormal eigenvectors.
-    """
-    w, v = jacobi_eigh(matrix.entries)
+def _decomposition(w: np.ndarray, v: np.ndarray, degeneracy_tol) -> SpectralDecomposition:
+    """Group an eigendecomposition into distinct eigenvalues and eigenspace projectors."""
     if degeneracy_tol is None:
-        spread = float(w[-1] - w[0])
-        degeneracy_tol = DEGENERACY_FACTOR * spread
+        degeneracy_tol = DEGENERACY_FACTOR * float(w[-1] - w[0])
     eigenvalues = []
     multiplicities = []
     projectors = []
@@ -210,11 +238,38 @@ def numerical_spectrum(
     )
 
 
-def _circulant_projector(n: int, k: int) -> np.ndarray:
-    """Real projector onto the eigenspace of mode k of an n-cycle."""
-    diff = np.subtract.outer(np.arange(n), np.arange(n))
+def numerical_spectra(matrices, degeneracy_tol: float | None = None) -> list:
+    """Eigenspace decompositions of dense symmetric matrices via stacked Jacobi sweeps.
+
+    Eigenvalues within ``degeneracy_tol`` of each other (default 1e-8 times
+    each matrix's spectral range) are merged into one eigenspace, and the
+    eigenspace projector is the sum of outer products of its orthonormal
+    eigenvectors.  Matrices of one padded size share a Jacobi stack
+    (``jacobi_eigh_many``); the decompositions come back in input order.
+    """
+    return [
+        _decomposition(w, v, degeneracy_tol)
+        for w, v in jacobi_eigh_many([matrix.entries for matrix in matrices])
+    ]
+
+
+def numerical_spectrum(
+    matrix: DenseSymmetricMatrix, degeneracy_tol: float | None = None
+) -> SpectralDecomposition:
+    """Eigenspace decomposition of one dense symmetric matrix: ``numerical_spectra`` of one."""
+    return numerical_spectra([matrix], degeneracy_tol)[0]
+
+
+def circulant_projector_entries(n: int, k: int, diff) -> np.ndarray:
+    """Entries <i| Pi_k |j> of the real projector onto mode k of an n-cycle.
+
+    ``diff`` holds the integer separations i - j, in any shape: 1/n at
+    k = 0, (-1)^(i - j) / n at k = n/2, and (2/n) cos(2 pi k (i - j) / n)
+    otherwise.
+    """
+    diff = np.asarray(diff)
     if k == 0:
-        return np.full((n, n), 1.0 / n)
+        return np.full(diff.shape, 1.0 / n)
     if 2 * k == n:
         return ((-1.0) ** diff) / n
     return (2.0 / n) * np.cos(2.0 * math.pi * k * diff / n)
@@ -268,11 +323,12 @@ def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
     logged if numerical coincidence ever triggers it.
     """
     eigenvalues, multiplicities, groups = circulant_modes(spec)
+    diff = np.subtract.outer(np.arange(spec.n), np.arange(spec.n))
     projectors = []
     for group_modes in groups:
         proj = np.zeros((spec.n, spec.n))
         for k in group_modes:
-            proj += _circulant_projector(spec.n, k)
+            proj += circulant_projector_entries(spec.n, k, diff)
         projectors.append(proj)
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
@@ -282,9 +338,14 @@ def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
     )
 
 
-def projector_overlaps(dec: SpectralDecomposition, i: int, j: int) -> np.ndarray:
-    """Absolute projector entries |<i| Pi_k |j>| for 1-based sites i and j."""
+def projector_overlaps(dec: SpectralDecomposition, i: int, j) -> np.ndarray:
+    """Absolute projector entries |<i| Pi_k |j>| for 1-based sites i and j.
+
+    One entry per eigenspace; a 1-D array of sites ``j`` gives one column
+    per site.
+    """
     n = dec.n
-    if not (1 <= i <= n) or not (1 <= j <= n):
+    sites = np.asarray(j)
+    if not (1 <= i <= n) or np.any((sites < 1) | (sites > n)):
         raise IndexOutOfRange(f"sites must lie in 1..{n}, got ({i}, {j})")
-    return np.array([abs(float(p[i - 1, j - 1])) for p in dec.projectors])
+    return np.abs([p[i - 1, sites - 1] for p in dec.projectors])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spinring
-from spinring import RingSpec, cli, distance_matrix, kappa_max
+from spinring import Coupling, DenseSymmetricMatrix, RingSpec, cli, distance_matrix, kappa_max
 
 SCHEMA = json.loads(
     resources.files("spinring").joinpath("schemas/output-v1.schema.json").read_text()
@@ -329,6 +329,42 @@ def test_verify_fault_injection_fails_spectrum_check():
     assert by_name["spectrum_agreement"]["ok"] is False
     assert by_name["subspace_restriction"]["ok"] is True
     assert "spectrum_agreement" in result.stderr
+
+
+def test_verify_rejects_bounds_below_3():
+    for flag in ("--n-max-subspace", "--n-max-full"):
+        for value in ("2", "-5"):
+            result = run_cli("verify", flag, value)
+            assert result.returncode == 2, (flag, value)
+            assert result.stdout == ""
+            assert flag in result.stderr
+
+
+def test_verify_coupling_invariance_catches_a_perturbed_heisenberg_block(monkeypatch):
+    build = cli.build_single_excitation_hamiltonian
+
+    def perturbed(spec):
+        block = build(spec)
+        if spec.coupling is not Coupling.HEISENBERG:
+            return block
+        entries = block.entries.copy()
+        entries[0, 1] = entries[1, 0] = entries[0, 1] * (1.0 + 1e-6)
+        return DenseSymmetricMatrix(block.dim, entries)
+
+    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", perturbed)
+    docs, _ = _emitted(monkeypatch, ["verify", "--n-max-full", "3", "--n-max-subspace", "8"])
+    by_name = {check["name"]: check for check in docs[0]["payload"]["checks"]}
+    assert by_name["coupling_invariance"]["ok"] is False
+    assert by_name["coupling_invariance"]["worst"] > 1e-10
+    assert by_name["spectrum_agreement"]["ok"] is True
+    assert docs[0]["payload"]["all_ok"] is False
+
+
+def test_verify_coupling_invariance_is_not_vacuous(monkeypatch):
+    docs, _ = _emitted(monkeypatch, ["verify", "--n-max-full", "3", "--n-max-subspace", "16"])
+    check = {c["name"]: c for c in docs[0]["payload"]["checks"]}["coupling_invariance"]
+    assert check["ok"] is True
+    assert 0.0 < check["worst"] <= 1e-12
 
 
 def test_output_is_deterministic():

@@ -63,6 +63,8 @@ def test_p_max_projector_route_matches_closed_form():
             assert p_max(dec, 1, 1 + m) == pytest.approx(
                 p_max_closed_form(n, m), abs=1e-12
             )
+        sites = np.arange(1, n + 1)
+        assert np.array_equal(p_max(dec, 2, sites), [p_max(dec, 2, j) for j in sites])
 
 
 def test_distance_values_small_rings():
@@ -426,3 +428,35 @@ def test_transfer_probability_validation():
         transfer_probability_time_series(spec, 0, 2, np.array([0.0]))
     with pytest.raises(IndexOutOfRange):
         transfer_probability_time_series(spec, 1, 6, np.array([0.0]))
+    with pytest.raises(IndexOutOfRange):
+        transfer_probability_time_series(spec, 1, np.array([2, 6]), np.array([0.0]))
+    with pytest.raises(InvalidArgs):
+        transfer_probability_time_series(spec, 1, np.array([[2]]), np.array([0.0]))
+
+
+def test_transfer_probability_site_array_matches_single_sites():
+    for n in range(3, 13):
+        spec = RingSpec(n)
+        grid = np.linspace(0.0, 50.0 / spec.subspace_coupling, 2001)
+        sites = np.arange(1, n + 1)
+        for i in (1, n):
+            series = transfer_probability_time_series(spec, i, sites, grid)
+            assert series.shape == (len(grid), n)
+            for column, j in enumerate(sites):
+                single = transfer_probability_time_series(spec, i, int(j), grid)
+                assert single.shape == (len(grid),)
+                assert np.array_equal(series[:, column], single), (n, i, j)
+
+
+def test_transfer_probability_matches_projector_entries():
+    # The closed-form coefficients are the entries of the closed-form projectors.
+    grid = np.linspace(0.0, 10.0, 101)
+    for n in (3, 4, 9, 12):
+        spec = RingSpec(n)
+        dec = circulant_spectrum(spec)
+        for i, j in ((1, 1), (1, 2), (2, n), (n, 1 + n // 2)):
+            coeff = np.array([p[i - 1, j - 1] for p in dec.projectors])
+            phases = np.outer(grid, dec.eigenvalues)
+            expected = (np.cos(phases) @ coeff) ** 2 + (np.sin(phases) @ coeff) ** 2
+            series = transfer_probability_time_series(spec, i, j, grid)
+            assert np.array_equal(series, expected), (n, i, j)

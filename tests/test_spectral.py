@@ -12,6 +12,8 @@ from spinring import (
     circulant_modes,
     circulant_spectrum,
     jacobi_eigh,
+    jacobi_eigh_many,
+    numerical_spectra,
     numerical_spectrum,
     projector_overlaps,
 )
@@ -114,20 +116,46 @@ def test_jacobi_against_library_solver():
         matrices.append(0.5 * (base + base.T))
     # Degenerate spectrum: every mode but two is a double eigenvalue.
     matrices.append(build_single_excitation_hamiltonian(RingSpec(64)).entries)
-    for matrix in matrices:
+    # 16 shares its padded size with 15, as the degenerate block shares 64's.
+    base = rng.standard_normal((16, 16))
+    matrices.append(0.5 * (base + base.T))
+    stacked = jacobi_eigh_many(matrices)
+    assert len(stacked) == len(matrices)
+    for matrix, stacked_pair in zip(matrices, stacked):
         n = matrix.shape[0]
-        w, v = jacobi_eigh(matrix)
         reference = np.linalg.eigvalsh(matrix)
         scale = max(1.0, float(np.abs(reference).max()))
-        assert np.abs(w - reference).max() <= 1e-10 * scale, n
-        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12, n
-        assert np.abs(v @ np.diag(w) @ v.T - matrix).max() <= 1e-11 * scale, n
+        for w, v in (jacobi_eigh(matrix), stacked_pair):
+            assert w.shape == (n,) and v.shape == (n, n), n
+            assert np.abs(w - reference).max() <= 1e-10 * scale, n
+            assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12, n
+            assert np.abs(v @ np.diag(w) @ v.T - matrix).max() <= 1e-11 * scale, n
 
 
 def test_jacobi_no_convergence():
     matrix = build_single_excitation_hamiltonian(RingSpec(5)).entries
     with pytest.raises(NoConvergence):
         jacobi_eigh(matrix, max_sweeps=0)
+    stack = [build_single_excitation_hamiltonian(RingSpec(n)).entries for n in (5, 6, 9)]
+    with pytest.raises(NoConvergence):
+        jacobi_eigh_many(stack, max_sweeps=0)
+
+
+def test_numerical_spectra_match_single_spectra():
+    matrices = [
+        build_single_excitation_hamiltonian(RingSpec(n, coupling))
+        for coupling in (Coupling.XX, Coupling.HEISENBERG)
+        for n in range(3, 21)
+    ]
+    matrices.append(DenseSymmetricMatrix(3, np.eye(3)))
+    stacked = numerical_spectra(matrices)
+    assert len(stacked) == len(matrices)
+    for matrix, dec in zip(matrices, stacked):
+        single = numerical_spectrum(matrix)
+        assert dec.source is SpectralSource.NUMERICAL_SOLVER
+        assert dec.n == matrix.dim
+        assert list(dec.multiplicities) == list(single.multiplicities), matrix.dim
+        assert np.abs(dec.eigenvalues - single.eigenvalues).max() <= 1e-12, matrix.dim
 
 
 def test_projector_overlaps_uniform_mode():
@@ -165,3 +193,5 @@ def test_projector_overlaps_index_validation():
         projector_overlaps(dec, 0, 1)
     with pytest.raises(IndexOutOfRange):
         projector_overlaps(dec, 1, 6)
+    with pytest.raises(IndexOutOfRange):
+        projector_overlaps(dec, 1, np.array([2, 6]))
