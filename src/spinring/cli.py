@@ -255,16 +255,20 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _resolve_kappa(args, d, uniform: bool, w_mean: float):
-    """Resolve the curvature for cmd_embed from the policy flag."""
+def _resolve_kappa(args, uniform: bool, kappa_mean: float, threshold):
+    """Resolve the curvature for cmd_embed from the policy flag.
+
+    ``auto`` takes the mean-weight bound for uniform rings and for rings with
+    no feasible spherical curvature, the searched threshold otherwise.
+    """
     if args.space == "euclidean":
         return "auto" if args.kappa == "auto" else "value", None
     if args.kappa == "auto":
         if args.space == "hyperbolic":
             return "auto", -1.0
-        if uniform:
-            return "auto", KappaMaxQuery(d.n_effective, w_mean).value
-        return "auto", spherical_feasibility_threshold(d).kappa
+        if uniform or not threshold.kappa > 0:
+            return "auto", kappa_mean
+        return "auto", threshold.kappa
     try:
         value = float(args.kappa)
     except ValueError:
@@ -279,8 +283,9 @@ def cmd_embed(args) -> int:
     classification = classify_ring(args.n, d)
     values = d.offdiagonal()
     w_mean = float(values.mean())
-    uniform = classification.uniform
-    kappa_policy, kappa = _resolve_kappa(args, d, uniform, w_mean)
+    kappa_mean = KappaMaxQuery(d.n_effective, w_mean).value
+    threshold = spherical_feasibility_threshold(d) if args.space == "spherical" else None
+    kappa_policy, kappa = _resolve_kappa(args, classification.uniform, kappa_mean, threshold)
 
     threshold_payload = None
     if args.space == "spherical":
@@ -290,8 +295,8 @@ def cmd_embed(args) -> int:
             "psd_ok": verdict.psd_ok,
             "rank": verdict.rank,
             "eigenvalues": verdict.eigenvalues,
+            "margin": verdict.margin,
         }
-        threshold = spherical_feasibility_threshold(d)
         threshold_payload = {
             "kappa": threshold.kappa,
             "upper": threshold.upper,
@@ -300,14 +305,14 @@ def cmd_embed(args) -> int:
             "monotone_ok": threshold.monotone_ok,
         }
         space = EmbeddingSpace.SPHERICAL
-    elif args.space == "hyperbolic":
-        verdict = embeddable_hyperbolic(d, kappa)
-        verdict_payload = {"minors": verdict.minors, "signs": verdict.signs}
-        space = EmbeddingSpace.HYPERBOLIC
     else:
-        verdict = embeddable_euclidean(d)
-        verdict_payload = {"minors": verdict.minors, "signs": verdict.signs}
-        space = EmbeddingSpace.EUCLIDEAN
+        if args.space == "hyperbolic":
+            verdict = embeddable_hyperbolic(d, kappa)
+            space = EmbeddingSpace.HYPERBOLIC
+        else:
+            verdict = embeddable_euclidean(d)
+            space = EmbeddingSpace.EUCLIDEAN
+        verdict_payload = {"eigenvalues": verdict.eigenvalues, "margin": verdict.margin}
 
     realization_payload = None
     if verdict.embeddable:
@@ -349,7 +354,7 @@ def cmd_embed(args) -> int:
             "min": float(values.min()),
             "max": float(values.max()),
         },
-        "kappa_max_mean_weight": KappaMaxQuery(d.n_effective, w_mean).value,
+        "kappa_max_mean_weight": kappa_mean,
         "threshold": threshold_payload,
         "embeddable": verdict.embeddable,
         "verdict": verdict_payload,
@@ -446,18 +451,18 @@ def _check_coupling_invariance(xx_spectra, heisenberg_spectra) -> dict:
 def _check_toeplitz_minors() -> dict:
     worst = 0.0
     ok = True
-    for c in (-0.9, -0.25, 0.0, 0.3, 0.5, 0.99):
-        recursion = toeplitz_minor_recursion(12, c)
-        for k in range(1, 13):
-            matrix = np.full((k, k), c)
-            np.fill_diagonal(matrix, 1.0)
-            direct = float(np.linalg.det(matrix))
+    cs = (-0.9, -0.25, 0.0, 0.3, 0.5, 0.99)
+    recursions = [toeplitz_minor_recursion(12, c) for c in cs]
+    for k in range(1, 13):
+        # One determinant call per order k on the stack of all six matrices.
+        matrices = np.array(cs)[:, None, None] * np.ones((k, k))
+        matrices[:, np.arange(k), np.arange(k)] = 1.0
+        for c, recursion, direct in zip(cs, recursions, np.linalg.det(matrices).tolist()):
             for candidate in (toeplitz_minor_closed_form(k, c), recursion[k - 1]):
                 error = abs(candidate - direct)
                 if error > max(1e-10 * abs(direct), 1e-14):
                     ok = False
                 worst = max(worst, error / max(abs(direct), 1.0))
-        del recursion
     return {"name": "toeplitz_minors", "ok": ok, "worst": worst,
             "tolerance": 1e-10, "detail": "k<=12, six c values, closed form and recursion vs determinant"}
 

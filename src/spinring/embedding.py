@@ -1,20 +1,35 @@
 """Isometric embeddings of finite metric spaces into constant-curvature spaces.
 
-A finite metric space embeds into the sphere of curvature kappa > 0 exactly
-when sqrt(kappa) times its diameter stays within pi and the cosine Gram
-matrix cos(sqrt(kappa) d(i,j)) is positive semidefinite; into hyperbolic
-space of curvature kappa < 0 when the leading principal minors of the
-hyperbolic Gram matrix cosh(sqrt(-kappa) d(i,j)) alternate in sign starting
-positive; and into Euclidean space when the leading minors of the bordered
-Cayley-Menger matrix alternate as (-1)^k, allowing a vanishing tail for
-degenerate (lower-dimensional) configurations.
+Every decision is an inertia test on the spectrum of one Gram matrix:
+
+- Euclidean: the centred Gram matrix -J (d o d) J / 2 is positive
+  semidefinite (Schoenberg 1935).
+- Sphere of curvature kappa > 0: sqrt(kappa) times the diameter is at most
+  pi and cos(sqrt(kappa) d) is positive semidefinite.
+- Hyperbolic space of curvature kappa < 0: cosh(sqrt(-kappa) d) has exactly
+  one positive eigenvalue.
+
+A ring's Gram matrices are symmetric circulants in its distance profile, so
+their eigenvalues are one real DFT of the kernel applied to the profile
+(Davis, Circulant Matrices, 1979).  Hand-built metrics go through LAPACK on
+the dense matrix, which is also the rings' test oracle.  Each verdict
+reports a scale-free margin to the boundary and is True iff the margin is at
+least -1e-9.  On rings the spherical margin measures the non-constant modes
+against their own size, which shrinks like kappa, so it stays valid as
+kappa -> 0, where it becomes the Euclidean test.
+
+Spherical feasibility is not an interval (0, kappa*]: the ring n = 16 and
+the rings n = 4 (mod 8) with n >= 12 embed only in a window of curvatures,
+and the rings n = 0 (mod 8) with n >= 24 in no sphere at all.  The threshold search samples the margin
+on a grid of sqrt(kappa), bisects its root above the largest feasible
+sample, and reports whether every sample below is feasible.
 
 For the uniform complete graph K_n with edge weight w the spherical boundary
 is explicit: kappa_max(n, w) = (arccos(-1/(n-1)) / w)^2, where the Gram
 matrix loses exactly one rank and the embedding drops to the (n-2)-sphere.
-The principal minors of the uniform Gram matrix obey a closed form and a
-three-term recursion, implemented here next to the generic determinant
-tests; both routes are kept and cross-checked rather than merged.
+The principal minors of the uniform Gram and Cayley-Menger matrices obey
+closed forms and recursions, kept here and cross-checked against
+determinants.
 """
 
 from __future__ import annotations
@@ -33,10 +48,9 @@ from .metric import DistanceMatrix, RingClassification, classify_ring, distance_
 logger = logging.getLogger(__name__)
 
 PSD_TOL_FACTOR = 1e-9
-CM_ZERO_FACTOR = 1e-10
 DEFAULT_REALIZE_TOL = 1e-8
+THRESHOLD_GRID = 256
 BISECTION_ITERATIONS = 60
-MONOTONICITY_SAMPLES = 16
 
 
 def kappa_max(n: int, w: float) -> float:
@@ -99,31 +113,6 @@ def toeplitz_eigenvalues(n: int, c: float):
     return ((n - 1) * c + 1.0, 1.0 - c, n - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class CayleyMengerMatrix:
-    """Bordered squared-distance matrix: first row and column (0, 1, .., 1)."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float, copy=True)
-        if arr.shape != (self.dim, self.dim):
-            raise InvalidArgs(f"expected shape ({self.dim}, {self.dim}), got {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-
-def cayley_menger_matrix(d: DistanceMatrix) -> CayleyMengerMatrix:
-    """Bordered matrix of an n-point metric: (n+1) x (n+1) with squared distances."""
-    n = d.n_effective
-    cm = np.zeros((n + 1, n + 1))
-    cm[0, 1:] = 1.0
-    cm[1:, 0] = 1.0
-    cm[1:, 1:] = d.entries**2
-    return CayleyMengerMatrix(n + 1, cm)
-
-
 def cayley_menger_minors(d_uniform: float, k_max: int) -> list:
     """Minors cm_2..cm_{k_max} of the uniform-distance bordered matrix.
 
@@ -151,149 +140,126 @@ def cayley_menger_minors(d_uniform: float, k_max: int) -> list:
     return minors
 
 
-class GramRegime(enum.Enum):
-    SPHERICAL = "Spherical"
-    HYPERBOLIC = "Hyperbolic"
+def _spectra(d: DistanceMatrix, kernel, scales=1.0, center: bool = False) -> np.ndarray:
+    """Eigenvalues of the Gram matrix kernel(s * d) for each scale s, along the last axis.
+
+    A ring's Gram matrix is a symmetric circulant in its profile, so its
+    eigenvalues are one real DFT of the kernel applied to the profile, in
+    mode order with the all-ones mode j = 0 first.  Any other metric goes
+    through LAPACK on the dense matrix, eigenvalues ascending; that route is
+    also the ring route's test oracle.  ``center`` zeroes the all-ones mode,
+    which on the dense route is double centering.
+    """
+    scales = np.asarray(scales, dtype=float)[..., None]
+    if d.profile is not None:
+        w = np.fft.fft(kernel(scales * d.profile)).real
+        if center:
+            w[..., 0] = 0.0
+        return w
+    g = kernel(scales[..., None] * d.entries)
+    if center:
+        g = g - g.mean(axis=-1, keepdims=True)
+        g = g - g.mean(axis=-2, keepdims=True)
+    return np.linalg.eigvalsh(g)
+
+
+def _share(value, scale):
+    """value / scale elementwise, and 0 where the scale vanishes (an all-zero spectrum)."""
+    return np.where(scale > 0, value / np.where(scale > 0, scale, 1.0), 0.0)
+
+
+def _spherical_margin(w: np.ndarray):
+    """Smaller of w_0 / max|w| and min(w_1..) / max|w_1..| along the last axis.
+
+    On a ring w_0 is the all-ones mode and the other modes shrink like kappa
+    as kappa -> 0, so scaling them by their own size keeps the test
+    scale-free there, where it becomes the Euclidean test.  On an ascending
+    dense spectrum the same formula equals min(w) / max|w|.
+    """
+    rest = w[..., 1:]
+    return np.minimum(
+        _share(w[..., 0], np.abs(w).max(axis=-1)),
+        _share(rest.min(axis=-1, initial=np.inf), np.abs(rest).max(axis=-1, initial=0.0)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Unit-diagonal Gram matrix of geodesic angles for a nonzero curvature."""
+class InertiaVerdict:
+    """Embeddability outcome: the ascending Gram spectrum and the scale-free margin.
 
-    dim: int
-    curvature: float
-    entries: np.ndarray
-    regime: GramRegime
+    The metric embeds exactly when ``margin >= -PSD_TOL_FACTOR``.
+    """
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-
-def _spherical_entries(matrix: np.ndarray, kappa: float) -> np.ndarray:
-    g = np.cos(math.sqrt(kappa) * matrix)
-    np.fill_diagonal(g, 1.0)
-    return g
-
-
-def _hyperbolic_entries(matrix: np.ndarray, kappa: float) -> np.ndarray:
-    g = np.cosh(math.sqrt(-kappa) * matrix)
-    np.fill_diagonal(g, 1.0)
-    return g
-
-
-def spherical_gram(d: DistanceMatrix, kappa: float) -> GramMatrix:
-    """Gram matrix cos(sqrt(kappa) d); requires kappa > 0 and diameter within pi."""
-    if not kappa > 0:
-        raise InvalidArgs(f"spherical curvature must be positive, got {kappa}")
-    if math.sqrt(kappa) * float(d.entries.max()) > math.pi:
-        raise InvalidArgs("diameter exceeds pi at this curvature")
-    return GramMatrix(
-        d.n_effective, kappa, _spherical_entries(d.entries, kappa), GramRegime.SPHERICAL
-    )
-
-
-def hyperbolic_gram(d: DistanceMatrix, kappa: float) -> GramMatrix:
-    """Gram matrix cosh(sqrt(-kappa) d); requires kappa < 0."""
-    if not kappa < 0:
-        raise InvalidArgs(f"hyperbolic curvature must be negative, got {kappa}")
-    return GramMatrix(
-        d.n_effective, kappa, _hyperbolic_entries(d.entries, kappa), GramRegime.HYPERBOLIC
-    )
+    embeddable: bool
+    margin: float
+    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class SphericalVerdict:
-    """Spherical embeddability test outcome with the Gram spectrum."""
+    """Spherical embeddability outcome: the diameter cap, the Gram inertia and its rank."""
 
     embeddable: bool
     cap_ok: bool
     psd_ok: bool
+    margin: float
     eigenvalues: np.ndarray
     rank: int
-
-
-@dataclass(frozen=True)
-class MinorSignVerdict:
-    """Minor-sign embeddability test outcome (hyperbolic or Euclidean)."""
-
-    embeddable: bool
-    minors: tuple
-    signs: tuple
 
 
 def embeddable_spherical(d: DistanceMatrix, kappa: float) -> SphericalVerdict:
     """Decide embeddability into the curvature-kappa sphere.
 
     True exactly when sqrt(kappa) times the diameter is at most pi and the
-    cosine Gram matrix is positive semidefinite.  Eigenvalues at least
-    -1e-9 times the largest count as nonnegative; the rank counts those
-    above 1e-9 times the largest, so a single lost rank (the boundary case)
-    maps to an embedding one dimension down.
+    cosine Gram matrix cos(sqrt(kappa) d) is positive semidefinite, by the
+    margin of ``_spherical_margin``.  The rank counts eigenvalues above
+    1e-9 times the largest, so a single lost rank (the boundary case) maps
+    to an embedding one dimension down.
     """
     if not kappa > 0:
         raise InvalidArgs(f"spherical curvature must be positive, got {kappa}")
-    matrix = d.entries
-    cap_ok = math.sqrt(kappa) * float(matrix.max()) <= math.pi
-    g = _spherical_entries(matrix, kappa)
-    w, _ = np.linalg.eigh(g)
-    lam_max = float(w[-1])
-    psd_ok = bool(w[0] >= -PSD_TOL_FACTOR * lam_max)
-    rank = int(np.count_nonzero(w > PSD_TOL_FACTOR * lam_max))
+    scale = math.sqrt(kappa)
+    cap_ok = scale * float(d.entries.max()) <= math.pi
+    w = _spectra(d, np.cos, scale)
+    margin = float(_spherical_margin(w))
+    psd_ok = margin >= -PSD_TOL_FACTOR
+    w = np.sort(w)
+    rank = int(np.count_nonzero(w > PSD_TOL_FACTOR * w[-1]))
     return SphericalVerdict(
         embeddable=cap_ok and psd_ok,
         cap_ok=cap_ok,
         psd_ok=psd_ok,
+        margin=margin,
         eigenvalues=w,
         rank=rank,
     )
 
 
-def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> MinorSignVerdict:
+def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> InertiaVerdict:
     """Decide embeddability into hyperbolic space of curvature kappa < 0.
 
-    The leading principal minors of the cosh Gram matrix must alternate in
-    sign starting positive: sign det G(1..k) = (-1)^(k+1).
+    The cosh Gram matrix must have exactly one positive eigenvalue.  Its
+    entries are positive, so its largest eigenvalue is positive and has the
+    largest magnitude (Perron-Frobenius); the margin is minus the second
+    largest eigenvalue over it.
     """
     if not kappa < 0:
         raise InvalidArgs(f"hyperbolic curvature must be negative, got {kappa}")
-    g = _hyperbolic_entries(d.entries, kappa)
-    n = d.n_effective
-    minors = [float(np.linalg.det(g[:k, :k])) for k in range(1, n + 1)]
-    signs = [int(np.sign(m)) for m in minors]
-    ok = all(signs[k - 1] == (-1) ** (k + 1) for k in range(1, n + 1))
-    return MinorSignVerdict(embeddable=ok, minors=tuple(minors), signs=tuple(signs))
+    w = np.sort(_spectra(d, np.cosh, math.sqrt(-kappa)))
+    second = w[-2] if w.size > 1 else 0.0
+    margin = float(_share(-second, np.abs(w).max()))
+    return InertiaVerdict(margin >= -PSD_TOL_FACTOR, margin, w)
 
 
-def embeddable_euclidean(d: DistanceMatrix) -> MinorSignVerdict:
-    """Decide embeddability into Euclidean space by Cayley-Menger minor signs.
+def embeddable_euclidean(d: DistanceMatrix) -> InertiaVerdict:
+    """Decide embeddability into Euclidean space (Schoenberg 1935).
 
-    Minor cm_k on the first k points must carry sign (-1)^k; minors within
-    1e-10 of zero (relative to the diameter scale) may open a vanishing tail,
-    after which every later minor must vanish as well.
+    The centred Gram matrix -J (d o d) J / 2 must be positive semidefinite;
+    the margin is its smallest eigenvalue over its largest magnitude.
     """
-    n = d.n_effective
-    cm = cayley_menger_matrix(d).entries
-    dmax2 = max(1.0, float(d.entries.max()) ** 2)
-    minors = []
-    signs = []
-    ok = True
-    tail = False
-    for k in range(2, n + 1):
-        value = float(np.linalg.det(cm[: k + 1, : k + 1]))
-        minors.append(value)
-        near_zero = abs(value) <= CM_ZERO_FACTOR * dmax2**k
-        signs.append(0 if near_zero else int(np.sign(value)))
-        if tail:
-            if not near_zero:
-                ok = False
-        elif near_zero:
-            tail = True
-        elif signs[-1] != (-1) ** k:
-            ok = False
-    return MinorSignVerdict(embeddable=ok, minors=tuple(minors), signs=tuple(signs))
-
+    w = np.sort(_spectra(d, lambda x: -0.5 * x * x, center=True))
+    margin = float(_share(w[0], np.abs(w).max()))
+    return InertiaVerdict(margin >= -PSD_TOL_FACTOR, margin, w)
 
 class EmbeddingSpace(enum.Enum):
     SPHERICAL = "Spherical"
@@ -348,7 +314,7 @@ def _realize_spherical(d: DistanceMatrix, kappa: float, tol: float) -> Embedding
         )
     matrix = d.entries
     n = d.n_effective
-    g = _spherical_entries(matrix, kappa)
+    g = np.cos(math.sqrt(kappa) * matrix)
     w, v = np.linalg.eigh(g)
     lam_max = float(w[-1])
     if w[0] < -PSD_TOL_FACTOR * lam_max:
@@ -376,7 +342,7 @@ def _realize_spherical(d: DistanceMatrix, kappa: float, tol: float) -> Embedding
 def _realize_euclidean(d: DistanceMatrix, tol: float) -> EmbeddingResult:
     verdict = embeddable_euclidean(d)
     if not verdict.embeddable:
-        raise NotEmbeddable("Cayley-Menger minor signs reject a Euclidean realization")
+        raise NotEmbeddable("centred Gram matrix is indefinite: no Euclidean realization")
     matrix = d.entries
     n = d.n_effective
     center = np.eye(n) - np.full((n, n), 1.0 / n)
@@ -410,11 +376,11 @@ def _realize_euclidean(d: DistanceMatrix, tol: float) -> EmbeddingResult:
 def _realize_hyperbolic(d: DistanceMatrix, kappa: float, tol: float) -> EmbeddingResult:
     verdict = embeddable_hyperbolic(d, kappa)
     if not verdict.embeddable:
-        raise NotEmbeddable(f"cosh Gram minors reject kappa={kappa!r}")
+        raise NotEmbeddable(f"cosh Gram inertia rejects kappa={kappa!r}")
     matrix = d.entries
     n = d.n_effective
     radius = 1.0 / math.sqrt(-kappa)
-    target = -(radius**2) * _hyperbolic_entries(matrix, kappa)
+    target = -(radius**2) * np.cosh(math.sqrt(-kappa) * matrix)
     w, v = np.linalg.eigh(target)
     scale = float(np.abs(w).max())
     negative = np.flatnonzero(w < -PSD_TOL_FACTOR * scale)
@@ -480,7 +446,7 @@ def realize(
 
 @dataclass(frozen=True)
 class FeasibilityThreshold:
-    """Bisection bracket for the largest spherically feasible curvature."""
+    """Largest spherically feasible curvature and the bisection bracket above it."""
 
     kappa: float
     upper: float
@@ -491,43 +457,45 @@ class FeasibilityThreshold:
 
 
 def spherical_feasibility_threshold(
-    d: DistanceMatrix,
-    iterations: int = BISECTION_ITERATIONS,
-    monotonicity_samples: int = MONOTONICITY_SAMPLES,
+    d: DistanceMatrix, iterations: int = BISECTION_ITERATIONS
 ) -> FeasibilityThreshold:
-    """Largest curvature at which the spherical Gram matrix stays feasible.
+    """Largest curvature at which the metric embeds in a sphere.
 
-    Bisects kappa over (0, pi^2 / diameter^2].  Monotonicity of feasibility
-    in kappa is assumed on that interval and spot-checked by sampling interior
-    points below the returned threshold; a failed spot check is logged and
-    reported, never silently ignored.
+    Feasibility is not monotone in kappa, so the margin is first sampled at
+    ``THRESHOLD_GRID`` evenly spaced values of sqrt(kappa) in
+    (0, pi / diameter], in one batch.  Above the largest feasible sample the
+    root of the margin itself (no tolerance) is bisected, so the threshold
+    does not sit on the tolerance edge.  ``monotone_ok`` is whether every
+    sample below the threshold is feasible; a failure is logged.  With no
+    feasible sample the threshold is 0 and ``upper`` the first sample.
     """
     diameter = float(d.entries.max())
     if not diameter > 0:
         raise InvalidArgs("feasibility search needs a positive diameter")
     cap = math.pi**2 / diameter**2
+    grid = math.sqrt(cap) * np.arange(1, THRESHOLD_GRID + 1) / THRESHOLD_GRID
+    feasible = _spherical_margin(_spectra(d, np.cos, grid)) >= -PSD_TOL_FACTOR
     feasible_at_cap = embeddable_spherical(d, cap).embeddable
+    below = np.flatnonzero(feasible[:-1])
     if feasible_at_cap:
-        lo, hi = cap, cap
+        lo = hi = grid[-1]
+    elif below.size == 0:
+        lo, hi = 0.0, grid[0]
     else:
-        lo, hi = 0.0, cap
+        lo, hi = grid[below[-1]], grid[below[-1] + 1]
         for _ in range(iterations):
             mid = 0.5 * (lo + hi)
-            if embeddable_spherical(d, mid).embeddable:
+            if _spherical_margin(_spectra(d, np.cos, mid)) >= 0.0:
                 lo = mid
             else:
                 hi = mid
-    monotone_ok = True
-    if lo > 0.0:
-        for s in range(1, monotonicity_samples + 1):
-            probe = lo * s / (monotonicity_samples + 1)
-            if not embeddable_spherical(d, probe).embeddable:
-                monotone_ok = False
-                logger.warning("feasibility not monotone: infeasible at kappa=%r", probe)
-                break
+    kappa, upper = (cap, cap) if feasible_at_cap else (float(lo * lo), float(hi * hi))
+    monotone_ok = bool(feasible[grid < lo].all())
+    if not monotone_ok:
+        logger.warning("feasibility not monotone: infeasible below kappa=%r", kappa)
     return FeasibilityThreshold(
-        kappa=lo,
-        upper=hi,
+        kappa=kappa,
+        upper=upper,
         cap=cap,
         feasible_at_cap=feasible_at_cap,
         iterations=iterations,
@@ -558,10 +526,10 @@ class RingEmbeddingReport:
     spherical_verdict: SphericalVerdict
     spherical_realization: EmbeddingResult | None
     threshold: FeasibilityThreshold
-    euclidean_verdict: MinorSignVerdict
+    euclidean_verdict: InertiaVerdict
     euclidean_realization: EmbeddingResult | None
     hyperbolic_kappa: float
-    hyperbolic_verdict: MinorSignVerdict
+    hyperbolic_verdict: InertiaVerdict
     hyperbolic_realization: EmbeddingResult | None
 
 
@@ -570,9 +538,9 @@ def ring_embedding_report(
 ) -> RingEmbeddingReport:
     """Classify a ring and decide/realize its constant-curvature embeddings.
 
-    Runs the spherical test at kappa_max(points, mean weight) plus a
-    bisection search for the largest feasible curvature, and the Euclidean
-    and hyperbolic tests with realizations where the verdict allows.
+    Runs the spherical test at kappa_max(points, mean weight) plus the
+    search for the largest feasible curvature, and the Euclidean and
+    hyperbolic tests with realizations where the verdict allows.
     """
     quotient = spec.n % 2 == 0
     d = distance_matrix(spec, quotient)

@@ -274,6 +274,43 @@ def test_embed_hyperbolic_auto():
     assert payload["realization"]["max_distortion"] < 1e-8
 
 
+def test_embed_euclidean_indefinite_ring_is_clean_negative():
+    result = run_cli("embed", "--n", "120", "--space", "euclidean")
+    assert result.returncode == 1
+    payload = parse(result)["payload"]
+    assert payload["embeddable"] is False
+    assert payload["realization"] is None
+    assert payload["verdict"]["margin"] < -0.1
+    assert result.stderr.strip().splitlines()[-1].startswith(
+        "error: not embeddable in euclidean space"
+    )
+
+
+def test_embed_spherical_window_ring():
+    result = run_cli("embed", "--n", "16", "--space", "spherical")
+    assert result.returncode == 0
+    payload = parse(result)["payload"]
+    assert payload["kappa"] == pytest.approx(2.8733, rel=1e-4)
+    assert payload["threshold"]["monotone_ok"] is False
+    assert payload["embeddable"] is True
+    assert payload["realization"]["max_distortion"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "args", [("--n", "24"), ("--n", "16", "--kappa", "3e-8")]
+)
+def test_embed_spherical_infeasible_is_clean_negative(args):
+    result = run_cli("embed", "--space", "spherical", *args)
+    assert result.returncode == 1
+    payload = parse(result)["payload"]
+    assert payload["embeddable"] is False
+    assert payload["kappa"] > 0.0
+    assert payload["verdict"]["margin"] < -0.01
+    assert result.stderr.strip().splitlines()[-1].startswith(
+        "error: not embeddable in spherical space"
+    )
+
+
 def test_variance_sweep_csv():
     result = run_cli("variance-sweep", "--n-min", "3", "--n-max", "20")
     assert result.returncode == 0

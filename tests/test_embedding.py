@@ -11,20 +11,18 @@ from spinring import (
     NotEmbeddable,
     RingKind,
     RingSpec,
-    cayley_menger_matrix,
     cayley_menger_minors,
+    classify_ring,
     distance_matrix,
     embeddable_euclidean,
     embeddable_hyperbolic,
     embeddable_spherical,
-    hyperbolic_gram,
     jacobi_eigh,
     kappa_max,
     numerical_spectrum,
     realize,
     ring_embedding_report,
     spherical_feasibility_threshold,
-    spherical_gram,
     toeplitz_eigenvalues,
     toeplitz_minor_closed_form,
     toeplitz_minor_recursion,
@@ -102,16 +100,6 @@ def test_toeplitz_eigenvalues():
     assert list(dec.multiplicities) == [3, 1]
 
 
-def test_cayley_menger_matrix_layout():
-    d = uniform_points(3, 2.0)
-    cm = cayley_menger_matrix(d).entries
-    assert cm.shape == (4, 4)
-    assert cm[0, 0] == 0.0
-    assert np.array_equal(cm[0, 1:], np.ones(3))
-    assert np.array_equal(cm[1:, 0], np.ones(3))
-    assert cm[1, 2] == 4.0
-
-
 def uniform_cm_determinant(k, d):
     cm = np.zeros((k + 1, k + 1))
     cm[0, 1:] = 1.0
@@ -146,16 +134,16 @@ def test_cayley_menger_minors_validation():
         cayley_menger_minors(1.0, 2)
 
 
-def test_gram_builders_validate_curvature():
+def test_verdicts_validate_curvature_and_cap():
     d = uniform_points(3, 1.0)
     with pytest.raises(InvalidArgs):
-        spherical_gram(d, -1.0)
+        embeddable_spherical(d, -1.0)
     with pytest.raises(InvalidArgs):
-        spherical_gram(d, (math.pi / 1.0) ** 2 * 1.5)
-    with pytest.raises(InvalidArgs):
-        hyperbolic_gram(d, 1.0)
-    gram = spherical_gram(d, 1.0)
-    assert np.array_equal(np.diag(gram.entries), np.ones(3))
+        embeddable_hyperbolic(d, 1.0)
+    beyond_cap = embeddable_spherical(d, (math.pi / 1.0) ** 2 * 1.5)
+    assert beyond_cap.cap_ok is False
+    assert not beyond_cap.embeddable
+    assert embeddable_spherical(d, 1.0).cap_ok is True
 
 
 def test_spherical_verdict_at_boundary():
@@ -198,11 +186,12 @@ def test_hyperbolic_uniform_always_embeddable():
     for kappa in (-1.0, -10.0):
         verdict = embeddable_hyperbolic(d, kappa)
         assert verdict.embeddable
-        assert list(verdict.signs) == [1, -1, 1, -1, 1]
+        assert verdict.margin > 0.0
+        # Exactly one positive eigenvalue; the other four are equal and negative.
+        assert np.count_nonzero(verdict.eigenvalues > 0.0) == 1
+        assert np.ptp(verdict.eigenvalues[:4]) <= 1e-12 * verdict.eigenvalues[-1]
     two = DistanceMatrix.from_entries(np.array([[0.0, 3.0], [3.0, 0.0]]))
     assert embeddable_hyperbolic(two, -0.5).embeddable
-    with pytest.raises(InvalidArgs):
-        embeddable_hyperbolic(d, 1.0)
 
 
 def test_euclidean_verdicts():
@@ -212,21 +201,80 @@ def test_euclidean_verdicts():
     )
     verdict = embeddable_euclidean(triangle)
     assert verdict.embeddable
-    assert verdict.minors[0] == pytest.approx(18.0, rel=1e-12)
-    assert verdict.minors[1] == pytest.approx(-576.0, rel=1e-10)
+    # The centred Gram matrix has trace sum_{i<j} d^2 / n and rank 2 (a plane).
+    assert verdict.eigenvalues.sum() == pytest.approx(50.0 / 3.0, rel=1e-12)
+    assert np.count_nonzero(verdict.eigenvalues > 1e-9 * verdict.eigenvalues[-1]) == 2
     collinear = DistanceMatrix.from_entries(
         np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     )
     verdict = embeddable_euclidean(collinear)
     assert verdict.embeddable
-    assert list(verdict.signs) == [1, 0]
+    assert abs(verdict.margin) <= 1e-12
+    assert np.count_nonzero(verdict.eigenvalues > 1e-9 * verdict.eigenvalues[-1]) == 1
 
 
 def test_euclidean_rejects_bad_quadruple():
     verdict = embeddable_euclidean(bad_quadruple())
     assert not verdict.embeddable
-    # A vanishing minor opens a zero tail that the next minor violates.
-    assert list(verdict.signs) == [1, 0, -1]
+    # Both far pairs would need the same midpoint: eigenvalues -1, 0, 2, 2.
+    assert np.allclose(verdict.eigenvalues, [-1.0, 0.0, 2.0, 2.0], atol=1e-12)
+    assert verdict.margin == pytest.approx(-0.5, rel=1e-12)
+
+
+def ring(n):
+    return distance_matrix(RingSpec(n), quotient=n % 2 == 0)
+
+
+def auto_kappa(d, n):
+    """The curvature ``embed --kappa auto`` picks for a ring in the sphere."""
+    mean = KappaMaxQuery(d.n_effective, float(d.offdiagonal().mean())).value
+    threshold = spherical_feasibility_threshold(d).kappa
+    return mean if classify_ring(n, d).uniform or threshold == 0.0 else threshold
+
+
+def test_ring_spectra_match_dense_oracle():
+    for n in range(3, 301):
+        d = ring(n)
+        dense = DistanceMatrix.from_entries(d.entries)
+        kappa = KappaMaxQuery(d.n_effective, float(d.offdiagonal().mean())).value
+        pairs = (
+            (embeddable_euclidean(d), embeddable_euclidean(dense)),
+            (embeddable_hyperbolic(d, -1.0), embeddable_hyperbolic(dense, -1.0)),
+            (embeddable_spherical(d, kappa), embeddable_spherical(dense, kappa)),
+        )
+        for fast, oracle in pairs:
+            scale = np.abs(oracle.eigenvalues).max()
+            assert np.abs(fast.eigenvalues - oracle.eigenvalues).max() <= 1e-13 * scale, n
+
+
+def test_ring_verdicts_agree_with_realize():
+    for n in range(3, 201):
+        d = ring(n)
+        kappa = auto_kappa(d, n)
+        cases = (
+            (EmbeddingSpace.SPHERICAL, kappa, embeddable_spherical(d, kappa)),
+            (EmbeddingSpace.EUCLIDEAN, 0.0, embeddable_euclidean(d)),
+            (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic(d, -1.0)),
+        )
+        for space, curvature, verdict in cases:
+            if verdict.embeddable:
+                assert realize(d, space, curvature).max_distortion <= 1e-8, (n, space)
+            else:
+                with pytest.raises(NotEmbeddable):
+                    realize(d, space, curvature)
+
+
+def test_ring_spherical_small_curvature_matches_euclidean_verdict():
+    for n in range(3, 41):
+        d = ring(n)
+        euclidean = embeddable_euclidean(d)
+        cap = spherical_feasibility_threshold(d).cap
+        for share in (1e-4, 1e-8, 1e-12):
+            assert embeddable_spherical(d, share * cap).embeddable == euclidean.embeddable
+        # The non-constant modes tend to kappa times the Euclidean spectrum.
+        if not euclidean.embeddable:
+            margin = embeddable_spherical(d, 1e-8 * cap).margin
+            assert margin == pytest.approx(euclidean.margin, rel=1e-5), n
 
 
 def test_realize_spherical_ring5():
@@ -311,6 +359,23 @@ def test_feasibility_threshold_two_points_hits_cap():
     threshold = spherical_feasibility_threshold(two)
     assert threshold.feasible_at_cap
     assert threshold.kappa == threshold.cap
+
+
+def test_feasibility_threshold_window_and_empty_rings():
+    # n = 16 embeds only for kappa in about [0.53, 0.56] * cap.
+    threshold = spherical_feasibility_threshold(ring(16))
+    assert threshold.kappa == pytest.approx(2.873273, rel=1e-6)
+    assert threshold.kappa / threshold.cap == pytest.approx(0.5595, abs=1e-3)
+    assert not threshold.monotone_ok
+    assert embeddable_spherical(ring(16), threshold.kappa).embeddable
+    assert not embeddable_spherical(ring(16), 0.5 * threshold.kappa).embeddable
+    # The threshold is the root of the margin, not the tolerance edge.
+    assert abs(embeddable_spherical(ring(16), threshold.kappa).margin) <= 1e-13
+    # n = 0 (mod 8), n >= 24: no sphere at all.
+    for n in (24, 32, 64):
+        threshold = spherical_feasibility_threshold(ring(n))
+        assert threshold.kappa == 0.0, n
+        assert threshold.monotone_ok, n
 
 
 def test_ring_embedding_report_prime():
