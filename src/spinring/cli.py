@@ -22,10 +22,10 @@ import numpy as np
 
 from .embedding import (
     EmbeddingSpace,
-    KappaMaxQuery,
     embeddable_euclidean,
     embeddable_hyperbolic,
     embeddable_spherical,
+    kappa_max,
     realize,
     spherical_feasibility_threshold,
     toeplitz_minor_closed_form,
@@ -283,7 +283,7 @@ def cmd_embed(args) -> int:
     classification = classify_ring(args.n, d)
     values = d.offdiagonal()
     w_mean = float(values.mean())
-    kappa_mean = KappaMaxQuery(d.n_effective, w_mean).value
+    kappa_mean = kappa_max(d.n_effective, w_mean)
     threshold = spherical_feasibility_threshold(d) if args.space == "spherical" else None
     kappa_policy, kappa = _resolve_kappa(args, classification.uniform, kappa_mean, threshold)
 

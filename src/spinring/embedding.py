@@ -18,11 +18,18 @@ least -1e-9.  On rings the spherical margin measures the non-constant modes
 against their own size, which shrinks like kappa, so it stays valid as
 kappa -> 0, where it becomes the Euclidean test.
 
+The realizations factor the same Gram matrices.  A symmetric circulant has
+the real Hartley basis cas(2 pi j k / N) / sqrt(N) as its eigenvectors
+(Bracewell, JOSA 73, 1983), so a ring's coordinates are fixed Hartley
+columns scaled by the square roots of the DFT eigenvalues, with no
+eigensolver; hand-built metrics are factored by LAPACK.
+
 Spherical feasibility is not an interval (0, kappa*]: the ring n = 16 and
 the rings n = 4 (mod 8) with n >= 12 embed only in a window of curvatures,
-and the rings n = 0 (mod 8) with n >= 24 in no sphere at all.  The threshold search samples the margin
-on a grid of sqrt(kappa), bisects its root above the largest feasible
-sample, and reports whether every sample below is feasible.
+and the rings n = 0 (mod 8) with n >= 24 in no sphere at all.  The
+threshold search samples the margin on a grid of sqrt(kappa), bisects its
+root above the largest feasible sample, and reports whether every sample
+below is feasible.
 
 For the uniform complete graph K_n with edge weight w the spherical boundary
 is explicit: kappa_max(n, w) = (arccos(-1/(n-1)) / w)^2, where the Gram
@@ -37,7 +44,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,18 +70,6 @@ def kappa_max(n: int, w: float) -> float:
     if not w > 0:
         raise InvalidArgs(f"edge weight must be positive, got {w}")
     return (math.acos(-1.0 / (n - 1)) / w) ** 2
-
-
-@dataclass(frozen=True)
-class KappaMaxQuery:
-    """A (point count, edge weight) query with its curvature bound."""
-
-    n: int
-    w: float
-    value: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", kappa_max(self.n, self.w))
 
 
 def toeplitz_minor_closed_form(k: int, c: float) -> float:
@@ -140,6 +135,39 @@ def cayley_menger_minors(d_uniform: float, k_max: int) -> list:
     return minors
 
 
+# Gram kernels of the unit models: -d^2 / 2 (double centred) for Euclidean
+# space and the Minkowski -cosh(d) for the hyperboloid; the sphere's is cos.
+def _minus_half_square(x):
+    return -0.5 * x * x
+
+
+def _minus_cosh(x):
+    return -np.cosh(x)
+
+
+# Geodesic distances back from a unit model's Gram matrix.
+def _arccos(gram):
+    return np.arccos(np.clip(gram, -1.0, 1.0))
+
+
+def _chord(gram):
+    norms = np.diag(gram)
+    return np.sqrt(np.clip(norms[:, None] + norms - 2.0 * gram, 0.0, None))
+
+
+def _arccosh(gram):
+    return np.arccosh(np.clip(-gram, 1.0, None))
+
+
+def _dense_gram(d: DistanceMatrix, kernel, scales=1.0, center: bool = False) -> np.ndarray:
+    """The dense Gram matrix kernel(s * d) for each scale s, double centred when ``center``."""
+    g = kernel(np.asarray(scales, dtype=float)[..., None, None] * d.entries)
+    if center:
+        g = g - g.mean(axis=-1, keepdims=True)
+        g = g - g.mean(axis=-2, keepdims=True)
+    return g
+
+
 def _spectra(d: DistanceMatrix, kernel, scales=1.0, center: bool = False) -> np.ndarray:
     """Eigenvalues of the Gram matrix kernel(s * d) for each scale s, along the last axis.
 
@@ -150,17 +178,31 @@ def _spectra(d: DistanceMatrix, kernel, scales=1.0, center: bool = False) -> np.
     also the ring route's test oracle.  ``center`` zeroes the all-ones mode,
     which on the dense route is double centering.
     """
-    scales = np.asarray(scales, dtype=float)[..., None]
-    if d.profile is not None:
-        w = np.fft.fft(kernel(scales * d.profile)).real
-        if center:
-            w[..., 0] = 0.0
-        return w
-    g = kernel(scales[..., None] * d.entries)
+    if d.profile is None:
+        return np.linalg.eigvalsh(_dense_gram(d, kernel, scales, center))
+    w = np.fft.fft(kernel(np.asarray(scales, dtype=float)[..., None] * d.profile)).real
     if center:
-        g = g - g.mean(axis=-1, keepdims=True)
-        g = g - g.mean(axis=-2, keepdims=True)
-    return np.linalg.eigvalsh(g)
+        w[..., 0] = 0.0
+    return w
+
+
+def _eigenpairs(d: DistanceMatrix, kernel, scale: float = 1.0, center: bool = False):
+    """Eigenvalues and orthonormal eigenvector columns of the Gram matrix kernel(scale * d).
+
+    A symmetric circulant has the real Hartley basis cas(2 pi j k / N) / sqrt(N)
+    as its eigenvectors, column j with the DFT eigenvalue of mode j that
+    ``_spectra`` returns (Bracewell 1983).  The basis is read off the FFT
+    of the identity, which is exact at the quarter turns.  Any other metric
+    goes through LAPACK, with each column's sign fixed so that its
+    largest-magnitude entry is positive.
+    """
+    n = d.n_effective
+    if d.profile is not None:
+        f = np.fft.fft(np.eye(n))
+        return _spectra(d, kernel, scale, center), (f.real - f.imag) / math.sqrt(n)
+    w, v = np.linalg.eigh(_dense_gram(d, kernel, scale, center))
+    pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
+    return w, v * np.where(pivots < 0.0, -1.0, 1.0)
 
 
 def _share(value, scale):
@@ -257,7 +299,7 @@ def embeddable_euclidean(d: DistanceMatrix) -> InertiaVerdict:
     The centred Gram matrix -J (d o d) J / 2 must be positive semidefinite;
     the margin is its smallest eigenvalue over its largest magnitude.
     """
-    w = np.sort(_spectra(d, lambda x: -0.5 * x * x, center=True))
+    w = np.sort(_spectra(d, _minus_half_square, center=True))
     margin = float(_share(w[0], np.abs(w).max()))
     return InertiaVerdict(margin >= -PSD_TOL_FACTOR, margin, w)
 
@@ -286,132 +328,6 @@ class EmbeddingResult:
     irreducible: bool
 
 
-def _canonical_columns(x: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude entry of each is positive."""
-    y = x.copy()
-    for c in range(y.shape[1]):
-        col = y[:, c]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            y[:, c] = -col
-    return y
-
-
-def _pair_distortion(dhat: np.ndarray, target: np.ndarray) -> float:
-    n = target.shape[0]
-    iu = np.triu_indices(n, 1)
-    if iu[0].size == 0:
-        return 0.0
-    return float(np.abs(dhat - target)[iu].max())
-
-
-def _realize_spherical(d: DistanceMatrix, kappa: float, tol: float) -> EmbeddingResult:
-    verdict = embeddable_spherical(d, kappa)
-    if not verdict.embeddable:
-        raise NotEmbeddable(
-            f"not spherically embeddable at kappa={kappa!r} "
-            f"(cap_ok={verdict.cap_ok}, psd_ok={verdict.psd_ok})"
-        )
-    matrix = d.entries
-    n = d.n_effective
-    g = np.cos(math.sqrt(kappa) * matrix)
-    w, v = np.linalg.eigh(g)
-    lam_max = float(w[-1])
-    if w[0] < -PSD_TOL_FACTOR * lam_max:
-        raise FactorizationFailure(f"Gram matrix indefinite: min eigenvalue {w[0]:.3e}")
-    kept = np.flatnonzero(w > PSD_TOL_FACTOR * lam_max)[::-1]
-    radius = 1.0 / math.sqrt(kappa)
-    coords = radius * _canonical_columns(v[:, kept] * np.sqrt(np.clip(w[kept], 0.0, None)))
-    gram_hat = (coords @ coords.T) / radius**2
-    dhat = radius * np.arccos(np.clip(gram_hat, -1.0, 1.0))
-    distortion = _pair_distortion(dhat, matrix)
-    if distortion > tol:
-        raise FactorizationFailure(
-            f"spherical round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
-        )
-    return EmbeddingResult(
-        space=EmbeddingSpace.SPHERICAL,
-        curvature=kappa,
-        ambient_dim=len(kept),
-        coordinates=coords,
-        max_distortion=distortion,
-        irreducible=len(kept) < n,
-    )
-
-
-def _realize_euclidean(d: DistanceMatrix, tol: float) -> EmbeddingResult:
-    verdict = embeddable_euclidean(d)
-    if not verdict.embeddable:
-        raise NotEmbeddable("centred Gram matrix is indefinite: no Euclidean realization")
-    matrix = d.entries
-    n = d.n_effective
-    center = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * center @ (matrix**2) @ center
-    b = 0.5 * (b + b.T)
-    w, v = np.linalg.eigh(b)
-    lam_max = max(float(w[-1]), 0.0)
-    if lam_max > 0.0 and w[0] < -PSD_TOL_FACTOR * lam_max:
-        raise FactorizationFailure(
-            f"centered Gram matrix indefinite: min eigenvalue {w[0]:.3e}"
-        )
-    kept = np.flatnonzero(w > PSD_TOL_FACTOR * lam_max)[::-1]
-    coords = _canonical_columns(v[:, kept] * np.sqrt(np.clip(w[kept], 0.0, None)))
-    delta = coords[:, None, :] - coords[None, :, :]
-    dhat = np.sqrt((delta**2).sum(axis=2))
-    distortion = _pair_distortion(dhat, matrix)
-    if distortion > tol:
-        raise FactorizationFailure(
-            f"Euclidean round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
-        )
-    return EmbeddingResult(
-        space=EmbeddingSpace.EUCLIDEAN,
-        curvature=0.0,
-        ambient_dim=len(kept),
-        coordinates=coords,
-        max_distortion=distortion,
-        irreducible=True,
-    )
-
-
-def _realize_hyperbolic(d: DistanceMatrix, kappa: float, tol: float) -> EmbeddingResult:
-    verdict = embeddable_hyperbolic(d, kappa)
-    if not verdict.embeddable:
-        raise NotEmbeddable(f"cosh Gram inertia rejects kappa={kappa!r}")
-    matrix = d.entries
-    n = d.n_effective
-    radius = 1.0 / math.sqrt(-kappa)
-    target = -(radius**2) * np.cosh(math.sqrt(-kappa) * matrix)
-    w, v = np.linalg.eigh(target)
-    scale = float(np.abs(w).max())
-    negative = np.flatnonzero(w < -PSD_TOL_FACTOR * scale)
-    if len(negative) != 1:
-        raise FactorizationFailure(
-            f"Minkowski Gram matrix needs exactly one timelike direction, got {len(negative)}"
-        )
-    v0 = v[:, 0]
-    if v0.sum() < 0:
-        v0 = -v0
-    time_col = math.sqrt(-float(w[0])) * v0
-    positive = np.flatnonzero(w > PSD_TOL_FACTOR * scale)[::-1]
-    spatial = _canonical_columns(v[:, positive] * np.sqrt(np.clip(w[positive], 0.0, None)))
-    coords = np.column_stack([time_col, spatial])
-    mink_hat = spatial @ spatial.T - np.outer(time_col, time_col)
-    dhat = radius * np.arccosh(np.clip(-mink_hat / radius**2, 1.0, None))
-    distortion = _pair_distortion(dhat, matrix)
-    if distortion > tol:
-        raise FactorizationFailure(
-            f"hyperbolic round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
-        )
-    return EmbeddingResult(
-        space=EmbeddingSpace.HYPERBOLIC,
-        curvature=kappa,
-        ambient_dim=coords.shape[1],
-        coordinates=coords,
-        max_distortion=distortion,
-        irreducible=len(positive) == n - 1,
-    )
-
-
 def realize(
     d: DistanceMatrix,
     space: EmbeddingSpace,
@@ -420,28 +336,71 @@ def realize(
 ) -> EmbeddingResult:
     """Realize an embeddable metric as explicit coordinates in the model space.
 
-    Spherical: factor the cosine Gram matrix through its eigendecomposition,
-    zeroing eigenvalues below 1e-9 of the largest, and scale columns onto the
-    radius-1/sqrt(kappa) sphere.  Euclidean: classical double centering of
-    squared distances.  Hyperbolic: factor the Minkowski Gram matrix with one
-    timelike direction (the positive eigenvector of the cosh Gram matrix)
-    onto the upper hyperboloid sheet.
+    One factorization serves all three spaces, which differ only in the
+    Gram kernel, the radius r and the geodesic inverse.  The Gram matrix of
+    the unit model is cos(d / r) on the sphere, the double-centred -d^2 / 2
+    in Euclidean space (r = 1) and the Minkowski -cosh(d / r) on the
+    hyperboloid.  Its eigenpairs come from ``_eigenpairs``: fixed Hartley
+    columns for a ring, LAPACK for any other metric.  Eigenvalues above 1e-9
+    of the largest magnitude are kept, ordered by magnitude, so the one
+    timelike column of the hyperboloid comes first; each column is scaled
+    by r sqrt|w|.  The realized Gram matrix is inverted back into geodesic
+    distances (arccos, sqrt(g_ii + g_jj - 2 g_ij), arccosh) and compared
+    with the input over all pairs.
 
     Raises
     ------
     NotEmbeddable
         When the matching embeddability test rejects the metric.
     FactorizationFailure
-        When the factor is indefinite beyond tolerance or the recomputed
-        geodesic distances miss the input by more than ``tol``.
+        When the Gram matrix has the wrong inertia beyond tolerance (a
+        negative eigenvalue, or other than one on the hyperboloid) or the
+        recomputed geodesic distances miss the input by more than ``tol``.
     """
     if space is EmbeddingSpace.SPHERICAL:
-        return _realize_spherical(d, kappa, tol)
-    if space is EmbeddingSpace.EUCLIDEAN:
-        return _realize_euclidean(d, tol)
-    if space is EmbeddingSpace.HYPERBOLIC:
-        return _realize_hyperbolic(d, kappa, tol)
-    raise InvalidArgs(f"unknown embedding space {space!r}")
+        verdict = embeddable_spherical(d, kappa)
+        radius, kernel, geodesic = 1.0 / math.sqrt(kappa), np.cos, _arccos
+    elif space is EmbeddingSpace.EUCLIDEAN:
+        verdict = embeddable_euclidean(d)
+        radius, kernel, geodesic = 1.0, _minus_half_square, _chord
+    elif space is EmbeddingSpace.HYPERBOLIC:
+        verdict = embeddable_hyperbolic(d, kappa)
+        radius, kernel, geodesic = 1.0 / math.sqrt(-kappa), _minus_cosh, _arccosh
+    else:
+        raise InvalidArgs(f"unknown embedding space {space!r}")
+    name = space.name.lower()
+    if not verdict.embeddable:
+        raise NotEmbeddable(
+            f"not embeddable in {name} space at kappa={kappa!r} (margin {verdict.margin:.3e})"
+        )
+    timelike = int(space is EmbeddingSpace.HYPERBOLIC)
+    w, v = _eigenpairs(d, kernel, 1.0 / radius, center=space is EmbeddingSpace.EUCLIDEAN)
+    cutoff = PSD_TOL_FACTOR * float(np.abs(w).max())
+    negative = int(np.count_nonzero(w < -cutoff))
+    if negative != timelike:
+        raise FactorizationFailure(
+            f"{name} Gram matrix has {negative} negative eigenvalues, needs {timelike}"
+        )
+    order = np.argsort(-np.abs(w), kind="stable")
+    kept = order[np.abs(w[order]) > cutoff]
+    factor = v[:, kept] * np.sqrt(np.abs(w[kept]))
+    gram = (factor * np.sign(w[kept])) @ factor.T
+    error = np.abs(radius * geodesic(gram) - d.entries)
+    np.fill_diagonal(error, 0.0)
+    distortion = float(error.max())
+    if distortion > tol:
+        raise FactorizationFailure(
+            f"{name} round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
+        )
+    n = d.n_effective
+    return EmbeddingResult(
+        space=space,
+        curvature=0.0 if space is EmbeddingSpace.EUCLIDEAN else kappa,
+        ambient_dim=len(kept),
+        coordinates=radius * factor,
+        max_distortion=distortion,
+        irreducible=len(kept) == n if timelike else len(kept) < n,
+    )
 
 
 @dataclass(frozen=True)
@@ -522,7 +481,7 @@ class RingEmbeddingReport:
     weight_mean: float
     weight_min: float
     weight_max: float
-    kappa_max_query: KappaMaxQuery
+    kappa_max_mean_weight: float
     spherical_verdict: SphericalVerdict
     spherical_realization: EmbeddingResult | None
     threshold: FeasibilityThreshold
@@ -549,23 +508,25 @@ def ring_embedding_report(
     weight_mean = float(values.mean())
     weight_min = float(values.min())
     weight_max = float(values.max())
-    query = KappaMaxQuery(d.n_effective, weight_mean)
+    kappa_mean = kappa_max(d.n_effective, weight_mean)
 
-    spherical_verdict = embeddable_spherical(d, query.value)
+    spherical_verdict = embeddable_spherical(d, kappa_mean)
     spherical_realization = (
-        _realize_spherical(d, query.value, tol) if spherical_verdict.embeddable else None
+        realize(d, EmbeddingSpace.SPHERICAL, kappa_mean, tol)
+        if spherical_verdict.embeddable
+        else None
     )
     threshold = spherical_feasibility_threshold(d)
 
     euclidean_verdict = embeddable_euclidean(d)
     euclidean_realization = (
-        _realize_euclidean(d, tol) if euclidean_verdict.embeddable else None
+        realize(d, EmbeddingSpace.EUCLIDEAN, tol=tol) if euclidean_verdict.embeddable else None
     )
 
     hyperbolic_kappa = -1.0
     hyperbolic_verdict = embeddable_hyperbolic(d, hyperbolic_kappa)
     hyperbolic_realization = (
-        _realize_hyperbolic(d, hyperbolic_kappa, tol)
+        realize(d, EmbeddingSpace.HYPERBOLIC, hyperbolic_kappa, tol)
         if hyperbolic_verdict.embeddable
         else None
     )
@@ -579,7 +540,7 @@ def ring_embedding_report(
         weight_mean=weight_mean,
         weight_min=weight_min,
         weight_max=weight_max,
-        kappa_max_query=query,
+        kappa_max_mean_weight=kappa_mean,
         spherical_verdict=spherical_verdict,
         spherical_realization=spherical_realization,
         threshold=threshold,

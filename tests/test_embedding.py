@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from spinring import (
     DistanceMatrix,
     EmbeddingSpace,
     InvalidArgs,
-    KappaMaxQuery,
     NotEmbeddable,
     RingKind,
     RingSpec,
@@ -55,11 +55,6 @@ def test_kappa_max_validation():
         kappa_max(3, 0.0)
     with pytest.raises(InvalidArgs):
         kappa_max(3, -1.0)
-
-
-def test_kappa_max_query_carries_value():
-    query = KappaMaxQuery(5, 0.87)
-    assert query.value == pytest.approx(kappa_max(5, 0.87), abs=1e-15)
 
 
 def test_toeplitz_minor_routes_agree():
@@ -160,7 +155,7 @@ def test_spherical_verdict_at_boundary():
 def test_spherical_eigenvalues_match_jacobi_oracle():
     for n in range(5, 31):
         d = distance_matrix(RingSpec(n), quotient=n % 2 == 0)
-        kappa = KappaMaxQuery(d.n_effective, float(d.offdiagonal().mean())).value
+        kappa = kappa_max(d.n_effective, float(d.offdiagonal().mean()))
         gram = np.cos(math.sqrt(kappa) * d.entries)
         np.fill_diagonal(gram, 1.0)
         w = embeddable_spherical(d, kappa).eigenvalues
@@ -227,7 +222,7 @@ def ring(n):
 
 def auto_kappa(d, n):
     """The curvature ``embed --kappa auto`` picks for a ring in the sphere."""
-    mean = KappaMaxQuery(d.n_effective, float(d.offdiagonal().mean())).value
+    mean = kappa_max(d.n_effective, float(d.offdiagonal().mean()))
     threshold = spherical_feasibility_threshold(d).kappa
     return mean if classify_ring(n, d).uniform or threshold == 0.0 else threshold
 
@@ -236,7 +231,7 @@ def test_ring_spectra_match_dense_oracle():
     for n in range(3, 301):
         d = ring(n)
         dense = DistanceMatrix.from_entries(d.entries)
-        kappa = KappaMaxQuery(d.n_effective, float(d.offdiagonal().mean())).value
+        kappa = kappa_max(d.n_effective, float(d.offdiagonal().mean()))
         pairs = (
             (embeddable_euclidean(d), embeddable_euclidean(dense)),
             (embeddable_hyperbolic(d, -1.0), embeddable_hyperbolic(dense, -1.0)),
@@ -248,8 +243,11 @@ def test_ring_spectra_match_dense_oracle():
 
 
 def test_ring_verdicts_agree_with_realize():
-    for n in range(3, 201):
+    # The Hartley realization of every ring, against LAPACK on the same
+    # entries without the circulant profile for n <= 150.
+    for n in range(3, 301):
         d = ring(n)
+        dense = DistanceMatrix.from_entries(d.entries) if n <= 150 else None
         kappa = auto_kappa(d, n)
         cases = (
             (EmbeddingSpace.SPHERICAL, kappa, embeddable_spherical(d, kappa)),
@@ -257,11 +255,30 @@ def test_ring_verdicts_agree_with_realize():
             (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic(d, -1.0)),
         )
         for space, curvature, verdict in cases:
-            if verdict.embeddable:
-                assert realize(d, space, curvature).max_distortion <= 1e-8, (n, space)
-            else:
+            if not verdict.embeddable:
                 with pytest.raises(NotEmbeddable):
                     realize(d, space, curvature)
+                continue
+            result = realize(d, space, curvature)
+            assert result.max_distortion <= 1e-8, (n, space)
+            if dense is not None:
+                oracle = realize(dense, space, curvature)
+                assert oracle.max_distortion <= 1e-8, (n, space)
+                assert oracle.ambient_dim == result.ambient_dim, (n, space)
+                assert oracle.irreducible == result.irreducible, (n, space)
+
+
+def test_realize_ring_memory_is_quadratic():
+    # A Euclidean realization holds a few N x N arrays at a time, not N x N x dim.
+    d = distance_matrix(RingSpec(201))
+    n = d.n_effective
+    tracemalloc.start()
+    try:
+        realize(d, EmbeddingSpace.EUCLIDEAN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n * n * 8, peak
 
 
 def test_ring_spherical_small_curvature_matches_euclidean_verdict():
@@ -409,5 +426,5 @@ def test_ring_embedding_report_composite():
     # At n = 9 the mean-weight curvature bound is still feasible, and the
     # searched threshold sits at or above it.
     assert report.spherical_verdict.embeddable
-    assert report.threshold.kappa >= report.kappa_max_query.value
+    assert report.threshold.kappa >= report.kappa_max_mean_weight
     assert report.threshold.kappa <= report.threshold.cap
