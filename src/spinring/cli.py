@@ -56,7 +56,7 @@ from .metric import (
     p_max_closed_form,
     transfer_probability_time_series,
 )
-from .spectral import circulant_modes, numerical_spectra
+from .spectral import circulant_eigenspaces, numerical_spectra
 
 SCHEMA_VERSION = "1"
 ZERO_PAIR_TOL = 1e-12
@@ -428,7 +428,7 @@ def _check_spectrum_agreement(xx_spectra, inject_fault: bool) -> dict:
     strength = 1.0 + 1e-6 if inject_fault else 1.0
     worst = 0.0
     for numeric in xx_spectra:
-        eigenvalues, multiplicities, _ = circulant_modes(RingSpec(numeric.n, strength=strength))
+        eigenvalues, multiplicities, _ = circulant_eigenspaces(RingSpec(numeric.n, strength=strength))
         gap = (np.repeat(eigenvalues, multiplicities)
                - np.repeat(numeric.eigenvalues, numeric.multiplicities))
         worst = max(worst, float(np.abs(gap).max()))

@@ -51,6 +51,7 @@ import numpy as np
 from .errors import FactorizationFailure, InvalidArgs, NotEmbeddable
 from .hamiltonian import RingSpec
 from .metric import DistanceMatrix, RingClassification, classify_ring, distance_matrix
+from .spectral import hartley_rows
 
 logger = logging.getLogger(__name__)
 
@@ -191,15 +192,13 @@ def _eigenpairs(d: DistanceMatrix, kernel, scale: float = 1.0, center: bool = Fa
 
     A symmetric circulant has the real Hartley basis cas(2 pi j k / N) / sqrt(N)
     as its eigenvectors, column j with the DFT eigenvalue of mode j that
-    ``_spectra`` returns (Bracewell 1983).  The basis is read off the FFT
-    of the identity, which is exact at the quarter turns.  Any other metric
-    goes through LAPACK, with each column's sign fixed so that its
-    largest-magnitude entry is positive.
+    ``_spectra`` returns (Bracewell 1983), built by ``hartley_rows``.  Any
+    other metric goes through LAPACK, with each column's sign fixed so that
+    its largest-magnitude entry is positive.
     """
     n = d.n_effective
     if d.profile is not None:
-        f = np.fft.fft(np.eye(n))
-        return _spectra(d, kernel, scale, center), (f.real - f.imag) / math.sqrt(n)
+        return _spectra(d, kernel, scale, center), hartley_rows(n, np.arange(n))
     w, v = np.linalg.eigh(_dense_gram(d, kernel, scale, center))
     pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
     return w, v * np.where(pivots < 0.0, -1.0, 1.0)
@@ -318,6 +317,11 @@ class EmbeddingResult:
     Minkowski square -1/|kappa| (first coordinate timelike).  The distortion
     is the largest absolute deviation between realized geodesic distances
     and the target distances across distinct point pairs.
+
+    ``irreducible`` means a different thing in each space: on the sphere it
+    is True when the Gram rank (``ambient_dim``) is below N, on the
+    hyperboloid when the rank equals N, and in Euclidean space it is always
+    True (the centred Gram matrix has rank at most N - 1).
     """
 
     space: EmbeddingSpace

@@ -32,8 +32,9 @@ from .errors import IndexOutOfRange, InvalidArgs, QuotientOnOddRing
 from .hamiltonian import Coupling, RingSpec
 from .spectral import (
     SpectralDecomposition,
-    circulant_modes,
-    circulant_projector_entries,
+    circulant_eigenspaces,
+    eigenspace_entries,
+    hartley_rows,
     projector_overlaps,
 )
 
@@ -476,13 +477,15 @@ def transfer_probability_time_series(
     """Transfer probability p(t) = |<i| exp(-iHt) |j>|^2 on a caller-supplied grid.
 
     Evaluated through the eigenspace expansion with real cosine and sine
-    arithmetic: the eigenvalues and mode groups come from ``circulant_modes``
-    and the projector entries <i| Pi_k |j> from their closed form.  ``j`` is
-    one site, which gives a series of len(t_grid) samples, or a 1-D array of
-    sites, which gives one column per site; the cosines and sines of the
-    phases are evaluated once for all sites.  Every sample is bounded by the
-    peak probability; the library never claims a grid maximum is the
-    supremum over all times.
+    arithmetic: the eigenvalues and eigenspaces come from
+    ``circulant_eigenspaces``, and the projector entries <i| Pi_k |j> from
+    Hartley basis rows i and j (``eigenspace_entries``), so memory grows
+    with (1 + number of sites) * n, never n^2.  ``j`` is one site, which
+    gives a series of len(t_grid) samples, or a 1-D array of sites, which
+    gives one column per site; the cosines and sines of the phases are
+    evaluated once for all sites.  Every sample is bounded by the peak
+    probability; the library never claims a grid maximum is the supremum
+    over all times.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0.0):
@@ -493,11 +496,9 @@ def transfer_probability_time_series(
         raise InvalidArgs(f"j must be a site or a non-empty 1-D array of sites, got {j!r}")
     if not (1 <= i <= n) or np.any((sites < 1) | (sites > n)):
         raise IndexOutOfRange(f"sites must lie in 1..{n}, got ({i}, {j})")
-    eigenvalues, _, groups = circulant_modes(spec)
-    coeff = np.zeros((sites.size, len(groups)))
-    for column, modes in enumerate(groups):
-        for k in modes:
-            coeff[:, column] += circulant_projector_entries(n, k, i - sites.ravel())
+    eigenvalues, multiplicities, order = circulant_eigenspaces(spec)
+    rows = hartley_rows(n, np.append(i, sites.ravel()) - 1)[:, order]
+    coeff = eigenspace_entries(rows[0], rows[1:], multiplicities)
     phases = np.outer(t, eigenvalues)
     cos = np.cos(phases)
     sin = np.sin(phases)

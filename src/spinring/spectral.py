@@ -1,11 +1,14 @@
 """Eigenspace decompositions of the one-excitation block, closed form and numerical.
 
-The circulant structure of H_1 gives eigenvalues delta + 2h cos(2 pi k / n)
-for k = 0..floor(n/2), simple at k = 0 and (for even n) at k = n/2, double
-otherwise.  Complex circulant eigenvectors are replaced by their real and
-imaginary parts, which span the same eigenspaces, so every projector is a
-real symmetric matrix, and its entries are a closed form in the separation
-i - j (``circulant_projector_entries``).
+A decomposition holds the distinct eigenvalues, their multiplicities and n
+orthonormal eigenvector columns stored eigenspace after eigenspace.  A
+projector entry <i| Pi_k |j> sums the products of basis rows i and j over
+eigenspace k (``eigenspace_entries``), so two sites cost two rows; dense
+projectors are built only when ``SpectralDecomposition.projectors`` is read.
+The closed form uses the real Hartley basis cas(2 pi j k / n) / sqrt(n),
+which diagonalises every symmetric circulant (Bracewell 1983): column k of
+H_1 carries delta + 2h cos(2 pi min(k, n - k) / n).  ``hartley_rows``
+builds any subset of its rows, for ``embedding``'s ring Gram matrices too.
 
 A round-robin Jacobi eigensolver provides the independent numerical route.
 It runs on stacks: matrices of one padded size m = n + n % 2 share one
@@ -42,9 +45,20 @@ class SpectralSource(enum.Enum):
     NUMERICAL_SOLVER = "NumericalSolver"
 
 
+def eigenspace_entries(row_i: np.ndarray, rows_j: np.ndarray, multiplicities) -> np.ndarray:
+    """Projector entries <i| Pi_k |j> from basis rows, one per eigenspace along the last axis.
+
+    ``row_i`` is basis row i and ``rows_j`` one row or a stack of rows; each
+    entry is the product of the two rows summed over the columns of one
+    eigenspace, the columns being stored eigenspace after eigenspace.
+    """
+    starts = np.cumsum(multiplicities) - multiplicities
+    return np.add.reduceat(row_i * rows_j, starts, axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Distinct eigenvalues with multiplicities and orthogonal eigenprojectors.
+    """Distinct eigenvalues with multiplicities and an orthonormal eigenvector basis.
 
     Attributes
     ----------
@@ -52,21 +66,32 @@ class SpectralDecomposition:
         Distinct eigenvalues sorted ascending.
     multiplicities : numpy.ndarray
         Positive integer multiplicity per distinct eigenvalue.
-    projectors : tuple of numpy.ndarray
-        One n x n real symmetric idempotent projector per distinct eigenvalue.
-        They resolve the identity and reconstruct the matrix as
-        sum_k lambda_k Pi_k.
+    basis : numpy.ndarray
+        n x n orthonormal eigenvector columns, eigenspace after eigenspace:
+        the first ``multiplicities[0]`` columns span the first eigenspace,
+        and so on.
     source : SpectralSource
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    projectors: tuple
+    basis: np.ndarray
     source: SpectralSource
 
     @property
     def n(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def projectors(self) -> tuple:
+        """One n x n eigenprojector per eigenspace, built from the basis on every read.
+
+        They resolve the identity and reconstruct the matrix as
+        sum_k lambda_k Pi_k.
+        """
+        entries = np.stack([eigenspace_entries(row, self.basis, self.multiplicities)
+                            for row in self.basis])
+        return tuple(np.moveaxis(entries, -1, 0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,51 +229,30 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     return jacobi_eigh_many([matrix], max_sweeps)[0]
 
 
-def _group_eigenvalues(w: np.ndarray, tol: float):
-    """Split sorted eigenvalues into groups whose adjacent gaps stay within tol."""
-    groups = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > tol:
-            groups.append((start, i))
-            start = i
-    groups.append((start, len(w)))
-    return groups
+def _grouped(w: np.ndarray, tol: float | None = None):
+    """Distinct values and multiplicities of sorted w, cut wherever a gap exceeds tol.
 
-
-def _decomposition(w: np.ndarray, v: np.ndarray, degeneracy_tol) -> SpectralDecomposition:
-    """Group an eigendecomposition into distinct eigenvalues and eigenspace projectors."""
-    if degeneracy_tol is None:
-        degeneracy_tol = DEGENERACY_FACTOR * float(w[-1] - w[0])
-    eigenvalues = []
-    multiplicities = []
-    projectors = []
-    for start, stop in _group_eigenvalues(w, degeneracy_tol):
-        block = v[:, start:stop]
-        proj = block @ block.T
-        proj = 0.5 * (proj + proj.T)
-        eigenvalues.append(float(np.mean(w[start:stop])))
-        multiplicities.append(stop - start)
-        projectors.append(proj)
-    return SpectralDecomposition(
-        eigenvalues=np.array(eigenvalues),
-        multiplicities=np.array(multiplicities, dtype=int),
-        projectors=tuple(projectors),
-        source=SpectralSource.NUMERICAL_SOLVER,
-    )
+    Each distinct value is the mean of its group; tol defaults to 1e-8
+    times the spread of w.
+    """
+    if tol is None:
+        tol = DEGENERACY_FACTOR * float(w[-1] - w[0])
+    starts = np.flatnonzero(np.concatenate(([True], w[1:] - w[:-1] > tol)))
+    multiplicities = np.diff(np.append(starts, len(w)))
+    return np.add.reduceat(w, starts) / multiplicities, multiplicities
 
 
 def numerical_spectra(matrices, degeneracy_tol: float | None = None) -> list:
     """Eigenspace decompositions of dense symmetric matrices via stacked Jacobi sweeps.
 
     Eigenvalues within ``degeneracy_tol`` of each other (default 1e-8 times
-    each matrix's spectral range) are merged into one eigenspace, and the
-    eigenspace projector is the sum of outer products of its orthonormal
-    eigenvectors.  Matrices of one padded size share a Jacobi stack
-    (``jacobi_eigh_many``); the decompositions come back in input order.
+    each matrix's spectral range) are merged into one eigenspace, spanned by
+    their Jacobi eigenvector columns.  Matrices of one padded size share a
+    Jacobi stack (``jacobi_eigh_many``); the decompositions come back in
+    input order.
     """
     return [
-        _decomposition(w, v, degeneracy_tol)
+        SpectralDecomposition(*_grouped(w, degeneracy_tol), v, SpectralSource.NUMERICAL_SOLVER)
         for w, v in jacobi_eigh_many([matrix.entries for matrix in matrices])
     ]
 
@@ -260,82 +264,63 @@ def numerical_spectrum(
     return numerical_spectra([matrix], degeneracy_tol)[0]
 
 
-def circulant_projector_entries(n: int, k: int, diff) -> np.ndarray:
-    """Entries <i| Pi_k |j> of the real projector onto mode k of an n-cycle.
+def hartley_rows(n: int, rows) -> np.ndarray:
+    """Rows of the real Hartley basis cas(2 pi j k / n) / sqrt(n), one per index in ``rows``.
 
-    ``diff`` holds the integer separations i - j, in any shape: 1/n at
-    k = 0, (-1)^(i - j) / n at k = n/2, and (2/n) cos(2 pi k (i - j) / n)
-    otherwise.
+    Each row is the FFT of a unit vector, which is exact at the quarter
+    turns, so a subset of rows equals the same rows of the full basis bit
+    for bit.  The basis is symmetric and orthonormal, and its columns are
+    eigenvectors of every real symmetric n x n circulant.
     """
-    diff = np.asarray(diff)
-    if k == 0:
-        return np.full(diff.shape, 1.0 / n)
-    if 2 * k == n:
-        return ((-1.0) ** diff) / n
-    return (2.0 / n) * np.cos(2.0 * math.pi * k * diff / n)
+    rows = np.asarray(rows)
+    units = np.zeros((rows.size, n))
+    units[np.arange(rows.size), rows] = 1.0
+    f = np.fft.fft(units)
+    return (f.real - f.imag) / math.sqrt(n)
 
 
-def circulant_modes(spec: RingSpec):
-    """Closed-form distinct eigenvalues ascending, their multiplicities and modes.
+def circulant_eigenspaces(spec: RingSpec):
+    """Closed-form distinct eigenvalues ascending, multiplicities and Hartley column order.
 
-    Returns the eigenvalues and multiplicities of ``circulant_spectrum`` as
-    arrays, and per eigenvalue the list of modes k it merges, without
-    building any projector.
+    Hartley column k carries delta + 2h cos(2 pi min(k, n - k) / n).  The
+    columns are sorted by eigenvalue (stably), so ``order`` lists them
+    eigenspace after eigenspace; no basis row is built.  Modes k and n - k
+    always share an eigenvalue.  Distinct modes merge, with a log line, when
+    their gap is within 1e-8 times the spread 4|h|: at the extremes of the
+    cosine the gap is about |h| (2 pi / n)^2, so from n = 2 pi x 10^4
+    (about 31 416) on, mode 1 joins mode 0 and (even n) mode n/2 - 1 joins
+    mode n/2.
     """
     n = spec.n
-    h = spec.subspace_coupling
-    delta = spec.subspace_shift
-    modes = list(range(n // 2 + 1))
-    lam = np.array([delta + 2.0 * h * math.cos(2.0 * math.pi * k / n) for k in modes])
-    mult = np.array([1 if (k == 0 or 2 * k == n) else 2 for k in modes], dtype=int)
-
+    k = np.arange(n)
+    modes = np.minimum(k, n - k)
+    lam = spec.subspace_shift + 2.0 * spec.subspace_coupling * np.cos(2.0 * math.pi * modes / n)
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    mult = mult[order]
-    modes = [modes[i] for i in order]
-
-    spread = float(lam[-1] - lam[0])
-    tol = DEGENERACY_FACTOR * spread
-    eigenvalues = []
-    multiplicities = []
-    groups = []
-    for start, stop in _group_eigenvalues(lam, tol):
-        group_modes = modes[start:stop]
-        if len(group_modes) > 1:
-            logger.info(
-                "merging cosine-coincident modes %s at eigenvalue %.12g",
-                group_modes,
-                float(np.mean(lam[start:stop])),
-            )
-        eigenvalues.append(float(np.mean(lam[start:stop])))
-        multiplicities.append(int(mult[start:stop].sum()))
-        groups.append(group_modes)
-    return np.array(eigenvalues), np.array(multiplicities, dtype=int), groups
+    eigenvalues, multiplicities = _grouped(lam)
+    starts = np.cumsum(multiplicities) - multiplicities
+    sorted_modes = modes[order]
+    merged = np.minimum.reduceat(sorted_modes, starts) < np.maximum.reduceat(sorted_modes, starts)
+    for group in np.flatnonzero(merged):
+        group_modes = sorted_modes[starts[group]:starts[group] + multiplicities[group]]
+        logger.info("merging cosine-coincident modes %s at eigenvalue %.12g",
+                    np.unique(group_modes).tolist(), eigenvalues[group])
+    return eigenvalues, multiplicities, order
 
 
 def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
     """Closed-form eigenspace decomposition of the one-excitation block.
 
-    Modes k = 0..floor(n/2) carry eigenvalues delta + 2h cos(2 pi k / n);
-    k = 0 and (even n) k = n/2 are simple, all other modes are double.
-    Distinct modes can never share an eigenvalue here because the cosine is
-    strictly decreasing over the mode range, but a merge path exists and is
-    logged if numerical coincidence ever triggers it.
+    The basis is the Hartley basis with its columns in the order of
+    ``circulant_eigenspaces``.  Modes k = 0..floor(n/2) carry eigenvalues
+    delta + 2h cos(2 pi k / n); k = 0 and (even n) k = n/2 are simple, all
+    other modes are double.  The cosine strictly decreases over the mode
+    range, yet at large n adjacent modes at its extremes fall within the
+    degeneracy tolerance and share an eigenspace (``circulant_eigenspaces``).
     """
-    eigenvalues, multiplicities, groups = circulant_modes(spec)
-    diff = np.subtract.outer(np.arange(spec.n), np.arange(spec.n))
-    projectors = []
-    for group_modes in groups:
-        proj = np.zeros((spec.n, spec.n))
-        for k in group_modes:
-            proj += circulant_projector_entries(spec.n, k, diff)
-        projectors.append(proj)
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        multiplicities=multiplicities,
-        projectors=tuple(projectors),
-        source=SpectralSource.CLOSED_FORM,
-    )
+    eigenvalues, multiplicities, order = circulant_eigenspaces(spec)
+    basis = hartley_rows(spec.n, np.arange(spec.n))[:, order]
+    return SpectralDecomposition(eigenvalues, multiplicities, basis, SpectralSource.CLOSED_FORM)
 
 
 def projector_overlaps(dec: SpectralDecomposition, i: int, j) -> np.ndarray:
@@ -348,4 +333,4 @@ def projector_overlaps(dec: SpectralDecomposition, i: int, j) -> np.ndarray:
     sites = np.asarray(j)
     if not (1 <= i <= n) or np.any((sites < 1) | (sites > n)):
         raise IndexOutOfRange(f"sites must lie in 1..{n}, got ({i}, {j})")
-    return np.abs([p[i - 1, sites - 1] for p in dec.projectors])
+    return np.abs(eigenspace_entries(dec.basis[i - 1], dec.basis[sites - 1], dec.multiplicities).T)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,19 @@ def test_transfer_probability_site_array_matches_single_sites():
                 single = transfer_probability_time_series(spec, i, int(j), grid)
                 assert single.shape == (len(grid),)
                 assert np.array_equal(series[:, column], single), (n, i, j)
+
+
+def test_transfer_probability_memory_reads_two_rows():
+    # The series reads basis rows i and j, not an n x n basis or projector.
+    tracemalloc.start()
+    try:
+        transfer_probability_time_series(
+            RingSpec(4000), 1, np.arange(2, 6), np.linspace(0.0, 10.0, 201)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak
 
 
 def test_transfer_probability_matches_projector_entries():

@@ -1,3 +1,7 @@
+import logging
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,6 @@ from spinring import (
     RingSpec,
     SpectralSource,
     build_single_excitation_hamiltonian,
-    circulant_modes,
     circulant_spectrum,
     jacobi_eigh,
     jacobi_eigh_many,
@@ -17,6 +20,7 @@ from spinring import (
     numerical_spectrum,
     projector_overlaps,
 )
+from spinring.spectral import circulant_eigenspaces, hartley_rows
 
 
 def test_circulant_spectrum_n3():
@@ -38,10 +42,70 @@ def test_multiplicity_pattern():
         dec = circulant_spectrum(RingSpec(n))
         assert list(dec.multiplicities) == expected, n
         assert int(dec.multiplicities.sum()) == n
-        eigenvalues, multiplicities, modes = circulant_modes(RingSpec(n))
-        assert np.array_equal(eigenvalues, dec.eigenvalues)
-        assert np.array_equal(multiplicities, dec.multiplicities)
-        assert sorted(k for group in modes for k in group) == list(range(n // 2 + 1))
+
+
+def cosine_projector_entries(n, modes, diff):
+    """Closed-form entries of the projector onto the given modes of an n-cycle, by separation."""
+    total = np.zeros(diff.shape)
+    for k in modes:
+        if k == 0:
+            total += 1.0 / n
+        elif 2 * k == n:
+            total += ((-1.0) ** diff) / n
+        else:
+            total += (2.0 / n) * np.cos(2.0 * math.pi * k * diff / n)
+    return total
+
+
+def test_closed_form_projectors_match_cosine_formula():
+    for n in range(3, 65):
+        diff = np.subtract.outer(np.arange(n), np.arange(n))
+        for coupling in (Coupling.XX, Coupling.HEISENBERG):
+            spec = RingSpec(n, coupling)
+            dec = circulant_spectrum(spec)
+            _, _, order = circulant_eigenspaces(spec)
+            modes = np.minimum(order, n - order)
+            starts = np.cumsum(dec.multiplicities) - dec.multiplicities
+            for start, count, proj in zip(starts, dec.multiplicities, dec.projectors):
+                expected = cosine_projector_entries(n, set(modes[start:start + count]), diff)
+                assert np.abs(proj - expected).max() <= 1e-14, (n, coupling)
+
+
+def test_hartley_row_subsets_match_all_rows():
+    rng = np.random.default_rng(11)
+    for n in range(1, 301):
+        full = hartley_rows(n, np.arange(n))
+        for size in (1, 2, max(1, n // 3)):
+            rows = rng.choice(n, size=min(size, n), replace=False)
+            assert np.array_equal(hartley_rows(n, rows), full[rows]), n
+
+
+def test_circulant_spectrum_memory_is_quadratic():
+    # One n x n basis and a few temporaries, not n/2 + 1 dense projectors.
+    n = 300
+    tracemalloc.start()
+    try:
+        circulant_spectrum(RingSpec(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n * 8, peak
+
+
+def test_closed_form_grouping_merges_extreme_modes(caplog):
+    # Near the cosine's extremes, adjacent modes fall within 1e-8 x spread of
+    # each other from n = 31 416: k = 1 joins k = 0 and, for even n,
+    # k = n/2 - 1 joins k = n/2.  The eigenvalue-only route builds no basis.
+    with caplog.at_level(logging.INFO, logger="spinring.spectral"):
+        eigenvalues, multiplicities, order = circulant_eigenspaces(RingSpec(31500))
+    assert len(eigenvalues) == 15749
+    assert int(multiplicities.max()) == 3
+    assert int(multiplicities.sum()) == 31500
+    assert sorted(order.tolist()) == list(range(31500))
+    assert np.all(np.diff(eigenvalues) > 0)
+    assert sum("merging cosine-coincident modes" in r.getMessage() for r in caplog.records) == 2
+    _, multiplicities, _ = circulant_eigenspaces(RingSpec(31400))
+    assert int(multiplicities.max()) == 2
 
 
 def check_resolution(dec, matrix):
