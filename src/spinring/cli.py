@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import math
 import sys
@@ -517,7 +518,13 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first ``main`` call and shared by every later one.
+
+    Parsing does not change the parser, and argparse looks ``sys.stdout`` and
+    ``sys.stderr`` up when it prints, so one parser serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="spinring",
         description="Transfer-probability distances on spin rings, metric checks, "
@@ -538,18 +545,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient", action="store_true",
                    help="identify antipodal sites (even n only)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("metric-check", parents=[common],
                        help="verify the metric axioms for one ring")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--quotient", action="store_true")
-    p.set_defaults(func=cmd_metric_check)
 
     p = sub.add_parser("classify", parents=[common],
                        help="classify a ring by its distance spectrum")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("embed", parents=[common],
                        help="decide and realize a constant-curvature embedding")
@@ -558,7 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--kappa", default="auto",
                    help="curvature: 'auto' or a number (default auto)")
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("variance-sweep", parents=[common],
                        help="variance of off-diagonal distances across ring sizes")
@@ -566,7 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--quotient-policy", choices=["auto", "never"], default="auto")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_variance_sweep)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the cross-module invariant suite")
@@ -576,15 +578,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest n for subspace checks (default 64)")
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one closed-form path to demonstrate failure detection")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # The handler is looked up by name on each call rather than bound into the
+    # shared parser, so a wrapper installed over a cmd_* function later is run.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (
         InvalidArgs,
         InvalidSpec,

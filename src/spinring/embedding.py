@@ -14,11 +14,13 @@ their eigenvalues are one real DFT of the kernel applied to the profile
 (Davis, Circulant Matrices, 1979).  Hand-built metrics go through LAPACK on
 the dense matrix, which is also the rings' test oracle.  Each verdict
 reports a scale-free margin to the boundary and is True iff the margin is at
-least -1e-9.  On rings the spherical margin measures the non-constant modes
-against their own size, which shrinks like kappa, so it stays valid as
-kappa -> 0, where it becomes the Euclidean test.
+least -1e-9.  On rings both curved margins measure the non-constant modes
+against their own size, which shrinks like |kappa|, and the kernels are
+taken in half-angle form so that those modes keep full precision; the
+verdicts stay valid as kappa -> 0, where they become the Euclidean test.
 
-The realizations factor the same Gram matrices.  A symmetric circulant has
+The realizations factor the same Gram matrices and decide on the spectrum
+they factor.  A symmetric circulant has
 the real Hartley basis cas(2 pi j k / N) / sqrt(N) as its eigenvectors
 (Bracewell, JOSA 73, 1983), so a ring's coordinates are fixed Hartley
 columns scaled by the square roots of the DFT eigenvalues, with no
@@ -45,6 +47,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -136,59 +139,88 @@ def cayley_menger_minors(d_uniform: float, k_max: int) -> list:
     return minors
 
 
-# Gram kernels of the unit models: -d^2 / 2 (double centred) for Euclidean
-# space and the Minkowski -cosh(d) for the hyperboloid; the sphere's is cos.
-def _minus_half_square(x):
-    return -0.5 * x * x
+class EmbeddingSpace(enum.Enum):
+    SPHERICAL = "Spherical"
+    EUCLIDEAN = "Euclidean"
+    HYPERBOLIC = "Hyperbolic"
 
 
-def _minus_cosh(x):
-    return -np.cosh(x)
+@dataclass(frozen=True)
+class _Model:
+    """The unit model of one space: its Gram kernel and its geodesic as a function of chord length.
+
+    The kernel is ``constant + varying(x)`` with varying(0) = 0, in half-angle
+    form: cos x = 1 - 2 sin^2(x/2) on the sphere, the Minkowski
+    -cosh x = -1 - 2 sinh^2(x/2) on the hyperboloid (``timelike``: its lead
+    mode is negative) and the double-centred -x^2 / 2 in Euclidean space.
+    The geodesic inverts the chord c = |x_i - x_j| of two model points:
+    2 arcsin(c/2), c and 2 arcsinh(c/2).
+    """
+
+    constant: float
+    varying: Callable
+    center: bool
+    timelike: int
+    geodesic: Callable
 
 
-# Geodesic distances back from a unit model's Gram matrix.
-def _arccos(gram):
-    return np.arccos(np.clip(gram, -1.0, 1.0))
+_MODELS = {
+    EmbeddingSpace.SPHERICAL: _Model(
+        1.0, lambda x: -2.0 * np.sin(0.5 * x) ** 2, False, 0,
+        lambda c: 2.0 * np.arcsin(np.minimum(0.5 * c, 1.0))),
+    EmbeddingSpace.EUCLIDEAN: _Model(0.0, lambda x: -0.5 * x * x, True, 0, lambda c: c),
+    EmbeddingSpace.HYPERBOLIC: _Model(
+        -1.0, lambda x: -2.0 * np.sinh(0.5 * x) ** 2, False, 1,
+        lambda c: 2.0 * np.arcsinh(0.5 * c)),
+}
 
 
-def _chord(gram):
-    norms = np.diag(gram)
-    return np.sqrt(np.clip(norms[:, None] + norms - 2.0 * gram, 0.0, None))
+def _scale(space: EmbeddingSpace, kappa: float) -> float:
+    """sqrt|kappa|, the unit model's scale (1 in Euclidean space), after checking its sign."""
+    if space is EmbeddingSpace.EUCLIDEAN:
+        return 1.0
+    if space is EmbeddingSpace.SPHERICAL:
+        if not kappa > 0:
+            raise InvalidArgs(f"spherical curvature must be positive, got {kappa}")
+    elif space is EmbeddingSpace.HYPERBOLIC:
+        if not kappa < 0:
+            raise InvalidArgs(f"hyperbolic curvature must be negative, got {kappa}")
+    else:
+        raise InvalidArgs(f"unknown embedding space {space!r}")
+    return math.sqrt(abs(kappa))
 
 
-def _arccosh(gram):
-    return np.arccosh(np.clip(-gram, 1.0, None))
-
-
-def _dense_gram(d: DistanceMatrix, kernel, scales=1.0, center: bool = False) -> np.ndarray:
-    """The dense Gram matrix kernel(s * d) for each scale s, double centred when ``center``."""
-    g = kernel(np.asarray(scales, dtype=float)[..., None, None] * d.entries)
-    if center:
+def _dense_gram(d: DistanceMatrix, model: _Model, scales=1.0) -> np.ndarray:
+    """The dense Gram matrix of the model at s * d for each scale s."""
+    g = model.constant + model.varying(np.asarray(scales, dtype=float)[..., None, None] * d.entries)
+    if model.center:
         g = g - g.mean(axis=-1, keepdims=True)
         g = g - g.mean(axis=-2, keepdims=True)
     return g
 
 
-def _spectra(d: DistanceMatrix, kernel, scales=1.0, center: bool = False) -> np.ndarray:
-    """Eigenvalues of the Gram matrix kernel(s * d) for each scale s, along the last axis.
+def _spectra(d: DistanceMatrix, model: _Model, scales=1.0) -> np.ndarray:
+    """Eigenvalues of the model's Gram matrix at s * d for each scale s, along the last axis.
 
     A ring's Gram matrix is a symmetric circulant in its profile, so its
     eigenvalues are one real DFT of the kernel applied to the profile, in
-    mode order with the all-ones mode j = 0 first.  Any other metric goes
-    through LAPACK on the dense matrix, eigenvalues ascending; that route is
-    also the ring route's test oracle.  ``center`` zeroes the all-ones mode,
-    which on the dense route is double centering.
+    mode order with the all-ones mode j = 0 first.  The constant reaches
+    mode 0 alone, which sums the kernel values (centering zeroes it), so
+    the other modes are the DFT of the varying part and keep full relative
+    precision as kappa -> 0, where they shrink like |kappa|.  Any other
+    metric goes through LAPACK on the dense matrix, eigenvalues ascending;
+    that route is also the ring route's test oracle.
     """
     if d.profile is None:
-        return np.linalg.eigvalsh(_dense_gram(d, kernel, scales, center))
-    w = np.fft.fft(kernel(np.asarray(scales, dtype=float)[..., None] * d.profile)).real
-    if center:
-        w[..., 0] = 0.0
+        return np.linalg.eigvalsh(_dense_gram(d, model, scales))
+    varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.profile)
+    w = np.fft.fft(varying).real
+    w[..., 0] = 0.0 if model.center else (model.constant + varying).sum(axis=-1)
     return w
 
 
-def _eigenpairs(d: DistanceMatrix, kernel, scale: float = 1.0, center: bool = False):
-    """Eigenvalues and orthonormal eigenvector columns of the Gram matrix kernel(scale * d).
+def _eigenpairs(d: DistanceMatrix, model: _Model, scale: float = 1.0):
+    """Eigenvalues and orthonormal eigenvector columns of the model's Gram matrix at scale * d.
 
     A symmetric circulant has the real Hartley basis cas(2 pi j k / N) / sqrt(N)
     as its eigenvectors, column j with the DFT eigenvalue of mode j that
@@ -198,8 +230,8 @@ def _eigenpairs(d: DistanceMatrix, kernel, scale: float = 1.0, center: bool = Fa
     """
     n = d.n_effective
     if d.profile is not None:
-        return _spectra(d, kernel, scale, center), hartley_rows(n, np.arange(n))
-    w, v = np.linalg.eigh(_dense_gram(d, kernel, scale, center))
+        return _spectra(d, model, scale), hartley_rows(n, np.arange(n))
+    w, v = np.linalg.eigh(_dense_gram(d, model, scale))
     pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
     return w, v * np.where(pivots < 0.0, -1.0, 1.0)
 
@@ -209,26 +241,35 @@ def _share(value, scale):
     return np.where(scale > 0, value / np.where(scale > 0, scale, 1.0), 0.0)
 
 
-def _spherical_margin(w: np.ndarray):
-    """Smaller of w_0 / max|w| and min(w_1..) / max|w_1..| along the last axis.
+def _inertia(w: np.ndarray, timelike: int = 0):
+    """Scale-free margin of a Gram spectrum to its boundary, and each mode's own scale.
 
-    On a ring w_0 is the all-ones mode and the other modes shrink like kappa
-    as kappa -> 0, so scaling them by their own size keeps the test
-    scale-free there, where it becomes the Euclidean test.  On an ascending
-    dense spectrum the same formula equals min(w) / max|w|.
+    Along the last axis, the lead mode w_0 must be positive (negative when
+    ``timelike``) and every other mode nonnegative.  The lead is measured
+    against max|w| and the others against the largest of themselves; the
+    margin is the smallest share, and a mode counts as zero within 1e-9 of
+    its scale.  On a ring w_0 is the all-ones mode, the Perron mode on the
+    hyperboloid, and the others shrink like |kappa| as kappa -> 0, so the
+    test stays scale-free there, where it becomes the Euclidean one.  On an
+    ascending dense spectrum w_0 is the smallest eigenvalue (the timelike
+    Perron mode of -cosh), and the margin of the sphere and of Euclidean
+    space equals min(w) / max|w|.
     """
-    rest = w[..., 1:]
-    return np.minimum(
-        _share(w[..., 0], np.abs(w).max(axis=-1)),
-        _share(rest.min(axis=-1, initial=np.inf), np.abs(rest).max(axis=-1, initial=0.0)),
-    )
+    scales = np.empty_like(w)
+    scales[...] = np.abs(w[..., 1:]).max(axis=-1, keepdims=True, initial=0.0)
+    scales[..., 0] = np.abs(w).max(axis=-1)
+    signed = w.copy()
+    if timelike:
+        signed[..., 0] = -signed[..., 0]
+    return _share(signed, scales).min(axis=-1), scales
 
 
 @dataclass(frozen=True, eq=False)
 class InertiaVerdict:
     """Embeddability outcome: the ascending Gram spectrum and the scale-free margin.
 
-    The metric embeds exactly when ``margin >= -PSD_TOL_FACTOR``.
+    The metric embeds exactly when ``margin >= -PSD_TOL_FACTOR``.  The
+    hyperbolic spectrum is that of the cosh Gram matrix.
     """
 
     embeddable: bool
@@ -248,32 +289,44 @@ class SphericalVerdict:
     rank: int
 
 
+def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarray):
+    """The verdict on ``d`` in ``space`` from the spectrum w of its unit-model Gram matrix.
+
+    The margin is ``_inertia``'s; on the sphere the diameter cap is checked
+    too, and the rank counts the modes above 1e-9 of their scale.
+    """
+    margin, scales = _inertia(w, _MODELS[space].timelike)
+    margin = float(margin)
+    inertia_ok = margin >= -PSD_TOL_FACTOR
+    if space is EmbeddingSpace.HYPERBOLIC:
+        return InertiaVerdict(inertia_ok, margin, np.sort(-w))
+    if space is EmbeddingSpace.EUCLIDEAN:
+        return InertiaVerdict(inertia_ok, margin, np.sort(w))
+    cap_ok = math.sqrt(kappa) * float(d.entries.max()) <= math.pi
+    return SphericalVerdict(
+        embeddable=cap_ok and inertia_ok,
+        cap_ok=cap_ok,
+        psd_ok=inertia_ok,
+        margin=margin,
+        eigenvalues=np.sort(w),
+        rank=int(np.count_nonzero(w > PSD_TOL_FACTOR * scales)),
+    )
+
+
+def _verdict(d: DistanceMatrix, space: EmbeddingSpace, kappa: float):
+    return _decide(d, space, kappa, _spectra(d, _MODELS[space], _scale(space, kappa)))
+
+
 def embeddable_spherical(d: DistanceMatrix, kappa: float) -> SphericalVerdict:
     """Decide embeddability into the curvature-kappa sphere.
 
     True exactly when sqrt(kappa) times the diameter is at most pi and the
     cosine Gram matrix cos(sqrt(kappa) d) is positive semidefinite, by the
-    margin of ``_spherical_margin``.  The rank counts eigenvalues above
-    1e-9 times the largest, so a single lost rank (the boundary case) maps
-    to an embedding one dimension down.
+    margin of ``_inertia``.  The rank counts the modes above 1e-9 of their
+    scale, so a single lost rank (the boundary case) maps to an embedding
+    one dimension down.
     """
-    if not kappa > 0:
-        raise InvalidArgs(f"spherical curvature must be positive, got {kappa}")
-    scale = math.sqrt(kappa)
-    cap_ok = scale * float(d.entries.max()) <= math.pi
-    w = _spectra(d, np.cos, scale)
-    margin = float(_spherical_margin(w))
-    psd_ok = margin >= -PSD_TOL_FACTOR
-    w = np.sort(w)
-    rank = int(np.count_nonzero(w > PSD_TOL_FACTOR * w[-1]))
-    return SphericalVerdict(
-        embeddable=cap_ok and psd_ok,
-        cap_ok=cap_ok,
-        psd_ok=psd_ok,
-        margin=margin,
-        eigenvalues=w,
-        rank=rank,
-    )
+    return _verdict(d, EmbeddingSpace.SPHERICAL, kappa)
 
 
 def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> InertiaVerdict:
@@ -281,15 +334,11 @@ def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> InertiaVerdict:
 
     The cosh Gram matrix must have exactly one positive eigenvalue.  Its
     entries are positive, so its largest eigenvalue is positive and has the
-    largest magnitude (Perron-Frobenius); the margin is minus the second
-    largest eigenvalue over it.
+    largest magnitude (Perron-Frobenius); on a ring it is the all-ones mode.
+    The margin measures minus each other eigenvalue against the largest
+    magnitude among them, so it does not vanish as kappa -> 0.
     """
-    if not kappa < 0:
-        raise InvalidArgs(f"hyperbolic curvature must be negative, got {kappa}")
-    w = np.sort(_spectra(d, np.cosh, math.sqrt(-kappa)))
-    second = w[-2] if w.size > 1 else 0.0
-    margin = float(_share(-second, np.abs(w).max()))
-    return InertiaVerdict(margin >= -PSD_TOL_FACTOR, margin, w)
+    return _verdict(d, EmbeddingSpace.HYPERBOLIC, kappa)
 
 
 def embeddable_euclidean(d: DistanceMatrix) -> InertiaVerdict:
@@ -298,14 +347,7 @@ def embeddable_euclidean(d: DistanceMatrix) -> InertiaVerdict:
     The centred Gram matrix -J (d o d) J / 2 must be positive semidefinite;
     the margin is its smallest eigenvalue over its largest magnitude.
     """
-    w = np.sort(_spectra(d, _minus_half_square, center=True))
-    margin = float(_share(w[0], np.abs(w).max()))
-    return InertiaVerdict(margin >= -PSD_TOL_FACTOR, margin, w)
-
-class EmbeddingSpace(enum.Enum):
-    SPHERICAL = "Spherical"
-    EUCLIDEAN = "Euclidean"
-    HYPERBOLIC = "Hyperbolic"
+    return _verdict(d, EmbeddingSpace.EUCLIDEAN, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,55 +383,43 @@ def realize(
     """Realize an embeddable metric as explicit coordinates in the model space.
 
     One factorization serves all three spaces, which differ only in the
-    Gram kernel, the radius r and the geodesic inverse.  The Gram matrix of
-    the unit model is cos(d / r) on the sphere, the double-centred -d^2 / 2
-    in Euclidean space (r = 1) and the Minkowski -cosh(d / r) on the
-    hyperboloid.  Its eigenpairs come from ``_eigenpairs``: fixed Hartley
-    columns for a ring, LAPACK for any other metric.  Eigenvalues above 1e-9
-    of the largest magnitude are kept, ordered by magnitude, so the one
-    timelike column of the hyperboloid comes first; each column is scaled
-    by r sqrt|w|.  The realized Gram matrix is inverted back into geodesic
-    distances (arccos, sqrt(g_ii + g_jj - 2 g_ij), arccosh) and compared
-    with the input over all pairs.
+    unit model (``_MODELS``) and the radius r = 1 / sqrt|kappa| (1 in
+    Euclidean space).  The eigenpairs of the model's Gram matrix come from
+    ``_eigenpairs``: fixed Hartley columns for a ring, LAPACK for any other
+    metric.  The verdict is decided on the same eigenvalues.  The modes
+    above 1e-9 of their scale (see ``_inertia``) are kept, ordered by
+    magnitude, so the one timelike column of the hyperboloid comes first;
+    each column is scaled by r sqrt|w|.  The geodesic distances are read
+    back from the chords between the rows of the column-centred factor, in
+    which the constant column cancels exactly, and compared with the input
+    over all pairs.
 
     Raises
     ------
     NotEmbeddable
         When the matching embeddability test rejects the metric.
     FactorizationFailure
-        When the Gram matrix has the wrong inertia beyond tolerance (a
-        negative eigenvalue, or other than one on the hyperboloid) or the
-        recomputed geodesic distances miss the input by more than ``tol``.
+        When the recomputed geodesic distances miss the input by more than
+        ``tol``.
     """
-    if space is EmbeddingSpace.SPHERICAL:
-        verdict = embeddable_spherical(d, kappa)
-        radius, kernel, geodesic = 1.0 / math.sqrt(kappa), np.cos, _arccos
-    elif space is EmbeddingSpace.EUCLIDEAN:
-        verdict = embeddable_euclidean(d)
-        radius, kernel, geodesic = 1.0, _minus_half_square, _chord
-    elif space is EmbeddingSpace.HYPERBOLIC:
-        verdict = embeddable_hyperbolic(d, kappa)
-        radius, kernel, geodesic = 1.0 / math.sqrt(-kappa), _minus_cosh, _arccosh
-    else:
-        raise InvalidArgs(f"unknown embedding space {space!r}")
+    scale = _scale(space, kappa)
+    model = _MODELS[space]
+    w, v = _eigenpairs(d, model, scale)
+    verdict = _decide(d, space, kappa, w)
     name = space.name.lower()
     if not verdict.embeddable:
         raise NotEmbeddable(
             f"not embeddable in {name} space at kappa={kappa!r} (margin {verdict.margin:.3e})"
         )
-    timelike = int(space is EmbeddingSpace.HYPERBOLIC)
-    w, v = _eigenpairs(d, kernel, 1.0 / radius, center=space is EmbeddingSpace.EUCLIDEAN)
-    cutoff = PSD_TOL_FACTOR * float(np.abs(w).max())
-    negative = int(np.count_nonzero(w < -cutoff))
-    if negative != timelike:
-        raise FactorizationFailure(
-            f"{name} Gram matrix has {negative} negative eigenvalues, needs {timelike}"
-        )
+    keep = np.abs(w) > PSD_TOL_FACTOR * _inertia(w, model.timelike)[1]
     order = np.argsort(-np.abs(w), kind="stable")
-    kept = order[np.abs(w[order]) > cutoff]
+    kept = order[keep[order]]
     factor = v[:, kept] * np.sqrt(np.abs(w[kept]))
-    gram = (factor * np.sign(w[kept])) @ factor.T
-    error = np.abs(radius * geodesic(gram) - d.entries)
+    centred = factor - factor.mean(axis=0)
+    gram = (centred * np.sign(w[kept])) @ centred.T
+    norms = np.diag(gram)
+    chords = np.sqrt(np.clip(norms[:, None] + norms - 2.0 * gram, 0.0, None))
+    error = np.abs(model.geodesic(chords) / scale - d.entries)
     np.fill_diagonal(error, 0.0)
     distortion = float(error.max())
     if distortion > tol:
@@ -401,9 +431,9 @@ def realize(
         space=space,
         curvature=0.0 if space is EmbeddingSpace.EUCLIDEAN else kappa,
         ambient_dim=len(kept),
-        coordinates=radius * factor,
+        coordinates=factor / scale,
         max_distortion=distortion,
-        irreducible=len(kept) == n if timelike else len(kept) < n,
+        irreducible=len(kept) == n if model.timelike else len(kept) < n,
     )
 
 
@@ -437,7 +467,8 @@ def spherical_feasibility_threshold(
         raise InvalidArgs("feasibility search needs a positive diameter")
     cap = math.pi**2 / diameter**2
     grid = math.sqrt(cap) * np.arange(1, THRESHOLD_GRID + 1) / THRESHOLD_GRID
-    feasible = _spherical_margin(_spectra(d, np.cos, grid)) >= -PSD_TOL_FACTOR
+    sphere = _MODELS[EmbeddingSpace.SPHERICAL]
+    feasible = _inertia(_spectra(d, sphere, grid))[0] >= -PSD_TOL_FACTOR
     feasible_at_cap = embeddable_spherical(d, cap).embeddable
     below = np.flatnonzero(feasible[:-1])
     if feasible_at_cap:
@@ -448,7 +479,7 @@ def spherical_feasibility_threshold(
         lo, hi = grid[below[-1]], grid[below[-1] + 1]
         for _ in range(iterations):
             mid = 0.5 * (lo + hi)
-            if _spherical_margin(_spectra(d, np.cos, mid)) >= 0.0:
+            if _inertia(_spectra(d, sphere, mid))[0] >= 0.0:
                 lo = mid
             else:
                 hi = mid

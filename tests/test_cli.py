@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -420,3 +421,57 @@ def test_out_flag_writes_file(tmp_path):
     doc = json.loads(target.read_text())
     jsonschema.validate(doc, SCHEMA)
     assert doc["command"] == "distance"
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_matches_a_fresh_parser(tmp_path):
+    target = tmp_path / "distance.json"
+    requests = (
+        ["embed", "--n", "5"],  # argparse usage error: --space is missing
+        ["distance", "--n", "5", "--format", "csv"],
+        ["metric-check", "--n", "9", "--quotient"],  # handler error: odd quotient
+        ["classify", "--n", "9"],
+        ["embed", "--n", "5", "--space", "hyperbolic"],
+        ["variance-sweep", "--n-max", "9", "--format", "json"],
+        ["verify", "--n-max-full", "4", "--n-max-subspace", "5"],
+        ["distance", "--n", "6", "--out", str(target)],
+    )
+    cli._build_parser.cache_clear()
+    shared = [_in_process(argv) for argv in requests]
+    shared_file = target.read_text()
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in shared] == [2, 0, 2, 0, 0, 0, 0, 0]
+    assert "the following arguments are required: --space" in shared[0][2]
+
+    fresh = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        fresh.append(_in_process(argv))
+    assert fresh == shared
+    assert target.read_text() == shared_file
+
+
+def test_parser_is_built_once_per_process_not_on_import():
+    script = (
+        "import contextlib, io, spinring, spinring.cli as cli\n"
+        "misses = [cli._build_parser.cache_info().misses]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for n in ('5', '7', '9'):\n"
+        "        cli.main(['classify', '--n', n])\n"
+        "print(misses + [cli._build_parser.cache_info().misses])\n"
+    )
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 1]"

@@ -27,6 +27,7 @@ from spinring import (
     toeplitz_minor_closed_form,
     toeplitz_minor_recursion,
 )
+from spinring import embedding
 from spinring.hamiltonian import DenseSymmetricMatrix
 
 
@@ -292,6 +293,43 @@ def test_ring_spherical_small_curvature_matches_euclidean_verdict():
         if not euclidean.embeddable:
             margin = embeddable_spherical(d, 1e-8 * cap).margin
             assert margin == pytest.approx(euclidean.margin, rel=1e-5), n
+
+
+
+@pytest.mark.parametrize("kappa", [1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12])
+def test_near_flat_verdicts_agree_with_realize(kappa):
+    # As kappa -> 0 a True curved verdict must still be realized within the
+    # default tolerance, where the O(kappa) modes and arccos lost precision.
+    space, decide = (
+        (EmbeddingSpace.SPHERICAL, embeddable_spherical) if kappa > 0
+        else (EmbeddingSpace.HYPERBOLIC, embeddable_hyperbolic)
+    )
+    for n in range(3, 65):
+        d = ring(n)
+        if decide(d, kappa).embeddable:
+            assert realize(d, space, kappa).max_distortion <= 1e-8, n
+        else:
+            with pytest.raises(NotEmbeddable):
+                realize(d, space, kappa)
+
+
+def test_near_flat_hyperbolic_verdict_is_the_euclidean_one():
+    # The rings n = 0 (mod 4) do not embed in Euclidean space; a margin that
+    # shrinks like |kappa| passed every one of them at kappa = -1e-9.
+    for n in range(4, 301, 4):
+        d = ring(n)
+        assert embeddable_hyperbolic(d, -1e-9).embeddable == embeddable_euclidean(d).embeddable, n
+
+
+def test_realize_computes_one_ring_spectrum(monkeypatch):
+    calls = []
+    spectra = embedding._spectra
+    monkeypatch.setattr(embedding, "_spectra", lambda *args: calls.append(1) or spectra(*args))
+    for space, kappa in ((EmbeddingSpace.SPHERICAL, 1.0), (EmbeddingSpace.EUCLIDEAN, 0.0),
+                         (EmbeddingSpace.HYPERBOLIC, -1.0)):
+        calls.clear()
+        realize(ring(7), space, kappa)
+        assert len(calls) == 1, space
 
 
 def test_realize_spherical_ring5():
