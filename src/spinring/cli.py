@@ -56,11 +56,11 @@ from .metric import (
     p_max,
     p_max_closed_form,
     transfer_probability_time_series,
+    zero_distance_pairs,
 )
 from .spectral import circulant_eigenspaces, numerical_spectra
 
 SCHEMA_VERSION = "1"
-ZERO_PAIR_TOL = 1e-12
 
 
 def _jsonable(value):
@@ -81,10 +81,15 @@ def _jsonable(value):
     return value
 
 
-def _document(command: str, params: dict, payload: dict) -> dict:
+def _document(args, payload: dict) -> dict:
+    """The output document of one parsed command; its ``params`` are the parsed options."""
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "out", "seed")}
+    # Documents list the seed last; argparse puts the shared --seed first.
+    params["seed"] = args.seed
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "params": _jsonable(params),
         "payload": _jsonable(payload),
     }
@@ -171,15 +176,7 @@ def cmd_distance(args) -> int:
     entries = d.entries
     p = np.exp(-entries)
     np.fill_diagonal(p, 1.0)
-    zero_pairs = (np.argwhere(np.triu(entries < ZERO_PAIR_TOL, 1)) + 1).tolist()
-    params = {
-        "n": args.n,
-        "coupling": args.coupling,
-        "strength": args.strength,
-        "quotient": args.quotient,
-        "format": args.format,
-        "seed": args.seed,
-    }
+    zero_pairs = (zero_distance_pairs(d) + 1).tolist()
     if args.format == "csv":
         i_up, j_up = np.triu_indices(d.n_effective, 1)
         sites = np.array([str(k) for k in range(1, d.n_effective + 1)], dtype=object)
@@ -199,7 +196,7 @@ def cmd_distance(args) -> int:
         "semi_metric": len(zero_pairs) > 0,
         "zero_distance_pairs": zero_pairs,
     }
-    _emit_json(_document("distance", params, payload), args.out)
+    _emit_json(_document(args, payload), args.out)
     return 0
 
 
@@ -207,11 +204,6 @@ def cmd_metric_check(args) -> int:
     spec = RingSpec(args.n)
     d = distance_matrix(spec, quotient=args.quotient)
     report = check_metric_axioms(d, seed=args.seed)
-    params = {
-        "n": args.n,
-        "quotient": args.quotient,
-        "seed": args.seed,
-    }
     payload = {
         "n": args.n,
         "quotient": args.quotient,
@@ -227,7 +219,7 @@ def cmd_metric_check(args) -> int:
             for v in report.violations
         ],
     }
-    _emit_json(_document("metric-check", params, payload), args.out)
+    _emit_json(_document(args, payload), args.out)
     acceptable = (
         MetricClassification.METRIC,
         MetricClassification.SEMI_METRIC_ANTIPODAL,
@@ -240,7 +232,6 @@ def cmd_classify(args) -> int:
     quotient = args.n % 2 == 0
     d = distance_matrix(spec, quotient=quotient)
     classification = classify_ring(args.n, d)
-    params = {"n": args.n, "seed": args.seed}
     payload = {
         "n": args.n,
         "n_effective": d.n_effective,
@@ -252,7 +243,7 @@ def cmd_classify(args) -> int:
             classification.distinct_values[0] if classification.uniform else None
         ),
     }
-    _emit_json(_document("classify", params, payload), args.out)
+    _emit_json(_document(args, payload), args.out)
     return 0
 
 
@@ -282,7 +273,7 @@ def cmd_embed(args) -> int:
     quotient = args.n % 2 == 0
     d = distance_matrix(spec, quotient=quotient)
     classification = classify_ring(args.n, d)
-    values = d.offdiagonal()
+    values = d.profile[1:]
     w_mean = float(values.mean())
     kappa_mean = kappa_max(d.n_effective, w_mean)
     threshold = spherical_feasibility_threshold(d) if args.space == "spherical" else None
@@ -332,12 +323,6 @@ def cmd_embed(args) -> int:
             "irreducible": result.irreducible,
         }
 
-    params = {
-        "n": args.n,
-        "space": args.space,
-        "kappa": args.kappa,
-        "seed": args.seed,
-    }
     payload = {
         "n": args.n,
         "quotient": quotient,
@@ -361,7 +346,7 @@ def cmd_embed(args) -> int:
         "verdict": verdict_payload,
         "realization": realization_payload,
     }
-    _emit_json(_document("embed", params, payload), args.out)
+    _emit_json(_document(args, payload), args.out)
     if not verdict.embeddable:
         print(f"error: not embeddable in {args.space} space at kappa={kappa!r}",
               file=sys.stderr)
@@ -371,13 +356,6 @@ def cmd_embed(args) -> int:
 
 def cmd_variance_sweep(args) -> int:
     rows = distance_variance_sweep(args.n_min, args.n_max, args.quotient_policy)
-    params = {
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "quotient_policy": args.quotient_policy,
-        "format": args.format,
-        "seed": args.seed,
-    }
     if args.format == "csv":
         _emit(
             _csv_text("n,variance", [(str(n), repr(v)) for n, v in rows]),
@@ -390,7 +368,7 @@ def cmd_variance_sweep(args) -> int:
         "quotient_policy": args.quotient_policy,
         "rows": [{"n": n, "variance": v} for n, v in rows],
     }
-    _emit_json(_document("variance-sweep", params, payload), args.out)
+    _emit_json(_document(args, payload), args.out)
     return 0
 
 
@@ -497,12 +475,6 @@ def cmd_verify(args) -> int:
         _check_transfer_bound(),
     ]
     all_ok = all(check["ok"] for check in checks)
-    params = {
-        "n_max_full": args.n_max_full,
-        "n_max_subspace": args.n_max_subspace,
-        "inject_fault": args.inject_fault,
-        "seed": args.seed,
-    }
     payload = {
         "n_max_full": args.n_max_full,
         "n_max_subspace": args.n_max_subspace,
@@ -510,7 +482,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "all_ok": all_ok,
     }
-    _emit_json(_document("verify", params, payload), args.out)
+    _emit_json(_document(args, payload), args.out)
     if not all_ok:
         failed = ", ".join(check["name"] for check in checks if not check["ok"])
         print(f"error: verification failed: {failed}", file=sys.stderr)

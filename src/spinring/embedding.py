@@ -204,17 +204,20 @@ def _spectra(d: DistanceMatrix, model: _Model, scales=1.0) -> np.ndarray:
 
     A ring's Gram matrix is a symmetric circulant in its profile, so its
     eigenvalues are one real DFT of the kernel applied to the profile, in
-    mode order with the all-ones mode j = 0 first.  The constant reaches
-    mode 0 alone, which sums the kernel values (centering zeroes it), so
-    the other modes are the DFT of the varying part and keep full relative
-    precision as kappa -> 0, where they shrink like |kappa|.  Any other
-    metric goes through LAPACK on the dense matrix, eigenvalues ascending;
-    that route is also the ring route's test oracle.
+    mode order with the all-ones mode j = 0 first.  Modes j and N - j are
+    equal and are averaged to bit-equal values, so that their ties sort by
+    mode index, not by rounding.  The constant reaches mode 0 alone, which
+    sums the kernel values (centering zeroes it), so the other modes are the
+    DFT of the varying part and keep full relative precision as kappa -> 0,
+    where they shrink like |kappa|.  Any other metric goes through LAPACK on
+    the dense matrix, eigenvalues ascending; that route is also the ring
+    route's test oracle.
     """
     if d.profile is None:
         return np.linalg.eigvalsh(_dense_gram(d, model, scales))
     varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.profile)
     w = np.fft.fft(varying).real
+    w[..., 1:] = 0.5 * (w[..., 1:] + w[..., :0:-1])
     w[..., 0] = 0.0 if model.center else (model.constant + varying).sum(axis=-1)
     return w
 
@@ -445,13 +448,10 @@ class FeasibilityThreshold:
     upper: float
     cap: float
     feasible_at_cap: bool
-    iterations: int
     monotone_ok: bool
 
 
-def spherical_feasibility_threshold(
-    d: DistanceMatrix, iterations: int = BISECTION_ITERATIONS
-) -> FeasibilityThreshold:
+def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
     """Largest curvature at which the metric embeds in a sphere.
 
     Feasibility is not monotone in kappa, so the margin is first sampled at
@@ -477,7 +477,7 @@ def spherical_feasibility_threshold(
         lo, hi = 0.0, grid[0]
     else:
         lo, hi = grid[below[-1]], grid[below[-1] + 1]
-        for _ in range(iterations):
+        for _ in range(BISECTION_ITERATIONS):
             mid = 0.5 * (lo + hi)
             if _inertia(_spectra(d, sphere, mid))[0] >= 0.0:
                 lo = mid
@@ -492,7 +492,6 @@ def spherical_feasibility_threshold(
         upper=upper,
         cap=cap,
         feasible_at_cap=feasible_at_cap,
-        iterations=iterations,
         monotone_ok=monotone_ok,
     )
 
@@ -539,7 +538,7 @@ def ring_embedding_report(
     quotient = spec.n % 2 == 0
     d = distance_matrix(spec, quotient)
     classification = classify_ring(spec.n, d)
-    values = d.offdiagonal()
+    values = d.profile[1:]
     weight_mean = float(values.mean())
     weight_min = float(values.min())
     weight_max = float(values.max())

@@ -15,9 +15,10 @@ antipodal sites (the quotient) restores separation.
 
 Ring distance matrices, raw and quotiented, are circulant and carry their
 generator, so ``check_metric_axioms`` decides the triangle inequality
-exactly over the O(N^2) profile pairs at every size.  The dense routines
-(exhaustive triples up to 200 points, seeded Monte-Carlo beyond) serve
-matrices without a profile and are the oracle for the profile route.
+exactly over the O(N^2) profile pairs at every size, and every ring
+statistic is read from the profile.  The dense routines (exhaustive triples
+up to 200 points, seeded Monte-Carlo beyond) serve matrices without a
+profile and are the oracle for the profile route.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidArgs, QuotientOnOddRing
-from .hamiltonian import Coupling, RingSpec
+from .hamiltonian import RingSpec
 from .spectral import (
     SpectralDecomposition,
     circulant_eigenspaces,
@@ -48,21 +49,19 @@ SAMPLE_CHUNK = 2**16
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative distance matrix with quotient metadata.
+    """Symmetric nonnegative distance matrix, with its circulant generator when known.
 
-    ``n_effective`` is the point count: n for a plain ring, n/2 after
-    antipodal identification.  ``source_spec`` records the originating ring
-    when there is one; hand-built metric spaces leave it as None.
-    ``profile`` is the circulant generator of a ring metric,
-    ``profile[s] = d(site 1, site 1 + s)`` for s = 0..n_effective - 1, so that
-    ``entries[i, j] = profile[(j - i) mod n_effective]``; it is None for a
-    matrix not known to be circulant.  The constructor checks the first row.
+    ``n_effective`` is the point count N: n for a plain ring, n/2 after
+    antipodal identification.  ``profile`` is the circulant generator of a
+    ring metric, ``profile[s] = d(site 1, site 1 + s)`` for s = 0..N - 1, so
+    that ``entries[i, j] = profile[(j - i) mod N]``; it is None for a matrix
+    not known to be circulant.  The constructor checks the first row.  In a
+    symmetric circulant each s = 1..N - 1 stands for N/2 unordered pairs, so
+    ring statistics are read from ``profile[1:]``.
     """
 
     n_effective: int
     entries: np.ndarray
-    quotiented: bool = False
-    source_spec: RingSpec | None = None
     profile: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -81,12 +80,7 @@ class DistanceMatrix:
             object.__setattr__(self, "profile", profile)
 
     @classmethod
-    def from_entries(
-        cls,
-        entries,
-        quotiented: bool = False,
-        source_spec: RingSpec | None = None,
-    ) -> "DistanceMatrix":
+    def from_entries(cls, entries) -> "DistanceMatrix":
         """Wrap an explicit square array, validating shape, symmetry and sign."""
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -97,10 +91,10 @@ class DistanceMatrix:
             raise InvalidArgs("distance matrix must have a zero diagonal")
         if np.any(arr < 0.0):
             raise InvalidArgs("distances must be nonnegative")
-        return cls(arr.shape[0], arr, quotiented, source_spec)
+        return cls(arr.shape[0], arr)
 
     def offdiagonal(self) -> np.ndarray:
-        """Upper-triangle distance values as a flat array."""
+        """Upper-triangle distances, flat: the dense oracle of the ``profile[1:]`` statistics."""
         iu = np.triu_indices(self.n_effective, 1)
         return self.entries[iu]
 
@@ -245,7 +239,7 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     profile = distance_profile(n)[np.minimum(sep, n - sep)]
     # Row i holds profile[(j - i) mod points], which is window points - i.
     matrix = _windows(profile)[points:0:-1]
-    return DistanceMatrix(points, matrix, quotient, spec, profile)
+    return DistanceMatrix(points, matrix, profile)
 
 
 def _triangle_violations_exhaustive(d: np.ndarray):
@@ -300,14 +294,19 @@ def _symmetry_violations(matrix: np.ndarray):
     ]
 
 
-def _circulant_zero_pairs(profile: np.ndarray):
-    """Row-major pairs i < j (0-based) with profile[j - i] <= ZERO_DISTANCE_TOL."""
-    n = len(profile)
-    zero = np.flatnonzero(profile[1:] <= ZERO_DISTANCE_TOL) + 1
+def zero_distance_pairs(d: DistanceMatrix) -> np.ndarray:
+    """Pairs i < j with d(i, j) <= ZERO_DISTANCE_TOL, as 0-based rows (i, j) in row-major order.
+
+    A circulant reads them off its profile; any other matrix scans its upper triangle.
+    """
+    if d.profile is None:
+        return np.argwhere(np.triu(d.entries <= ZERO_DISTANCE_TOL, 1))
+    n = d.n_effective
+    zero = np.flatnonzero(d.profile[1:] <= ZERO_DISTANCE_TOL) + 1
     i = np.repeat(np.arange(n), len(zero))
     j = i + np.tile(zero, n)
     keep = j < n
-    return i[keep], j[keep]
+    return np.stack((i[keep], j[keep]), axis=1)
 
 
 def _circulant_triangle_ok(profile: np.ndarray) -> bool:
@@ -367,14 +366,9 @@ def check_metric_axioms(
     violations.extend(symmetry)
     symmetry_ok = not symmetry
 
-    if profile is None:
-        zero_i, zero_j = np.nonzero(np.triu(matrix <= ZERO_DISTANCE_TOL, 1))
-    else:
-        zero_i, zero_j = _circulant_zero_pairs(profile)
-    zero_pairs = list(zip(zero_i.tolist(), zero_j.tolist()))
+    zero_pairs = list(map(tuple, zero_distance_pairs(d).tolist()))
     violations.extend(
-        Violation("separation", (i + 1, j + 1), magnitude)
-        for (i, j), magnitude in zip(zero_pairs, matrix[zero_i, zero_j].tolist())
+        Violation("separation", (i + 1, j + 1), float(matrix[i, j])) for i, j in zero_pairs
     )
     separation_ok = not zero_pairs
 
@@ -436,12 +430,14 @@ def merge_distinct_values(values: np.ndarray, tol: float = DISTINCT_VALUE_TOL) -
 
 
 def classify_ring(n: int, d: DistanceMatrix) -> RingClassification:
-    """Uniformity classification of a ring distance matrix (quotiented when even)."""
+    """Uniformity classification of a ring from its distance profile (quotiented when even)."""
+    if d.profile is None:
+        raise InvalidArgs("classify_ring needs a ring distance matrix with a circulant profile")
     if n % 2 == 0:
         kind = RingKind.TWICE_PRIME if _is_prime(n // 2) else RingKind.TWICE_COMPOSITE
     else:
         kind = RingKind.PRIME if _is_prime(n) else RingKind.ODD_COMPOSITE
-    distinct = merge_distinct_values(d.offdiagonal())
+    distinct = merge_distinct_values(d.profile[1:])
     return RingClassification(kind=kind, uniform=len(distinct) == 1, distinct_values=distinct)
 
 
@@ -453,7 +449,7 @@ def asymptotic_distance() -> float:
 def distance_variance_sweep(
     n_min: int, n_max: int, quotient_policy: str = "auto"
 ) -> list:
-    """Variance of the off-diagonal distance multiset for each ring size.
+    """Variance of the off-diagonal distance multiset for each ring size, from its profile.
 
     ``quotient_policy`` is "auto" (identify antipodal sites on even rings)
     or "never".  Returns a list of (n, variance) pairs ready for plotting.
@@ -464,9 +460,8 @@ def distance_variance_sweep(
         raise InvalidArgs(f"unknown quotient policy {quotient_policy!r}")
     rows = []
     for n in range(n_min, n_max + 1):
-        spec = RingSpec(n, Coupling.XX, 1.0)
         quotient = quotient_policy == "auto" and n % 2 == 0
-        values = distance_matrix(spec, quotient).offdiagonal()
+        values = distance_matrix(RingSpec(n), quotient).profile[1:]
         rows.append((n, float(np.var(values))))
     return rows
 

@@ -126,6 +126,29 @@ def test_emit_json_matches_json_dumps(monkeypatch, argv):
     assert texts[0] == json.dumps(_plain(docs[0]), indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["distance", "--n", "5"],
+         [("n", 5), ("coupling", "xx"), ("strength", 1.0), ("quotient", False),
+          ("format", "json"), ("seed", 7)]),
+        (["metric-check", "--n", "6", "--quotient"],
+         [("n", 6), ("quotient", True), ("seed", 7)]),
+        (["classify", "--n", "5"], [("n", 5), ("seed", 7)]),
+        (["embed", "--n", "5", "--space", "euclidean"],
+         [("n", 5), ("space", "euclidean"), ("kappa", "auto"), ("seed", 7)]),
+        (["variance-sweep", "--n-max", "9", "--format", "json"],
+         [("n_min", 3), ("n_max", 9), ("quotient_policy", "auto"), ("format", "json"),
+          ("seed", 7)]),
+        (["verify", "--n-max-full", "4", "--n-max-subspace", "5"],
+         [("n_max_full", 4), ("n_max_subspace", 5), ("inject_fault", False), ("seed", 7)]),
+    ],
+)
+def test_params_are_pinned(monkeypatch, argv, params):
+    docs, _ = _emitted(monkeypatch, argv + ["--seed", "7"])
+    assert list(docs[0]["params"].items()) == params
+
+
 def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
     texts = []
     monkeypatch.setattr(cli, "_emit", lambda text, out_path: texts.append(text))

@@ -243,6 +243,20 @@ def test_ring_spectra_match_dense_oracle():
             assert np.abs(fast.eigenvalues - oracle.eigenvalues).max() <= 1e-13 * scale, n
 
 
+def test_ring_spectra_pair_modes_bit_equal():
+    # Modes j and N - j are equal; bit-equal values let realize order tied
+    # columns by mode index rather than by rounding.
+    for n in range(3, 65):
+        d = ring(n)
+        for space, scale in (
+            (EmbeddingSpace.SPHERICAL, math.sqrt(auto_kappa(d, n))),
+            (EmbeddingSpace.EUCLIDEAN, 1.0),
+            (EmbeddingSpace.HYPERBOLIC, 1.0),
+        ):
+            w = embedding._spectra(d, embedding._MODELS[space], scale)
+            assert np.array_equal(w[1:], w[:0:-1]), (n, space)
+
+
 def test_ring_verdicts_agree_with_realize():
     # The Hartley realization of every ring, against LAPACK on the same
     # entries without the circulant profile for n <= 150.

@@ -24,6 +24,7 @@ from spinring import (
     p_max_closed_form,
     sqrt_p_max_closed_form,
     transfer_probability_time_series,
+    zero_distance_pairs,
 )
 from spinring.metric import SAMPLE_CHUNK
 
@@ -232,7 +233,7 @@ def test_metric_axioms_profile_route_matches_dense_oracle_on_rings():
     for n in range(3, 201):
         for quotient in (False, True) if n % 2 == 0 else (False,):
             ring = distance_matrix(RingSpec(n), quotient)
-            dense = DistanceMatrix.from_entries(ring.entries, quotient, ring.source_spec)
+            dense = DistanceMatrix.from_entries(ring.entries)
             oracle = check_metric_axioms(dense)
             assert oracle.exhaustive
             assert check_metric_axioms(ring) == oracle, (n, quotient)
@@ -355,6 +356,47 @@ def test_classify_ring_kinds():
         assert cls.uniform is uniform, n
         if not uniform:
             assert len(cls.distinct_values) >= 2
+
+
+def test_classify_ring_needs_a_profile():
+    entries = distance_matrix(RingSpec(9)).entries
+    with pytest.raises(InvalidArgs, match="profile"):
+        classify_ring(9, DistanceMatrix.from_entries(entries))
+
+
+def _rings(n_max):
+    """(n, quotient, distance matrix) for every ring n = 3..n_max, raw and quotiented."""
+    for n in range(3, n_max + 1):
+        for quotient in (False, True) if n % 2 == 0 else (False,):
+            yield n, quotient, distance_matrix(RingSpec(n), quotient)
+
+
+def test_ring_statistics_from_profile_match_dense_pairs():
+    # Each separation of a symmetric circulant stands for N/2 unordered
+    # pairs, so profile[1:] has the statistics of all pairs, the dense oracle.
+    for n, quotient, d in _rings(300):
+        pairs = d.offdiagonal()
+        distinct = classify_ring(n, d).distinct_values
+        oracle = merge_distinct_values(pairs)
+        assert len(distinct) == len(oracle), (n, quotient)
+        assert np.abs(np.subtract(distinct, oracle)).max() <= 1e-14, (n, quotient)
+        for statistic in (np.mean, np.min, np.max):
+            assert abs(statistic(d.profile[1:]) - statistic(pairs)) <= 1e-14, (n, quotient)
+    for policy in ("auto", "never"):
+        for n, variance in distance_variance_sweep(3, 300, policy):
+            pairs = distance_matrix(RingSpec(n), policy == "auto" and n % 2 == 0).offdiagonal()
+            assert abs(variance - np.var(pairs)) <= 1e-14, (n, policy)
+
+
+def test_zero_distance_pairs_profile_route_matches_dense_scan():
+    for n, quotient, d in _rings(200):
+        pairs = zero_distance_pairs(d)
+        assert np.array_equal(pairs, zero_distance_pairs(DistanceMatrix.from_entries(d.entries)))
+        assert len(pairs) == (0 if quotient or n % 2 else n // 2), (n, quotient)
+    hand = _circulant_space([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    expected = [[1, 3], [1, 5], [2, 4], [2, 6], [3, 5], [4, 6]]
+    assert (zero_distance_pairs(hand) + 1).tolist() == expected
+    assert (zero_distance_pairs(DistanceMatrix.from_entries(hand.entries)) + 1).tolist() == expected
 
 
 def test_asymptotic_distance_value():
