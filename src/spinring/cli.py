@@ -2,22 +2,26 @@
 
 Every command emits a single self-describing JSON document with a stable
 field order (or CSV with a fixed header where tabular output makes sense),
-so identical inputs produce byte-identical output.  Floats are serialized
-with Python's shortest round-trip representation, the text of
-``json.dumps(doc, indent=2)``; float matrices are rendered with one ``repr``
-per distinct value and spliced into that text.  Exit codes: 0 for
-success or a verified positive verdict, 1 for a negative mathematical
-verdict or failed verification, 2 for usage errors.
+so identical inputs produce byte-identical output.  Documents are written
+by one recursive writer as the exact text of ``json.dumps(doc, indent=2)``,
+floats in Python's shortest round-trip representation.  Float matrices
+take one ``repr`` per distinct value, and a ring's circulant matrices are
+written from their first row: each row's text is a slice of that row's
+doubled text.  Exit codes: 0 for success or a verified positive verdict,
+1 for a negative mathematical verdict or failed verification, 2 for usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import enum
 import functools
-import json
+import itertools
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -63,24 +67,6 @@ from .spectral import circulant_eigenspaces, numerical_spectra
 SCHEMA_VERSION = "1"
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars, containers and enums to plain JSON types.
-
-    Arrays stay arrays; ``_emit_json`` serializes them.
-    """
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
 def _document(args, payload: dict) -> dict:
     """The output document of one parsed command; its ``params`` are the parsed options."""
     params = {key: value for key, value in vars(args).items()
@@ -90,8 +76,8 @@ def _document(args, payload: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "params": _jsonable(params),
-        "payload": _jsonable(payload),
+        "params": params,
+        "payload": payload,
     }
 
 
@@ -103,96 +89,138 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _float_reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float, computed once per distinct bit pattern (-0.0 apart from 0.0)."""
-    distinct, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[index].reshape(values.shape)
+@dataclasses.dataclass(frozen=True)
+class _Circulant:
+    """The matrix M[i, j] = row[(j - i) mod N], written from the text of its first row."""
+
+    row: np.ndarray
 
 
-def _spliceable(value) -> bool:
-    """Whether ``_emit_json`` renders this value itself: a finite, non-empty float matrix."""
-    return (
-        isinstance(value, np.ndarray)
-        and value.dtype == np.float64
-        and value.ndim == 2
-        and value.size > 0
-        and bool(np.isfinite(value).all())
-    )
+# json.dumps writes these float reprs as JavaScript names.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _rows_parts(rows: list, pad: str, out: list) -> None:
+    """Append a JSON list of lists from each row's joined text; ``pad`` is newline plus indent."""
+    start = pad + "  [" + pad + "    "
+    cells = [pad + "  ]," + start] * (2 * len(rows))
+    cells[0] = "[" + start
+    cells[1::2] = rows
+    out += cells
+    out.append(pad + "  ]" + pad + "]")
 
 
 def _matrix_json(matrix: np.ndarray, indent: int) -> str:
-    """``json.dumps(matrix.tolist(), indent=2)`` as it reads nested ``indent`` spaces deep."""
+    """``json.dumps(matrix.tolist(), indent=2)`` at ``indent`` spaces deep.
+
+    ``repr`` runs once per distinct bit pattern (-0.0 apart from 0.0).
+    """
+    distinct, index = np.unique(matrix.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     pad = "\n" + " " * indent
-    rows = [("," + pad + "    ").join(row) for row in _float_reprs(matrix).tolist()]
-    rows = ["[" + pad + "    " + row + pad + "  ]" for row in rows]
-    return "[" + pad + "  " + ("," + pad + "  ").join(rows) + pad + "]"
+    rows = texts[index].reshape(matrix.shape).tolist()
+    out = []
+    _rows_parts([("," + pad + "    ").join(row) for row in rows], pad, out)
+    return "".join(out)
 
 
-_SPLICE = "@matrix@"
+def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
+    """Append the text ``_matrix_json`` gives the circulant with first row ``row``, from N reprs.
+
+    Row i of the matrix is window N - i of the doubled first row, so its
+    text is one slice of the doubled row's text.
+    """
+    n = len(row)
+    pad = "\n" + " " * indent
+    sep = "," + pad + "    "
+    texts = [_NONFINITE.get(text, text) for text in map(repr, row.tolist())] * 2
+    starts = [0, *itertools.accumulate(len(text) + len(sep) for text in texts)]
+    doubled = sep.join(texts)
+    _rows_parts([doubled[starts[n - i]:starts[2 * n - i] - len(sep)] for i in range(n)], pad, out)
+
+
+def _json_parts(value, indent: int, out: list) -> None:
+    """Append the text of ``json.dumps(value, indent=2)``, ``indent`` spaces deep, to ``out``.
+
+    Arrays are written as their nested lists, enums as their values and
+    numpy scalars as Python numbers.  Finite float matrices take one
+    ``repr`` per distinct value, circulants one per entry of their first row.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        pad = "\n" + " " * (indent + 2)
+        opener = "{" + pad
+        for key, item in value.items():
+            out.append(opener + encode_basestring_ascii(key) + ": ")
+            _json_parts(item, indent + 2, out)
+            opener = "," + pad
+        out.append(pad[:-2] + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        pad = "\n" + " " * (indent + 2)
+        opener = "[" + pad
+        for item in value:
+            out.append(opener)
+            _json_parts(item, indent + 2, out)
+            opener = "," + pad
+        out.append(pad[:-2] + "]" if value else "[]")
+    elif isinstance(value, _Circulant):
+        _circulant_parts(value.row, indent, out)
+    elif (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
+          and value.size and np.isfinite(value).all()):
+        out.append(_matrix_json(value, indent))
+    elif isinstance(value, (np.ndarray, np.generic)):
+        _json_parts(value.tolist(), indent, out)
+    elif isinstance(value, enum.Enum):
+        _json_parts(value.value, indent, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_json(doc: dict, out_path) -> None:
-    """Write ``json.dumps(doc, indent=2)`` with arrays as lists, byte for byte.
-
-    Each finite float matrix is left out of the ``json.dumps`` call as a
-    placeholder string and its text spliced in at the placeholder's indent;
-    other arrays go through ``tolist``.
-    """
-    matrices = []
-
-    def hide(value):
-        if isinstance(value, dict):
-            return {key: hide(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [hide(item) for item in value]
-        if _spliceable(value):
-            matrices.append(value)
-            return _SPLICE
-        return value
-
-    text = json.dumps(hide(doc), indent=2, default=np.ndarray.tolist)
-    parts = text.split(json.dumps(_SPLICE))
-    if len(parts) != len(matrices) + 1:
-        # A string in the document equals the placeholder: render it all plainly.
-        parts = [json.dumps(doc, indent=2, default=np.ndarray.tolist)]
-        matrices = []
-    out = [parts[0]]
-    for matrix, part in zip(matrices, parts[1:]):
-        line = out[-1].rsplit("\n", 1)[-1]
-        out.append(_matrix_json(matrix, len(line) - len(line.lstrip(" "))))
-        out.append(part)
-    _emit("".join(out) + "\n", out_path)
-
-
-def _csv_text(header: str, rows) -> str:
-    """CSV of string fields that never need quoting: integers and float reprs."""
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+    out = []
+    _json_parts(doc, 0, out)
+    out.append("\n")
+    _emit("".join(out), out_path)
 
 
 def cmd_distance(args) -> int:
     spec = RingSpec(args.n, Coupling(args.coupling), args.strength)
     d = distance_matrix(spec, quotient=args.quotient)
-    entries = d.entries
-    p = np.exp(-entries)
-    np.fill_diagonal(p, 1.0)
-    zero_pairs = (zero_distance_pairs(d) + 1).tolist()
+    # profile[0] is +0.0, so the diagonal of p_max is exactly 1.0.
+    p = np.exp(-d.profile)
     if args.format == "csv":
-        i_up, j_up = np.triu_indices(d.n_effective, 1)
-        sites = np.array([str(k) for k in range(1, d.n_effective + 1)], dtype=object)
-        columns = (sites[i_up], sites[j_up],
-                   _float_reprs(entries[i_up, j_up]), _float_reprs(p[i_up, j_up]))
-        rows = zip(*(column.tolist() for column in columns))
-        _emit(_csv_text("i,j,distance,p_max", rows), args.out)
+        n = d.n_effective
+        sites = [f"{k}," for k in range(1, n + 1)]
+        values = [f"{a!r},{b!r}" for a, b in zip(d.profile.tolist(), p.tolist())]
+        # Pair (i, j), i < j, has separation j - i: its line is "i," + "j," + "d,p".
+        cells = ["i,j,distance,p_max"]
+        for i in range(n - 1):
+            row = ["\n" + sites[i]] * (3 * (n - 1 - i))
+            row[1::3] = sites[i + 1:]
+            row[2::3] = values[1:n - i]
+            cells += row
+        cells.append("\n")
+        _emit("".join(cells), args.out)
         return 0
+    zero_pairs = (zero_distance_pairs(d) + 1).tolist()
     payload = {
         "n": args.n,
         "coupling": args.coupling,
         "strength": args.strength,
         "quotient": args.quotient,
         "n_effective": d.n_effective,
-        "distance_matrix": entries,
-        "p_max_matrix": p,
+        "distance_matrix": _Circulant(d.profile),
+        "p_max_matrix": _Circulant(p),
         "semi_metric": len(zero_pairs) > 0,
         "zero_distance_pairs": zero_pairs,
     }
@@ -215,7 +243,7 @@ def cmd_metric_check(args) -> int:
         "exhaustive": report.exhaustive,
         "classification": report.classification,
         "violations": [
-            {"kind": v.kind, "sites": list(v.sites), "magnitude": v.magnitude}
+            {"kind": v.kind, "sites": v.sites, "magnitude": v.magnitude}
             for v in report.violations
         ],
     }
@@ -289,13 +317,7 @@ def cmd_embed(args) -> int:
             "eigenvalues": verdict.eigenvalues,
             "margin": verdict.margin,
         }
-        threshold_payload = {
-            "kappa": threshold.kappa,
-            "upper": threshold.upper,
-            "cap": threshold.cap,
-            "feasible_at_cap": threshold.feasible_at_cap,
-            "monotone_ok": threshold.monotone_ok,
-        }
+        threshold_payload = dataclasses.asdict(threshold)
         space = EmbeddingSpace.SPHERICAL
     else:
         if args.space == "hyperbolic":
@@ -357,10 +379,7 @@ def cmd_embed(args) -> int:
 def cmd_variance_sweep(args) -> int:
     rows = distance_variance_sweep(args.n_min, args.n_max, args.quotient_policy)
     if args.format == "csv":
-        _emit(
-            _csv_text("n,variance", [(str(n), repr(v)) for n, v in rows]),
-            args.out,
-        )
+        _emit("\n".join(["n,variance", *(f"{n},{v!r}" for n, v in rows)]) + "\n", args.out)
         return 0
     payload = {
         "n_min": args.n_min,

@@ -305,7 +305,7 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
         return InertiaVerdict(inertia_ok, margin, np.sort(-w))
     if space is EmbeddingSpace.EUCLIDEAN:
         return InertiaVerdict(inertia_ok, margin, np.sort(w))
-    cap_ok = math.sqrt(kappa) * float(d.entries.max()) <= math.pi
+    cap_ok = math.sqrt(kappa) * d.diameter <= math.pi
     return SphericalVerdict(
         embeddable=cap_ok and inertia_ok,
         cap_ok=cap_ok,
@@ -462,7 +462,7 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
     sample below the threshold is feasible; a failure is logged.  With no
     feasible sample the threshold is 0 and ``upper`` the first sample.
     """
-    diameter = float(d.entries.max())
+    diameter = d.diameter
     if not diameter > 0:
         raise InvalidArgs("feasibility search needs a positive diameter")
     cap = math.pi**2 / diameter**2

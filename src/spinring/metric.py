@@ -14,9 +14,10 @@ at distance zero, which makes the raw space a semi-metric; identifying
 antipodal sites (the quotient) restores separation.
 
 Ring distance matrices, raw and quotiented, are circulant and carry their
-generator, so ``check_metric_axioms`` decides the triangle inequality
-exactly over the O(N^2) profile pairs at every size, and every ring
-statistic is read from the profile.  The dense routines (exhaustive triples
+generator, with their entries a view of it, so ``check_metric_axioms``
+decides the triangle inequality exactly over the O(N^2) profile pairs at
+every size, in blocks of bounded memory, and every ring statistic is read
+from the profile.  The dense routines (exhaustive triples
 up to 200 points, seeded Monte-Carlo beyond) serve matrices without a
 profile and are the oracle for the profile route.
 """
@@ -45,6 +46,7 @@ ZERO_DISTANCE_TOL = 1e-12
 EXHAUSTIVE_TRIPLE_LIMIT = 200
 MONTE_CARLO_TRIPLES = 10**6
 SAMPLE_CHUNK = 2**16
+TRIANGLE_BLOCK = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +57,11 @@ class DistanceMatrix:
     antipodal identification.  ``profile`` is the circulant generator of a
     ring metric, ``profile[s] = d(site 1, site 1 + s)`` for s = 0..N - 1, so
     that ``entries[i, j] = profile[(j - i) mod N]``; it is None for a matrix
-    not known to be circulant.  The constructor checks the first row.  In a
-    symmetric circulant each s = 1..N - 1 stands for N/2 unordered pairs, so
-    ring statistics are read from ``profile[1:]``.
+    not known to be circulant.  With a profile the constructor checks the
+    first row and keeps ``entries`` as a read-only view of the profile
+    (O(N) memory, no N x N copy); without one it keeps a read-only copy.  In
+    a symmetric circulant each s = 1..N - 1 stands for N/2 unordered pairs,
+    so ring statistics and the diameter are read from the profile.
     """
 
     n_effective: int
@@ -65,19 +69,23 @@ class DistanceMatrix:
     profile: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float, copy=True)
+        arr = np.asarray(self.entries, dtype=float)
         if arr.shape != (self.n_effective, self.n_effective):
             raise InvalidArgs(
                 f"expected shape ({self.n_effective}, {self.n_effective}), got {arr.shape}"
             )
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-        if self.profile is not None:
+        if self.profile is None:
+            arr = arr.copy()
+            arr.flags.writeable = False
+        else:
             profile = np.array(self.profile, dtype=float, copy=True)
             if not np.array_equal(profile, arr[0]):
                 raise InvalidArgs("circulant profile must equal the first row of entries")
             profile.flags.writeable = False
             object.__setattr__(self, "profile", profile)
+            # Row i holds profile[(j - i) mod N], which is window N - i.
+            arr = _windows(profile)[self.n_effective:0:-1]
+        object.__setattr__(self, "entries", arr)
 
     @classmethod
     def from_entries(cls, entries) -> "DistanceMatrix":
@@ -92,6 +100,11 @@ class DistanceMatrix:
         if np.any(arr < 0.0):
             raise InvalidArgs("distances must be nonnegative")
         return cls(arr.shape[0], arr)
+
+    @property
+    def diameter(self) -> float:
+        """The largest distance, read from the profile when there is one."""
+        return float((self.entries if self.profile is None else self.profile).max())
 
     def offdiagonal(self) -> np.ndarray:
         """Upper-triangle distances, flat: the dense oracle of the ``profile[1:]`` statistics."""
@@ -237,9 +250,7 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     points = n // 2 if quotient else n
     sep = np.arange(points)
     profile = distance_profile(n)[np.minimum(sep, n - sep)]
-    # Row i holds profile[(j - i) mod points], which is window points - i.
-    matrix = _windows(profile)[points:0:-1]
-    return DistanceMatrix(points, matrix, profile)
+    return DistanceMatrix(points, _windows(profile)[points:0:-1], profile)
 
 
 def _triangle_violations_exhaustive(d: np.ndarray):
@@ -318,13 +329,18 @@ def _circulant_triangle_ok(profile: np.ndarray) -> bool:
     -c[0] and c[0] - (c[a] + c[-a]) are not positive when c[0] = 0 and
     c >= 0, and a positive one only sends the caller to the dense listing.
     When c[-x] == c[x] exactly, (a, b) and (-a, -b) share a slack and rows
-    a > N/2 are skipped.
+    a > N/2 are skipped.  Rows are taken about TRIANGLE_BLOCK slacks at a
+    time, so memory stays bounded at every N.
     """
     n = len(profile)
     rows = n // 2 if np.array_equal(profile, profile[-np.arange(n)]) else n - 1
-    slack = np.add.outer(profile[1:rows + 1], profile)
-    np.subtract(_windows(profile)[1:rows + 1], slack, out=slack)
-    return not (slack > TRIANGLE_TOL).any()
+    windows, step = _windows(profile), max(1, TRIANGLE_BLOCK // n)
+    for a in range(1, rows + 1, step):
+        slack = np.add.outer(profile[a:min(a + step, rows + 1)], profile)
+        np.subtract(windows[a:a + len(slack)], slack, out=slack)
+        if (slack > TRIANGLE_TOL).any():
+            return False
+    return True
 
 
 def check_metric_axioms(
@@ -461,7 +477,8 @@ def distance_variance_sweep(
     rows = []
     for n in range(n_min, n_max + 1):
         quotient = quotient_policy == "auto" and n % 2 == 0
-        values = distance_matrix(RingSpec(n), quotient).profile[1:]
+        sep = np.arange(1, n // 2 if quotient else n)
+        values = distance_profile(n)[np.minimum(sep, n - sep)]
         rows.append((n, float(np.var(values))))
     return rows
 

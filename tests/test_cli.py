@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import enum
 import io
 import json
 import math
@@ -85,13 +86,21 @@ def test_distance_csv_format():
 
 
 def _plain(value):
-    """The document with every array as nested lists, as json.dumps needs it."""
+    """The document in the types json.dumps takes: arrays and circulants as nested lists,
+    enums as their values and numpy scalars as Python numbers."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
+    if isinstance(value, cli._Circulant):
+        sites = np.arange(len(value.row))
+        return value.row[(sites[None, :] - sites[:, None]) % len(sites)].tolist()
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
@@ -157,7 +166,7 @@ def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
         {"a": {"nan": np.array([[0.0, math.nan], [math.inf, 1.0]]), "signed": signed}},
         {"empty": np.zeros((0, 0)), "rows": np.zeros((2, 0)), "vector": np.arange(3.0)},
         [signed, [signed.T, {"m": np.asfortranarray(signed)}]],
-        # A string equal to the splice placeholder falls back to plain json.dumps.
+        # A string that once served as the matrix placeholder is just a string.
         {"kappa": "@matrix@", "m": signed},
     ]
     for doc in docs:
@@ -165,7 +174,45 @@ def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
     assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
 
 
-@pytest.mark.parametrize("n, quotient", [(3, False), (6, True), (9, False)])
+def test_emit_json_matches_json_dumps_on_edge_values(monkeypatch):
+    texts = []
+    monkeypatch.setattr(cli, "_emit", lambda text, out_path: texts.append(text))
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 0.1 + 0.2]
+    docs = [
+        {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0},
+        {"list": special, "array": np.array(special), "nested": [[special], ()]},
+        {"f64": np.float64(-0.0), "i64": np.int64(-7), "bool": np.bool_(True),
+         "coupling": Coupling.XX, "couplings": [Coupling.XX, (Coupling.HEISENBERG,)]},
+        {"tuple": (1, 2.5, "x"), "empty": [{}, [], (), np.zeros(0), np.zeros((0, 3))]},
+        {"ints": np.arange(-2, 3), "bools": np.array([True, False]), "int64": np.int64(2**62)},
+        {"text": ["caf\u00e9", "\u2603 \U0001f600", 'quote " back \\ tab\t nl\n\x00']},
+        {"@matrix@": "@matrix@", "m": np.eye(2), "s": ["@matrix@"]},
+        [None, True, False, 0, -1, 10**30],
+        {},
+        [],
+    ]
+    for doc in docs:
+        cli._emit_json(doc, None)
+    assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
+
+
+def test_circulant_text_matches_dense_matrix_text():
+    for n in range(3, 65):
+        for quotient in (False, True) if n % 2 == 0 else (False,):
+            d = distance_matrix(RingSpec(n), quotient=quotient)
+            p = np.exp(-np.array(d.entries))
+            np.fill_diagonal(p, 1.0)
+            for row, dense in ((d.profile, np.array(d.entries)), (np.exp(-d.profile), p)):
+                assert np.array_equal(_plain(cli._Circulant(row)), dense)
+                for indent in (4, 10):
+                    parts = []
+                    cli._json_parts(cli._Circulant(row), indent, parts)
+                    assert "".join(parts) == cli._matrix_json(dense, indent), (n, quotient)
+
+
+@pytest.mark.parametrize(
+    "n, quotient", [(3, False), (6, True), (9, False), (60, False), (60, True)]
+)
 def test_distance_csv_matches_csv_writer(monkeypatch, n, quotient):
     argv = ["distance", "--n", str(n), "--format", "csv"] + (["--quotient"] if quotient else [])
     _, texts = _emitted(monkeypatch, argv)

@@ -19,6 +19,7 @@ from spinring import (
     distance_matrix,
     distance_profile,
     distance_variance_sweep,
+    embeddable_spherical,
     merge_distinct_values,
     p_max,
     p_max_closed_form,
@@ -221,6 +222,41 @@ def test_distance_matrix_carries_circulant_profile():
     assert DistanceMatrix.from_entries(d.entries).profile is None
     with pytest.raises(InvalidArgs):
         DistanceMatrix(points, d.entries, profile=d.profile[::-1] + 1.0)
+
+
+def _traced(run):
+    """The result of ``run()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_ring_statistics_allocate_no_dense_matrix():
+    # A ring's entries are a view of its profile, and the classification,
+    # the diameter, a spherical verdict and a sweep row read the profile.
+    n = 20000
+
+    def run():
+        d = distance_matrix(RingSpec(n), quotient=True)
+        assert not d.entries.flags.writeable
+        classify_ring(n, d)
+        assert d.diameter == d.profile.max()
+        embeddable_spherical(d, 1.0)
+        distance_variance_sweep(n, n)
+
+    _, peak = _traced(run)
+    assert peak <= 64 * (n // 2) * 8, peak
+
+
+def test_metric_check_memory_is_bounded_on_large_rings():
+    # The circulant triangle slacks are checked a bounded block of rows at a time.
+    report, peak = _traced(lambda: check_metric_axioms(distance_matrix(RingSpec(8001))))
+    assert report.classification is MetricClassification.METRIC
+    assert peak <= 32 * 2**20, peak
 
 
 def _circulant_space(profile):
