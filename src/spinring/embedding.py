@@ -29,9 +29,9 @@ eigensolver; hand-built metrics are factored by LAPACK.
 Spherical feasibility is not an interval (0, kappa*]: the ring n = 16 and
 the rings n = 4 (mod 8) with n >= 12 embed only in a window of curvatures,
 and the rings n = 0 (mod 8) with n >= 24 in no sphere at all.  The
-threshold search samples the margin on a grid of sqrt(kappa), bisects its
-root above the largest feasible sample, and reports whether every sample
-below is feasible.
+threshold search samples the margin on a grid of sqrt(kappa), refines its
+root above the largest feasible sample in batched sweeps of evenly spaced
+points, and reports whether every sample below is feasible.
 
 For the uniform complete graph K_n with edge weight w the spherical boundary
 is explicit: kappa_max(n, w) = (arccos(-1/(n-1)) / w)^2, where the Gram
@@ -61,7 +61,7 @@ logger = logging.getLogger(__name__)
 PSD_TOL_FACTOR = 1e-9
 DEFAULT_REALIZE_TOL = 1e-8
 THRESHOLD_GRID = 256
-BISECTION_ITERATIONS = 60
+SWEEP_POINTS = 31
 
 
 def kappa_max(n: int, w: float) -> float:
@@ -442,7 +442,7 @@ def realize(
 
 @dataclass(frozen=True)
 class FeasibilityThreshold:
-    """Largest spherically feasible curvature and the bisection bracket above it."""
+    """Largest spherically feasible curvature and the upper end of the refined cell above it."""
 
     kappa: float
     upper: float
@@ -456,11 +456,13 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
 
     Feasibility is not monotone in kappa, so the margin is first sampled at
     ``THRESHOLD_GRID`` evenly spaced values of sqrt(kappa) in
-    (0, pi / diameter], in one batch.  Above the largest feasible sample the
-    root of the margin itself (no tolerance) is bisected, so the threshold
-    does not sit on the tolerance edge.  ``monotone_ok`` is whether every
-    sample below the threshold is feasible; a failure is logged.  With no
-    feasible sample the threshold is 0 and ``upper`` the first sample.
+    (0, pi / diameter], in one batch; the last is the cap.  Each sweep then
+    samples ``SWEEP_POINTS`` evenly spaced points inside the cell above the
+    largest feasible sample, in one batch, and keeps the cell ending at the
+    first one where the margin itself (no tolerance) is negative, until its
+    ends are adjacent doubles.  ``monotone_ok`` is whether every sample below
+    the threshold is feasible; a failure is logged.  With no feasible sample
+    the threshold is 0 and ``upper`` the first sample.
     """
     diameter = d.diameter
     if not diameter > 0:
@@ -469,7 +471,7 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
     grid = math.sqrt(cap) * np.arange(1, THRESHOLD_GRID + 1) / THRESHOLD_GRID
     sphere = _MODELS[EmbeddingSpace.SPHERICAL]
     feasible = _inertia(_spectra(d, sphere, grid))[0] >= -PSD_TOL_FACTOR
-    feasible_at_cap = embeddable_spherical(d, cap).embeddable
+    feasible_at_cap = bool(feasible[-1])
     below = np.flatnonzero(feasible[:-1])
     if feasible_at_cap:
         lo = hi = grid[-1]
@@ -477,12 +479,11 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
         lo, hi = 0.0, grid[0]
     else:
         lo, hi = grid[below[-1]], grid[below[-1] + 1]
-        for _ in range(BISECTION_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            if _inertia(_spectra(d, sphere, mid))[0] >= 0.0:
-                lo = mid
-            else:
-                hi = mid
+        while lo < 0.5 * (lo + hi) < hi:
+            points = lo + (hi - lo) * np.arange(SWEEP_POINTS + 2) / (SWEEP_POINTS + 1)
+            negative = _inertia(_spectra(d, sphere, points[1:-1]))[0] < 0.0
+            cut = 1 + int(np.append(negative, True).argmax())
+            lo, hi = points[cut - 1], points[cut]
     kappa, upper = (cap, cap) if feasible_at_cap else (float(lo * lo), float(hi * hi))
     monotone_ok = bool(feasible[grid < lo].all())
     if not monotone_ok:

@@ -107,14 +107,14 @@ def _check_full_space(spec: RingSpec) -> None:
         )
 
 
-def _hamiltonian_rows(spec: RingSpec, states: np.ndarray) -> np.ndarray:
-    """Rows ``states`` of the 2^n x 2^n ring Hamiltonian, as a len(states) x 2^n array.
+def _hamiltonian_rows(spec: RingSpec, states: np.ndarray):
+    """Nonzero entries (rows, columns, values) of rows ``states`` of the ring Hamiltonian.
 
     The sx sx + sy sy part of a bond hops an up spin to its down neighbour
     with amplitude 2J (the product of the two imaginary sy factors is real,
-    so the matrix is real symmetric).  The sz sz part contributes J * eps
-    times +1 for aligned and -1 for anti-aligned bond spins on the diagonal.
-    Each bond is one pair of bit masks applied to every state at once.
+    so the matrix is real symmetric), to a distinct state for each bond.  The
+    sz sz part adds J * eps times +1 for aligned and -1 for anti-aligned bond
+    spins to the diagonal.  Every state meets every bond's masks at once.
 
     Raises
     ------
@@ -123,20 +123,15 @@ def _hamiltonian_rows(spec: RingSpec, states: np.ndarray) -> np.ndarray:
     """
     _check_full_space(spec)
     n = spec.n
-    strength = spec.strength
-    eps = spec.coupling.epsilon
     states = np.asarray(states, dtype=np.int64)
-    rows = np.arange(len(states))
-    ham = np.zeros((len(states), 1 << n))
-    diag = np.zeros(len(states))
-    for a in range(n):
-        mask_a = 1 << (n - 1 - a)
-        mask_b = 1 << (n - 1 - (a + 1) % n)
-        hop = ((states & mask_a) == 0) != ((states & mask_b) == 0)
-        np.add.at(ham, (rows[hop], states[hop] ^ (mask_a | mask_b)), 2.0 * strength)
-        diag += np.where(hop, -strength * eps, strength * eps)
-    ham[rows, states] = diag
-    return ham
+    bits = 1 << (n - 1 - np.arange(n + 1) % n)  # spins 1..n and spin 1 again
+    mask_a, mask_b = bits[:-1], bits[1:]
+    hop = ((states[:, None] & mask_a) == 0) != ((states[:, None] & mask_b) == 0)
+    diag = spec.strength * spec.coupling.epsilon * (n - 2 * hop.sum(axis=1))
+    hop_rows, bonds = np.nonzero(hop)
+    rows = np.concatenate((np.arange(len(states)), hop_rows))
+    columns = np.concatenate((states, states[hop_rows] ^ (mask_a | mask_b)[bonds]))
+    return rows, columns, np.concatenate((diag, np.full(len(bonds), 2.0 * spec.strength)))
 
 
 def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
@@ -149,7 +144,10 @@ def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
     """
     _check_full_space(spec)
     dim = 1 << spec.n
-    return DenseSymmetricMatrix(dim, _hamiltonian_rows(spec, np.arange(dim)))
+    rows, columns, values = _hamiltonian_rows(spec, np.arange(dim))
+    ham = np.zeros((dim, dim))
+    ham[rows, columns] = values
+    return DenseSymmetricMatrix(dim, ham)
 
 
 def build_single_excitation_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
@@ -201,15 +199,15 @@ def verify_subspace_restriction(
     """
     n = spec.n
     idx = np.array([single_excitation_index(n, site) for site in range(1, n + 1)])
-    rows = _hamiltonian_rows(spec, idx)
-    direct = build_single_excitation_hamiltonian(spec).entries
-
-    block_dev = np.abs(rows[:, idx] - direct)
-    rows[:, idx] = 0.0
-    leak_dev = np.abs(rows)
+    rows, columns, values = _hamiltonian_rows(spec, idx)
+    sites = columns[:, None] == idx
+    block = np.eye(n)[rows].T @ (values[:, None] * sites)  # entry (row, site) of each value
+    block_dev = np.abs(block - build_single_excitation_hamiltonian(spec).entries)
+    leak = ~sites.any(axis=1)
+    leak_dev = np.abs(values[leak])
 
     worst_block = float(block_dev.max())
-    worst_leak = float(leak_dev.max())
+    worst_leak = float(leak_dev.max(initial=0.0))
     deviation = max(worst_block, worst_leak)
     if deviation > tol:
         if worst_block >= worst_leak:
@@ -217,7 +215,8 @@ def verify_subspace_restriction(
             indices = (int(i) + 1, int(j) + 1)
             what = f"block entry at sites {indices}"
         else:
-            i, s = np.unravel_index(int(leak_dev.argmax()), leak_dev.shape)
+            k = np.lexsort((columns[leak], rows[leak], -leak_dev))[0]  # first worst, row-major
+            i, s = rows[leak][k], columns[leak][k]
             indices = (int(i) + 1, int(s))
             what = f"leakage from site {int(i) + 1} to basis state {int(s)}"
         raise RestrictionMismatch(

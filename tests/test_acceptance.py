@@ -206,7 +206,7 @@ def test_criterion_09_spherical_boundary_localization():
         threshold = spherical_feasibility_threshold(uniform)
         assert abs(threshold.kappa - boundary) <= 1e-9 * boundary, n
         assert embeddable_spherical(uniform, threshold.kappa).rank == n - 1, n
-    print("CRITERION 9 PASS: bisection localizes the spherical feasibility "
+    print("CRITERION 9 PASS: the sweep search localizes the spherical feasibility "
           "threshold to kappa_max within 1e-9 relative, Gram rank n-1 there")
 
 

@@ -447,6 +447,45 @@ def test_feasibility_threshold_window_and_empty_rings():
         assert threshold.monotone_ok, n
 
 
+def test_feasibility_threshold_cap_decided_on_the_grid():
+    # Two points at distance w lie antipodally on the cap sphere; the cap is
+    # the grid's last sample, so no separate diameter check can round it away.
+    for w in np.linspace(0.1, 10, 2000):
+        threshold = spherical_feasibility_threshold(
+            DistanceMatrix.from_entries(np.array([[0.0, w], [w, 0.0]])))
+        assert threshold.feasible_at_cap, w
+        assert threshold.kappa == threshold.cap, w
+
+
+@pytest.mark.parametrize("n, kappa, upper", [
+    (5, 4.39141349210944, 4.391413492109442),
+    (9, 3.780267875097639, 3.78026787509764),
+    (12, 3.3645743047548855, 3.3645743047548864),
+    (16, 2.873273448148925, 2.8732734481489253),
+    (22, 3.4750870920148436, 3.4750870920148444),
+])
+def test_feasibility_threshold_pinned_values(n, kappa, upper):
+    threshold = spherical_feasibility_threshold(ring(n))
+    assert (threshold.kappa, threshold.upper) == (kappa, upper)
+
+
+def test_feasibility_threshold_cell_is_one_rounding_wide():
+    for n in range(3, 65):
+        for quotient in {False, n % 2 == 0}:
+            threshold = spherical_feasibility_threshold(distance_matrix(RingSpec(n), quotient))
+            if threshold.kappa > 0.0:
+                gap = threshold.upper - threshold.kappa
+                assert 0.0 <= gap <= 8 * math.ulp(threshold.kappa), (n, quotient)
+
+
+def test_feasibility_threshold_refines_in_few_sweeps(monkeypatch):
+    calls = []
+    spectra = embedding._spectra
+    monkeypatch.setattr(embedding, "_spectra", lambda *args: calls.append(1) or spectra(*args))
+    spherical_feasibility_threshold(ring(16))
+    assert len(calls) <= 13
+
+
 def test_ring_embedding_report_prime():
     report = ring_embedding_report(RingSpec(7))
     assert not report.quotiented

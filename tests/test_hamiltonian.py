@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from spinring import (
     single_excitation_index,
     verify_subspace_restriction,
 )
+from spinring import hamiltonian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 # sy = i * SY_REAL, so the sy sy bond term equals -(SY_REAL kron SY_REAL).
@@ -115,6 +118,18 @@ def test_subspace_restriction_verifies():
             assert check.max_abs_deviation <= 1e-12
 
 
+def test_subspace_restriction_memory_is_row_sized():
+    # Only the nonzero entries of the n one-excitation rows are built, not
+    # n dense rows of length 2^n (1.8 MB at n = 14).
+    tracemalloc.start()
+    try:
+        verify_subspace_restriction(RingSpec(14, Coupling.HEISENBERG))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
 def test_restriction_mismatch_reports_indices():
     # A negative tolerance turns even a perfect restriction into a mismatch,
     # which exercises the error path and its located indices.
@@ -122,6 +137,22 @@ def test_restriction_mismatch_reports_indices():
         verify_subspace_restriction(RingSpec(4), tol=-1.0)
     assert excinfo.value.indices is not None
     assert excinfo.value.deviation is not None
+
+
+def test_restriction_mismatch_reports_leakage(monkeypatch):
+    rows_of = hamiltonian._hamiltonian_rows
+
+    def leaking(spec, states):
+        # Couple the last one-excitation row to the all-up state.
+        rows, columns, values = rows_of(spec, states)
+        return (np.append(rows, len(states) - 1), np.append(columns, (1 << spec.n) - 1),
+                np.append(values, 0.5))
+
+    monkeypatch.setattr(hamiltonian, "_hamiltonian_rows", leaking)
+    with pytest.raises(RestrictionMismatch) as excinfo:
+        verify_subspace_restriction(RingSpec(5))
+    assert excinfo.value.indices == (5, 31)
+    assert excinfo.value.deviation == 0.5
 
 
 def test_invalid_spec_rejected():
