@@ -410,10 +410,10 @@ def _check_subspace_restriction(n_max_full: int) -> dict:
 
 
 def _subspace_spectra(n_max_subspace: int):
-    """Jacobi decompositions of the XX and the Heisenberg blocks for n = 3..n_max_subspace.
+    """LAPACK decompositions of the XX and the Heisenberg blocks for n = 3..n_max_subspace.
 
-    Both couplings go into one ``numerical_spectra`` call, so the four
-    blocks of each padded size share one Jacobi stack.
+    Both couplings go into one ``numerical_spectra`` call, so the two
+    blocks of each size share one stacked ``eigh`` call.
     """
     sizes = range(3, n_max_subspace + 1)
     blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))

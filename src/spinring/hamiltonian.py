@@ -78,14 +78,18 @@ class DenseSymmetricMatrix:
     """Real symmetric matrix stored dense; entries are immutable after construction.
 
     Builders write both (i, j) and (j, i), so symmetry holds exactly and is
-    never repaired after the fact.
+    never repaired after the fact.  Read-only float64 arrays that own their
+    data are kept as given; any other input is copied.
     """
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float, copy=True)
+        arr = self.entries
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float, copy=True)
         if arr.shape != (self.dim, self.dim):
             raise InvalidSpec(f"expected shape ({self.dim}, {self.dim}), got {arr.shape}")
         arr.flags.writeable = False
@@ -147,6 +151,7 @@ def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
     rows, columns, values = _hamiltonian_rows(spec, np.arange(dim))
     ham = np.zeros((dim, dim))
     ham[rows, columns] = values
+    ham.flags.writeable = False  # kept as is, not copied, by DenseSymmetricMatrix
     return DenseSymmetricMatrix(dim, ham)
 
 

@@ -137,8 +137,8 @@ def test_criterion_05_oracle_equivalence():
             gap = abs(p_max(dec, 1, 1 + m) - p_max_closed_form(n, m))
             worst = max(worst, gap)
     assert worst <= 1e-9
-    print("CRITERION 5 PASS: closed-form p_max matches the Jacobi projector "
-          f"route for n=3..64 (worst {worst:.3e})")
+    print("CRITERION 5 PASS: closed-form p_max matches the numerical (LAPACK) "
+          f"projector route for n=3..64 (worst {worst:.3e})")
 
 
 def test_criterion_06_time_domain_bound():

@@ -421,6 +421,40 @@ def test_verify_passes():
     assert all(check["ok"] for check in payload["checks"])
 
 
+def test_bare_verify_passes():
+    result = run_cli("verify")
+    assert result.returncode == 0, result.stderr
+    payload = parse(result)["payload"]
+    assert (payload["n_max_full"], payload["n_max_subspace"]) == (10, 64)
+    assert payload["all_ok"] is True
+
+
+def test_verify_never_runs_the_jacobi_oracle(monkeypatch):
+    def oracle_reached(*args, **kwargs):
+        raise AssertionError("verify reached the Jacobi oracle")
+
+    monkeypatch.setattr(spinring.spectral, "jacobi_eigh_many", oracle_reached)
+    monkeypatch.setattr(spinring.spectral, "jacobi_eigh", oracle_reached)
+    rc, out, err = _in_process(["verify"])
+    assert rc == 0, err
+    assert json.loads(out)["payload"]["all_ok"] is True
+
+
+def test_verify_reports_a_non_finite_block_as_an_error(monkeypatch):
+    build = cli.build_single_excitation_hamiltonian
+
+    def broken(spec):
+        entries = build(spec).entries.copy()
+        if spec.n == 7:
+            entries[0, 1] = entries[1, 0] = math.nan
+        return DenseSymmetricMatrix(spec.n, entries)
+
+    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", broken)
+    rc, out, err = _in_process(["verify", "--n-max-full", "3", "--n-max-subspace", "8"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "non-finite" in err
+
+
 def test_verify_fault_injection_fails_spectrum_check():
     result = run_cli(
         "verify",

@@ -5,6 +5,7 @@ import pytest
 
 from spinring import (
     Coupling,
+    DenseSymmetricMatrix,
     DimensionTooLarge,
     InvalidSpec,
     RestrictionMismatch,
@@ -175,6 +176,37 @@ def test_matrices_are_read_only():
     block = build_single_excitation_hamiltonian(RingSpec(5))
     with pytest.raises(ValueError):
         block.entries[0, 0] = 1.0
+
+
+def test_full_hamiltonian_is_held_once():
+    # The fresh read-only matrix is wrapped as is: the peak is the 32 MiB
+    # matrix and its entry lists, not the matrix and a copy of it.
+    tracemalloc.start()
+    try:
+        ham = build_full_hamiltonian(RingSpec(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ham.entries.nbytes == 8 * 4**11
+    assert peak <= 1.15 * ham.entries.nbytes, peak
+
+
+def test_only_read_only_owned_float_entries_are_kept():
+    writable = np.eye(3)
+    matrix = DenseSymmetricMatrix(3, writable)
+    assert matrix.entries is not writable
+    assert writable.flags.writeable and not matrix.entries.flags.writeable
+    writable[0, 0] = 5.0
+    assert matrix.entries[0, 0] == 1.0
+    view = writable.view()
+    view.flags.writeable = False
+    assert DenseSymmetricMatrix(3, view).entries is not view
+    integers = np.eye(3, dtype=int)
+    integers.flags.writeable = False
+    assert DenseSymmetricMatrix(3, integers).entries.dtype == np.float64
+    frozen = np.eye(3)
+    frozen.flags.writeable = False
+    assert DenseSymmetricMatrix(3, frozen).entries is frozen
 
 
 def test_subspace_parameters():

@@ -20,7 +20,7 @@ from spinring import (
     numerical_spectrum,
     projector_overlaps,
 )
-from spinring.spectral import circulant_eigenspaces, hartley_rows
+from spinring.spectral import _grouped, circulant_eigenspaces, eigenspace_entries, hartley_rows
 
 
 def test_circulant_spectrum_n3():
@@ -220,6 +220,40 @@ def test_numerical_spectra_match_single_spectra():
         assert dec.n == matrix.dim
         assert list(dec.multiplicities) == list(single.multiplicities), matrix.dim
         assert np.abs(dec.eigenvalues - single.eigenvalues).max() <= 1e-12, matrix.dim
+
+
+def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
+    # The blocks verify decomposes: n = 3..64, both couplings.  LAPACK and the
+    # round-robin Jacobi oracle agree on the multiplicities, the eigenvalues
+    # and the projector entries of site 1 against every site.
+    blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
+              for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
+    oracle = jacobi_eigh_many([block.entries for block in blocks])
+    for block, dec, (w, v) in zip(blocks, numerical_spectra(blocks), oracle):
+        eigenvalues, multiplicities = _grouped(w)
+        scale = float(np.abs(w).max())
+        assert list(dec.multiplicities) == list(multiplicities), block.dim
+        assert np.abs(dec.eigenvalues - eigenvalues).max() <= 1e-12 * scale, block.dim
+        entries = eigenspace_entries(dec.basis[0], dec.basis, dec.multiplicities)
+        expected = eigenspace_entries(v[0], v, multiplicities)
+        assert np.abs(entries - expected).max() <= 1e-12 * scale, block.dim
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_numerical_spectrum_rejects_non_finite_entries(value):
+    entries = np.eye(4)
+    entries[0, 1] = entries[1, 0] = value
+    with pytest.raises(NoConvergence, match="non-finite"):
+        numerical_spectrum(DenseSymmetricMatrix(4, entries))
+
+
+def test_numerical_spectra_report_a_lapack_failure_as_no_convergence(monkeypatch):
+    def fail(stack):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        numerical_spectrum(DenseSymmetricMatrix(3, np.eye(3)))
 
 
 def test_projector_overlaps_uniform_mode():
