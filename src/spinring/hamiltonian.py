@@ -164,11 +164,10 @@ def build_single_excitation_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
     n = spec.n
     h = spec.subspace_coupling
     block = np.zeros((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        block[i, j] = h
-        block[j, i] = h
-    np.fill_diagonal(block, spec.subspace_shift)
+    block.flat[::n + 1] = spec.subspace_shift
+    block.flat[1::n + 1] = block.flat[n::n + 1] = h  # super and sub diagonal
+    block[0, -1] = block[-1, 0] = h
+    block.flags.writeable = False  # kept as is, not copied, by DenseSymmetricMatrix
     return DenseSymmetricMatrix(n, block)
 
 

@@ -440,6 +440,34 @@ def test_verify_never_runs_the_jacobi_oracle(monkeypatch):
     assert json.loads(out)["payload"]["all_ok"] is True
 
 
+def test_verify_never_runs_the_time_series(monkeypatch):
+    def series_reached(*args, **kwargs):
+        raise AssertionError("verify reached the sampled time series")
+
+    monkeypatch.setattr(spinring.metric, "transfer_probability_time_series", series_reached)
+    monkeypatch.setattr(cli, "transfer_probability_time_series", series_reached, raising=False)
+    rc, out, err = _in_process(["verify"])
+    assert rc == 0, err
+    assert json.loads(out)["payload"]["all_ok"] is True
+
+
+def test_verify_transfer_bound_catches_a_low_closed_form(monkeypatch):
+    closed_form = cli.p_max_closed_form
+    monkeypatch.setattr(cli, "p_max_closed_form", lambda n, m: 0.999 * closed_form(n, m))
+    rc, out, err = _in_process(["verify", "--n-max-full", "4", "--n-max-subspace", "8"])
+    assert rc == 1
+    payload = json.loads(out)["payload"]
+    assert payload["all_ok"] is False
+    assert {check["name"]: check["ok"] for check in payload["checks"]} == {
+        "subspace_restriction": True,
+        "spectrum_agreement": True,
+        "coupling_invariance": True,
+        "toeplitz_minors": True,
+        "transfer_bound": False,
+    }
+    assert err == "error: verification failed: transfer_bound\n"
+
+
 def test_verify_reports_a_non_finite_block_as_an_error(monkeypatch):
     build = cli.build_single_excitation_hamiltonian
 
@@ -510,7 +538,11 @@ def test_verify_coupling_invariance_is_not_vacuous(monkeypatch):
 
 
 def test_output_is_deterministic():
-    for args in (("distance", "--n", "9"), ("embed", "--n", "9", "--space", "spherical")):
+    for args in (
+        ("distance", "--n", "9"),
+        ("embed", "--n", "9", "--space", "spherical"),
+        ("verify", "--n-max-full", "6", "--n-max-subspace", "12"),
+    ):
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.stdout == second.stdout

@@ -104,6 +104,20 @@ def test_single_excitation_block_is_circulant():
     assert np.abs(shift @ block @ shift.T - block).max() == 0.0
 
 
+def test_single_excitation_block_matches_a_per_site_loop():
+    # The slice-assigned build equals the per-site loop bit for bit.
+    for n in range(3, 65):
+        for coupling in (Coupling.XX, Coupling.HEISENBERG):
+            spec = RingSpec(n, coupling)
+            expected = np.zeros((n, n))
+            for i in range(n):
+                expected[i, (i + 1) % n] = expected[(i + 1) % n, i] = spec.subspace_coupling
+            np.fill_diagonal(expected, spec.subspace_shift)
+            block = build_single_excitation_hamiltonian(spec).entries
+            assert block.dtype == np.float64 and block.shape == (n, n)
+            assert block.tobytes() == expected.tobytes(), (n, coupling)
+
+
 def test_coupling_models_differ_by_identity_shift():
     # For n = 6 the Heisenberg diagonal shift is J * (6 - 4) = 2.
     xx = build_single_excitation_hamiltonian(RingSpec(6, Coupling.XX)).entries

@@ -23,6 +23,7 @@ from spinring import (
     merge_distinct_values,
     p_max,
     p_max_closed_form,
+    projector_overlaps,
     sqrt_p_max_closed_form,
     transfer_probability_time_series,
     zero_distance_pairs,
@@ -497,6 +498,21 @@ def test_transfer_probability_respects_bound():
     for m in (1, 2):
         series = transfer_probability_time_series(spec, 1, 1 + m, grid)
         assert float(series.max()) <= p_max_closed_form(5, m) + 1e-10
+
+
+def test_sampled_series_stays_under_the_exact_supremum_bound():
+    # The sampled time series is the oracle of verify's exact transfer bound:
+    # S^2 = (sum_k |<1|Pi_k|1+m>|)^2 bounds p(t) at every t, and it is the
+    # closed-form p_max.
+    for n in range(3, 13):
+        spec = RingSpec(n)
+        sites = 1 + np.arange(1, n // 2 + 1)
+        supremum = projector_overlaps(circulant_spectrum(spec), 1, sites).sum(axis=0) ** 2
+        grid = np.linspace(0.0, 50.0 / spec.subspace_coupling, 2001)
+        series = transfer_probability_time_series(spec, 1, sites, grid)
+        for m, bound, column in zip(range(1, n // 2 + 1), supremum, series.T):
+            assert float(column.max()) <= bound + 1e-15, (n, m)
+            assert abs(bound - p_max_closed_form(n, m)) <= 1e-12, (n, m)
 
 
 def test_transfer_probability_validation():
