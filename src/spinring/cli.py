@@ -61,7 +61,7 @@ from .metric import (
     p_max_closed_form,
     zero_distance_pairs,
 )
-from .spectral import circulant_eigenspaces, eigenspace_entries, hartley_rows, numerical_spectra
+from .spectral import circulant_eigenspaces, circulant_spectrum, numerical_spectra, projector_overlaps
 
 SCHEMA_VERSION = "1"
 
@@ -469,11 +469,9 @@ def _check_transfer_bound() -> dict:
     # at every t >= 0 by the triangle inequality, so no time grid is sampled.
     worst = -math.inf
     for n in (3, 4, 5, 7, 8):
-        _, multiplicities, order = circulant_eigenspaces(RingSpec(n))
-        separations = range(1, n // 2 + 1)
-        rows = hartley_rows(n, [0, *separations])[:, order]
-        entries = eigenspace_entries(rows[0], rows[1:], multiplicities)
-        for separation, total in zip(separations, np.abs(entries).sum(axis=1).tolist()):
+        separations = np.arange(1, n // 2 + 1)
+        overlaps = projector_overlaps(circulant_spectrum(RingSpec(n)), 1, 1 + separations)
+        for separation, total in zip(separations.tolist(), overlaps.sum(axis=0).tolist()):
             worst = max(worst, total * total - p_max_closed_form(n, separation))
     ok = worst <= 1e-10
     return {"name": "transfer_bound", "ok": ok, "worst": worst, "tolerance": 1e-10,

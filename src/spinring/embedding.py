@@ -205,13 +205,13 @@ def _spectra(d: DistanceMatrix, model: _Model, scales=1.0) -> np.ndarray:
     A ring's Gram matrix is a symmetric circulant in its profile, so its
     eigenvalues are one real DFT of the kernel applied to the profile, in
     mode order with the all-ones mode j = 0 first.  Modes j and N - j are
-    equal and are averaged to bit-equal values, so that their ties sort by
-    mode index, not by rounding.  The constant reaches mode 0 alone, which
-    sums the kernel values (centering zeroes it), so the other modes are the
-    DFT of the varying part and keep full relative precision as kappa -> 0,
-    where they shrink like |kappa|.  Any other metric goes through LAPACK on
-    the dense matrix, eigenvalues ascending; that route is also the ring
-    route's test oracle.
+    equal and are averaged to bit-equal values, so that both modes of a pair
+    get the same keep decision in ``realize``.  The constant reaches mode 0
+    alone, which sums the kernel values (centering zeroes it), so the other
+    modes are the DFT of the varying part and keep full relative precision
+    as kappa -> 0, where they shrink like |kappa|.  Any other metric goes
+    through LAPACK on the dense matrix, eigenvalues ascending; that route is
+    also the ring route's test oracle.
     """
     if d.profile is None:
         return np.linalg.eigvalsh(_dense_gram(d, model, scales))
@@ -305,7 +305,7 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
         return InertiaVerdict(inertia_ok, margin, np.sort(-w))
     if space is EmbeddingSpace.EUCLIDEAN:
         return InertiaVerdict(inertia_ok, margin, np.sort(w))
-    cap_ok = math.sqrt(kappa) * d.diameter <= math.pi
+    cap_ok = kappa <= math.pi**2 / d.diameter**2
     return SphericalVerdict(
         embeddable=cap_ok and inertia_ok,
         cap_ok=cap_ok,
@@ -323,9 +323,10 @@ def _verdict(d: DistanceMatrix, space: EmbeddingSpace, kappa: float):
 def embeddable_spherical(d: DistanceMatrix, kappa: float) -> SphericalVerdict:
     """Decide embeddability into the curvature-kappa sphere.
 
-    True exactly when sqrt(kappa) times the diameter is at most pi and the
-    cosine Gram matrix cos(sqrt(kappa) d) is positive semidefinite, by the
-    margin of ``_inertia``.  The rank counts the modes above 1e-9 of their
+    True exactly when kappa is at most the cap pi^2 / diameter^2, the
+    expression the threshold search reports, and the cosine Gram matrix
+    cos(sqrt(kappa) d) is positive semidefinite, by the margin of
+    ``_inertia``.  The rank counts the modes above 1e-9 of their
     scale, so a single lost rank (the boundary case) maps to an embedding
     one dimension down.
     """
@@ -390,12 +391,13 @@ def realize(
     Euclidean space).  The eigenpairs of the model's Gram matrix come from
     ``_eigenpairs``: fixed Hartley columns for a ring, LAPACK for any other
     metric.  The verdict is decided on the same eigenvalues.  The modes
-    above 1e-9 of their scale (see ``_inertia``) are kept, ordered by
-    magnitude, so the one timelike column of the hyperboloid comes first;
-    each column is scaled by r sqrt|w|.  The geodesic distances are read
-    back from the chords between the rows of the column-centred factor, in
-    which the constant column cancels exactly, and compared with the input
-    over all pairs.
+    above 1e-9 of their scale (see ``_inertia``) are kept in the order of
+    the spectrum: mode order on a ring, ascending for LAPACK.  Either way
+    the one timelike column of the hyperboloid comes first (ring mode 0, or
+    the smallest eigenvalue of -cosh); each column is scaled by r sqrt|w|.
+    The geodesic distances are read back from the chords between the rows
+    of the column-centred factor, in which the constant column cancels
+    exactly, and compared with the input over all pairs.
 
     Raises
     ------
@@ -414,9 +416,7 @@ def realize(
         raise NotEmbeddable(
             f"not embeddable in {name} space at kappa={kappa!r} (margin {verdict.margin:.3e})"
         )
-    keep = np.abs(w) > PSD_TOL_FACTOR * _inertia(w, model.timelike)[1]
-    order = np.argsort(-np.abs(w), kind="stable")
-    kept = order[keep[order]]
+    kept = np.flatnonzero(np.abs(w) > PSD_TOL_FACTOR * _inertia(w, model.timelike)[1])
     factor = v[:, kept] * np.sqrt(np.abs(w[kept]))
     centred = factor - factor.mean(axis=0)
     gram = (centred * np.sign(w[kept])) @ centred.T

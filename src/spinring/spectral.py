@@ -14,15 +14,15 @@ The numerical route is LAPACK ``np.linalg.eigh``, one stacked call per
 matrix size (``numerical_spectra``; ``numerical_spectrum`` is a stack of
 one).  Both routes produce the same ``SpectralDecomposition`` shape so
 downstream code never cares which route built it.  The round-robin Jacobi
-eigensolver (``jacobi_eigh_many``, ``jacobi_eigh``) runs on no CLI path: it
-is the named test oracle of the numerical route, and the benchmark's
-per-layer tracer binds ``jacobi_eigh`` by name.
+eigensolver (``jacobi_eigh``, one matrix at a time; ``jacobi_eigh_many``
+maps it over a list) runs on no CLI path: it is the named test oracle of
+the numerical route, and the benchmark's per-layer tracer binds
+``jacobi_eigh`` by name.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -94,161 +94,83 @@ class SpectralDecomposition:
         return tuple(np.moveaxis(entries, -1, 0))
 
 
-@functools.lru_cache(maxsize=64)
-def _round_robin_schedule(m: int):
-    """Index arrays for round-robin Jacobi on an even m, as read-only arrays.
+def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
+    """Eigenvalues ascending and eigenvector columns of a real symmetric matrix by round-robin Jacobi.
 
-    The matrix is stored so that each round pairs slot i with slot k + i,
-    k = m / 2.  Between rounds the slots are reshuffled by one fixed
-    permutation, the circle method of Brent & Luk (1985): seat 0 stays, the
-    other m - 1 seats move one place.  After m - 1 rounds every pair has met
-    once and the slots are back in their original order.
-
-    The arrays hold flat indices into the 2m x m stack of the matrix over
-    its eigenvector matrix: the shuffle of rows and columns together (the
-    eigenvector rows stay in place), (a_pp, a_qq, a_pq) for the 2k rotated
-    rows, the paired off-diagonal entries and all off-diagonal entries; and
-    the half-angle signs that give the p rows -sin and the q rows +sin.
-    """
-    k = m // 2
-    seat_of_slot = np.concatenate((np.arange(k), np.arange(m - 1, k - 1, -1)))
-    seat_from = np.concatenate(([0, m - 1], np.arange(1, m - 1)))
-    shuffle = np.argsort(seat_of_slot)[seat_from[seat_of_slot]]
-    shuffle_rows = np.concatenate((shuffle, np.arange(m, 2 * m)))
-    shuffle_flat = (shuffle_rows[:, None] * m + shuffle).ravel()
-    p = np.arange(k)
-    q = p + k
-    pair_entries = np.tile(np.stack((p * (m + 1), q * (m + 1), p * m + q)), 2)
-    pair_flat = np.concatenate((p * m + q, q * m + p))
-    off_flat = np.flatnonzero(~np.eye(m, dtype=bool))
-    half_signs = np.repeat([-0.5, 0.5], k)
-    schedule = (shuffle_flat, pair_entries, pair_flat, off_flat, half_signs)
-    for array in schedule:
-        array.flags.writeable = False
-    return schedule
-
-
-def _jacobi_sweeps(av: np.ndarray, off_targets: np.ndarray, max_sweeps: int):
-    """Round-robin Jacobi sweeps on a b x 2m x m stack of symmetric a over v.
-
-    Each round applies the m / 2 disjoint rotations of every member at once,
-    as whole-array operations: the rows of a, then the columns of a and v
-    together.  Rotations on disjoint index pairs commute, so a round equals
-    the same rotations applied one after another.  A pair whose off-diagonal
-    entry is zero gets the identity rotation.  The stack stops when the
-    off-diagonal norm of every member's a is within its own target.
+    The test oracle of ``numerical_spectra``; every CLI path uses LAPACK.  A
+    sweep is m - 1 rounds on m = n + n % 2 seats (an odd matrix gets one
+    decoupled index, dropped from the result).  Each round rotates the m / 2
+    disjoint pairs (seat i, seat m - 1 - i) at once, as row and then column
+    operations on the matrix over its eigenvector matrix; then seat 0 stays
+    and the others move one place, the circle method of Brent & Luk (1985).
+    The sweeps stop at an off-diagonal Frobenius norm within 1e-14 times the
+    Frobenius norm.
 
     Raises
     ------
     NoConvergence
-        If some member misses its target after ``max_sweeps`` sweeps.
+        If the off-diagonal norm misses its target after ``max_sweeps`` sweeps.
     """
-    b, _, m = av.shape
-    k = m // 2
-    shuffle_flat, pair_entries, pair_flat, off_flat, half_signs = _round_robin_schedule(m)
-    # Flat indices into the whole stack: member r starts at r * 2m^2.
-    base = np.arange(b) * (2 * m * m)
-    shuffle_flat = base[:, None] + shuffle_flat
-    pair_entries = base[:, None, None] + pair_entries
-    pair_flat = base[:, None] + pair_flat
-    off_flat = base[:, None] + off_flat
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    m = n + n % 2
+    av = np.vstack((np.zeros((m, m)), np.eye(m)))
+    av[:n, :n] = matrix
+    a, k = av[:m], m // 2
+    off_target = JACOBI_OFF_FACTOR * float(np.linalg.norm(matrix))
+    shift = np.concatenate(([0, m - 1], np.arange(1, m - 1)))
     for sweep in range(max_sweeps + 1):
-        off = av.take(off_flat)
-        norms = np.sqrt(np.einsum("ij,ij->i", off, off))
-        if (norms <= off_targets).all():
-            return av
+        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
+        if off <= off_target:
+            order = np.argsort(np.diag(a)[:n], kind="stable")
+            return np.diag(a)[order], av[m : m + n, order]
         if sweep == max_sweeps:
             break
+        seats = np.arange(m)
         for _ in range(m - 1):
-            entries = av.take(pair_entries)
-            app, aqq, apq = entries[:, 0], entries[:, 1], entries[:, 2]
+            p, q = seats[:k], seats[: k - 1 : -1]
+            app, aqq, apq = a[p, p], a[q, q], a[p, q]
             tau = aqq - app
             # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi / 4.
-            phi = half_signs * np.arctan2(np.copysign(2.0, tau) * apq, np.abs(tau))
-            c = np.cos(phi).reshape(b, 2, k)
-            s = np.sin(phi).reshape(b, 2, k)
-            rows = av[:, :m].reshape(b, 2, k, m)
-            swapped = s[..., None] * rows[:, ::-1]
-            rows *= c[..., None]
-            rows += swapped
-            cols = av.reshape(b, 2 * m, 2, k)
-            av = c[:, None] * cols
-            av += s[:, None] * cols[:, :, ::-1]
-            av.put(pair_flat, 0.0)
-            av = av.take(shuffle_flat).reshape(b, 2 * m, m)
-    worst = int(np.argmax(norms - off_targets))
+            phi = 0.5 * np.arctan2(np.copysign(2.0, tau) * apq, np.abs(tau))
+            c, s = np.cos(phi), np.sin(phi)
+            rows_p, rows_q = a[p], a[q]
+            a[p] = c[:, None] * rows_p - s[:, None] * rows_q
+            a[q] = s[:, None] * rows_p + c[:, None] * rows_q
+            cols_p, cols_q = av[:, p], av[:, q]
+            av[:, p] = cols_p * c - cols_q * s
+            av[:, q] = cols_p * s + cols_q * c
+            a[p, q] = a[q, p] = 0.0
+            seats = seats[shift]
     raise NoConvergence(
-        f"off-diagonal norm {norms[worst]:.3e} above {off_targets[worst]:.3e} "
-        f"after {max_sweeps} sweeps"
+        f"off-diagonal norm {off:.3e} above {off_target:.3e} after {max_sweeps} sweeps"
     )
 
 
 def jacobi_eigh_many(matrices, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
-    """Eigendecompositions of real symmetric matrices by stacked round-robin Jacobi.
-
-    The test oracle of ``numerical_spectra``; every CLI path uses LAPACK.
-    Every matrix is rotated in one stack with the others of its
-    padded size m = n + n % 2, which share one round-robin schedule; an
-    odd-sized matrix is padded with one decoupled index, which no rotation
-    touches and which is dropped from the result.  Each member converges to
-    an off-diagonal Frobenius norm below 1e-14 times its own Frobenius norm.
-    Returns, in input order, pairs of eigenvalues sorted ascending and the
-    matching orthonormal eigenvector columns.
-
-    Raises
-    ------
-    NoConvergence
-        If a stack misses its targets within ``max_sweeps`` sweeps.
-    """
-    matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
-    stacks = {}
-    for index, matrix in enumerate(matrices):
-        n = matrix.shape[0]
-        stacks.setdefault(n + n % 2, []).append(index)
-    results = [None] * len(matrices)
-    for m, members in stacks.items():
-        av = np.zeros((len(members), 2 * m, m))
-        av[:, m:] = np.eye(m)
-        off_targets = np.empty(len(members))
-        for row, index in enumerate(members):
-            matrix = matrices[index]
-            n = matrix.shape[0]
-            av[row, :n, :n] = matrix
-            off_targets[row] = JACOBI_OFF_FACTOR * float(np.linalg.norm(matrix))
-        av = _jacobi_sweeps(av, off_targets, max_sweeps)
-        for row, index in enumerate(members):
-            n = matrices[index].shape[0]
-            w = np.diag(av[row])[:n]
-            order = np.argsort(w, kind="stable")
-            results[index] = (w[order], av[row, m : m + n][:, order])
-    return results
+    """``jacobi_eigh`` of each matrix, in input order."""
+    return [jacobi_eigh(matrix, max_sweeps) for matrix in matrices]
 
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigenvalues ascending and eigenvectors of one matrix: a stack of one."""
-    return jacobi_eigh_many([matrix], max_sweeps)[0]
-
-
-def _grouped(w: np.ndarray, tol: float | None = None):
+def _grouped(w: np.ndarray):
     """Distinct values and multiplicities of sorted w, cut wherever a gap exceeds tol.
 
-    Each distinct value is the mean of its group; tol defaults to 1e-8
-    times the spread of w.
+    Each distinct value is the mean of its group; tol is 1e-8 times the
+    spread of w.
     """
-    if tol is None:
-        tol = DEGENERACY_FACTOR * float(w[-1] - w[0])
+    tol = DEGENERACY_FACTOR * float(w[-1] - w[0])
     starts = np.flatnonzero(np.concatenate(([True], w[1:] - w[:-1] > tol)))
     multiplicities = np.diff(np.append(starts, len(w)))
     return np.add.reduceat(w, starts) / multiplicities, multiplicities
 
 
-def numerical_spectra(matrices, degeneracy_tol: float | None = None) -> list:
+def numerical_spectra(matrices) -> list:
     """Eigenspace decompositions of dense symmetric matrices via stacked LAPACK ``eigh``.
 
-    Eigenvalues within ``degeneracy_tol`` of each other (default 1e-8 times
-    each matrix's spectral range) are merged into one eigenspace, spanned by
-    their eigenvector columns.  Matrices of one size share one
-    ``np.linalg.eigh`` call; the decompositions come back in input order.
+    Eigenvalues within 1e-8 times each matrix's spectral range of each other
+    are merged into one eigenspace, spanned by their eigenvector columns.
+    Matrices of one size share one ``np.linalg.eigh`` call; the
+    decompositions come back in input order.
     A non-finite entry or a LAPACK failure raises ``NoConvergence``.
     """
     results = [None] * len(matrices)
@@ -262,16 +184,14 @@ def numerical_spectra(matrices, degeneracy_tol: float | None = None) -> list:
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"LAPACK eigh: {exc}") from exc
         for index, wi, vi in zip(members, w, v):
-            results[index] = SpectralDecomposition(*_grouped(wi, degeneracy_tol), vi,
+            results[index] = SpectralDecomposition(*_grouped(wi), vi,
                                                    SpectralSource.NUMERICAL_SOLVER)
     return results
 
 
-def numerical_spectrum(
-    matrix: DenseSymmetricMatrix, degeneracy_tol: float | None = None
-) -> SpectralDecomposition:
+def numerical_spectrum(matrix: DenseSymmetricMatrix) -> SpectralDecomposition:
     """Eigenspace decomposition of one dense symmetric matrix: ``numerical_spectra`` of one."""
-    return numerical_spectra([matrix], degeneracy_tol)[0]
+    return numerical_spectra([matrix])[0]
 
 
 def hartley_rows(n: int, rows) -> np.ndarray:

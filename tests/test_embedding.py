@@ -29,6 +29,7 @@ from spinring import (
 )
 from spinring import embedding
 from spinring.hamiltonian import DenseSymmetricMatrix
+from spinring.spectral import hartley_rows
 
 
 def uniform_points(n, w):
@@ -244,8 +245,8 @@ def test_ring_spectra_match_dense_oracle():
 
 
 def test_ring_spectra_pair_modes_bit_equal():
-    # Modes j and N - j are equal; bit-equal values let realize order tied
-    # columns by mode index rather than by rounding.
+    # Modes j and N - j are equal; bit-equal values give both modes of a pair
+    # the same keep decision in realize.
     for n in range(3, 65):
         d = ring(n)
         for space, scale in (
@@ -281,6 +282,28 @@ def test_ring_verdicts_agree_with_realize():
                 assert oracle.max_distortion <= 1e-8, (n, space)
                 assert oracle.ambient_dim == result.ambient_dim, (n, space)
                 assert oracle.irreducible == result.irreducible, (n, space)
+
+
+def test_realize_ring_columns_are_hartley_columns_in_mode_order():
+    # Every coordinate column is one Hartley column scaled, and the columns
+    # keep the spectrum's mode order, whatever the rounding of tied modes.
+    for n in range(3, 65):
+        d = ring(n)
+        hartley = hartley_rows(d.n_effective, np.arange(d.n_effective))
+        kappa = auto_kappa(d, n)
+        for space, curvature, verdict in (
+            (EmbeddingSpace.SPHERICAL, kappa, embeddable_spherical(d, kappa)),
+            (EmbeddingSpace.EUCLIDEAN, 0.0, embeddable_euclidean(d)),
+            (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic(d, -1.0)),
+        ):
+            if not verdict.embeddable:
+                continue
+            columns = realize(d, space, curvature).coordinates
+            projections = hartley.T @ (columns / np.linalg.norm(columns, axis=0))
+            modes = np.abs(projections).argmax(axis=0)
+            matched = projections[modes, np.arange(len(modes))]
+            assert np.abs(matched - 1.0).max() <= 1e-12, (n, space)
+            assert (np.diff(modes) > 0).all(), (n, space, modes)
 
 
 def test_realize_ring_memory_is_quadratic():
@@ -455,6 +478,16 @@ def test_feasibility_threshold_cap_decided_on_the_grid():
             DistanceMatrix.from_entries(np.array([[0.0, w], [w, 0.0]])))
         assert threshold.feasible_at_cap, w
         assert threshold.kappa == threshold.cap, w
+
+
+def test_spherical_verdict_accepts_the_threshold_cap():
+    # The verdict compares kappa with the cap by the search's own expression,
+    # so two antipodal points are accepted at exactly the reported cap.
+    for w in np.linspace(0.1, 10, 2000):
+        d = DistanceMatrix.from_entries(np.array([[0.0, w], [w, 0.0]]))
+        verdict = embeddable_spherical(d, math.pi**2 / d.diameter**2)
+        assert verdict.cap_ok, w
+        assert verdict.embeddable, w
 
 
 @pytest.mark.parametrize("n, kappa, upper", [

@@ -239,6 +239,23 @@ def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
         assert np.abs(entries - expected).max() <= 1e-12 * scale, block.dim
 
 
+def test_jacobi_oracle_never_calls_the_library_solver(monkeypatch):
+    # The oracle must stay independent of the LAPACK route it checks.
+    def library_reached(*args, **kwargs):
+        raise AssertionError("the Jacobi oracle reached np.linalg")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, library_reached)
+    blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling)).entries
+              for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
+    pairs = jacobi_eigh_many(blocks)
+    single = jacobi_eigh(blocks[-1])
+    assert all(np.array_equal(x, y) for x, y in zip(single, pairs[-1]))
+    for block, (w, v) in zip(blocks, pairs):
+        scale = float(np.abs(w).max())
+        assert np.abs(v @ np.diag(w) @ v.T - block).max() <= 1e-11 * scale, len(block)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_numerical_spectrum_rejects_non_finite_entries(value):
     entries = np.eye(4)
