@@ -49,7 +49,7 @@ from .hamiltonian import (
     Coupling,
     RingSpec,
     build_single_excitation_hamiltonian,
-    verify_subspace_restriction,
+    check_subspace_restrictions,
 )
 from .metric import (
     MetricClassification,
@@ -394,15 +394,15 @@ def _check_subspace_restriction(n_max_full: int) -> dict:
     worst = 0.0
     ok = True
     failure = ""
-    for n in range(3, n_max_full + 1):
-        for coupling in (Coupling.XX, Coupling.HEISENBERG):
-            try:
-                result = verify_subspace_restriction(RingSpec(n, coupling))
-                worst = max(worst, result.max_abs_deviation)
-            except RestrictionMismatch as exc:
-                ok = False
-                worst = max(worst, exc.deviation or math.inf)
-                failure = f"n={n} {coupling.value}: {exc}"
+    specs = [RingSpec(n, coupling) for n in range(3, n_max_full + 1)
+             for coupling in (Coupling.XX, Coupling.HEISENBERG)]
+    for spec, result in zip(specs, check_subspace_restrictions(specs)):
+        if isinstance(result, RestrictionMismatch):
+            ok = False
+            worst = max(worst, result.deviation or math.inf)
+            failure = f"n={spec.n} {spec.coupling.value}: {result}"
+        else:
+            worst = max(worst, result.max_abs_deviation)
     detail = failure or f"n=3..{n_max_full}, both couplings"
     return {"name": "subspace_restriction", "ok": ok, "worst": worst,
             "tolerance": 1e-12, "detail": detail}
@@ -446,20 +446,17 @@ def _check_coupling_invariance(xx_spectra, heisenberg_spectra) -> dict:
 
 
 def _check_toeplitz_minors() -> dict:
-    worst = 0.0
-    ok = True
-    cs = (-0.9, -0.25, 0.0, 0.3, 0.5, 0.99)
-    recursions = [toeplitz_minor_recursion(12, c) for c in cs]
-    for k in range(1, 13):
-        # One determinant call per order k on the stack of all six matrices.
-        matrices = np.array(cs)[:, None, None] * np.ones((k, k))
-        matrices[:, np.arange(k), np.arange(k)] = 1.0
-        for c, recursion, direct in zip(cs, recursions, np.linalg.det(matrices).tolist()):
-            for candidate in (toeplitz_minor_closed_form(k, c), recursion[k - 1]):
-                error = abs(candidate - direct)
-                if error > max(1e-10 * abs(direct), 1e-14):
-                    ok = False
-                worst = max(worst, error / max(abs(direct), 1.0))
+    cs = np.array((-0.9, -0.25, 0.0, 0.3, 0.5, 0.99))
+    orders = np.arange(1, 13)
+    full = cs[:, None, None] * np.ones((12, 12))
+    full[:, orders - 1, orders - 1] = 1.0
+    # Row k - 1 holds the order-k leading minors of all six matrices.
+    direct = np.array([np.linalg.det(full[:, :k, :k]) for k in orders])
+    candidates = np.stack((toeplitz_minor_closed_form(orders[:, None], cs),
+                           np.broadcast_arrays(*toeplitz_minor_recursion(12, cs))))
+    errors = np.abs(candidates - direct)
+    ok = bool((errors <= np.maximum(1e-10 * np.abs(direct), 1e-14)).all())
+    worst = float((errors / np.maximum(np.abs(direct), 1.0)).max())
     return {"name": "toeplitz_minors", "ok": ok, "worst": worst,
             "tolerance": 1e-10, "detail": "k<=12, six c values, closed form and recursion vs determinant"}
 

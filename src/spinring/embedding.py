@@ -79,9 +79,9 @@ def kappa_max(n: int, w: float) -> float:
 def toeplitz_minor_closed_form(k: int, c: float) -> float:
     """Determinant of the k x k matrix with unit diagonal and constant off-diagonal c.
 
-    Closed form (1 - c)^(k-1) * ((k - 1) c + 1).
+    Closed form (1 - c)^(k-1) * ((k - 1) c + 1); array arguments broadcast.
     """
-    if k < 1:
+    if np.any(np.asarray(k) < 1):
         raise InvalidArgs(f"minor order must be at least 1, got {k}")
     return (1.0 - c) ** (k - 1) * ((k - 1) * c + 1.0)
 
@@ -90,7 +90,8 @@ def toeplitz_minor_recursion(k_max: int, c: float) -> list:
     """Minor sequence t_1..t_{k_max} by the three-term recursion.
 
     t_{k+1} = (1-c) t_k + (1-c)^2 t_{k-1} - (1-c)^3 t_{k-2}, seeded with
-    t_1 = 1, t_2 = 1 - c^2, t_3 = (1-c)^2 (2c + 1).
+    t_1 = 1, t_2 = 1 - c^2, t_3 = (1-c)^2 (2c + 1).  An array c gives one
+    array per order after t_1.
     """
     if k_max < 3:
         raise InvalidArgs(f"recursion needs k_max >= 3, got {k_max}")

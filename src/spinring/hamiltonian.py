@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DimensionTooLarge, InvalidSpec, RestrictionMismatch
 
 FULL_SPACE_CAP = 14
+ROW_SPACE_CAP = 62
 RESTRICTION_TOL = 1e-12
 
 
@@ -104,38 +105,38 @@ def single_excitation_index(n: int, site: int) -> int:
     return 1 << (n - site)
 
 
-def _check_full_space(spec: RingSpec) -> None:
-    if spec.n > FULL_SPACE_CAP:
-        raise DimensionTooLarge(
-            f"full space needs n <= {FULL_SPACE_CAP}, got n={spec.n}"
-        )
+def _hamiltonian_rows(n, strength, epsilon, states: np.ndarray):
+    """Nonzero entries (rows, columns, values) of rows ``states`` of ring Hamiltonians.
 
-
-def _hamiltonian_rows(spec: RingSpec, states: np.ndarray):
-    """Nonzero entries (rows, columns, values) of rows ``states`` of the ring Hamiltonian.
-
-    The sx sx + sy sy part of a bond hops an up spin to its down neighbour
-    with amplitude 2J (the product of the two imaginary sy factors is real,
-    so the matrix is real symmetric), to a distinct state for each bond.  The
-    sz sz part adds J * eps times +1 for aligned and -1 for anti-aligned bond
-    spins to the diagonal.  Every state meets every bond's masks at once.
+    Row r belongs to a ring of n[r] spins with coupling strength[r] and sz sz
+    weight epsilon[r]; each of the three broadcasts against ``states``, so
+    scalars give rows of one ring.  The sx sx + sy sy part of a bond hops an
+    up spin to its down neighbour with amplitude 2J (the product of the two
+    imaginary sy factors is real, so the matrix is real symmetric), to a
+    distinct state for each bond.  The sz sz part adds J * eps times +1 for
+    aligned and -1 for anti-aligned bond spins to the diagonal.  Every state
+    meets every bond's masks at once; bonds are padded to the largest n, and
+    a padded bond has both masks 0, so it never hops.
 
     Raises
     ------
     DimensionTooLarge
-        If n exceeds the desk-scale cap of 14 spins.
+        If n exceeds 62 spins, where int64 basis states run out.
     """
-    _check_full_space(spec)
-    n = spec.n
+    if np.max(n) > ROW_SPACE_CAP:
+        raise DimensionTooLarge(f"basis states need n <= {ROW_SPACE_CAP}, got n={np.max(n)}")
     states = np.asarray(states, dtype=np.int64)
-    bits = 1 << (n - 1 - np.arange(n + 1) % n)  # spins 1..n and spin 1 again
-    mask_a, mask_b = bits[:-1], bits[1:]
+    n_bond = np.asarray(n)[..., None]
+    bonds = np.arange(np.max(n))
+    bits = 1 << (n_bond - 1 - np.arange(len(bonds) + 1) % n_bond)  # spins 1..n and spin 1 again
+    mask_a, mask_b = (np.where(bonds < n_bond, b, 0) for b in (bits[..., :-1], bits[..., 1:]))
     hop = ((states[:, None] & mask_a) == 0) != ((states[:, None] & mask_b) == 0)
-    diag = spec.strength * spec.coupling.epsilon * (n - 2 * hop.sum(axis=1))
-    hop_rows, bonds = np.nonzero(hop)
+    diag = strength * epsilon * (n - 2 * hop.sum(axis=1))
+    hop_rows, hop_bonds = np.nonzero(hop)
+    flips = np.broadcast_to(mask_a | mask_b, hop.shape)[hop_rows, hop_bonds]
+    amplitudes = np.broadcast_to(2.0 * np.asarray(strength), states.shape)[hop_rows]
     rows = np.concatenate((np.arange(len(states)), hop_rows))
-    columns = np.concatenate((states, states[hop_rows] ^ (mask_a | mask_b)[bonds]))
-    return rows, columns, np.concatenate((diag, np.full(len(bonds), 2.0 * spec.strength)))
+    return rows, np.concatenate((states, states[hop_rows] ^ flips)), np.concatenate((diag, amplitudes))
 
 
 def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
@@ -146,9 +147,11 @@ def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
     DimensionTooLarge
         If n exceeds the desk-scale cap of 14 spins.
     """
-    _check_full_space(spec)
+    if spec.n > FULL_SPACE_CAP:
+        raise DimensionTooLarge(f"full space needs n <= {FULL_SPACE_CAP}, got n={spec.n}")
     dim = 1 << spec.n
-    rows, columns, values = _hamiltonian_rows(spec, np.arange(dim))
+    rows, columns, values = _hamiltonian_rows(spec.n, spec.strength, spec.coupling.epsilon,
+                                              np.arange(dim))
     ham = np.zeros((dim, dim))
     ham[rows, columns] = values
     ham.flags.writeable = False  # kept as is, not copied, by DenseSymmetricMatrix
@@ -179,6 +182,62 @@ class RestrictionCheck:
     max_abs_deviation: float
 
 
+def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
+    """``verify_subspace_restriction`` of every ring, from one row build, in input order.
+
+    The n one-excitation rows of every ring come from one ``_hamiltonian_rows``
+    call.  An entry whose column is a one-excitation state of its own ring is
+    added into that ring's block of a (rings, B, B) stack, B the largest n;
+    any other entry is leakage.  Each block is compared with its ring's own
+    ``build_single_excitation_hamiltonian``.
+
+    Returns
+    -------
+    list
+        Per ring, a ``RestrictionCheck``, or the ``RestrictionMismatch`` that
+        ``verify_subspace_restriction`` would raise (returned, not raised).
+    """
+    sizes = np.array([spec.n for spec in specs])
+    ring = np.repeat(np.arange(len(specs)), sizes)
+    site = np.arange(len(ring)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # 0-based
+    n = sizes[ring]
+    strength = np.array([spec.strength for spec in specs])[ring]
+    epsilon = np.array([spec.coupling.epsilon for spec in specs])[ring]
+    rows, columns, values = _hamiltonian_rows(n, strength, epsilon,
+                                              single_excitation_index(n, site + 1))
+    ring, site, n = ring[rows], site[rows], n[rows]  # per entry
+    in_sector = (columns > 0) & (columns & (columns - 1) == 0) & (columns >> n == 0)
+    target = n - np.frexp(columns.astype(float))[1]  # site of a one-excitation column
+    blocks = np.zeros((len(specs), sizes.max(), sizes.max()))
+    np.add.at(blocks, (ring[in_sector], site[in_sector], target[in_sector]), values[in_sector])
+    for r, spec in enumerate(specs):
+        blocks[r, :spec.n, :spec.n] -= build_single_excitation_hamiltonian(spec).entries
+    block_dev = np.abs(blocks)
+    leak = ~in_sector
+    worst_leaks = np.zeros(len(specs))
+    np.maximum.at(worst_leaks, ring[leak], np.abs(values[leak]))
+
+    results = []
+    for r, (worst_block, worst_leak) in enumerate(zip(block_dev.max(axis=(1, 2)).tolist(),
+                                                      worst_leaks.tolist())):
+        deviation = max(worst_block, worst_leak)
+        if not deviation > tol:
+            results.append(RestrictionCheck(True, deviation))
+            continue
+        if worst_block >= worst_leak:
+            i, j = np.unravel_index(int(block_dev[r].argmax()), block_dev[r].shape)
+            indices = (int(i) + 1, int(j) + 1)
+            what = f"block entry at sites {indices}"
+        else:
+            mine = leak & (ring == r)
+            k = np.lexsort((columns[mine], site[mine], -np.abs(values[mine])))[0]  # first worst
+            indices = (int(site[mine][k]) + 1, int(columns[mine][k]))
+            what = f"leakage from site {indices[0]} to basis state {indices[1]}"
+        message = f"restriction deviates by {deviation:.3e} > {tol:.1e} ({what})"
+        results.append(RestrictionMismatch(message, indices=indices, deviation=deviation))
+    return results
+
+
 def verify_subspace_restriction(
     spec: RingSpec, tol: float = RESTRICTION_TOL
 ) -> RestrictionCheck:
@@ -188,7 +247,7 @@ def verify_subspace_restriction(
     basis states with a single up spin, compares their one-excitation block
     entrywise with ``build_single_excitation_hamiltonian``, and additionally
     checks that these rows do not couple the one-excitation sector to any
-    other excitation sector.
+    other excitation sector: ``check_subspace_restrictions`` of one ring.
 
     Returns
     -------
@@ -201,31 +260,7 @@ def verify_subspace_restriction(
         If any block entry or any leakage entry exceeds ``tol``; the error
         carries the worst offending indices.
     """
-    n = spec.n
-    idx = np.array([single_excitation_index(n, site) for site in range(1, n + 1)])
-    rows, columns, values = _hamiltonian_rows(spec, idx)
-    sites = columns[:, None] == idx
-    block = np.eye(n)[rows].T @ (values[:, None] * sites)  # entry (row, site) of each value
-    block_dev = np.abs(block - build_single_excitation_hamiltonian(spec).entries)
-    leak = ~sites.any(axis=1)
-    leak_dev = np.abs(values[leak])
-
-    worst_block = float(block_dev.max())
-    worst_leak = float(leak_dev.max(initial=0.0))
-    deviation = max(worst_block, worst_leak)
-    if deviation > tol:
-        if worst_block >= worst_leak:
-            i, j = np.unravel_index(int(block_dev.argmax()), block_dev.shape)
-            indices = (int(i) + 1, int(j) + 1)
-            what = f"block entry at sites {indices}"
-        else:
-            k = np.lexsort((columns[leak], rows[leak], -leak_dev))[0]  # first worst, row-major
-            i, s = rows[leak][k], columns[leak][k]
-            indices = (int(i) + 1, int(s))
-            what = f"leakage from site {int(i) + 1} to basis state {int(s)}"
-        raise RestrictionMismatch(
-            f"restriction deviates by {deviation:.3e} > {tol:.1e} ({what})",
-            indices=indices,
-            deviation=deviation,
-        )
-    return RestrictionCheck(True, deviation)
+    result = check_subspace_restrictions([spec], tol)[0]
+    if isinstance(result, RestrictionMismatch):
+        raise result
+    return result

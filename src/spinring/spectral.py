@@ -7,7 +7,8 @@ eigenspace k (``eigenspace_entries``), so two sites cost two rows; dense
 projectors are built only when ``SpectralDecomposition.projectors`` is read.
 The closed form uses the real Hartley basis cas(2 pi j k / n) / sqrt(n),
 which diagonalises every symmetric circulant (Bracewell 1983): column k of
-H_1 carries delta + 2h cos(2 pi min(k, n - k) / n).  ``hartley_rows``
+H_1 carries delta + 2h cos(2 pi min(k, n - k) / n), so its eigenspaces are
+grouped by mode min(k, n - k), with no tolerance.  ``hartley_rows``
 builds any subset of its rows, for ``embedding``'s ring Gram matrices too.
 
 The numerical route is LAPACK ``np.linalg.eigh``, one stacked call per
@@ -23,7 +24,6 @@ the numerical route, and the benchmark's per-layer tracer binds
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NoConvergence
 from .hamiltonian import DenseSymmetricMatrix, RingSpec
-
-logger = logging.getLogger(__name__)
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_FACTOR = 1e-14
@@ -212,30 +210,19 @@ def hartley_rows(n: int, rows) -> np.ndarray:
 def circulant_eigenspaces(spec: RingSpec):
     """Closed-form distinct eigenvalues ascending, multiplicities and Hartley column order.
 
-    Hartley column k carries delta + 2h cos(2 pi min(k, n - k) / n).  The
-    columns are sorted by eigenvalue (stably), so ``order`` lists them
-    eigenspace after eigenspace; no basis row is built.  Modes k and n - k
-    always share an eigenvalue.  Distinct modes merge, with a log line, when
-    their gap is within 1e-8 times the spread 4|h|: at the extremes of the
-    cosine the gap is about |h| (2 pi / n)^2, so from n = 2 pi x 10^4
-    (about 31 416) on, mode 1 joins mode 0 and (even n) mode n/2 - 1 joins
-    mode n/2.
+    Hartley columns m and n - m carry delta + 2h cos(2 pi m / n), and the
+    cosine strictly falls over m = 0..floor(n/2), so with h > 0 the modes
+    m = floor(n/2)..0 give the eigenvalues ascending.  ``order`` lists the
+    columns eigenspace after eigenspace, (m, n - m) for each mode; modes 0
+    and n/2 are simple.  The grouping is by mode, with no tolerance, and no
+    basis row is built.
     """
     n = spec.n
-    k = np.arange(n)
-    modes = np.minimum(k, n - k)
-    lam = spec.subspace_shift + 2.0 * spec.subspace_coupling * np.cos(2.0 * math.pi * modes / n)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    eigenvalues, multiplicities = _grouped(lam)
-    starts = np.cumsum(multiplicities) - multiplicities
-    sorted_modes = modes[order]
-    merged = np.minimum.reduceat(sorted_modes, starts) < np.maximum.reduceat(sorted_modes, starts)
-    for group in np.flatnonzero(merged):
-        group_modes = sorted_modes[starts[group]:starts[group] + multiplicities[group]]
-        logger.info("merging cosine-coincident modes %s at eigenvalue %.12g",
-                    np.unique(group_modes).tolist(), eigenvalues[group])
-    return eigenvalues, multiplicities, order
+    modes = np.arange(n // 2, -1, -1)
+    eigenvalues = spec.subspace_shift + 2.0 * spec.subspace_coupling * np.cos(2.0 * math.pi * modes / n)
+    paired = (modes > 0) & (2 * modes < n)
+    order = np.column_stack((modes, n - modes))[np.column_stack((np.ones_like(paired), paired))]
+    return eigenvalues, 1 + paired, order
 
 
 def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:

@@ -501,6 +501,49 @@ def test_verify_fault_injection_fails_spectrum_check():
     assert "spectrum_agreement" in result.stderr
 
 
+def test_verify_restriction_reaches_past_the_full_space_cap():
+    rc, out, err = _in_process(["verify", "--n-max-full", "20", "--n-max-subspace", "8"])
+    assert rc == 0, err
+    check = json.loads(out)["payload"]["checks"][0]
+    assert (check["ok"], check["detail"]) == (True, "n=3..20, both couplings")
+
+
+def test_verify_restriction_names_the_last_failing_ring(monkeypatch):
+    build = spinring.hamiltonian.build_single_excitation_hamiltonian
+
+    def perturbed(spec):
+        block = build(spec)
+        if spec.coupling is not Coupling.HEISENBERG or spec.n not in (5, 7):
+            return block
+        entries = block.entries.copy()
+        entries[2, 3] = entries[3, 2] = entries[2, 3] + 1e-9 * spec.n
+        return DenseSymmetricMatrix(block.dim, entries)
+
+    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", perturbed)
+    rc, out, err = _in_process(["verify", "--n-max-full", "9", "--n-max-subspace", "8"])
+    assert rc == 1
+    check = json.loads(out)["payload"]["checks"][0]
+    assert check["ok"] is False
+    assert check["worst"] == 7.000000135093387e-09
+    assert check["detail"] == ("n=7 heisenberg: restriction deviates by 7.000e-09 > 1.0e-12 "
+                               "(block entry at sites (3, 4))")
+    assert err == "error: verification failed: subspace_restriction\n"
+
+
+def test_verify_builds_all_restriction_rows_in_one_call(monkeypatch):
+    calls = []
+    rows_of = spinring.hamiltonian._hamiltonian_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rows_of(*args)
+
+    monkeypatch.setattr(spinring.hamiltonian, "_hamiltonian_rows", counted)
+    rc, _, err = _in_process(["verify", "--n-max-full", "9", "--n-max-subspace", "8"])
+    assert rc == 0, err
+    assert len(calls) == 1
+
+
 def test_verify_rejects_bounds_below_3():
     for flag in ("--n-max-subspace", "--n-max-full"):
         for value in ("2", "-5"):

@@ -157,10 +157,10 @@ def test_restriction_mismatch_reports_indices():
 def test_restriction_mismatch_reports_leakage(monkeypatch):
     rows_of = hamiltonian._hamiltonian_rows
 
-    def leaking(spec, states):
+    def leaking(n, strength, epsilon, states):
         # Couple the last one-excitation row to the all-up state.
-        rows, columns, values = rows_of(spec, states)
-        return (np.append(rows, len(states) - 1), np.append(columns, (1 << spec.n) - 1),
+        rows, columns, values = rows_of(n, strength, epsilon, states)
+        return (np.append(rows, len(states) - 1), np.append(columns, (1 << n[-1]) - 1),
                 np.append(values, 0.5))
 
     monkeypatch.setattr(hamiltonian, "_hamiltonian_rows", leaking)
@@ -182,8 +182,18 @@ def test_invalid_spec_rejected():
 def test_full_space_cap_enforced():
     with pytest.raises(DimensionTooLarge):
         build_full_hamiltonian(RingSpec(15))
+    # The restriction builds n rows, so only int64 basis states cap it.
+    assert verify_subspace_restriction(RingSpec(15)).ok
+    assert verify_subspace_restriction(RingSpec(62, Coupling.HEISENBERG)).ok
     with pytest.raises(DimensionTooLarge):
-        verify_subspace_restriction(RingSpec(15))
+        verify_subspace_restriction(RingSpec(63))
+
+
+def test_batched_restriction_matches_batch_of_one():
+    specs = [RingSpec(n, coupling, strength) for strength in (1.0, 0.7)
+             for n in range(3, 15) for coupling in (Coupling.XX, Coupling.HEISENBERG)]
+    for spec, batched in zip(specs, hamiltonian.check_subspace_restrictions(specs)):
+        assert batched == verify_subspace_restriction(spec), spec
 
 
 def test_matrices_are_read_only():

@@ -18,6 +18,7 @@ from spinring import (
     jacobi_eigh_many,
     numerical_spectra,
     numerical_spectrum,
+    p_max_closed_form,
     projector_overlaps,
 )
 from spinring.spectral import _grouped, circulant_eigenspaces, eigenspace_entries, hartley_rows
@@ -92,20 +93,28 @@ def test_circulant_spectrum_memory_is_quadratic():
     assert peak <= 16 * n * n * 8, peak
 
 
-def test_closed_form_grouping_merges_extreme_modes(caplog):
-    # Near the cosine's extremes, adjacent modes fall within 1e-8 x spread of
-    # each other from n = 31 416: k = 1 joins k = 0 and, for even n,
-    # k = n/2 - 1 joins k = n/2.  The eigenvalue-only route builds no basis.
+def test_closed_form_grouping_is_by_mode(caplog):
+    # Adjacent modes at the cosine's extremes lie within 1e-8 x spread of each
+    # other from n = 31 416 on, yet each mode keeps its own eigenspace.  The
+    # eigenvalue-only route builds no basis.
     with caplog.at_level(logging.INFO, logger="spinring.spectral"):
         eigenvalues, multiplicities, order = circulant_eigenspaces(RingSpec(31500))
-    assert len(eigenvalues) == 15749
-    assert int(multiplicities.max()) == 3
+    assert len(eigenvalues) == 15751
+    assert int(multiplicities.max()) == 2
     assert int(multiplicities.sum()) == 31500
     assert sorted(order.tolist()) == list(range(31500))
     assert np.all(np.diff(eigenvalues) > 0)
-    assert sum("merging cosine-coincident modes" in r.getMessage() for r in caplog.records) == 2
-    _, multiplicities, _ = circulant_eigenspaces(RingSpec(31400))
-    assert int(multiplicities.max()) == 2
+    assert not caplog.records
+
+
+def test_closed_form_eigenspace_p_max_matches_closed_form_at_large_n():
+    # A merged pair of modes would turn |a| + |b| into |a + b| in the sum.
+    for n in (31416, 40000):
+        m = n // 3
+        _, multiplicities, order = circulant_eigenspaces(RingSpec(n))
+        row_1, row_m = hartley_rows(n, [0, m])[:, order]
+        total = np.abs(eigenspace_entries(row_1, row_m, multiplicities)).sum()
+        assert abs(total * total - p_max_closed_form(n, m)) <= 1e-12, n
 
 
 def check_resolution(dec, matrix):
