@@ -4,12 +4,14 @@ Every command emits a single self-describing JSON document with a stable
 field order (or CSV with a fixed header where tabular output makes sense),
 so identical inputs produce byte-identical output.  Documents are written
 by one recursive writer as the exact text of ``json.dumps(doc, indent=2)``,
-floats in Python's shortest round-trip representation.  Float matrices
-take one ``repr`` per distinct value, and a ring's circulant matrices are
-written from their first row: each row's text is a slice of that row's
-doubled text.  Exit codes: 0 for success or a verified positive verdict,
-1 for a negative mathematical verdict or failed verification, 2 for usage
-errors.
+floats in Python's shortest round-trip representation, and streamed to
+the output as a list of parts, never joined into one string.  Float
+matrices, a ring's circulant matrices and its CSV pairs take one ``repr``
+per distinct bit pattern, so a ring costs one per distance class; a
+circulant is written from its first row, each row's text a slice of that
+row's doubled text.  Exit codes: 0 for success or a verified positive
+verdict, 1 for a negative mathematical verdict or failed verification, 2
+for usage errors.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .metric import (
     p_max_closed_form,
     zero_distance_pairs,
 )
-from .spectral import circulant_eigenspaces, circulant_spectrum, numerical_spectra, projector_overlaps
+from .spectral import circulant_eigenspaces, eigenspace_entries, hartley_rows, numerical_spectra
 
 SCHEMA_VERSION = "1"
 
@@ -80,12 +82,13 @@ def _document(args, payload: dict) -> dict:
     }
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(parts, out_path) -> None:
+    """Write the text parts in order to ``out_path``, or to standard output without it."""
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,6 +102,22 @@ class _Circulant:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_json(value: float) -> str:
+    """The text ``json.dumps`` gives a float."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+def _texts(values: np.ndarray, write=repr) -> np.ndarray:
+    """``write(v)`` for each float of ``values``, flat, as an object array.
+
+    ``write`` runs once per distinct bit pattern (-0.0 apart from 0.0).
+    """
+    distinct, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([write(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[index]
+
+
 def _rows_parts(rows: list, pad: str, out: list) -> None:
     """Append a JSON list of lists from each row's joined text; ``pad`` is newline plus indent."""
     start = pad + "  [" + pad + "    "
@@ -110,29 +129,29 @@ def _rows_parts(rows: list, pad: str, out: list) -> None:
 
 
 def _matrix_json(matrix: np.ndarray, indent: int) -> str:
-    """``json.dumps(matrix.tolist(), indent=2)`` at ``indent`` spaces deep.
+    """``json.dumps(matrix.tolist(), indent=2)`` of a finite matrix at ``indent`` spaces deep.
 
-    ``repr`` runs once per distinct bit pattern (-0.0 apart from 0.0).
+    ``repr`` runs once per distinct bit pattern (``_texts``).
     """
-    distinct, index = np.unique(matrix.ravel().view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     pad = "\n" + " " * indent
-    rows = texts[index].reshape(matrix.shape).tolist()
+    rows = _texts(matrix).reshape(matrix.shape).tolist()
     out = []
     _rows_parts([("," + pad + "    ").join(row) for row in rows], pad, out)
     return "".join(out)
 
 
 def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
-    """Append the text ``_matrix_json`` gives the circulant with first row ``row``, from N reprs.
+    """Append the text ``json.dumps`` gives the circulant with first row ``row``, one part per row.
 
-    Row i of the matrix is window N - i of the doubled first row, so its
-    text is one slice of the doubled row's text.
+    Its floats take one ``repr`` per distinct bit pattern of ``row``
+    (``_texts``), so a ring's rows cost one per distance class.  Row i of
+    the matrix is window N - i of the doubled first row, so its text is one
+    slice of the doubled row's text.
     """
     n = len(row)
     pad = "\n" + " " * indent
     sep = "," + pad + "    "
-    texts = [_NONFINITE.get(text, text) for text in map(repr, row.tolist())] * 2
+    texts = _texts(row, _float_json).tolist() * 2
     starts = [0, *itertools.accumulate(len(text) + len(sep) for text in texts)]
     doubled = sep.join(texts)
     _rows_parts([doubled[starts[n - i]:starts[2 * n - i] - len(sep)] for i in range(n)], pad, out)
@@ -142,12 +161,11 @@ def _json_parts(value, indent: int, out: list) -> None:
     """Append the text of ``json.dumps(value, indent=2)``, ``indent`` spaces deep, to ``out``.
 
     Arrays are written as their nested lists, enums as their values and
-    numpy scalars as Python numbers.  Finite float matrices take one
-    ``repr`` per distinct value, circulants one per entry of their first row.
+    numpy scalars as Python numbers.  Finite float matrices and circulants
+    take one ``repr`` per distinct bit pattern.
     """
     if isinstance(value, float):
-        text = float.__repr__(value)
-        out.append(_NONFINITE.get(text, text))
+        out.append(_float_json(value))
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -189,7 +207,26 @@ def _emit_json(doc: dict, out_path) -> None:
     out = []
     _json_parts(doc, 0, out)
     out.append("\n")
-    _emit("".join(out), out_path)
+    _emit(out, out_path)
+
+
+def _pairs_csv(profile: np.ndarray, p: np.ndarray) -> list:
+    """The ``distance`` CSV of a ring with circulant rows ``profile`` and ``p``, one part per site.
+
+    Pair (i, j), i < j, has separation j - i: its line is "i," + "j," + "d,p",
+    with the text of d and p from one ``repr`` per distinct bit pattern.
+    """
+    n = len(profile)
+    sites = [f"{k}," for k in range(1, n + 1)]
+    values = [a + "," + b for a, b in zip(_texts(profile).tolist(), _texts(p).tolist())]
+    parts = ["i,j,distance,p_max"]
+    for i in range(n - 1):
+        line = ["\n" + sites[i]] * (3 * (n - 1 - i))
+        line[1::3] = sites[i + 1:]
+        line[2::3] = values[1:n - i]
+        parts.append("".join(line))
+    parts.append("\n")
+    return parts
 
 
 def cmd_distance(args) -> int:
@@ -198,18 +235,7 @@ def cmd_distance(args) -> int:
     # profile[0] is +0.0, so the diagonal of p_max is exactly 1.0.
     p = np.exp(-d.profile)
     if args.format == "csv":
-        n = d.n_effective
-        sites = [f"{k}," for k in range(1, n + 1)]
-        values = [f"{a!r},{b!r}" for a, b in zip(d.profile.tolist(), p.tolist())]
-        # Pair (i, j), i < j, has separation j - i: its line is "i," + "j," + "d,p".
-        cells = ["i,j,distance,p_max"]
-        for i in range(n - 1):
-            row = ["\n" + sites[i]] * (3 * (n - 1 - i))
-            row[1::3] = sites[i + 1:]
-            row[2::3] = values[1:n - i]
-            cells += row
-        cells.append("\n")
-        _emit("".join(cells), args.out)
+        _emit(_pairs_csv(d.profile, p), args.out)
         return 0
     zero_pairs = (zero_distance_pairs(d) + 1).tolist()
     payload = {
@@ -378,7 +404,7 @@ def cmd_embed(args) -> int:
 def cmd_variance_sweep(args) -> int:
     rows = distance_variance_sweep(args.n_min, args.n_max, args.quotient_policy)
     if args.format == "csv":
-        _emit("\n".join(["n,variance", *(f"{n},{v!r}" for n, v in rows)]) + "\n", args.out)
+        _emit(["n,variance\n", *(f"{n},{v!r}\n" for n, v in rows)], args.out)
         return 0
     payload = {
         "n_min": args.n_min,
@@ -464,11 +490,14 @@ def _check_toeplitz_minors() -> dict:
 def _check_transfer_bound() -> dict:
     # p(t) = |sum_k <1|Pi_k|1+m> exp(-i lambda_k t)|^2 <= (sum_k |<1|Pi_k|1+m>|)^2
     # at every t >= 0 by the triangle inequality, so no time grid is sampled.
+    # Only Hartley rows 1 and 1 + m of each ring's closed-form basis are read.
     worst = -math.inf
     for n in (3, 4, 5, 7, 8):
         separations = np.arange(1, n // 2 + 1)
-        overlaps = projector_overlaps(circulant_spectrum(RingSpec(n)), 1, 1 + separations)
-        for separation, total in zip(separations.tolist(), overlaps.sum(axis=0).tolist()):
+        _, multiplicities, order = circulant_eigenspaces(RingSpec(n))
+        rows = hartley_rows(n, [0, *separations])[:, order]
+        overlaps = np.abs(eigenspace_entries(rows[0], rows[1:], multiplicities))
+        for separation, total in zip(separations.tolist(), overlaps.sum(axis=1).tolist()):
             worst = max(worst, total * total - p_max_closed_form(n, separation))
     ok = worst <= 1e-10
     return {"name": "transfer_bound", "ok": ok, "worst": worst, "tolerance": 1e-10,

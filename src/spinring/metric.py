@@ -226,9 +226,12 @@ def distance_profile(n: int) -> np.ndarray:
 
 
 def _windows(profile: np.ndarray) -> np.ndarray:
-    """View W with W[r, b] = profile[(r + b) mod N] for r = 0..N, built without copying."""
+    """Read-only view W with W[r, b] = profile[(r + b) mod N] for r = 0..N, built without copying."""
     doubled = np.concatenate((profile, profile))
-    return np.lib.stride_tricks.sliding_window_view(doubled, len(profile))
+    step = doubled.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        doubled, (len(profile) + 1, len(profile)), (step, step), writeable=False
+    )
 
 
 def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
@@ -250,7 +253,9 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     points = n // 2 if quotient else n
     sep = np.arange(points)
     profile = distance_profile(n)[np.minimum(sep, n - sep)]
-    return DistanceMatrix(points, _windows(profile)[points:0:-1], profile)
+    # The constructor reads only row 0 of a profiled matrix's entries and
+    # builds the circulant view itself.
+    return DistanceMatrix(points, np.broadcast_to(profile, (points, points)), profile)
 
 
 def _triangle_violations_exhaustive(d: np.ndarray):
@@ -469,17 +474,25 @@ def distance_variance_sweep(
 
     ``quotient_policy`` is "auto" (identify antipodal sites on even rings)
     or "never".  Returns a list of (n, variance) pairs ready for plotting.
+    A distance depends on its separation s only through the order
+    q = n / gcd(n, s), which s and n - s share, so one table of the distance
+    by order, q <= n_max, serves every ring of the sweep, and ring n's
+    separations s = 1..N - 1 are one gather from it.  The variance takes the
+    float operations of ``np.var`` in the same order, so it is bit for bit
+    ``np.var`` of the profile.
     """
     if not 3 <= n_min <= n_max:
         raise InvalidArgs(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
     if quotient_policy not in ("auto", "never"):
         raise InvalidArgs(f"unknown quotient policy {quotient_policy!r}")
+    # Entry q is the distance at order q; no separation has order 0.
+    by_order = np.array([0.0, *map(_distance_by_order, range(1, n_max + 1))])
     rows = []
     for n in range(n_min, n_max + 1):
-        quotient = quotient_policy == "auto" and n % 2 == 0
-        sep = np.arange(1, n // 2 if quotient else n)
-        values = distance_profile(n)[np.minimum(sep, n - sep)]
-        rows.append((n, float(np.var(values))))
+        points = n // 2 if quotient_policy == "auto" and n % 2 == 0 else n
+        values = by_order[n // np.gcd(n, np.arange(1, points))]
+        deviations = values - values.sum() / len(values)
+        rows.append((n, float((deviations * deviations).sum() / len(values))))
     return rows
 
 

@@ -105,7 +105,10 @@ def _plain(value):
 
 
 def _emitted(monkeypatch, argv):
-    """Run one command in process; return (documents passed to _emit_json, emitted texts)."""
+    """Run one command in process; return (documents passed to _emit_json, emitted texts).
+
+    Each text joins the parts passed to one `_emit` call.
+    """
     docs, texts = [], []
     emit_json = cli._emit_json
 
@@ -114,7 +117,7 @@ def _emitted(monkeypatch, argv):
         emit_json(doc, out_path)
 
     monkeypatch.setattr(cli, "_emit_json", record)
-    monkeypatch.setattr(cli, "_emit", lambda text, out_path: texts.append(text))
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
     cli.main(argv)
     return docs, texts
 
@@ -160,7 +163,7 @@ def test_params_are_pinned(monkeypatch, argv, params):
 
 def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda text, out_path: texts.append(text))
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
     signed = np.array([[0.0, -0.0, 1e-300], [-0.0, 0.0, 1.5], [2.0, 1.5, 0.1 + 0.2]])
     docs = [
         {"a": {"nan": np.array([[0.0, math.nan], [math.inf, 1.0]]), "signed": signed}},
@@ -176,7 +179,7 @@ def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
 
 def test_emit_json_matches_json_dumps_on_edge_values(monkeypatch):
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda text, out_path: texts.append(text))
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 0.1 + 0.2]
     docs = [
         {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0},
@@ -208,6 +211,33 @@ def test_circulant_text_matches_dense_matrix_text():
                     parts = []
                     cli._json_parts(cli._Circulant(row), indent, parts)
                     assert "".join(parts) == cli._matrix_json(dense, indent), (n, quotient)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        [0.0, 1.5, -0.0, 1.5, 0.0, 2.0],
+        [0.0, math.nan, math.inf, -math.inf, -math.nan, -0.0, 0.1 + 0.2, 0.1 + 0.2, math.inf],
+        [-0.0, 1e-300, 5e-324, 1e-300, 0.0, -0.0, 5e-324],
+    ],
+)
+def test_circulant_writers_match_per_entry_reprs(monkeypatch, profile):
+    # Each writer calls repr once per distinct bit pattern; the references
+    # call it once per entry.
+    texts = []
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    row, p = np.array(profile), np.array(profile[::-1])
+    n = len(profile)
+    dense = [[profile[(j - i) % n] for j in range(n)] for i in range(n)]
+    cli._emit_json({"m": cli._Circulant(row), "nested": [{"m": cli._Circulant(row)}]}, None)
+    assert texts == [json.dumps({"m": dense, "nested": [{"m": dense}]}, indent=2) + "\n"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["i", "j", "distance", "p_max"])
+    for i in range(n):
+        for j in range(i + 1, n):
+            writer.writerow([i + 1, j + 1, repr(profile[j - i]), repr(float(p[j - i]))])
+    assert "".join(cli._pairs_csv(row, p)) == buffer.getvalue()
 
 
 @pytest.mark.parametrize(

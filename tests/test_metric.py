@@ -225,6 +225,15 @@ def test_distance_matrix_carries_circulant_profile():
         DistanceMatrix(points, d.entries, profile=d.profile[::-1] + 1.0)
 
 
+def test_ring_entries_are_the_read_only_dense_circulant():
+    for n, quotient, d in _rings(64):
+        dense = np.array([np.roll(d.profile, i) for i in range(d.n_effective)])
+        assert np.array_equal(d.entries, dense), (n, quotient)
+        assert not d.entries.flags.writeable
+        with pytest.raises(ValueError):
+            d.entries[0, 1] = 1.0
+
+
 def _traced(run):
     """The result of ``run()`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -423,6 +432,15 @@ def test_ring_statistics_from_profile_match_dense_pairs():
         for n, variance in distance_variance_sweep(3, 300, policy):
             pairs = distance_matrix(RingSpec(n), policy == "auto" and n % 2 == 0).offdiagonal()
             assert abs(variance - np.var(pairs)) <= 1e-14, (n, policy)
+
+
+def test_variance_sweep_is_np_var_of_the_profile_bit_for_bit():
+    for policy in ("auto", "never"):
+        for n, variance in distance_variance_sweep(3, 400, policy):
+            points = n // 2 if policy == "auto" and n % 2 == 0 else n
+            sep = np.arange(1, points)
+            profile = distance_profile(n)[np.minimum(sep, n - sep)]
+            assert variance == float(np.var(profile)), (n, policy)
 
 
 def test_zero_distance_pairs_profile_route_matches_dense_scan():
