@@ -59,11 +59,10 @@ from .metric import (
     classify_ring,
     distance_matrix,
     distance_variance_sweep,
-    p_max,
     p_max_closed_form,
     zero_distance_pairs,
 )
-from .spectral import circulant_eigenspaces, eigenspace_entries, hartley_rows, numerical_spectra
+from .spectral import circulant_eigenspaces, hartley_rows, numerical_spectra
 
 SCHEMA_VERSION = "1"
 
@@ -434,41 +433,41 @@ def _check_subspace_restriction(n_max_full: int) -> dict:
             "tolerance": 1e-12, "detail": detail}
 
 
-def _subspace_spectra(n_max_subspace: int):
-    """LAPACK decompositions of the XX and the Heisenberg blocks for n = 3..n_max_subspace.
+def _site_one_totals(vectors, sizes, multiplicities) -> np.ndarray:
+    """sum_k |<1| Pi_k |1 + m>| for m = 1..n // 2 of n x n bases raveled one after another.
 
-    Both couplings go into one ``numerical_spectra`` call, so the two
-    blocks of each size share one stacked ``eigh`` call.
+    ``multiplicities`` lists each basis's eigenspaces in turn.  One ``reduceat``
+    sums the row products per eigenspace, one the absolute entries per site
+    after a zero slot: reduceat adds a segment's first element to the sum of
+    the rest, np.sum adds 0 to the sum of all, so the totals equal ``p_max``'s.
     """
-    sizes = range(3, n_max_subspace + 1)
-    blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
-              for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in sizes]
-    spectra = numerical_spectra(blocks)
-    return spectra[:len(sizes)], spectra[len(sizes):]
+    lengths = sizes // 2 * (sizes + 1)
+    basis = np.repeat(np.arange(len(sizes)), lengths)
+    position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    site, slot = np.divmod(position, sizes[basis] + 1)  # site m - 1, then slot 0 or column + 1
+    row_1 = (np.cumsum(sizes * sizes) - sizes * sizes)[basis] + slot - 1
+    products = np.where(slot > 0, vectors[row_1] * vectors[row_1 + (site + 1) * sizes[basis]], 0.0)
+    first = np.bincount(np.cumsum(multiplicities) - multiplicities, minlength=sizes.sum()) > 0
+    starts = np.flatnonzero(first[np.repeat(np.cumsum(sizes) - sizes, lengths) + slot - 1] | (slot == 0))
+    entries = np.abs(np.add.reduceat(products, starts))
+    return np.add.reduceat(entries, np.flatnonzero(slot[starts] == 0))
 
 
-def _check_spectrum_agreement(xx_spectra, inject_fault: bool) -> dict:
-    strength = 1.0 + 1e-6 if inject_fault else 1.0
-    worst = 0.0
-    for numeric in xx_spectra:
-        eigenvalues, multiplicities, _ = circulant_eigenspaces(RingSpec(numeric.n, strength=strength))
-        gap = (np.repeat(eigenvalues, multiplicities)
-               - np.repeat(numeric.eigenvalues, numeric.multiplicities))
-        worst = max(worst, float(np.abs(gap).max()))
-    ok = worst <= 1e-9
-    return {"name": "spectrum_agreement", "ok": ok, "worst": worst,
-            "tolerance": 1e-9, "detail": f"n=3..{xx_spectra[-1].n}, closed form vs solver"}
+def _check_spectrum_agreement(sizes, spectra, inject_fault: bool) -> dict:
+    specs = [RingSpec(n, strength=1.0 + 1e-6 if inject_fault else 1.0) for n in sizes.tolist()]
+    eigenvalues, multiplicities, _ = circulant_eigenspaces(specs)
+    numeric = np.repeat(spectra[0], spectra[1])[:sizes.sum()]
+    worst = float(np.abs(np.repeat(eigenvalues, multiplicities) - numeric).max())
+    return {"name": "spectrum_agreement", "ok": worst <= 1e-9, "worst": worst,
+            "tolerance": 1e-9, "detail": f"n=3..{sizes[-1]}, closed form vs solver"}
 
 
-def _check_coupling_invariance(xx_spectra, heisenberg_spectra) -> dict:
-    worst = 0.0
-    for xx, heisenberg in zip(xx_spectra, heisenberg_spectra):
-        sites = 1 + np.arange(1, xx.n // 2 + 1)
-        gap = p_max(xx, 1, sites) - p_max(heisenberg, 1, sites)
-        worst = max(worst, float(np.abs(gap).max()))
-    ok = worst <= 1e-10
-    return {"name": "coupling_invariance", "ok": ok, "worst": worst,
-            "tolerance": 1e-10, "detail": f"n=3..{xx_spectra[-1].n}, XX vs Heisenberg"}
+def _check_coupling_invariance(sizes, spectra) -> dict:
+    totals = _site_one_totals(spectra[2], np.tile(sizes, 2), spectra[1])
+    p = np.minimum(totals * totals, 1.0)
+    worst = float(np.abs(p[:len(p) // 2] - p[len(p) // 2:]).max())
+    return {"name": "coupling_invariance", "ok": worst <= 1e-10, "worst": worst,
+            "tolerance": 1e-10, "detail": f"n=3..{sizes[-1]}, XX vs Heisenberg"}
 
 
 def _check_toeplitz_minors() -> dict:
@@ -490,17 +489,14 @@ def _check_toeplitz_minors() -> dict:
 def _check_transfer_bound() -> dict:
     # p(t) = |sum_k <1|Pi_k|1+m> exp(-i lambda_k t)|^2 <= (sum_k |<1|Pi_k|1+m>|)^2
     # at every t >= 0 by the triangle inequality, so no time grid is sampled.
-    # Only Hartley rows 1 and 1 + m of each ring's closed-form basis are read.
-    worst = -math.inf
-    for n in (3, 4, 5, 7, 8):
-        separations = np.arange(1, n // 2 + 1)
-        _, multiplicities, order = circulant_eigenspaces(RingSpec(n))
-        rows = hartley_rows(n, [0, *separations])[:, order]
-        overlaps = np.abs(eigenspace_entries(rows[0], rows[1:], multiplicities))
-        for separation, total in zip(separations.tolist(), overlaps.sum(axis=1).tolist()):
-            worst = max(worst, total * total - p_max_closed_form(n, separation))
-    ok = worst <= 1e-10
-    return {"name": "transfer_bound", "ok": ok, "worst": worst, "tolerance": 1e-10,
+    sizes = np.array((3, 4, 5, 7, 8))
+    _, multiplicities, order = circulant_eigenspaces([RingSpec(n) for n in sizes.tolist()])
+    bases = [hartley_rows(n, np.arange(n))[:, columns].ravel()
+             for n, columns in zip(sizes.tolist(), np.split(order, np.cumsum(sizes)[:-1]))]
+    totals = _site_one_totals(np.concatenate(bases), sizes, multiplicities)
+    closed = [p_max_closed_form(n, m) for n in sizes.tolist() for m in range(1, n // 2 + 1)]
+    worst = max((totals * totals - closed).tolist())
+    return {"name": "transfer_bound", "ok": worst <= 1e-10, "worst": worst, "tolerance": 1e-10,
             "detail": "n in {3,4,5,7,8}, (sum_k |<1|Pi_k|1+m>|)^2 >= sup_t p(t) vs closed-form p_max"}
 
 
@@ -509,11 +505,15 @@ def cmd_verify(args) -> int:
                         ("--n-max-subspace", args.n_max_subspace)):
         if value < 3:
             raise InvalidArgs(f"{flag} must be at least 3, got {value}")
-    xx_spectra, heisenberg_spectra = _subspace_spectra(args.n_max_subspace)
+    sizes = np.arange(3, args.n_max_subspace + 1)
+    # Both couplings go into one call, so each size takes one eigh.
+    spectra = numerical_spectra([build_single_excitation_hamiltonian(RingSpec(n, coupling))
+                                 for coupling in (Coupling.XX, Coupling.HEISENBERG)
+                                 for n in sizes.tolist()])
     checks = [
         _check_subspace_restriction(args.n_max_full),
-        _check_spectrum_agreement(xx_spectra, args.inject_fault),
-        _check_coupling_invariance(xx_spectra, heisenberg_spectra),
+        _check_spectrum_agreement(sizes, spectra, args.inject_fault),
+        _check_coupling_invariance(sizes, spectra),
         _check_toeplitz_minors(),
         _check_transfer_bound(),
     ]

@@ -12,13 +12,13 @@ grouped by mode min(k, n - k), with no tolerance.  ``hartley_rows``
 builds any subset of its rows, for ``embedding``'s ring Gram matrices too.
 
 The numerical route is LAPACK ``np.linalg.eigh``, one stacked call per
-matrix size (``numerical_spectra``; ``numerical_spectrum`` is a stack of
-one).  Both routes produce the same ``SpectralDecomposition`` shape so
-downstream code never cares which route built it.  The round-robin Jacobi
-eigensolver (``jacobi_eigh``, one matrix at a time; ``jacobi_eigh_many``
-maps it over a list) runs on no CLI path: it is the named test oracle of
-the numerical route, and the benchmark's per-layer tracer binds
-``jacobi_eigh`` by name.
+matrix size, then one grouping pass over all spectra (``numerical_spectra``,
+flat; ``numerical_spectrum`` decomposes one matrix).  Both routes give the
+same ``SpectralDecomposition`` shape, so downstream code never cares which
+route built it.  The round-robin Jacobi eigensolver (``jacobi_eigh``, one
+matrix at a time; ``jacobi_eigh_many`` maps it over a list) runs on no CLI
+path: it is the named test oracle of the numerical route, and the
+benchmark's per-layer tracer binds ``jacobi_eigh`` by name.
 """
 
 from __future__ import annotations
@@ -150,46 +150,42 @@ def jacobi_eigh_many(matrices, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
     return [jacobi_eigh(matrix, max_sweeps) for matrix in matrices]
 
 
-def _grouped(w: np.ndarray):
-    """Distinct values and multiplicities of sorted w, cut wherever a gap exceeds tol.
+def numerical_spectra(matrices):
+    """Distinct eigenvalues, multiplicities and raveled eigenvector bases of symmetric matrices.
 
-    Each distinct value is the mean of its group; tol is 1e-8 times the
-    spread of w.
+    One stacked LAPACK ``np.linalg.eigh`` call per matrix size, then one
+    ``np.add.reduceat`` over all eigenvalues: an eigenspace starts at each
+    matrix's first eigenvalue and wherever a gap exceeds 1e-8 times that
+    matrix's spread, and takes its group's mean.  The arrays are flat, in
+    input order; each basis is raveled row by row, columns eigenspace after
+    eigenspace.  A non-finite entry or LAPACK failure raises ``NoConvergence``.
     """
-    tol = DEGENERACY_FACTOR * float(w[-1] - w[0])
-    starts = np.flatnonzero(np.concatenate(([True], w[1:] - w[:-1] > tol)))
-    multiplicities = np.diff(np.append(starts, len(w)))
-    return np.add.reduceat(w, starts) / multiplicities, multiplicities
-
-
-def numerical_spectra(matrices) -> list:
-    """Eigenspace decompositions of dense symmetric matrices via stacked LAPACK ``eigh``.
-
-    Eigenvalues within 1e-8 times each matrix's spectral range of each other
-    are merged into one eigenspace, spanned by their eigenvector columns.
-    Matrices of one size share one ``np.linalg.eigh`` call; the
-    decompositions come back in input order.
-    A non-finite entry or a LAPACK failure raises ``NoConvergence``.
-    """
-    results = [None] * len(matrices)
-    for n in {matrix.dim for matrix in matrices}:
-        members = [index for index, matrix in enumerate(matrices) if matrix.dim == n]
+    sizes = np.array([matrix.dim for matrix in matrices], dtype=int)
+    firsts, squares = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
+    w, vectors = np.empty(sizes.sum()), np.empty((sizes * sizes).sum())
+    for n in set(sizes.tolist()):
+        members = np.flatnonzero(sizes == n)
         stack = np.stack([matrices[index].entries for index in members])
         if not np.isfinite(stack).all():
             raise NoConvergence(f"non-finite entry in a {n} x {n} matrix")
         try:
-            w, v = np.linalg.eigh(stack)
+            values, v = np.linalg.eigh(stack)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"LAPACK eigh: {exc}") from exc
-        for index, wi, vi in zip(members, w, v):
-            results[index] = SpectralDecomposition(*_grouped(wi), vi,
-                                                   SpectralSource.NUMERICAL_SOLVER)
-    return results
+        w[firsts[members, None] + np.arange(n)] = values
+        vectors[squares[members, None] + np.arange(n * n)] = v.reshape(len(members), -1)
+    tol = np.repeat(DEGENERACY_FACTOR * (w[firsts + sizes - 1] - w[firsts]), sizes)
+    tol[firsts] = -np.inf
+    starts = np.flatnonzero(np.diff(w, prepend=0.0) > tol)
+    multiplicities = np.diff(np.append(starts, len(w)))
+    return np.add.reduceat(w, starts) / multiplicities, multiplicities, vectors
 
 
 def numerical_spectrum(matrix: DenseSymmetricMatrix) -> SpectralDecomposition:
     """Eigenspace decomposition of one dense symmetric matrix: ``numerical_spectra`` of one."""
-    return numerical_spectra([matrix])[0]
+    eigenvalues, multiplicities, vectors = numerical_spectra([matrix])
+    return SpectralDecomposition(eigenvalues, multiplicities, vectors.reshape(matrix.dim, -1),
+                                 SpectralSource.NUMERICAL_SOLVER)
 
 
 def hartley_rows(n: int, rows) -> np.ndarray:
@@ -207,19 +203,24 @@ def hartley_rows(n: int, rows) -> np.ndarray:
     return (f.real - f.imag) / math.sqrt(n)
 
 
-def circulant_eigenspaces(spec: RingSpec):
-    """Closed-form distinct eigenvalues ascending, multiplicities and Hartley column order.
+def circulant_eigenspaces(specs):
+    """Closed-form distinct eigenvalues ascending, multiplicities and Hartley column order per ring.
 
     Hartley columns m and n - m carry delta + 2h cos(2 pi m / n), and the
     cosine strictly falls over m = 0..floor(n/2), so with h > 0 the modes
     m = floor(n/2)..0 give the eigenvalues ascending.  ``order`` lists the
     columns eigenspace after eigenspace, (m, n - m) for each mode; modes 0
     and n/2 are simple.  The grouping is by mode, with no tolerance, and no
-    basis row is built.
+    basis row is built.  The arrays hold ``specs`` ring after ring, so a
+    batch of one gives that ring's arrays.
     """
-    n = spec.n
-    modes = np.arange(n // 2, -1, -1)
-    eigenvalues = spec.subspace_shift + 2.0 * spec.subspace_coupling * np.cos(2.0 * math.pi * modes / n)
+    sizes = np.array([spec.n for spec in specs], dtype=int)
+    counts = sizes // 2 + 1
+    ring = np.repeat(np.arange(len(specs)), counts)
+    n = sizes[ring]
+    modes = n // 2 - np.arange(counts.sum()) + np.repeat(np.cumsum(counts) - counts, counts)
+    shift, h = np.array([(spec.subspace_shift, spec.subspace_coupling) for spec in specs]).T
+    eigenvalues = shift[ring] + 2.0 * h[ring] * np.cos(2.0 * math.pi * modes / n)
     paired = (modes > 0) & (2 * modes < n)
     order = np.column_stack((modes, n - modes))[np.column_stack((np.ones_like(paired), paired))]
     return eigenvalues, 1 + paired, order
@@ -231,11 +232,10 @@ def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
     The basis is the Hartley basis with its columns in the order of
     ``circulant_eigenspaces``.  Modes k = 0..floor(n/2) carry eigenvalues
     delta + 2h cos(2 pi k / n); k = 0 and (even n) k = n/2 are simple, all
-    other modes are double.  The cosine strictly decreases over the mode
-    range, yet at large n adjacent modes at its extremes fall within the
-    degeneracy tolerance and share an eigenspace (``circulant_eigenspaces``).
+    other modes are double.  Each mode is its own eigenspace, however close
+    adjacent modes come at large n, since the grouping is by mode.
     """
-    eigenvalues, multiplicities, order = circulant_eigenspaces(spec)
+    eigenvalues, multiplicities, order = circulant_eigenspaces([spec])
     basis = hartley_rows(spec.n, np.arange(spec.n))[:, order]
     return SpectralDecomposition(eigenvalues, multiplicities, basis, SpectralSource.CLOSED_FORM)
 

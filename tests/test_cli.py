@@ -15,7 +15,21 @@ import numpy as np
 import pytest
 
 import spinring
-from spinring import Coupling, DenseSymmetricMatrix, RingSpec, cli, distance_matrix, kappa_max
+from spinring import (
+    Coupling,
+    DenseSymmetricMatrix,
+    RingSpec,
+    build_single_excitation_hamiltonian,
+    circulant_spectrum,
+    cli,
+    distance_matrix,
+    kappa_max,
+    numerical_spectrum,
+    p_max,
+    p_max_closed_form,
+    projector_overlaps,
+)
+from spinring.spectral import circulant_eigenspaces
 
 SCHEMA = json.loads(
     resources.files("spinring").joinpath("schemas/output-v1.schema.json").read_text()
@@ -572,6 +586,49 @@ def test_verify_builds_all_restriction_rows_in_one_call(monkeypatch):
     rc, _, err = _in_process(["verify", "--n-max-full", "9", "--n-max-subspace", "8"])
     assert rc == 0, err
     assert len(calls) == 1
+
+
+def _per_block_worst(n_max_subspace, inject_fault):
+    """verify's spectrum, coupling and transfer worsts, one block and one ring at a time."""
+    strength = 1.0 + 1e-6 if inject_fault else 1.0
+    agreement = coupling = 0.0
+    for n in range(3, n_max_subspace + 1):
+        xx, heisenberg = (numerical_spectrum(build_single_excitation_hamiltonian(RingSpec(n, c)))
+                          for c in (Coupling.XX, Coupling.HEISENBERG))
+        eigenvalues, multiplicities, _ = circulant_eigenspaces([RingSpec(n, strength=strength)])
+        gap = np.repeat(eigenvalues, multiplicities) - np.repeat(xx.eigenvalues, xx.multiplicities)
+        agreement = max(agreement, float(np.abs(gap).max()))
+        sites = np.arange(2, n // 2 + 2)
+        gap = p_max(xx, 1, sites) - p_max(heisenberg, 1, sites)
+        coupling = max(coupling, float(np.abs(gap).max()))
+    transfer = -math.inf
+    for n in (3, 4, 5, 7, 8):
+        totals = projector_overlaps(circulant_spectrum(RingSpec(n)), 1, np.arange(2, n // 2 + 2))
+        for m, total in enumerate(totals.sum(axis=0).tolist(), start=1):
+            transfer = max(transfer, total * total - p_max_closed_form(n, m))
+    return {"spectrum_agreement": agreement, "coupling_invariance": coupling,
+            "transfer_bound": transfer}
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+@pytest.mark.parametrize("n_max_subspace", [3, 8, 16, 24])
+def test_verify_flat_checks_match_a_per_block_reference(monkeypatch, n_max_subspace, inject_fault):
+    expected = _per_block_worst(n_max_subspace, inject_fault)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(stack):
+        sizes.append(stack.shape[-1])
+        return eigh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    argv = ["verify", "--n-max-full", "3", "--n-max-subspace", str(n_max_subspace)]
+    rc, out, err = _in_process(argv + ["--inject-fault"] * inject_fault)
+    assert rc == (1 if inject_fault else 0), err
+    checks = {check["name"]: check for check in json.loads(out)["payload"]["checks"]}
+    assert {name: checks[name]["worst"] for name in expected} == expected
+    assert checks["spectrum_agreement"]["ok"] is not inject_fault
+    assert sorted(sizes) == list(range(3, n_max_subspace + 1))
 
 
 def test_verify_rejects_bounds_below_3():

@@ -21,7 +21,7 @@ from spinring import (
     p_max_closed_form,
     projector_overlaps,
 )
-from spinring.spectral import _grouped, circulant_eigenspaces, eigenspace_entries, hartley_rows
+from spinring.spectral import circulant_eigenspaces, eigenspace_entries, hartley_rows
 
 
 def test_circulant_spectrum_n3():
@@ -64,7 +64,7 @@ def test_closed_form_projectors_match_cosine_formula():
         for coupling in (Coupling.XX, Coupling.HEISENBERG):
             spec = RingSpec(n, coupling)
             dec = circulant_spectrum(spec)
-            _, _, order = circulant_eigenspaces(spec)
+            _, _, order = circulant_eigenspaces([spec])
             modes = np.minimum(order, n - order)
             starts = np.cumsum(dec.multiplicities) - dec.multiplicities
             for start, count, proj in zip(starts, dec.multiplicities, dec.projectors):
@@ -98,7 +98,7 @@ def test_closed_form_grouping_is_by_mode(caplog):
     # other from n = 31 416 on, yet each mode keeps its own eigenspace.  The
     # eigenvalue-only route builds no basis.
     with caplog.at_level(logging.INFO, logger="spinring.spectral"):
-        eigenvalues, multiplicities, order = circulant_eigenspaces(RingSpec(31500))
+        eigenvalues, multiplicities, order = circulant_eigenspaces([RingSpec(31500)])
     assert len(eigenvalues) == 15751
     assert int(multiplicities.max()) == 2
     assert int(multiplicities.sum()) == 31500
@@ -107,11 +107,29 @@ def test_closed_form_grouping_is_by_mode(caplog):
     assert not caplog.records
 
 
+def test_circulant_eigenspaces_batch_equals_batches_of_one():
+    specs = [RingSpec(n, coupling, strength)
+             for n in (3, 4, 5, 8, 13, 64, 31, 3, 100)
+             for coupling in (Coupling.XX, Coupling.HEISENBERG) for strength in (1.0, 0.7)]
+    batch = circulant_eigenspaces(specs)
+    singles = [circulant_eigenspaces([spec]) for spec in specs]
+    for batched, single in zip(batch, zip(*singles)):
+        expected = np.concatenate(single)
+        assert batched.dtype == expected.dtype
+        assert np.array_equal(batched, expected)
+    for spec, (eigenvalues, multiplicities, order) in zip(specs, singles):
+        assert len(eigenvalues) == len(multiplicities) == spec.n // 2 + 1
+        assert sorted(order.tolist()) == list(range(spec.n))
+        reference = np.linalg.eigvalsh(build_single_excitation_hamiltonian(spec).entries)
+        gap = np.repeat(eigenvalues, multiplicities) - reference
+        assert np.abs(gap).max() <= 1e-12 * max(1.0, float(np.abs(reference).max())), spec
+
+
 def test_closed_form_eigenspace_p_max_matches_closed_form_at_large_n():
     # A merged pair of modes would turn |a| + |b| into |a + b| in the sum.
     for n in (31416, 40000):
         m = n // 3
-        _, multiplicities, order = circulant_eigenspaces(RingSpec(n))
+        _, multiplicities, order = circulant_eigenspaces([RingSpec(n)])
         row_1, row_m = hartley_rows(n, [0, m])[:, order]
         total = np.abs(eigenspace_entries(row_1, row_m, multiplicities)).sum()
         assert abs(total * total - p_max_closed_form(n, m)) <= 1e-12, n
@@ -214,6 +232,32 @@ def test_jacobi_no_convergence():
         jacobi_eigh_many(stack, max_sweeps=0)
 
 
+def _grouped(w: np.ndarray):
+    """The per-matrix grouping ``numerical_spectra`` replaced, kept as the oracle of its flat pass.
+
+    Distinct values and multiplicities of one ascending spectrum w: a group
+    ends wherever the gap to the next value exceeds 1e-8 times the spread
+    w[-1] - w[0], and each distinct value is the mean of its group.
+    """
+    tol = 1e-8 * float(w[-1] - w[0])
+    starts = np.flatnonzero(np.concatenate(([True], w[1:] - w[:-1] > tol)))
+    multiplicities = np.diff(np.append(starts, len(w)))
+    return np.add.reduceat(w, starts) / multiplicities, multiplicities
+
+
+def _per_matrix(spectra, sizes):
+    """The flat ``numerical_spectra`` arrays as (eigenvalues, multiplicities, basis) per matrix."""
+    eigenvalues, multiplicities, vectors = spectra
+    ends = np.cumsum(sizes)
+    # No eigenspace spans two matrices.
+    assert np.isin(ends, np.cumsum(multiplicities)).all()
+    cuts = np.searchsorted(np.cumsum(multiplicities), ends[:-1]) + 1
+    bases = np.split(vectors, np.cumsum(np.square(sizes))[:-1])
+    assert len(vectors) == int(np.square(sizes).sum())
+    return [(w, m, v.reshape(n, n)) for n, w, m, v in zip(sizes, np.split(eigenvalues, cuts),
+                                                          np.split(multiplicities, cuts), bases)]
+
+
 def test_numerical_spectra_match_single_spectra():
     matrices = [
         build_single_excitation_hamiltonian(RingSpec(n, coupling))
@@ -221,14 +265,46 @@ def test_numerical_spectra_match_single_spectra():
         for n in range(3, 21)
     ]
     matrices.append(DenseSymmetricMatrix(3, np.eye(3)))
-    stacked = numerical_spectra(matrices)
+    stacked = _per_matrix(numerical_spectra(matrices), [matrix.dim for matrix in matrices])
     assert len(stacked) == len(matrices)
-    for matrix, dec in zip(matrices, stacked):
+    for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, stacked):
         single = numerical_spectrum(matrix)
-        assert dec.source is SpectralSource.NUMERICAL_SOLVER
-        assert dec.n == matrix.dim
-        assert list(dec.multiplicities) == list(single.multiplicities), matrix.dim
-        assert np.abs(dec.eigenvalues - single.eigenvalues).max() <= 1e-12, matrix.dim
+        assert single.source is SpectralSource.NUMERICAL_SOLVER
+        assert single.n == basis.shape[0] == matrix.dim
+        assert list(multiplicities) == list(single.multiplicities), matrix.dim
+        assert np.abs(eigenvalues - single.eigenvalues).max() <= 1e-12, matrix.dim
+
+
+def test_flat_grouping_matches_the_per_matrix_oracle_bit_for_bit():
+    # Mixed sizes in shuffled order, so one size's matrices are not adjacent:
+    # ring blocks, random symmetric matrices, exact degeneracies and the
+    # zero-spread identity, which is one group.
+    rng = np.random.default_rng(5)
+    matrices = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
+                for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 25)]
+    for n in (3, 4, 7, 7, 12):
+        base = rng.standard_normal((n, n))
+        matrices.append(DenseSymmetricMatrix(n, base + base.T))
+    matrices += [DenseSymmetricMatrix(5, np.diag([2.0, 1.0, 2.0, 1.0, 1.0])),
+                 DenseSymmetricMatrix(4, np.diag([-3.0, -3.0, -3.0, 4.0])),
+                 DenseSymmetricMatrix(3, np.eye(3))]
+    matrices = [matrices[index] for index in rng.permutation(len(matrices))]
+    flat = _per_matrix(numerical_spectra(matrices), [matrix.dim for matrix in matrices])
+    groups = {}
+    for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, flat):
+        w, v = np.linalg.eigh(matrix.entries)
+        expected_values, expected_multiplicities = _grouped(w)
+        assert np.array_equal(eigenvalues, expected_values), matrix.dim
+        assert np.array_equal(multiplicities, expected_multiplicities), matrix.dim
+        assert np.array_equal(basis, v), matrix.dim
+        groups[tuple(np.diag(matrix.entries))] = multiplicities.tolist()
+    assert groups[(2.0, 1.0, 2.0, 1.0, 1.0)] == [3, 2]
+    assert groups[(-3.0, -3.0, -3.0, 4.0)] == [3, 1]
+    assert groups[(1.0, 1.0, 1.0)] == [3]
+    broken = np.eye(6)
+    broken[2, 4] = broken[4, 2] = math.nan
+    with pytest.raises(NoConvergence, match="non-finite entry in a 6 x 6 matrix"):
+        numerical_spectra(matrices + [DenseSymmetricMatrix(6, broken)] + matrices)
 
 
 def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
@@ -238,12 +314,13 @@ def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
     blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
               for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
     oracle = jacobi_eigh_many([block.entries for block in blocks])
-    for block, dec, (w, v) in zip(blocks, numerical_spectra(blocks), oracle):
+    flat = _per_matrix(numerical_spectra(blocks), [block.dim for block in blocks])
+    for block, (values, counts, basis), (w, v) in zip(blocks, flat, oracle):
         eigenvalues, multiplicities = _grouped(w)
         scale = float(np.abs(w).max())
-        assert list(dec.multiplicities) == list(multiplicities), block.dim
-        assert np.abs(dec.eigenvalues - eigenvalues).max() <= 1e-12 * scale, block.dim
-        entries = eigenspace_entries(dec.basis[0], dec.basis, dec.multiplicities)
+        assert list(counts) == list(multiplicities), block.dim
+        assert np.abs(values - eigenvalues).max() <= 1e-12 * scale, block.dim
+        entries = eigenspace_entries(basis[0], basis, counts)
         expected = eigenspace_entries(v[0], v, multiplicities)
         assert np.abs(entries - expected).max() <= 1e-12 * scale, block.dim
 
