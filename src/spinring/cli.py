@@ -29,12 +29,7 @@ import numpy as np
 
 from .embedding import (
     EmbeddingSpace,
-    embeddable_euclidean,
-    embeddable_hyperbolic,
-    embeddable_spherical,
-    kappa_max,
-    realize,
-    spherical_feasibility_threshold,
+    ring_embedding,
     toeplitz_minor_closed_form,
     toeplitz_minor_recursion,
 )
@@ -299,102 +294,56 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _resolve_kappa(args, uniform: bool, kappa_mean: float, threshold):
-    """Resolve the curvature for cmd_embed from the policy flag.
-
-    ``auto`` takes the mean-weight bound for uniform rings and for rings with
-    no feasible spherical curvature, the searched threshold otherwise.
-    """
-    if args.space == "euclidean":
-        return "auto" if args.kappa == "auto" else "value", None
-    if args.kappa == "auto":
-        if args.space == "hyperbolic":
-            return "auto", -1.0
-        if uniform or not threshold.kappa > 0:
-            return "auto", kappa_mean
-        return "auto", threshold.kappa
-    try:
-        value = float(args.kappa)
-    except ValueError:
-        raise InvalidArgs(f"--kappa must be 'auto' or a number, got {args.kappa!r}")
-    return "value", value
-
-
 def cmd_embed(args) -> int:
     spec = RingSpec(args.n)
-    quotient = args.n % 2 == 0
-    d = distance_matrix(spec, quotient=quotient)
-    classification = classify_ring(args.n, d)
-    values = d.profile[1:]
-    w_mean = float(values.mean())
-    kappa_mean = kappa_max(d.n_effective, w_mean)
-    threshold = spherical_feasibility_threshold(d) if args.space == "spherical" else None
-    kappa_policy, kappa = _resolve_kappa(args, classification.uniform, kappa_mean, threshold)
-
-    threshold_payload = None
-    if args.space == "spherical":
-        verdict = embeddable_spherical(d, kappa)
-        verdict_payload = {
-            "cap_ok": verdict.cap_ok,
-            "psd_ok": verdict.psd_ok,
-            "rank": verdict.rank,
-            "eigenvalues": verdict.eigenvalues,
-            "margin": verdict.margin,
-        }
-        threshold_payload = dataclasses.asdict(threshold)
-        space = EmbeddingSpace.SPHERICAL
-    else:
-        if args.space == "hyperbolic":
-            verdict = embeddable_hyperbolic(d, kappa)
-            space = EmbeddingSpace.HYPERBOLIC
-        else:
-            verdict = embeddable_euclidean(d)
-            space = EmbeddingSpace.EUCLIDEAN
-        verdict_payload = {"eigenvalues": verdict.eigenvalues, "margin": verdict.margin}
-
+    space = EmbeddingSpace[args.space.upper()]
+    kappa = None
+    if args.kappa != "auto" and space is not EmbeddingSpace.EUCLIDEAN:
+        try:
+            kappa = float(args.kappa)
+        except ValueError:
+            raise InvalidArgs(f"--kappa must be 'auto' or a number, got {args.kappa!r}")
+    ring = ring_embedding(spec, space, kappa)
+    verdict = ring.verdict
+    verdict_payload = {"eigenvalues": verdict.eigenvalues, "margin": verdict.margin}
+    if space is EmbeddingSpace.SPHERICAL:
+        verdict_payload = {"cap_ok": verdict.cap_ok, "psd_ok": verdict.psd_ok,
+                           "rank": verdict.rank, **verdict_payload}
     realization_payload = None
-    if verdict.embeddable:
-        result = realize(d, space, kappa if kappa is not None else 0.0)
-        model_dim = (
-            result.ambient_dim
-            if space is EmbeddingSpace.EUCLIDEAN
-            else result.ambient_dim - 1
-        )
+    result = ring.realization
+    if result is not None:
         realization_payload = {
             "ambient_dim": result.ambient_dim,
-            "model_dim": model_dim,
+            # The sphere and the hyperboloid are hypersurfaces of their ambient space.
+            "model_dim": result.ambient_dim - (space is not EmbeddingSpace.EUCLIDEAN),
             "curvature": result.curvature,
             "coordinates": result.coordinates,
             "max_distortion": result.max_distortion,
             "irreducible": result.irreducible,
         }
-
+    classification = ring.classification
     payload = {
         "n": args.n,
-        "quotient": quotient,
-        "n_points": d.n_effective,
+        "quotient": ring.quotiented,
+        "n_points": ring.distances.n_effective,
         "space": space,
-        "kappa_policy": kappa_policy,
-        "kappa": kappa,
+        "kappa_policy": "auto" if args.kappa == "auto" else "value",
+        "kappa": ring.kappa,
         "classification": {
             "kind": classification.kind,
             "uniform": classification.uniform,
             "distinct_values": list(classification.distinct_values),
         },
-        "weights": {
-            "mean": w_mean,
-            "min": float(values.min()),
-            "max": float(values.max()),
-        },
-        "kappa_max_mean_weight": kappa_mean,
-        "threshold": threshold_payload,
+        "weights": {"mean": ring.weight_mean, "min": ring.weight_min, "max": ring.weight_max},
+        "kappa_max_mean_weight": ring.kappa_max_mean_weight,
+        "threshold": None if ring.threshold is None else dataclasses.asdict(ring.threshold),
         "embeddable": verdict.embeddable,
         "verdict": verdict_payload,
         "realization": realization_payload,
     }
     _emit_json(_document(args, payload), args.out)
     if not verdict.embeddable:
-        print(f"error: not embeddable in {args.space} space at kappa={kappa!r}",
+        print(f"error: not embeddable in {args.space} space at kappa={ring.kappa!r}",
               file=sys.stderr)
         return 1
     return 0

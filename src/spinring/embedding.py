@@ -177,7 +177,10 @@ _MODELS = {
 
 
 def _scale(space: EmbeddingSpace, kappa: float) -> float:
-    """sqrt|kappa|, the unit model's scale (1 in Euclidean space), after checking its sign."""
+    """sqrt|kappa|, the unit model's scale (1 in Euclidean space).
+
+    Off Euclidean space kappa must be finite and have the space's sign.
+    """
     if space is EmbeddingSpace.EUCLIDEAN:
         return 1.0
     if space is EmbeddingSpace.SPHERICAL:
@@ -188,6 +191,8 @@ def _scale(space: EmbeddingSpace, kappa: float) -> float:
             raise InvalidArgs(f"hyperbolic curvature must be negative, got {kappa}")
     else:
         raise InvalidArgs(f"unknown embedding space {space!r}")
+    if math.isinf(kappa):
+        raise InvalidArgs(f"curvature must be finite, got {kappa}")
     return math.sqrt(abs(kappa))
 
 
@@ -499,90 +504,72 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
 
 
 @dataclass(frozen=True, eq=False)
-class RingEmbeddingReport:
-    """Full embedding pipeline outcome for one ring.
+class RingEmbedding:
+    """One ring's embedding pipeline in one space: what ``embed`` reports.
 
     Even rings are quotiented first, so the embedded space is the complete
-    graph on the antipodal classes.  The curvature bound uses the mean edge
-    weight, bracketed by the minimum and maximum when distances are not
-    uniform.  The hyperbolic section is evaluated at the reference curvature
-    -1 (any negative curvature behaves identically for uniform weights).
+    graph on the antipodal classes.  The weights are the off-diagonal
+    distances; ``kappa_max_mean_weight`` is the uniform bound at their mean.
+    ``threshold`` is the spherical search (None off the sphere) and
+    ``kappa`` the curvature decided at (None in Euclidean space).
     """
 
-    spec: RingSpec
     quotiented: bool
-    n_points: int
-    classification: RingClassification
     distances: DistanceMatrix
+    classification: RingClassification
     weight_mean: float
     weight_min: float
     weight_max: float
     kappa_max_mean_weight: float
-    spherical_verdict: SphericalVerdict
-    spherical_realization: EmbeddingResult | None
-    threshold: FeasibilityThreshold
-    euclidean_verdict: InertiaVerdict
-    euclidean_realization: EmbeddingResult | None
-    hyperbolic_kappa: float
-    hyperbolic_verdict: InertiaVerdict
-    hyperbolic_realization: EmbeddingResult | None
+    threshold: FeasibilityThreshold | None
+    kappa: float | None
+    verdict: SphericalVerdict | InertiaVerdict
+    realization: EmbeddingResult | None
 
 
-def ring_embedding_report(
-    spec: RingSpec, tol: float = DEFAULT_REALIZE_TOL
-) -> RingEmbeddingReport:
-    """Classify a ring and decide/realize its constant-curvature embeddings.
+def ring_embedding(
+    spec: RingSpec, space: EmbeddingSpace, kappa: float | None = None
+) -> RingEmbedding:
+    """Classify a ring, decide its embedding in ``space`` at ``kappa``, realize it if it embeds.
 
-    Runs the spherical test at kappa_max(points, mean weight) plus the
-    search for the largest feasible curvature, and the Euclidean and
-    hyperbolic tests with realizations where the verdict allows.
+    ``kappa=None`` picks the curvature: -1 on the hyperboloid; on the sphere
+    the searched threshold, or ``kappa_max`` at the mean weight for uniform
+    rings and for rings with no feasible curvature.  Euclidean space
+    ignores ``kappa``.  The sphere runs the threshold search whatever the
+    curvature.
     """
     quotient = spec.n % 2 == 0
     d = distance_matrix(spec, quotient)
     classification = classify_ring(spec.n, d)
     values = d.profile[1:]
     weight_mean = float(values.mean())
-    weight_min = float(values.min())
-    weight_max = float(values.max())
     kappa_mean = kappa_max(d.n_effective, weight_mean)
-
-    spherical_verdict = embeddable_spherical(d, kappa_mean)
-    spherical_realization = (
-        realize(d, EmbeddingSpace.SPHERICAL, kappa_mean, tol)
-        if spherical_verdict.embeddable
-        else None
-    )
-    threshold = spherical_feasibility_threshold(d)
-
-    euclidean_verdict = embeddable_euclidean(d)
-    euclidean_realization = (
-        realize(d, EmbeddingSpace.EUCLIDEAN, tol=tol) if euclidean_verdict.embeddable else None
-    )
-
-    hyperbolic_kappa = -1.0
-    hyperbolic_verdict = embeddable_hyperbolic(d, hyperbolic_kappa)
-    hyperbolic_realization = (
-        realize(d, EmbeddingSpace.HYPERBOLIC, hyperbolic_kappa, tol)
-        if hyperbolic_verdict.embeddable
-        else None
-    )
-
-    return RingEmbeddingReport(
-        spec=spec,
+    threshold = None
+    if space is EmbeddingSpace.SPHERICAL:
+        threshold = spherical_feasibility_threshold(d)
+        if kappa is None:
+            uniform_or_none = classification.uniform or not threshold.kappa > 0
+            kappa = kappa_mean if uniform_or_none else threshold.kappa
+        verdict = embeddable_spherical(d, kappa)
+    elif space is EmbeddingSpace.HYPERBOLIC:
+        kappa = -1.0 if kappa is None else kappa
+        verdict = embeddable_hyperbolic(d, kappa)
+    else:
+        kappa = None
+        verdict = embeddable_euclidean(d)
+    realization = None
+    if verdict.embeddable:
+        realization = realize(d, space, 0.0 if kappa is None else kappa)
+    return RingEmbedding(
         quotiented=quotient,
-        n_points=d.n_effective,
-        classification=classification,
         distances=d,
+        classification=classification,
         weight_mean=weight_mean,
-        weight_min=weight_min,
-        weight_max=weight_max,
+        weight_min=float(values.min()),
+        weight_max=float(values.max()),
         kappa_max_mean_weight=kappa_mean,
-        spherical_verdict=spherical_verdict,
-        spherical_realization=spherical_realization,
         threshold=threshold,
-        euclidean_verdict=euclidean_verdict,
-        euclidean_realization=euclidean_realization,
-        hyperbolic_kappa=hyperbolic_kappa,
-        hyperbolic_verdict=hyperbolic_verdict,
-        hyperbolic_realization=hyperbolic_realization,
+        kappa=kappa,
+        verdict=verdict,
+        realization=realization,
     )

@@ -23,6 +23,7 @@ from spinring import (
     circulant_spectrum,
     cli,
     distance_matrix,
+    embedding,
     kappa_max,
     numerical_spectrum,
     p_max,
@@ -424,6 +425,24 @@ def test_embed_spherical_infeasible_is_clean_negative(args):
     assert result.stderr.strip().splitlines()[-1].startswith(
         "error: not embeddable in spherical space"
     )
+
+
+@pytest.mark.parametrize("space, kappa", [("spherical", "inf"), ("hyperbolic", "-inf")])
+def test_embed_infinite_kappa_is_a_usage_error(space, kappa):
+    result = run_cli("embed", "--n", "5", "--space", space, f"--kappa={kappa}")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: curvature must be finite, got {kappa}\n"
+
+
+def test_embed_bad_kappa_fails_before_the_threshold_search(monkeypatch):
+    def search(d):
+        raise AssertionError("the threshold search ran")
+
+    monkeypatch.setattr(embedding, "spherical_feasibility_threshold", search)
+    rc, out, err = _in_process(["embed", "--n", "12", "--space", "spherical", "--kappa", "much"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --kappa must be 'auto' or a number, got 'much'\n"
 
 
 def test_variance_sweep_csv():

@@ -21,7 +21,7 @@ from spinring import (
     kappa_max,
     numerical_spectrum,
     realize,
-    ring_embedding_report,
+    ring_embedding,
     spherical_feasibility_threshold,
     toeplitz_eigenvalues,
     toeplitz_minor_closed_form,
@@ -171,6 +171,30 @@ def test_spherical_verdict_validation():
         embeddable_spherical(uniform_points(3, 1.0), 0.0)
 
 
+def test_infinite_curvature_is_rejected():
+    # An infinite kappa of the right sign would give NaN eigenvalues on the
+    # sphere and a verdict that cannot be realized on the hyperboloid.
+    for d in (ring(5), uniform_points(3, 1.0)):
+        for space, kappa, decide in (
+            (EmbeddingSpace.SPHERICAL, math.inf, embeddable_spherical),
+            (EmbeddingSpace.HYPERBOLIC, -math.inf, embeddable_hyperbolic),
+        ):
+            message = f"^curvature must be finite, got {kappa}$"
+            with pytest.raises(InvalidArgs, match=message):
+                decide(d, kappa)
+            with pytest.raises(InvalidArgs, match=message):
+                realize(d, space, kappa)
+        # NaN and the wrong sign keep their messages.
+        for decide, kappa, message in (
+            (embeddable_spherical, math.nan, "spherical curvature must be positive, got nan"),
+            (embeddable_spherical, -math.inf, "spherical curvature must be positive, got -inf"),
+            (embeddable_hyperbolic, math.nan, "hyperbolic curvature must be negative, got nan"),
+            (embeddable_hyperbolic, math.inf, "hyperbolic curvature must be negative, got inf"),
+        ):
+            with pytest.raises(InvalidArgs, match=f"^{message}$"):
+                decide(d, kappa)
+
+
 def test_spherical_small_curvature_matches_euclidean_verdict():
     for d in (uniform_points(4, 1.0), bad_quadruple()):
         euclidean = embeddable_euclidean(d).embeddable
@@ -223,8 +247,12 @@ def ring(n):
 
 
 def auto_kappa(d, n):
-    """The curvature ``embed --kappa auto`` picks for a ring in the sphere."""
-    mean = kappa_max(d.n_effective, float(d.offdiagonal().mean()))
+    """The curvature ``embed --kappa auto`` picks for a ring in the sphere.
+
+    The mean weight averages the N - 1 profile values, as ``embed`` reports
+    it; the mean over all pairs can differ in the last bit (n = 11).
+    """
+    mean = kappa_max(d.n_effective, float(d.profile[1:].mean()))
     threshold = spherical_feasibility_threshold(d).kappa
     return mean if classify_ring(n, d).uniform or threshold == 0.0 else threshold
 
@@ -520,35 +548,47 @@ def test_feasibility_threshold_refines_in_few_sweeps(monkeypatch):
 
 
 def test_ring_embedding_report_prime():
-    report = ring_embedding_report(RingSpec(7))
-    assert not report.quotiented
-    assert report.n_points == 7
-    assert report.classification.kind is RingKind.PRIME
-    assert report.spherical_verdict.embeddable
-    assert report.spherical_realization.ambient_dim == 6
-    assert report.spherical_realization.irreducible
-    assert report.euclidean_realization.ambient_dim == 6
-    assert report.hyperbolic_realization is not None
-    assert report.hyperbolic_kappa == -1.0
-    boundary = kappa_max(7, report.weight_mean)
-    assert abs(report.threshold.kappa - boundary) <= 1e-9 * boundary
+    spherical = ring_embedding(RingSpec(7), EmbeddingSpace.SPHERICAL)
+    euclidean = ring_embedding(RingSpec(7), EmbeddingSpace.EUCLIDEAN)
+    hyperbolic = ring_embedding(RingSpec(7), EmbeddingSpace.HYPERBOLIC)
+    assert not spherical.quotiented
+    assert spherical.distances.n_effective == 7
+    assert spherical.classification.kind is RingKind.PRIME
+    assert spherical.verdict.embeddable
+    assert spherical.realization.ambient_dim == 6
+    assert spherical.realization.irreducible
+    assert euclidean.realization.ambient_dim == 6
+    assert hyperbolic.realization is not None
+    assert hyperbolic.kappa == -1.0
+    boundary = kappa_max(7, spherical.weight_mean)
+    assert abs(spherical.threshold.kappa - boundary) <= 1e-9 * boundary
 
 
 def test_ring_embedding_report_twice_prime_quotient():
-    report = ring_embedding_report(RingSpec(14))
+    report = ring_embedding(RingSpec(14), EmbeddingSpace.SPHERICAL)
     assert report.quotiented
-    assert report.n_points == 7
+    assert report.distances.n_effective == 7
     assert report.classification.kind is RingKind.TWICE_PRIME
-    assert report.spherical_realization.ambient_dim == 6
+    assert report.realization.ambient_dim == 6
 
 
 def test_ring_embedding_report_composite():
-    report = ring_embedding_report(RingSpec(9))
+    kappa_mean = ring_embedding(RingSpec(9), EmbeddingSpace.EUCLIDEAN).kappa_max_mean_weight
+    report = ring_embedding(RingSpec(9), EmbeddingSpace.SPHERICAL, kappa_mean)
+    assert report.kappa == report.kappa_max_mean_weight == kappa_mean
     assert report.classification.kind is RingKind.ODD_COMPOSITE
     assert not report.classification.uniform
     assert report.weight_min < report.weight_mean < report.weight_max
     # At n = 9 the mean-weight curvature bound is still feasible, and the
     # searched threshold sits at or above it.
-    assert report.spherical_verdict.embeddable
+    assert report.verdict.embeddable
     assert report.threshold.kappa >= report.kappa_max_mean_weight
     assert report.threshold.kappa <= report.threshold.cap
+
+
+def test_ring_embedding_auto_kappa_matches_the_policy_oracle():
+    for n in range(3, 65):
+        assert ring_embedding(RingSpec(n), EmbeddingSpace.SPHERICAL).kappa == auto_kappa(ring(n), n)
+    for n in (3, 4, 9, 16):
+        assert ring_embedding(RingSpec(n), EmbeddingSpace.HYPERBOLIC).kappa == -1.0
+        assert ring_embedding(RingSpec(n), EmbeddingSpace.EUCLIDEAN, 2.0).kappa is None
