@@ -13,13 +13,13 @@ cosine sum stays as its oracle.  Even rings place antipodal sites (q = 2)
 at distance zero, which makes the raw space a semi-metric; identifying
 antipodal sites (the quotient) restores separation.
 
-Ring distance matrices, raw and quotiented, are circulant and carry their
-generator, with their entries a view of it, so ``check_metric_axioms``
-decides the triangle inequality exactly over the O(N^2) profile pairs at
-every size, in blocks of bounded memory, and every ring statistic is read
-from the profile.  The dense routines (exhaustive triples
-up to 200 points, seeded Monte-Carlo beyond) serve matrices without a
-profile and are the oracle for the profile route.
+Ring distance matrices, raw and quotiented, are circulant, their entries a
+view of their generator, which is constant on the classes gcd(s, N).  So
+``check_metric_axioms`` decides the triangle inequality exactly at every
+size from one row of N slacks per divisor of N, and every ring statistic
+is read from the generator.  The dense routines (exhaustive triples up to
+200 points, seeded Monte-Carlo beyond) serve matrices without a profile
+and are the oracle for the profile route.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ ZERO_DISTANCE_TOL = 1e-12
 EXHAUSTIVE_TRIPLE_LIMIT = 200
 MONTE_CARLO_TRIPLES = 10**6
 SAMPLE_CHUNK = 2**16
-TRIANGLE_BLOCK = 2**18
+BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,15 +334,20 @@ def _circulant_triangle_ok(profile: np.ndarray) -> bool:
     -c[0] and c[0] - (c[a] + c[-a]) are not positive when c[0] = 0 and
     c >= 0, and a positive one only sends the caller to the dense listing.
     When c[-x] == c[x] exactly, (a, b) and (-a, -b) share a slack and rows
-    a > N/2 are skipped.  Rows are taken about TRIANGLE_BLOCK slacks at a
-    time, so memory stays bounded at every N.
+    a > N/2 are skipped.  When c is constant on the classes gcd(x, N), a row
+    a = u e, u a unit, has row e's slacks (b -> u b), so one row per divisor
+    e < N is checked.  Rows are taken about BLOCK slacks at a time.
     """
     n = len(profile)
-    rows = n // 2 if np.array_equal(profile, profile[-np.arange(n)]) else n - 1
-    windows, step = _windows(profile), max(1, TRIANGLE_BLOCK // n)
-    for a in range(1, rows + 1, step):
-        slack = np.add.outer(profile[a:min(a + step, rows + 1)], profile)
-        np.subtract(windows[a:a + len(slack)], slack, out=slack)
+    sep, gcd = np.arange(n), np.gcd(np.arange(n), n)
+    if np.array_equal(profile, profile[gcd % n]):
+        rows = sep[gcd == sep]
+    else:
+        rows = sep[1:n // 2 + 1 if np.array_equal(profile, profile[-sep]) else n]
+    windows, step = _windows(profile), max(1, BLOCK // n)
+    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
+        slack = np.add.outer(profile[block], profile)
+        np.subtract(windows[block], slack, out=slack)
         if (slack > TRIANGLE_TOL).any():
             return False
     return True
@@ -357,12 +362,13 @@ def check_metric_axioms(
     """Verify identity, symmetry, separation and the triangle inequality.
 
     A matrix that carries its circulant ``profile`` (every ring metric, the
-    antipodal quotient included) is checked exactly at every size from the
-    O(N^2) profile pairs: the check is always exhaustive and ``seed`` is not
-    used.  Violations found there are listed by the dense routines, so they
-    come in the same order and with the same magnitudes as for the dense
-    matrix.  Without a profile, triples are checked exhaustively up to
-    ``exhaustive_limit`` points and by seeded Monte-Carlo sampling above it.
+    antipodal quotient included) is checked exactly at every size from
+    profile slacks, on a ring one row per divisor of N: the check is always
+    exhaustive and ``seed`` is not used.  Violations found there are listed
+    by the dense routines, so they come in the same order and with the same
+    magnitudes as for the dense matrix.  Without a profile, triples are
+    checked exhaustively up to ``exhaustive_limit`` points and by seeded
+    Monte-Carlo sampling above it.
     Zero distances between distinct points are separation violations; when
     every one of them sits on an antipodal pair (j - i = n/2) the space
     classifies as a semi-metric that becomes a metric after antipodal
@@ -475,24 +481,32 @@ def distance_variance_sweep(
     ``quotient_policy`` is "auto" (identify antipodal sites on even rings)
     or "never".  Returns a list of (n, variance) pairs ready for plotting.
     A distance depends on its separation s only through the order
-    q = n / gcd(n, s), which s and n - s share, so one table of the distance
-    by order, q <= n_max, serves every ring of the sweep, and ring n's
-    separations s = 1..N - 1 are one gather from it.  The variance takes the
-    float operations of ``np.var`` in the same order, so it is bit for bit
-    ``np.var`` of the profile.
+    q = n / gcd(n, s), so one table of the distance by order, q <= n_max,
+    serves every ring, and the rings are gathered from it in flat chunks of
+    about BLOCK entries, each ring's values after one zero slot (s = 0).
+    Sums by ``np.add.reduceat`` are then 0 + the pairwise sum of the values,
+    as in ``np.sum``, so each variance is bit for bit ``np.var`` of the profile.
     """
     if not 3 <= n_min <= n_max:
         raise InvalidArgs(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
     if quotient_policy not in ("auto", "never"):
         raise InvalidArgs(f"unknown quotient policy {quotient_policy!r}")
-    # Entry q is the distance at order q; no separation has order 0.
+    # Entry q is the distance at order q; separation 0 has order 1 and +0.0.
     by_order = np.array([0.0, *map(_distance_by_order, range(1, n_max + 1))])
+    sizes = np.arange(n_min, n_max + 1)
+    points = np.where((quotient_policy == "auto") & (sizes % 2 == 0), sizes // 2, sizes)
+    # A chunk holds the rings that end in one block of BLOCK entries.
+    cuts = np.flatnonzero(np.diff(np.cumsum(points) // BLOCK)) + 1
     rows = []
-    for n in range(n_min, n_max + 1):
-        points = n // 2 if quotient_policy == "auto" and n % 2 == 0 else n
-        values = by_order[n // np.gcd(n, np.arange(1, points))]
-        deviations = values - values.sum() / len(values)
-        rows.append((n, float((deviations * deviations).sum() / len(values))))
+    for n, counts in zip(np.split(sizes, cuts), np.split(points, cuts)):
+        starts = np.cumsum(counts) - counts
+        ring = np.repeat(n, counts)
+        sep = np.arange(len(ring)) - np.repeat(starts, counts)
+        values = by_order[np.floor_divide(ring, np.gcd(sep, ring, out=sep), out=sep)]
+        deviations = values - np.repeat(np.add.reduceat(values, starts) / (counts - 1), counts)
+        deviations[starts] = 0.0
+        variances = np.add.reduceat(deviations * deviations, starts) / (counts - 1)
+        rows.extend(zip(n.tolist(), variances.tolist()))
     return rows
 
 

@@ -28,7 +28,8 @@ from spinring import (
     transfer_probability_time_series,
     zero_distance_pairs,
 )
-from spinring.metric import SAMPLE_CHUNK
+from spinring import metric
+from spinring.metric import BLOCK, SAMPLE_CHUNK, TRIANGLE_TOL, _circulant_triangle_ok, _windows
 
 
 def test_p_max_closed_form_small_rings():
@@ -321,6 +322,79 @@ def test_metric_axioms_profile_route_matches_dense_oracle_on_random_profiles():
         assert check_metric_axioms(space) == check_metric_axioms(dense), profile
 
 
+def _all_rows_triangle_ok(profile):
+    """Oracle of ``_circulant_triangle_ok``: every row a = 1..N/2 when symmetric, else 1..N - 1."""
+    n = len(profile)
+    rows = n // 2 if np.array_equal(profile, profile[-np.arange(n)]) else n - 1
+    windows, step = _windows(profile), max(1, BLOCK // n)
+    for a in range(1, rows + 1, step):
+        slack = np.add.outer(profile[a:min(a + step, rows + 1)], profile)
+        np.subtract(windows[a:a + len(slack)], slack, out=slack)
+        if (slack > TRIANGLE_TOL).any():
+            return False
+    return True
+
+
+def _class_constant(profile):
+    n = len(profile)
+    return np.array_equal(profile, profile[np.gcd(np.arange(n), n) % n])
+
+
+def test_divisor_rows_match_all_rows_on_rings():
+    for n, quotient, d in _rings(400):
+        assert _class_constant(d.profile), (n, quotient)
+        assert _circulant_triangle_ok(d.profile) == _all_rows_triangle_ok(d.profile), (n, quotient)
+
+
+def test_divisor_rows_match_all_rows_on_random_class_constant_profiles():
+    # Every class value lies in [1, 2], so every pair sum is at least 2; one
+    # proper class is redrawn from [1, 3.75], which breaks the triangle
+    # inequality in about a quarter of the profiles.
+    rng = np.random.default_rng(20)
+    verdicts = []
+    for _ in range(3000):
+        n = int(rng.integers(1, 120))
+        sep = np.arange(n)
+        gcd = np.gcd(sep, n)
+        by_class = rng.uniform(1.0, 2.0, n + 1)
+        by_class[n] = 0.0
+        if n > 1:
+            by_class[rng.choice(sep[gcd == sep])] = rng.uniform(1.0, 3.75)
+        profile = by_class[gcd]
+        verdicts.append(_circulant_triangle_ok(profile))
+        assert verdicts[-1] == _all_rows_triangle_ok(profile), profile
+    assert 0.15 < verdicts.count(False) / len(verdicts) < 0.35
+
+
+def test_divisor_rows_leave_other_circulants_on_all_rows():
+    rng = np.random.default_rng(21)
+    for symmetric in (True, False):
+        verdicts = []
+        for _ in range(500):
+            n = int(rng.integers(7, 60))
+            profile = rng.uniform(1.0, 2.0, n)
+            profile[int(rng.integers(1, n))] = rng.uniform(1.0, 3.0)
+            if symmetric:
+                profile = np.maximum(profile, profile[-np.arange(n)])
+            profile[0] = 0.0
+            assert np.array_equal(profile, profile[-np.arange(n)]) == symmetric
+            assert not _class_constant(profile)
+            verdicts.append(_circulant_triangle_ok(profile))
+            assert verdicts[-1] == _all_rows_triangle_ok(profile), profile
+        assert True in verdicts and False in verdicts
+
+
+def test_metric_axioms_list_class_constant_violations_as_the_dense_route():
+    # Classes gcd(s, 12) = 1, 2, 3, 4, 6: c[4] = c[8] = 2.5 > c[2] + c[2].
+    by_class = {1: 1.0, 2: 1.0, 3: 1.0, 4: 2.5, 6: 1.0, 12: 0.0}
+    space = _circulant_space([by_class[math.gcd(s, 12)] for s in range(12)])
+    assert _class_constant(space.profile)
+    report = check_metric_axioms(space)
+    assert not report.triangle_ok
+    assert report.classification is MetricClassification.NOT_SEMI_METRIC
+    assert report == check_metric_axioms(DistanceMatrix.from_entries(space.entries))
+
+
 def test_merge_distinct_values():
     values = np.array([1.0, 1.0 + 5e-11, 2.0])
     assert len(merge_distinct_values(values)) == 2
@@ -441,6 +515,19 @@ def test_variance_sweep_is_np_var_of_the_profile_bit_for_bit():
             sep = np.arange(1, points)
             profile = distance_profile(n)[np.minimum(sep, n - sep)]
             assert variance == float(np.var(profile)), (n, policy)
+
+
+def test_variance_sweep_chunks_match_across_block_boundaries(monkeypatch):
+    default = {policy: distance_variance_sweep(3, 300, policy) for policy in ("auto", "never")}
+    # Rings up to 300 points, many longer than one block.
+    monkeypatch.setattr(metric, "BLOCK", 64)
+    for policy in ("auto", "never"):
+        rows = distance_variance_sweep(3, 300, policy)
+        assert rows == default[policy]
+        for n, variance in rows:
+            points = n // 2 if policy == "auto" and n % 2 == 0 else n
+            sep = np.arange(1, points)
+            assert variance == float(np.var(distance_profile(n)[np.minimum(sep, n - sep)])), n
 
 
 def test_zero_distance_pairs_profile_route_matches_dense_scan():
