@@ -12,19 +12,21 @@ Every decision is an inertia test on the spectrum of one Gram matrix:
 A ring's Gram matrices are symmetric circulants in its distance profile, so
 their eigenvalues are one real DFT of the kernel applied to the profile
 (Davis, Circulant Matrices, 1979).  Hand-built metrics go through LAPACK on
-the dense matrix, which is also the rings' test oracle.  Each verdict
-reports a scale-free margin to the boundary and is True iff the margin is at
-least -1e-9.  On rings both curved margins measure the non-constant modes
-against their own size, which shrinks like |kappa|, and the kernels are
-taken in half-angle form so that those modes keep full precision; the
+the dense matrix, which is also the rings' test oracle; a Gram matrix that
+overflows is refused with InvalidArgs.  One rule reads every spectrum: each
+mode's signed share of its own scale.  A verdict's margin is the smallest
+share and is True iff it is at least -1e-9; its rank counts the modes whose
+share exceeds 1e-9.  On rings both curved margins measure the non-constant
+modes against their own size, which shrinks like |kappa|, and the kernels
+are taken in half-angle form so that those modes keep full precision; the
 verdicts stay valid as kappa -> 0, where they become the Euclidean test.
 
-The realizations factor the same Gram matrices and decide on the spectrum
-they factor.  A symmetric circulant has
-the real Hartley basis cas(2 pi j k / N) / sqrt(N) as its eigenvectors
-(Bracewell, JOSA 73, 1983), so a ring's coordinates are fixed Hartley
-columns scaled by the square roots of the DFT eigenvalues, with no
-eigensolver; hand-built metrics are factored by LAPACK.
+The realizations decide on the spectrum they factor and factor exactly the
+modes the rank counts.  A symmetric circulant has the real Hartley basis
+cas(2 pi j k / N) / sqrt(N) as its eigenvectors (Bracewell, JOSA 73, 1983),
+so a ring's coordinates are fixed Hartley columns scaled by the square
+roots of the DFT eigenvalues, with no eigensolver; hand-built metrics are
+factored by LAPACK.
 
 Spherical feasibility is not an interval (0, kappa*]: the ring n = 16 and
 the rings n = 4 (mod 8) with n >= 12 embed only in a window of curvatures,
@@ -196,99 +198,81 @@ def _scale(space: EmbeddingSpace, kappa: float) -> float:
     return math.sqrt(abs(kappa))
 
 
-def _dense_gram(d: DistanceMatrix, model: _Model, scales=1.0) -> np.ndarray:
-    """The dense Gram matrix of the model at s * d for each scale s."""
-    g = model.constant + model.varying(np.asarray(scales, dtype=float)[..., None, None] * d.entries)
-    if model.center:
-        g = g - g.mean(axis=-1, keepdims=True)
-        g = g - g.mean(axis=-2, keepdims=True)
-    return g
+def _finite(x: np.ndarray, space: EmbeddingSpace, kappa: float) -> np.ndarray:
+    """x, refused unless every entry is finite: the unit model's kernel overflowed at kappa."""
+    if not np.isfinite(x).all():
+        raise InvalidArgs(f"{space.name.lower()} Gram matrix is not finite at kappa={kappa!r}")
+    return x
 
 
-def _spectra(d: DistanceMatrix, model: _Model, scales=1.0) -> np.ndarray:
-    """Eigenvalues of the model's Gram matrix at s * d for each scale s, along the last axis.
+def _dense_gram(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scales) -> np.ndarray:
+    """The unit-model Gram matrix at s * d for each scale s; one that overflows is refused."""
+    model = _MODELS[space]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(scales, dtype=float)[..., None, None] * d.entries
+        g = model.constant + model.varying(x)
+        if model.center:
+            g = g - g.mean(axis=-1, keepdims=True)
+            g = g - g.mean(axis=-2, keepdims=True)
+    return _finite(g, space, kappa)
+
+
+def _spectra(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scales) -> np.ndarray:
+    """Eigenvalues of the unit-model Gram matrix at s * d for each scale s, along the last axis.
 
     A ring's Gram matrix is a symmetric circulant in its profile, so its
     eigenvalues are one real DFT of the kernel applied to the profile, in
     mode order with the all-ones mode j = 0 first.  Modes j and N - j are
     equal and are averaged to bit-equal values, so that both modes of a pair
-    get the same keep decision in ``realize``.  The constant reaches mode 0
-    alone, which sums the kernel values (centering zeroes it), so the other
-    modes are the DFT of the varying part and keep full relative precision
-    as kappa -> 0, where they shrink like |kappa|.  Any other metric goes
-    through LAPACK on the dense matrix, eigenvalues ascending; that route is
-    also the ring route's test oracle.
+    get the same keep decision.  The constant reaches mode 0 alone, which
+    sums the kernel values (centering zeroes it), so the other modes are the
+    DFT of the varying part and keep full relative precision as kappa -> 0,
+    where they shrink like |kappa|.  Any other metric goes through LAPACK on
+    the dense matrix, eigenvalues ascending; that route is also the ring
+    route's test oracle.  ``kappa`` is named if the Gram matrix overflows.
     """
     if d.profile is None:
-        return np.linalg.eigvalsh(_dense_gram(d, model, scales))
-    varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.profile)
-    w = np.fft.fft(varying).real
-    w[..., 1:] = 0.5 * (w[..., 1:] + w[..., :0:-1])
-    w[..., 0] = 0.0 if model.center else (model.constant + varying).sum(axis=-1)
+        return np.linalg.eigvalsh(_dense_gram(d, space, kappa, scales))
+    model = _MODELS[space]
+    with np.errstate(over="ignore", invalid="ignore"):
+        varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.profile)
+        w = np.fft.fft(varying).real
+        w[..., 1:] = 0.5 * (w[..., 1:] + w[..., :0:-1])
+        w[..., 0] = 0.0 if model.center else (model.constant + varying).sum(axis=-1)
     return w
 
 
-def _eigenpairs(d: DistanceMatrix, model: _Model, scale: float = 1.0):
-    """Eigenvalues and orthonormal eigenvector columns of the model's Gram matrix at scale * d.
+def _shares(w: np.ndarray, timelike: int = 0) -> np.ndarray:
+    """Each mode's signed share of its own scale, along the last axis of a Gram spectrum w.
 
-    A symmetric circulant has the real Hartley basis cas(2 pi j k / N) / sqrt(N)
-    as its eigenvectors, column j with the DFT eigenvalue of mode j that
-    ``_spectra`` returns (Bracewell 1983), built by ``hartley_rows``.  Any
-    other metric goes through LAPACK, with each column's sign fixed so that
-    its largest-magnitude entry is positive.
-    """
-    n = d.n_effective
-    if d.profile is not None:
-        return _spectra(d, model, scale), hartley_rows(n, np.arange(n))
-    w, v = np.linalg.eigh(_dense_gram(d, model, scale))
-    pivots = v[np.abs(v).argmax(axis=0), np.arange(n)]
-    return w, v * np.where(pivots < 0.0, -1.0, 1.0)
-
-
-def _share(value, scale):
-    """value / scale elementwise, and 0 where the scale vanishes (an all-zero spectrum)."""
-    return np.where(scale > 0, value / np.where(scale > 0, scale, 1.0), 0.0)
-
-
-def _inertia(w: np.ndarray, timelike: int = 0):
-    """Scale-free margin of a Gram spectrum to its boundary, and each mode's own scale.
-
-    Along the last axis, the lead mode w_0 must be positive (negative when
-    ``timelike``) and every other mode nonnegative.  The lead is measured
-    against max|w| and the others against the largest of themselves; the
-    margin is the smallest share, and a mode counts as zero within 1e-9 of
-    its scale.  On a ring w_0 is the all-ones mode, the Perron mode on the
-    hyperboloid, and the others shrink like |kappa| as kappa -> 0, so the
-    test stays scale-free there, where it becomes the Euclidean one.  On an
-    ascending dense spectrum w_0 is the smallest eigenvalue (the timelike
-    Perron mode of -cosh), and the margin of the sphere and of Euclidean
-    space equals min(w) / max|w|.
+    The lead mode w_0 must be positive (negative when ``timelike``, so its
+    sign is flipped) and is measured against max|w|; every other mode must be
+    nonnegative and is measured against the largest magnitude among them; a
+    vanishing scale gives a share of 0.  On a ring w_0 is the all-ones mode,
+    the Perron mode on the hyperboloid, and the others shrink like |kappa|
+    as kappa -> 0, so the test stays scale-free there, where it becomes the
+    Euclidean one.  On an ascending dense spectrum w_0 is the smallest
+    eigenvalue (the timelike Perron mode of -cosh), and the margin of the
+    sphere and of Euclidean space equals min(w) / max|w|.
     """
     scales = np.empty_like(w)
     scales[...] = np.abs(w[..., 1:]).max(axis=-1, keepdims=True, initial=0.0)
     scales[..., 0] = np.abs(w).max(axis=-1)
     signed = w.copy()
-    if timelike:
-        signed[..., 0] = -signed[..., 0]
-    return _share(signed, scales).min(axis=-1), scales
+    signed[..., 0] *= -1.0 if timelike else 1.0
+    return np.divide(signed, scales, out=np.zeros_like(w), where=scales > 0)
 
 
 @dataclass(frozen=True, eq=False)
-class InertiaVerdict:
-    """Embeddability outcome: the ascending Gram spectrum and the scale-free margin.
+class Verdict:
+    """Embeddability outcome in one space, read off the spectrum of its unit-model Gram matrix.
 
-    The metric embeds exactly when ``margin >= -PSD_TOL_FACTOR``.  The
-    hyperbolic spectrum is that of the cosh Gram matrix.
+    ``margin`` is the smallest mode share (``_shares``), ``psd_ok`` is
+    ``margin >= -PSD_TOL_FACTOR`` and ``cap_ok`` the sphere's diameter cap
+    (True elsewhere); the metric embeds when both hold.  ``rank`` counts the
+    kept modes, whose share exceeds PSD_TOL_FACTOR: the columns ``realize``
+    factors.  ``eigenvalues`` ascend, of the cosh matrix on the hyperboloid.
     """
-
-    embeddable: bool
-    margin: float
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SphericalVerdict:
-    """Spherical embeddability outcome: the diameter cap, the Gram inertia and its rank."""
 
     embeddable: bool
     cap_ok: bool
@@ -301,57 +285,48 @@ class SphericalVerdict:
 def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarray):
     """The verdict on ``d`` in ``space`` from the spectrum w of its unit-model Gram matrix.
 
-    The margin is ``_inertia``'s; on the sphere the diameter cap is checked
-    too, and the rank counts the modes above 1e-9 of their scale.
+    Also returns the kept modes, the indices into w whose share exceeds
+    PSD_TOL_FACTOR, in the order of w.  A non-finite w raises InvalidArgs.
     """
-    margin, scales = _inertia(w, _MODELS[space].timelike)
-    margin = float(margin)
-    inertia_ok = margin >= -PSD_TOL_FACTOR
-    if space is EmbeddingSpace.HYPERBOLIC:
-        return InertiaVerdict(inertia_ok, margin, np.sort(-w))
-    if space is EmbeddingSpace.EUCLIDEAN:
-        return InertiaVerdict(inertia_ok, margin, np.sort(w))
-    cap_ok = kappa <= math.pi**2 / d.diameter**2
-    return SphericalVerdict(
-        embeddable=cap_ok and inertia_ok,
-        cap_ok=cap_ok,
-        psd_ok=inertia_ok,
-        margin=margin,
-        eigenvalues=np.sort(w),
-        rank=int(np.count_nonzero(w > PSD_TOL_FACTOR * scales)),
-    )
+    timelike = _MODELS[space].timelike
+    shares = _shares(_finite(w, space, kappa), timelike)
+    margin = float(shares.min())
+    psd_ok = margin >= -PSD_TOL_FACTOR
+    cap_ok = space is not EmbeddingSpace.SPHERICAL or kappa <= math.pi**2 / d.diameter**2
+    kept = np.flatnonzero(shares > PSD_TOL_FACTOR)
+    eigenvalues = np.sort(-w if timelike else w)
+    return Verdict(cap_ok and psd_ok, cap_ok, psd_ok, margin, eigenvalues, len(kept)), kept
 
 
-def _verdict(d: DistanceMatrix, space: EmbeddingSpace, kappa: float):
-    return _decide(d, space, kappa, _spectra(d, _MODELS[space], _scale(space, kappa)))
+def _verdict(d: DistanceMatrix, space: EmbeddingSpace, kappa: float) -> Verdict:
+    return _decide(d, space, kappa, _spectra(d, space, kappa, _scale(space, kappa)))[0]
 
 
-def embeddable_spherical(d: DistanceMatrix, kappa: float) -> SphericalVerdict:
+def embeddable_spherical(d: DistanceMatrix, kappa: float) -> Verdict:
     """Decide embeddability into the curvature-kappa sphere.
 
     True exactly when kappa is at most the cap pi^2 / diameter^2, the
     expression the threshold search reports, and the cosine Gram matrix
-    cos(sqrt(kappa) d) is positive semidefinite, by the margin of
-    ``_inertia``.  The rank counts the modes above 1e-9 of their
-    scale, so a single lost rank (the boundary case) maps to an embedding
-    one dimension down.
+    cos(sqrt(kappa) d) is positive semidefinite within the margin.  A single
+    lost rank (the boundary case) maps to an embedding one dimension down.
     """
     return _verdict(d, EmbeddingSpace.SPHERICAL, kappa)
 
 
-def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> InertiaVerdict:
+def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> Verdict:
     """Decide embeddability into hyperbolic space of curvature kappa < 0.
 
     The cosh Gram matrix must have exactly one positive eigenvalue.  Its
     entries are positive, so its largest eigenvalue is positive and has the
     largest magnitude (Perron-Frobenius); on a ring it is the all-ones mode.
     The margin measures minus each other eigenvalue against the largest
-    magnitude among them, so it does not vanish as kappa -> 0.
+    magnitude among them, so it does not vanish as kappa -> 0.  The rank
+    counts the Perron mode too; a kappa at which cosh overflows is refused.
     """
     return _verdict(d, EmbeddingSpace.HYPERBOLIC, kappa)
 
 
-def embeddable_euclidean(d: DistanceMatrix) -> InertiaVerdict:
+def embeddable_euclidean(d: DistanceMatrix) -> Verdict:
     """Decide embeddability into Euclidean space (Schoenberg 1935).
 
     The centred Gram matrix -J (d o d) J / 2 must be positive semidefinite;
@@ -384,26 +359,20 @@ class EmbeddingResult:
     irreducible: bool
 
 
-def realize(
-    d: DistanceMatrix,
-    space: EmbeddingSpace,
-    kappa: float = 0.0,
-    tol: float = DEFAULT_REALIZE_TOL,
-) -> EmbeddingResult:
+def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> EmbeddingResult:
     """Realize an embeddable metric as explicit coordinates in the model space.
 
     One factorization serves all three spaces, which differ only in the
     unit model (``_MODELS``) and the radius r = 1 / sqrt|kappa| (1 in
-    Euclidean space).  The eigenpairs of the model's Gram matrix come from
-    ``_eigenpairs``: fixed Hartley columns for a ring, LAPACK for any other
-    metric.  The verdict is decided on the same eigenvalues.  The modes
-    above 1e-9 of their scale (see ``_inertia``) are kept in the order of
-    the spectrum: mode order on a ring, ascending for LAPACK.  Either way
-    the one timelike column of the hyperboloid comes first (ring mode 0, or
-    the smallest eigenvalue of -cosh); each column is scaled by r sqrt|w|.
-    The geodesic distances are read back from the chords between the rows
-    of the column-centred factor, in which the constant column cancels
-    exactly, and compared with the input over all pairs.
+    Euclidean space).  A ring's eigenvectors are the Hartley columns, column
+    j with the DFT eigenvalue of mode j; any other metric goes through
+    LAPACK ``eigh``, each column's largest-magnitude entry made positive.
+    The verdict is decided on the same eigenvalues, and its kept modes are
+    the columns factored, in the order of the spectrum, so ``ambient_dim``
+    is its rank and the hyperboloid's one timelike column comes first; each
+    is scaled by r sqrt|w|.  The geodesic distances are read back from the
+    chords between the rows of the column-centred factor, in which the
+    constant column cancels exactly, and compared with the input.
 
     Raises
     ------
@@ -411,18 +380,24 @@ def realize(
         When the matching embeddability test rejects the metric.
     FactorizationFailure
         When the recomputed geodesic distances miss the input by more than
-        ``tol``.
+        ``DEFAULT_REALIZE_TOL``.
+    InvalidArgs
+        When kappa does not fit the space or the Gram matrix is not finite.
     """
     scale = _scale(space, kappa)
     model = _MODELS[space]
-    w, v = _eigenpairs(d, model, scale)
-    verdict = _decide(d, space, kappa, w)
+    n = d.n_effective
+    if d.profile is None:
+        w, v = np.linalg.eigh(_dense_gram(d, space, kappa, scale))
+        v = v * np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
+    else:
+        w, v = _spectra(d, space, kappa, scale), hartley_rows(n, np.arange(n))
+    verdict, kept = _decide(d, space, kappa, w)
     name = space.name.lower()
     if not verdict.embeddable:
         raise NotEmbeddable(
             f"not embeddable in {name} space at kappa={kappa!r} (margin {verdict.margin:.3e})"
         )
-    kept = np.flatnonzero(np.abs(w) > PSD_TOL_FACTOR * _inertia(w, model.timelike)[1])
     factor = v[:, kept] * np.sqrt(np.abs(w[kept]))
     centred = factor - factor.mean(axis=0)
     gram = (centred * np.sign(w[kept])) @ centred.T
@@ -431,18 +406,16 @@ def realize(
     error = np.abs(model.geodesic(chords) / scale - d.entries)
     np.fill_diagonal(error, 0.0)
     distortion = float(error.max())
-    if distortion > tol:
-        raise FactorizationFailure(
-            f"{name} round-trip distortion {distortion:.3e} exceeds tol {tol:.1e}"
-        )
-    n = d.n_effective
+    if distortion > DEFAULT_REALIZE_TOL:
+        raise FactorizationFailure(f"{name} round-trip distortion {distortion:.3e} "
+                                   f"exceeds tol {DEFAULT_REALIZE_TOL:.1e}")
     return EmbeddingResult(
         space=space,
         curvature=0.0 if space is EmbeddingSpace.EUCLIDEAN else kappa,
-        ambient_dim=len(kept),
+        ambient_dim=verdict.rank,
         coordinates=factor / scale,
         max_distortion=distortion,
-        irreducible=len(kept) == n if model.timelike else len(kept) < n,
+        irreducible=verdict.rank == n if model.timelike else verdict.rank < n,
     )
 
 
@@ -475,8 +448,8 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
         raise InvalidArgs("feasibility search needs a positive diameter")
     cap = math.pi**2 / diameter**2
     grid = math.sqrt(cap) * np.arange(1, THRESHOLD_GRID + 1) / THRESHOLD_GRID
-    sphere = _MODELS[EmbeddingSpace.SPHERICAL]
-    feasible = _inertia(_spectra(d, sphere, grid))[0] >= -PSD_TOL_FACTOR
+    sphere = EmbeddingSpace.SPHERICAL
+    feasible = _shares(_spectra(d, sphere, cap, grid)).min(axis=-1) >= -PSD_TOL_FACTOR
     feasible_at_cap = bool(feasible[-1])
     below = np.flatnonzero(feasible[:-1])
     if feasible_at_cap:
@@ -487,7 +460,7 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
         lo, hi = grid[below[-1]], grid[below[-1] + 1]
         while lo < 0.5 * (lo + hi) < hi:
             points = lo + (hi - lo) * np.arange(SWEEP_POINTS + 2) / (SWEEP_POINTS + 1)
-            negative = _inertia(_spectra(d, sphere, points[1:-1]))[0] < 0.0
+            negative = _shares(_spectra(d, sphere, cap, points[1:-1])).min(axis=-1) < 0.0
             cut = 1 + int(np.append(negative, True).argmax())
             lo, hi = points[cut - 1], points[cut]
     kappa, upper = (cap, cap) if feasible_at_cap else (float(lo * lo), float(hi * hi))
@@ -523,7 +496,7 @@ class RingEmbedding:
     kappa_max_mean_weight: float
     threshold: FeasibilityThreshold | None
     kappa: float | None
-    verdict: SphericalVerdict | InertiaVerdict
+    verdict: Verdict
     realization: EmbeddingResult | None
 
 

@@ -393,11 +393,10 @@ def check_metric_axioms(
     violations.extend(symmetry)
     symmetry_ok = not symmetry
 
-    zero_pairs = list(map(tuple, zero_distance_pairs(d).tolist()))
-    violations.extend(
-        Violation("separation", (i + 1, j + 1), float(matrix[i, j])) for i, j in zero_pairs
-    )
-    separation_ok = not zero_pairs
+    zero_pairs = zero_distance_pairs(d)
+    violations.extend(Violation("separation", (i + 1, j + 1), float(matrix[i, j]))
+                      for i, j in zero_pairs.tolist())
+    separation_ok = not len(zero_pairs)
 
     exhaustive = profile is not None or n <= exhaustive_limit
     if profile is not None and _circulant_triangle_ok(profile):
@@ -412,13 +411,14 @@ def check_metric_axioms(
     if identity_ok and symmetry_ok and triangle_ok and separation_ok:
         classification = MetricClassification.METRIC
     else:
-        antipodal = {(i, i + n // 2) for i in range(n // 2)} if n % 2 == 0 else set()
+        # Both pair lists are in row-major order: equal sets are equal arrays.
+        antipodal = np.arange(n // 2)[:, None] + [0, n // 2]
         only_antipodal = (
             identity_ok
             and symmetry_ok
             and triangle_ok
-            and bool(zero_pairs)
-            and set(zero_pairs) == antipodal
+            and n % 2 == 0
+            and np.array_equal(zero_pairs, antipodal)
         )
         classification = (
             MetricClassification.SEMI_METRIC_ANTIPODAL

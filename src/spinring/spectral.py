@@ -16,9 +16,8 @@ matrix size, then one grouping pass over all spectra (``numerical_spectra``,
 flat; ``numerical_spectrum`` decomposes one matrix).  Both routes give the
 same ``SpectralDecomposition`` shape, so downstream code never cares which
 route built it.  The round-robin Jacobi eigensolver (``jacobi_eigh``, one
-matrix at a time; ``jacobi_eigh_many`` maps it over a list) runs on no CLI
-path: it is the named test oracle of the numerical route, and the
-benchmark's per-layer tracer binds ``jacobi_eigh`` by name.
+matrix at a time) runs on no CLI path: it is the named test oracle of the
+numerical route, and the benchmark's per-layer tracer binds it by name.
 """
 
 from __future__ import annotations
@@ -143,11 +142,6 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     raise NoConvergence(
         f"off-diagonal norm {off:.3e} above {off_target:.3e} after {max_sweeps} sweeps"
     )
-
-
-def jacobi_eigh_many(matrices, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
-    """``jacobi_eigh`` of each matrix, in input order."""
-    return [jacobi_eigh(matrix, max_sweeps) for matrix in matrices]
 
 
 def numerical_spectra(matrices):

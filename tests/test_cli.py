@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -435,6 +436,18 @@ def test_embed_infinite_kappa_is_a_usage_error(space, kappa):
     assert result.stderr == f"error: curvature must be finite, got {kappa}\n"
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 16])
+def test_embed_non_finite_gram_is_a_usage_error(n):
+    # cosh overflows at kappa = -1e6; a NaN spectrum used to pass the verdict
+    # and fail the realization.  The refusal is the only signal, no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = _in_process(["embed", "--n", str(n), "--space", "hyperbolic",
+                                    "--kappa=-1e6"])
+    assert (rc, out) == (2, "")
+    assert err == "error: hyperbolic Gram matrix is not finite at kappa=-1000000.0\n"
+
+
 def test_embed_bad_kappa_fails_before_the_threshold_search(monkeypatch):
     def search(d):
         raise AssertionError("the threshold search ran")
@@ -496,7 +509,6 @@ def test_verify_never_runs_the_jacobi_oracle(monkeypatch):
     def oracle_reached(*args, **kwargs):
         raise AssertionError("verify reached the Jacobi oracle")
 
-    monkeypatch.setattr(spinring.spectral, "jacobi_eigh_many", oracle_reached)
     monkeypatch.setattr(spinring.spectral, "jacobi_eigh", oracle_reached)
     rc, out, err = _in_process(["verify"])
     assert rc == 0, err

@@ -195,6 +195,25 @@ def test_infinite_curvature_is_rejected():
                 decide(d, kappa)
 
 
+def test_non_finite_gram_is_rejected(monkeypatch):
+    # cosh overflows on the 5-ring at kappa = -1e6, and -d^2 / 2 on huge
+    # hand-built distances.  Neither reaches a verdict, and a dense Gram
+    # matrix is refused before LAPACK.
+    def lapack_reached(*args, **kwargs):
+        raise AssertionError("a non-finite Gram matrix reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lapack_reached)
+    monkeypatch.setattr(np.linalg, "eigh", lapack_reached)
+    message = "^hyperbolic Gram matrix is not finite at kappa=-1000000.0$"
+    for d in (ring(5), DistanceMatrix.from_entries(ring(5).entries)):
+        with pytest.raises(InvalidArgs, match=message):
+            embeddable_hyperbolic(d, -1e6)
+        with pytest.raises(InvalidArgs, match=message):
+            realize(d, EmbeddingSpace.HYPERBOLIC, -1e6)
+    with pytest.raises(InvalidArgs, match="^euclidean Gram matrix is not finite at kappa=0.0$"):
+        embeddable_euclidean(uniform_points(4, 1e200))
+
+
 def test_spherical_small_curvature_matches_euclidean_verdict():
     for d in (uniform_points(4, 1.0), bad_quadruple()):
         euclidean = embeddable_euclidean(d).embeddable
@@ -277,39 +296,51 @@ def test_ring_spectra_pair_modes_bit_equal():
     # the same keep decision in realize.
     for n in range(3, 65):
         d = ring(n)
-        for space, scale in (
-            (EmbeddingSpace.SPHERICAL, math.sqrt(auto_kappa(d, n))),
-            (EmbeddingSpace.EUCLIDEAN, 1.0),
-            (EmbeddingSpace.HYPERBOLIC, 1.0),
+        for space, kappa in (
+            (EmbeddingSpace.SPHERICAL, auto_kappa(d, n)),
+            (EmbeddingSpace.EUCLIDEAN, 0.0),
+            (EmbeddingSpace.HYPERBOLIC, -1.0),
         ):
-            w = embedding._spectra(d, embedding._MODELS[space], scale)
+            w = embedding._spectra(d, space, kappa, embedding._scale(space, kappa))
             assert np.array_equal(w[1:], w[:0:-1]), (n, space)
 
 
 def test_ring_verdicts_agree_with_realize():
     # The Hartley realization of every ring, against LAPACK on the same
-    # entries without the circulant profile for n <= 150.
+    # entries without the circulant profile for n <= 150.  Every embeddable
+    # verdict is realized in as many dimensions as its rank counts, on the
+    # ring and on the dense copy; for n <= 64 also at a grid of curvatures:
+    # shares of the spherical cap and hyperbolic kappa from -1e-3 to -1e2.
+    decide = {
+        EmbeddingSpace.SPHERICAL: embeddable_spherical,
+        EmbeddingSpace.EUCLIDEAN: lambda d, kappa: embeddable_euclidean(d),
+        EmbeddingSpace.HYPERBOLIC: embeddable_hyperbolic,
+    }
     for n in range(3, 301):
         d = ring(n)
         dense = DistanceMatrix.from_entries(d.entries) if n <= 150 else None
-        kappa = auto_kappa(d, n)
-        cases = (
-            (EmbeddingSpace.SPHERICAL, kappa, embeddable_spherical(d, kappa)),
-            (EmbeddingSpace.EUCLIDEAN, 0.0, embeddable_euclidean(d)),
-            (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic(d, -1.0)),
-        )
-        for space, curvature, verdict in cases:
-            if not verdict.embeddable:
-                with pytest.raises(NotEmbeddable):
-                    realize(d, space, curvature)
-                continue
-            result = realize(d, space, curvature)
-            assert result.max_distortion <= 1e-8, (n, space)
-            if dense is not None:
-                oracle = realize(dense, space, curvature)
-                assert oracle.max_distortion <= 1e-8, (n, space)
-                assert oracle.ambient_dim == result.ambient_dim, (n, space)
-                assert oracle.irreducible == result.irreducible, (n, space)
+        cases = [(EmbeddingSpace.SPHERICAL, auto_kappa(d, n)), (EmbeddingSpace.EUCLIDEAN, 0.0),
+                 (EmbeddingSpace.HYPERBOLIC, -1.0)]
+        if n <= 64:
+            cap = spherical_feasibility_threshold(d).cap
+            cases += [(EmbeddingSpace.SPHERICAL, share * cap)
+                      for share in (1e-3, 0.25, 0.5, 0.75, 1.0)]
+            cases += [(EmbeddingSpace.HYPERBOLIC, -(10.0**e)) for e in range(-3, 3)]
+        for space, curvature in cases:
+            outcomes = []
+            for metric in (d,) if dense is None else (d, dense):
+                verdict = decide[space](metric, curvature)
+                if not verdict.embeddable:
+                    with pytest.raises(NotEmbeddable):
+                        realize(metric, space, curvature)
+                    outcomes.append(None)
+                    continue
+                result = realize(metric, space, curvature)
+                assert result.max_distortion <= 1e-8, (n, space, curvature)
+                assert result.ambient_dim == verdict.rank, (n, space, curvature)
+                outcomes.append((result.ambient_dim, result.irreducible))
+            # The dense copy gets the same verdict, dimension and irreducibility.
+            assert outcomes.count(outcomes[0]) == len(outcomes), (n, space, curvature)
 
 
 def test_realize_ring_columns_are_hartley_columns_in_mode_order():

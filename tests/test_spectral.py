@@ -15,7 +15,6 @@ from spinring import (
     build_single_excitation_hamiltonian,
     circulant_spectrum,
     jacobi_eigh,
-    jacobi_eigh_many,
     numerical_spectra,
     numerical_spectrum,
     p_max_closed_form,
@@ -210,26 +209,24 @@ def test_jacobi_against_library_solver():
     # 16 shares its padded size with 15, as the degenerate block shares 64's.
     base = rng.standard_normal((16, 16))
     matrices.append(0.5 * (base + base.T))
-    stacked = jacobi_eigh_many(matrices)
-    assert len(stacked) == len(matrices)
-    for matrix, stacked_pair in zip(matrices, stacked):
+    for matrix in matrices:
         n = matrix.shape[0]
         reference = np.linalg.eigvalsh(matrix)
         scale = max(1.0, float(np.abs(reference).max()))
-        for w, v in (jacobi_eigh(matrix), stacked_pair):
-            assert w.shape == (n,) and v.shape == (n, n), n
-            assert np.abs(w - reference).max() <= 1e-10 * scale, n
-            assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12, n
-            assert np.abs(v @ np.diag(w) @ v.T - matrix).max() <= 1e-11 * scale, n
+        w, v = jacobi_eigh(matrix)
+        assert w.shape == (n,) and v.shape == (n, n), n
+        assert np.abs(w - reference).max() <= 1e-10 * scale, n
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12, n
+        assert np.abs(v @ np.diag(w) @ v.T - matrix).max() <= 1e-11 * scale, n
 
 
 def test_jacobi_no_convergence():
     matrix = build_single_excitation_hamiltonian(RingSpec(5)).entries
     with pytest.raises(NoConvergence):
         jacobi_eigh(matrix, max_sweeps=0)
-    stack = [build_single_excitation_hamiltonian(RingSpec(n)).entries for n in (5, 6, 9)]
-    with pytest.raises(NoConvergence):
-        jacobi_eigh_many(stack, max_sweeps=0)
+    for n in (6, 9):
+        with pytest.raises(NoConvergence):
+            jacobi_eigh(build_single_excitation_hamiltonian(RingSpec(n)).entries, max_sweeps=0)
 
 
 def _grouped(w: np.ndarray):
@@ -313,7 +310,7 @@ def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
     # and the projector entries of site 1 against every site.
     blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
               for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
-    oracle = jacobi_eigh_many([block.entries for block in blocks])
+    oracle = [jacobi_eigh(block.entries) for block in blocks]
     flat = _per_matrix(numerical_spectra(blocks), [block.dim for block in blocks])
     for block, (values, counts, basis), (w, v) in zip(blocks, flat, oracle):
         eigenvalues, multiplicities = _grouped(w)
@@ -334,10 +331,8 @@ def test_jacobi_oracle_never_calls_the_library_solver(monkeypatch):
         monkeypatch.setattr(np.linalg, name, library_reached)
     blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling)).entries
               for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
-    pairs = jacobi_eigh_many(blocks)
-    single = jacobi_eigh(blocks[-1])
-    assert all(np.array_equal(x, y) for x, y in zip(single, pairs[-1]))
-    for block, (w, v) in zip(blocks, pairs):
+    for block in blocks:
+        w, v = jacobi_eigh(block)
         scale = float(np.abs(w).max())
         assert np.abs(v @ np.diag(w) @ v.T - block).max() <= 1e-11 * scale, len(block)
 
