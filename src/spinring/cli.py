@@ -21,7 +21,6 @@ import dataclasses
 import enum
 import functools
 import itertools
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -43,6 +42,7 @@ from .errors import (
     SpinRingError,
 )
 from .hamiltonian import (
+    RESTRICTION_TOL,
     Coupling,
     RingSpec,
     build_single_excitation_hamiltonian,
@@ -364,22 +364,23 @@ def cmd_variance_sweep(args) -> int:
     return 0
 
 
+def _check(name: str, worst: float, tolerance: float, detail: str) -> dict:
+    """One verify record: a check passes when its worst is within its tolerance."""
+    return {"name": name, "ok": worst <= tolerance, "worst": worst, "tolerance": tolerance,
+            "detail": detail}
+
+
 def _check_subspace_restriction(n_max_full: int) -> dict:
-    worst = 0.0
-    ok = True
-    failure = ""
     specs = [RingSpec(n, coupling) for n in range(3, n_max_full + 1)
              for coupling in (Coupling.XX, Coupling.HEISENBERG)]
-    for spec, result in zip(specs, check_subspace_restrictions(specs)):
-        if isinstance(result, RestrictionMismatch):
-            ok = False
-            worst = max(worst, result.deviation or math.inf)
-            failure = f"n={spec.n} {spec.coupling.value}: {result}"
-        else:
-            worst = max(worst, result.max_abs_deviation)
-    detail = failure or f"n=3..{n_max_full}, both couplings"
-    return {"name": "subspace_restriction", "ok": ok, "worst": worst,
-            "tolerance": 1e-12, "detail": detail}
+    results = check_subspace_restrictions(specs)
+    failures = [f"n={spec.n} {spec.coupling.value}: {result}"
+                for spec, result in zip(specs, results) if isinstance(result, RestrictionMismatch)]
+    deviations = [result.deviation if isinstance(result, RestrictionMismatch) else result
+                  for result in results]
+    worst = float(np.max(deviations))  # np.max, unlike max, keeps a NaN
+    return _check("subspace_restriction", worst, RESTRICTION_TOL,
+                  failures[-1] if failures else f"n=3..{n_max_full}, both couplings")
 
 
 def _site_one_totals(vectors, sizes, multiplicities) -> np.ndarray:
@@ -407,16 +408,14 @@ def _check_spectrum_agreement(sizes, spectra, inject_fault: bool) -> dict:
     eigenvalues, multiplicities, _ = circulant_eigenspaces(specs)
     numeric = np.repeat(spectra[0], spectra[1])[:sizes.sum()]
     worst = float(np.abs(np.repeat(eigenvalues, multiplicities) - numeric).max())
-    return {"name": "spectrum_agreement", "ok": worst <= 1e-9, "worst": worst,
-            "tolerance": 1e-9, "detail": f"n=3..{sizes[-1]}, closed form vs solver"}
+    return _check("spectrum_agreement", worst, 1e-9, f"n=3..{sizes[-1]}, closed form vs solver")
 
 
 def _check_coupling_invariance(sizes, spectra) -> dict:
     totals = _site_one_totals(spectra[2], np.tile(sizes, 2), spectra[1])
     p = np.minimum(totals * totals, 1.0)
     worst = float(np.abs(p[:len(p) // 2] - p[len(p) // 2:]).max())
-    return {"name": "coupling_invariance", "ok": worst <= 1e-10, "worst": worst,
-            "tolerance": 1e-10, "detail": f"n=3..{sizes[-1]}, XX vs Heisenberg"}
+    return _check("coupling_invariance", worst, 1e-10, f"n=3..{sizes[-1]}, XX vs Heisenberg")
 
 
 def _check_toeplitz_minors() -> dict:
@@ -428,11 +427,10 @@ def _check_toeplitz_minors() -> dict:
     direct = np.array([np.linalg.det(full[:, :k, :k]) for k in orders])
     candidates = np.stack((toeplitz_minor_closed_form(orders[:, None], cs),
                            np.broadcast_arrays(*toeplitz_minor_recursion(12, cs))))
-    errors = np.abs(candidates - direct)
-    ok = bool((errors <= np.maximum(1e-10 * np.abs(direct), 1e-14)).all())
-    worst = float((errors / np.maximum(np.abs(direct), 1.0)).max())
-    return {"name": "toeplitz_minors", "ok": ok, "worst": worst,
-            "tolerance": 1e-10, "detail": "k<=12, six c values, closed form and recursion vs determinant"}
+    # Within 1e-10 of max(|det|, 1e-4): relative error, absolute 1e-14 near zero.
+    worst = float((np.abs(candidates - direct) / np.maximum(np.abs(direct), 1e-4)).max())
+    return _check("toeplitz_minors", worst, 1e-10,
+                  "k<=12, six c values, closed form and recursion vs determinant")
 
 
 def _check_transfer_bound() -> dict:
@@ -444,9 +442,9 @@ def _check_transfer_bound() -> dict:
              for n, columns in zip(sizes.tolist(), np.split(order, np.cumsum(sizes)[:-1]))]
     totals = _site_one_totals(np.concatenate(bases), sizes, multiplicities)
     closed = [p_max_closed_form(n, m) for n in sizes.tolist() for m in range(1, n // 2 + 1)]
-    worst = max((totals * totals - closed).tolist())
-    return {"name": "transfer_bound", "ok": worst <= 1e-10, "worst": worst, "tolerance": 1e-10,
-            "detail": "n in {3,4,5,7,8}, (sum_k |<1|Pi_k|1+m>|)^2 >= sup_t p(t) vs closed-form p_max"}
+    worst = float((totals * totals - closed).max())
+    return _check("transfer_bound", worst, 1e-10,
+                  "n in {3,4,5,7,8}, (sum_k |<1|Pi_k|1+m>|)^2 >= sup_t p(t) vs closed-form p_max")
 
 
 def cmd_verify(args) -> int:

@@ -10,7 +10,9 @@ Heisenberg model.  H preserves the number of up spins, so its restriction to
 the n-dimensional one-excitation sector is an n x n circulant matrix H_1 with
 off-diagonal coupling h and a uniform diagonal shift.  The off-diagonal value
 is derived constructively (h = 2J for both couplings) and verified against
-the full-space restriction rather than hardcoded.
+the full-space restriction rather than hardcoded.  Both builders return a
+read-only float64 array; they write (i, j) and (j, i) alike, so symmetry
+holds exactly and is never repaired after the fact.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class RingSpec:
     coupling : Coupling
         XX or Heisenberg exchange.
     strength : float
-        Uniform positive coupling constant J on every bond.
+        Uniform positive, finite coupling constant J on every bond.
     """
 
     n: int
@@ -60,8 +62,9 @@ class RingSpec:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise InvalidSpec(f"ring needs at least 3 spins, got n={self.n}")
-        if not self.strength > 0:
-            raise InvalidSpec(f"coupling strength must be positive, got {self.strength}")
+        if not 0 < self.strength < np.inf:
+            raise InvalidSpec(
+                f"coupling strength must be positive and finite, got {self.strength}")
 
     @property
     def subspace_coupling(self) -> float:
@@ -72,29 +75,6 @@ class RingSpec:
     def subspace_shift(self) -> float:
         """Uniform diagonal of the one-excitation block, J * eps * (n - 4)."""
         return self.strength * self.coupling.epsilon * (self.n - 4)
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSymmetricMatrix:
-    """Real symmetric matrix stored dense; entries are immutable after construction.
-
-    Builders write both (i, j) and (j, i), so symmetry holds exactly and is
-    never repaired after the fact.  Read-only float64 arrays that own their
-    data are kept as given; any other input is copied.
-    """
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = self.entries
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=float, copy=True)
-        if arr.shape != (self.dim, self.dim):
-            raise InvalidSpec(f"expected shape ({self.dim}, {self.dim}), got {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
 
 
 def single_excitation_index(n: int, site: int) -> int:
@@ -139,7 +119,7 @@ def _hamiltonian_rows(n, strength, epsilon, states: np.ndarray):
     return rows, np.concatenate((states, states[hop_rows] ^ flips)), np.concatenate((diag, amplitudes))
 
 
-def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
+def build_full_hamiltonian(spec: RingSpec) -> np.ndarray:
     """Dense 2^n x 2^n ring Hamiltonian summed over all n cyclic bonds.
 
     Raises
@@ -154,11 +134,11 @@ def build_full_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
                                               np.arange(dim))
     ham = np.zeros((dim, dim))
     ham[rows, columns] = values
-    ham.flags.writeable = False  # kept as is, not copied, by DenseSymmetricMatrix
-    return DenseSymmetricMatrix(dim, ham)
+    ham.flags.writeable = False
+    return ham
 
 
-def build_single_excitation_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
+def build_single_excitation_hamiltonian(spec: RingSpec) -> np.ndarray:
     """Direct n x n circulant build of the one-excitation block H_1.
 
     Off-diagonal h sits on the cyclic super and sub diagonal including the
@@ -170,16 +150,8 @@ def build_single_excitation_hamiltonian(spec: RingSpec) -> DenseSymmetricMatrix:
     block.flat[::n + 1] = spec.subspace_shift
     block.flat[1::n + 1] = block.flat[n::n + 1] = h  # super and sub diagonal
     block[0, -1] = block[-1, 0] = h
-    block.flags.writeable = False  # kept as is, not copied, by DenseSymmetricMatrix
-    return DenseSymmetricMatrix(n, block)
-
-
-@dataclass(frozen=True)
-class RestrictionCheck:
-    """Outcome of comparing the full-space restriction with the direct build."""
-
-    ok: bool
-    max_abs_deviation: float
+    block.flags.writeable = False
+    return block
 
 
 def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
@@ -194,8 +166,9 @@ def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
     Returns
     -------
     list
-        Per ring, a ``RestrictionCheck``, or the ``RestrictionMismatch`` that
-        ``verify_subspace_restriction`` would raise (returned, not raised).
+        Per ring, its worst deviation as a float, or the ``RestrictionMismatch``
+        that ``verify_subspace_restriction`` would raise (returned, not raised).
+        A NaN deviation is a mismatch, located at a NaN block entry.
     """
     sizes = np.array([spec.n for spec in specs])
     ring = np.repeat(np.arange(len(specs)), sizes)
@@ -211,20 +184,18 @@ def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
     blocks = np.zeros((len(specs), sizes.max(), sizes.max()))
     np.add.at(blocks, (ring[in_sector], site[in_sector], target[in_sector]), values[in_sector])
     for r, spec in enumerate(specs):
-        blocks[r, :spec.n, :spec.n] -= build_single_excitation_hamiltonian(spec).entries
+        blocks[r, :spec.n, :spec.n] -= build_single_excitation_hamiltonian(spec)
     block_dev = np.abs(blocks)
     leak = ~in_sector
     worst_leaks = np.zeros(len(specs))
     np.maximum.at(worst_leaks, ring[leak], np.abs(values[leak]))
 
     results = []
-    for r, (worst_block, worst_leak) in enumerate(zip(block_dev.max(axis=(1, 2)).tolist(),
-                                                      worst_leaks.tolist())):
-        deviation = max(worst_block, worst_leak)
-        if not deviation > tol:
-            results.append(RestrictionCheck(True, deviation))
+    for r, deviation in enumerate(np.maximum(block_dev.max(axis=(1, 2)), worst_leaks).tolist()):
+        if deviation <= tol:
+            results.append(deviation)
             continue
-        if worst_block >= worst_leak:
+        if not worst_leaks[r] > block_dev[r].max():  # so a NaN block entry is reported
             i, j = np.unravel_index(int(block_dev[r].argmax()), block_dev[r].shape)
             indices = (int(i) + 1, int(j) + 1)
             what = f"block entry at sites {indices}"
@@ -238,9 +209,7 @@ def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
     return results
 
 
-def verify_subspace_restriction(
-    spec: RingSpec, tol: float = RESTRICTION_TOL
-) -> RestrictionCheck:
+def verify_subspace_restriction(spec: RingSpec, tol: float = RESTRICTION_TOL) -> float:
     """Check that the full Hamiltonian restricts to the direct one-excitation build.
 
     Builds only the n rows of the full 2^n Hamiltonian that belong to the
@@ -251,14 +220,14 @@ def verify_subspace_restriction(
 
     Returns
     -------
-    RestrictionCheck
-        ``ok`` is True and ``max_abs_deviation`` is the worst entry error.
+    float
+        The worst entry error, at most ``tol``.
 
     Raises
     ------
     RestrictionMismatch
-        If any block entry or any leakage entry exceeds ``tol``; the error
-        carries the worst offending indices.
+        If any block entry or any leakage entry exceeds ``tol`` or is NaN;
+        the error carries the worst offending indices.
     """
     result = check_subspace_restrictions([spec], tol)[0]
     if isinstance(result, RestrictionMismatch):

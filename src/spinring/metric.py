@@ -59,7 +59,8 @@ class DistanceMatrix:
     that ``entries[i, j] = profile[(j - i) mod N]``; it is None for a matrix
     not known to be circulant.  With a profile the constructor checks the
     first row and keeps ``entries`` as a read-only view of the profile
-    (O(N) memory, no N x N copy); without one it keeps a read-only copy.  In
+    (O(N) memory, no N x N copy); without one it keeps a read-only copy.  A
+    NaN distance is refused, in the profile when there is one (O(N)).  In
     a symmetric circulant each s = 1..N - 1 stands for N/2 unordered pairs,
     so ring statistics and the diameter are read from the profile.
     """
@@ -74,11 +75,13 @@ class DistanceMatrix:
             raise InvalidArgs(
                 f"expected shape ({self.n_effective}, {self.n_effective}), got {arr.shape}"
             )
-        if self.profile is None:
+        profile = None if self.profile is None else np.array(self.profile, dtype=float, copy=True)
+        if np.isnan(arr if profile is None else profile).any():
+            raise InvalidArgs("distances must not be NaN")
+        if profile is None:
             arr = arr.copy()
             arr.flags.writeable = False
         else:
-            profile = np.array(self.profile, dtype=float, copy=True)
             if not np.array_equal(profile, arr[0]):
                 raise InvalidArgs("circulant profile must equal the first row of entries")
             profile.flags.writeable = False
@@ -89,17 +92,18 @@ class DistanceMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> "DistanceMatrix":
-        """Wrap an explicit square array, validating shape, symmetry and sign."""
+        """Wrap an explicit square array, validating shape, NaNs, symmetry and sign."""
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidArgs(f"expected a square matrix, got shape {arr.shape}")
-        if not np.array_equal(arr, arr.T):
+        d = cls(arr.shape[0], arr)
+        if not np.array_equal(d.entries, d.entries.T):
             raise InvalidArgs("distance matrix must be symmetric")
-        if np.any(np.diag(arr) != 0.0):
+        if np.any(np.diag(d.entries) != 0.0):
             raise InvalidArgs("distance matrix must have a zero diagonal")
-        if np.any(arr < 0.0):
+        if np.any(d.entries < 0.0):
             raise InvalidArgs("distances must be nonnegative")
-        return cls(arr.shape[0], arr)
+        return d
 
     @property
     def diameter(self) -> float:

@@ -11,7 +11,8 @@ H_1 carries delta + 2h cos(2 pi min(k, n - k) / n), so its eigenspaces are
 grouped by mode min(k, n - k), with no tolerance.  ``hartley_rows``
 builds any subset of its rows, for ``embedding``'s ring Gram matrices too.
 
-The numerical route is LAPACK ``np.linalg.eigh``, one stacked call per
+The numerical route is LAPACK ``np.linalg.eigh`` on square arrays, such as
+the read-only blocks that ``hamiltonian`` builds: one stacked call per
 matrix size, then one grouping pass over all spectra (``numerical_spectra``,
 flat; ``numerical_spectrum`` decomposes one matrix).  Both routes give the
 same ``SpectralDecomposition`` shape, so downstream code never cares which
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NoConvergence
-from .hamiltonian import DenseSymmetricMatrix, RingSpec
+from .errors import IndexOutOfRange, InvalidSpec, NoConvergence
+from .hamiltonian import RingSpec
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_FACTOR = 1e-14
@@ -152,14 +153,20 @@ def numerical_spectra(matrices):
     matrix's first eigenvalue and wherever a gap exceeds 1e-8 times that
     matrix's spread, and takes its group's mean.  The arrays are flat, in
     input order; each basis is raveled row by row, columns eigenspace after
-    eigenspace.  A non-finite entry or LAPACK failure raises ``NoConvergence``.
+    eigenspace.  An input that is not a non-empty square 2-D array raises
+    ``InvalidSpec``; a non-finite entry or LAPACK failure raises
+    ``NoConvergence``.
     """
-    sizes = np.array([matrix.dim for matrix in matrices], dtype=int)
+    shapes = [np.shape(matrix) for matrix in matrices]
+    for shape in shapes:
+        if len(shape) != 2 or not shape[0] == shape[1] > 0:
+            raise InvalidSpec(f"expected a non-empty square matrix, got shape {shape}")
+    sizes = np.array([shape[0] for shape in shapes], dtype=int)
     firsts, squares = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
     w, vectors = np.empty(sizes.sum()), np.empty((sizes * sizes).sum())
     for n in set(sizes.tolist()):
         members = np.flatnonzero(sizes == n)
-        stack = np.stack([matrices[index].entries for index in members])
+        stack = np.stack([matrices[index] for index in members])
         if not np.isfinite(stack).all():
             raise NoConvergence(f"non-finite entry in a {n} x {n} matrix")
         try:
@@ -175,10 +182,10 @@ def numerical_spectra(matrices):
     return np.add.reduceat(w, starts) / multiplicities, multiplicities, vectors
 
 
-def numerical_spectrum(matrix: DenseSymmetricMatrix) -> SpectralDecomposition:
-    """Eigenspace decomposition of one dense symmetric matrix: ``numerical_spectra`` of one."""
+def numerical_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
+    """Eigenspace decomposition of one square symmetric array: ``numerical_spectra`` of one."""
     eigenvalues, multiplicities, vectors = numerical_spectra([matrix])
-    return SpectralDecomposition(eigenvalues, multiplicities, vectors.reshape(matrix.dim, -1),
+    return SpectralDecomposition(eigenvalues, multiplicities, vectors.reshape(len(matrix), -1),
                                  SpectralSource.NUMERICAL_SOLVER)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from spinring import (
     Coupling,
-    DenseSymmetricMatrix,
     MetricClassification,
     RingSpec,
     build_single_excitation_hamiltonian,
@@ -123,8 +122,8 @@ def test_criterion_04_coupling_equivalence():
     assert worst <= 1e-10
     for n in range(3, 11):
         for coupling in (Coupling.XX, Coupling.HEISENBERG):
-            check = verify_subspace_restriction(RingSpec(n, coupling), tol=1e-12)
-            assert check.ok, (n, coupling)
+            deviation = verify_subspace_restriction(RingSpec(n, coupling), tol=1e-12)
+            assert deviation <= 1e-12, (n, coupling)
     print("CRITERION 4 PASS: XX and Heisenberg distances agree "
           f"(worst {worst:.3e}) and full-space restrictions verify for n<=10")
 
@@ -175,7 +174,7 @@ def test_criterion_07_toeplitz_minors_and_eigenvalues():
             expected = np.sort(np.array([simple] + [repeated] * mult))
             matrix = np.full((n, n), c)
             np.fill_diagonal(matrix, 1.0)
-            dec = numerical_spectrum(DenseSymmetricMatrix(n, matrix))
+            dec = numerical_spectrum(matrix)
             observed = np.sort(np.repeat(dec.eigenvalues, dec.multiplicities))
             assert np.abs(expected - observed).max() <= 1e-9, (n, c)
     print("CRITERION 7 PASS: Toeplitz minors agree across closed form, "

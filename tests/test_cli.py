@@ -18,7 +18,6 @@ import pytest
 import spinring
 from spinring import (
     Coupling,
-    DenseSymmetricMatrix,
     RingSpec,
     build_single_excitation_hamiltonian,
     circulant_spectrum,
@@ -287,6 +286,10 @@ def test_usage_errors_exit_2():
     assert run_cli("distance", "--n", "2").returncode == 2
     assert run_cli("metric-check", "--n", "9", "--quotient").returncode == 2
     assert run_cli("distance", "--n", "5", "--strength", "0").returncode == 2
+    for strength in ("inf", "nan"):
+        rc, out, err = _in_process(["distance", "--n", "5", "--strength", strength])
+        assert (rc, out) == (2, ""), strength
+        assert err == f"error: coupling strength must be positive and finite, got {strength}\n"
     assert run_cli("embed", "--n", "5", "--space", "spherical", "--kappa", "much").returncode == 2
     assert run_cli("embed", "--n", "5", "--space", "spherical", "--kappa", "-1").returncode == 2
     assert run_cli("nonsense").returncode == 2
@@ -547,10 +550,10 @@ def test_verify_reports_a_non_finite_block_as_an_error(monkeypatch):
     build = cli.build_single_excitation_hamiltonian
 
     def broken(spec):
-        entries = build(spec).entries.copy()
+        entries = build(spec).copy()
         if spec.n == 7:
             entries[0, 1] = entries[1, 0] = math.nan
-        return DenseSymmetricMatrix(spec.n, entries)
+        return entries
 
     monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", broken)
     rc, out, err = _in_process(["verify", "--n-max-full", "3", "--n-max-subspace", "8"])
@@ -590,9 +593,9 @@ def test_verify_restriction_names_the_last_failing_ring(monkeypatch):
         block = build(spec)
         if spec.coupling is not Coupling.HEISENBERG or spec.n not in (5, 7):
             return block
-        entries = block.entries.copy()
+        entries = block.copy()
         entries[2, 3] = entries[3, 2] = entries[2, 3] + 1e-9 * spec.n
-        return DenseSymmetricMatrix(block.dim, entries)
+        return entries
 
     monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", perturbed)
     rc, out, err = _in_process(["verify", "--n-max-full", "9", "--n-max-subspace", "8"])
@@ -603,6 +606,35 @@ def test_verify_restriction_names_the_last_failing_ring(monkeypatch):
     assert check["detail"] == ("n=7 heisenberg: restriction deviates by 7.000e-09 > 1.0e-12 "
                                "(block entry at sites (3, 4))")
     assert err == "error: verification failed: subspace_restriction\n"
+
+
+@pytest.mark.parametrize("run", ["default", "inject_fault", "perturbed_block"])
+def test_every_verify_check_passes_exactly_when_its_worst_is_within_its_tolerance(monkeypatch,
+                                                                                   run):
+    argv = ["verify"] + ["--inject-fault"] * (run == "inject_fault")
+    if run == "perturbed_block":
+        build = spinring.hamiltonian.build_single_excitation_hamiltonian
+
+        def perturbed(spec):
+            block = build(spec)
+            if spec.coupling is not Coupling.HEISENBERG or spec.n != 7:
+                return block
+            entries = block.copy()
+            entries[2, 3] = entries[3, 2] = entries[2, 3] + 1e-6
+            return entries
+
+        monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", perturbed)
+        monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", perturbed)
+    rc, out, err = _in_process(argv)
+    checks = {check["name"]: check for check in json.loads(out)["payload"]["checks"]}
+    for check in checks.values():
+        assert check["ok"] is (check["worst"] <= check["tolerance"]), check
+    assert checks["subspace_restriction"]["tolerance"] == spinring.hamiltonian.RESTRICTION_TOL
+    failed = [name for name, check in checks.items() if not check["ok"]]
+    expected = {"default": [], "inject_fault": ["spectrum_agreement"],
+                "perturbed_block": ["subspace_restriction", "coupling_invariance"]}
+    assert failed == expected[run]
+    assert rc == (1 if failed else 0), err
 
 
 def test_verify_builds_all_restriction_rows_in_one_call(monkeypatch):
@@ -678,9 +710,9 @@ def test_verify_coupling_invariance_catches_a_perturbed_heisenberg_block(monkeyp
         block = build(spec)
         if spec.coupling is not Coupling.HEISENBERG:
             return block
-        entries = block.entries.copy()
+        entries = block.copy()
         entries[0, 1] = entries[1, 0] = entries[0, 1] * (1.0 + 1e-6)
-        return DenseSymmetricMatrix(block.dim, entries)
+        return entries
 
     monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", perturbed)
     docs, _ = _emitted(monkeypatch, ["verify", "--n-max-full", "3", "--n-max-subspace", "8"])

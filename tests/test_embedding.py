@@ -28,7 +28,6 @@ from spinring import (
     toeplitz_minor_recursion,
 )
 from spinring import embedding
-from spinring.hamiltonian import DenseSymmetricMatrix
 from spinring.spectral import hartley_rows
 
 
@@ -92,7 +91,7 @@ def test_toeplitz_eigenvalues():
     np.fill_diagonal(matrix, 1.0)
     ones = np.ones(4)
     assert np.abs(matrix @ ones - simple * ones).max() <= 1e-12
-    dec = numerical_spectrum(DenseSymmetricMatrix(4, matrix))
+    dec = numerical_spectrum(matrix)
     assert np.allclose(dec.eigenvalues, [0.5, 2.5], atol=1e-9)
     assert list(dec.multiplicities) == [3, 1]
 

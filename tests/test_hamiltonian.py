@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from spinring import (
     Coupling,
-    DenseSymmetricMatrix,
     DimensionTooLarge,
     InvalidSpec,
     RestrictionMismatch,
@@ -47,13 +47,13 @@ def full_hamiltonian_oracle(n, eps, strength):
 def test_full_hamiltonian_matches_kron_oracle():
     for n in range(3, 9):
         for coupling in (Coupling.XX, Coupling.HEISENBERG):
-            built = build_full_hamiltonian(RingSpec(n, coupling)).entries
+            built = build_full_hamiltonian(RingSpec(n, coupling))
             oracle = full_hamiltonian_oracle(n, coupling.epsilon, 1.0)
             assert np.abs(built - oracle).max() < 1e-12, (n, coupling)
 
 
 def test_full_hamiltonian_scales_with_strength():
-    built = build_full_hamiltonian(RingSpec(4, Coupling.HEISENBERG, 0.7)).entries
+    built = build_full_hamiltonian(RingSpec(4, Coupling.HEISENBERG, 0.7))
     oracle = full_hamiltonian_oracle(4, 1.0, 0.7)
     assert np.abs(built - oracle).max() < 1e-12
 
@@ -61,7 +61,7 @@ def test_full_hamiltonian_scales_with_strength():
 def test_full_hamiltonian_is_exactly_symmetric():
     for n in (3, 5, 6):
         for coupling in (Coupling.XX, Coupling.HEISENBERG):
-            ham = build_full_hamiltonian(RingSpec(n, coupling)).entries
+            ham = build_full_hamiltonian(RingSpec(n, coupling))
             assert np.array_equal(ham, ham.T)
 
 
@@ -76,14 +76,14 @@ def test_single_excitation_index_bit_layout():
 def test_single_excitation_block_n3():
     # Ring of 3: every pair of sites is a bond, so the block is h off the
     # diagonal everywhere; the Heisenberg diagonal is J * (n - 4) = -1.
-    xx = build_single_excitation_hamiltonian(RingSpec(3, Coupling.XX)).entries
+    xx = build_single_excitation_hamiltonian(RingSpec(3, Coupling.XX))
     assert np.array_equal(xx, np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]))
-    heis = build_single_excitation_hamiltonian(RingSpec(3, Coupling.HEISENBERG)).entries
+    heis = build_single_excitation_hamiltonian(RingSpec(3, Coupling.HEISENBERG))
     assert np.array_equal(heis - xx, -np.eye(3))
 
 
 def test_single_excitation_block_n4_pattern():
-    block = build_single_excitation_hamiltonian(RingSpec(4, Coupling.XX)).entries
+    block = build_single_excitation_hamiltonian(RingSpec(4, Coupling.XX))
     expected = np.array(
         [
             [0.0, 2.0, 0.0, 2.0],
@@ -97,7 +97,7 @@ def test_single_excitation_block_n4_pattern():
 
 def test_single_excitation_block_is_circulant():
     n = 5
-    block = build_single_excitation_hamiltonian(RingSpec(n, Coupling.HEISENBERG)).entries
+    block = build_single_excitation_hamiltonian(RingSpec(n, Coupling.HEISENBERG))
     shift = np.zeros((n, n))
     for i in range(n):
         shift[i, (i + 1) % n] = 1.0
@@ -113,24 +113,22 @@ def test_single_excitation_block_matches_a_per_site_loop():
             for i in range(n):
                 expected[i, (i + 1) % n] = expected[(i + 1) % n, i] = spec.subspace_coupling
             np.fill_diagonal(expected, spec.subspace_shift)
-            block = build_single_excitation_hamiltonian(spec).entries
+            block = build_single_excitation_hamiltonian(spec)
             assert block.dtype == np.float64 and block.shape == (n, n)
             assert block.tobytes() == expected.tobytes(), (n, coupling)
 
 
 def test_coupling_models_differ_by_identity_shift():
     # For n = 6 the Heisenberg diagonal shift is J * (6 - 4) = 2.
-    xx = build_single_excitation_hamiltonian(RingSpec(6, Coupling.XX)).entries
-    heis = build_single_excitation_hamiltonian(RingSpec(6, Coupling.HEISENBERG)).entries
+    xx = build_single_excitation_hamiltonian(RingSpec(6, Coupling.XX))
+    heis = build_single_excitation_hamiltonian(RingSpec(6, Coupling.HEISENBERG))
     assert np.array_equal(heis - xx, 2.0 * np.eye(6))
 
 
 def test_subspace_restriction_verifies():
     for n in range(3, 11):
         for coupling in (Coupling.XX, Coupling.HEISENBERG):
-            check = verify_subspace_restriction(RingSpec(n, coupling))
-            assert check.ok
-            assert check.max_abs_deviation <= 1e-12
+            assert verify_subspace_restriction(RingSpec(n, coupling)) <= 1e-12
 
 
 def test_subspace_restriction_memory_is_row_sized():
@@ -173,18 +171,32 @@ def test_restriction_mismatch_reports_leakage(monkeypatch):
 def test_invalid_spec_rejected():
     with pytest.raises(InvalidSpec):
         RingSpec(2)
-    with pytest.raises(InvalidSpec):
-        RingSpec(5, Coupling.XX, 0.0)
-    with pytest.raises(InvalidSpec):
-        RingSpec(5, Coupling.XX, -1.0)
+    for strength in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            RingSpec(5, Coupling.XX, strength)
+
+
+def test_overflowing_strength_fails_the_restriction():
+    # 2J overflows to inf, so the block entries inf - inf are NaN: a NaN
+    # deviation is a block-entry mismatch, never a pass.
+    for coupling in (Coupling.XX, Coupling.HEISENBERG):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RestrictionMismatch) as excinfo:
+                verify_subspace_restriction(RingSpec(5, coupling, 1e308))
+        assert math.isnan(excinfo.value.deviation)
+        assert "block entry at sites" in str(excinfo.value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = hamiltonian.check_subspace_restrictions([RingSpec(5, coupling, 1e308),
+                                                              RingSpec(5, coupling)])
+        assert isinstance(checks[0], RestrictionMismatch) and checks[1] == 0.0
 
 
 def test_full_space_cap_enforced():
     with pytest.raises(DimensionTooLarge):
         build_full_hamiltonian(RingSpec(15))
     # The restriction builds n rows, so only int64 basis states cap it.
-    assert verify_subspace_restriction(RingSpec(15)).ok
-    assert verify_subspace_restriction(RingSpec(62, Coupling.HEISENBERG)).ok
+    assert verify_subspace_restriction(RingSpec(15)) == 0.0
+    assert verify_subspace_restriction(RingSpec(62, Coupling.HEISENBERG)) == 0.0
     with pytest.raises(DimensionTooLarge):
         verify_subspace_restriction(RingSpec(63))
 
@@ -197,40 +209,24 @@ def test_batched_restriction_matches_batch_of_one():
 
 
 def test_matrices_are_read_only():
-    block = build_single_excitation_hamiltonian(RingSpec(5))
-    with pytest.raises(ValueError):
-        block.entries[0, 0] = 1.0
+    for matrix in (build_single_excitation_hamiltonian(RingSpec(5)),
+                   build_full_hamiltonian(RingSpec(4))):
+        assert matrix.dtype == np.float64 and not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
 
 
 def test_full_hamiltonian_is_held_once():
-    # The fresh read-only matrix is wrapped as is: the peak is the 32 MiB
-    # matrix and its entry lists, not the matrix and a copy of it.
+    # The peak is the 32 MiB matrix and its entry lists, not the matrix and
+    # a copy of it.
     tracemalloc.start()
     try:
         ham = build_full_hamiltonian(RingSpec(11))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ham.entries.nbytes == 8 * 4**11
-    assert peak <= 1.15 * ham.entries.nbytes, peak
-
-
-def test_only_read_only_owned_float_entries_are_kept():
-    writable = np.eye(3)
-    matrix = DenseSymmetricMatrix(3, writable)
-    assert matrix.entries is not writable
-    assert writable.flags.writeable and not matrix.entries.flags.writeable
-    writable[0, 0] = 5.0
-    assert matrix.entries[0, 0] == 1.0
-    view = writable.view()
-    view.flags.writeable = False
-    assert DenseSymmetricMatrix(3, view).entries is not view
-    integers = np.eye(3, dtype=int)
-    integers.flags.writeable = False
-    assert DenseSymmetricMatrix(3, integers).entries.dtype == np.float64
-    frozen = np.eye(3)
-    frozen.flags.writeable = False
-    assert DenseSymmetricMatrix(3, frozen).entries is frozen
+    assert ham.nbytes == 8 * 4**11
+    assert peak <= 1.15 * ham.nbytes, peak
 
 
 def test_subspace_parameters():

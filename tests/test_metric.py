@@ -162,6 +162,23 @@ def test_distance_matrix_from_entries_validation():
         DistanceMatrix.from_entries(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
+def test_nan_distances_are_refused_on_every_route():
+    # Every comparison with NaN is False, so a NaN pair would pass every axiom.
+    m = np.array([[0.0, 1.0, math.nan], [1.0, 0.0, 1.0], [math.nan, 1.0, 0.0]])
+    with pytest.raises(InvalidArgs, match="NaN"):
+        DistanceMatrix(3, m)
+    with pytest.raises(InvalidArgs, match="NaN"):
+        DistanceMatrix.from_entries(m)
+    profile = np.array([0.0, 1.0, math.nan, 1.0])
+    entries = profile[(np.arange(4)[None, :] - np.arange(4)[:, None]) % 4]
+    with pytest.raises(InvalidArgs, match="NaN"):
+        DistanceMatrix(4, entries, profile=profile)
+    # Infinite distances stay allowed.
+    far = np.array([[0.0, math.inf], [math.inf, 0.0]])
+    assert DistanceMatrix.from_entries(far).diameter == math.inf
+    assert DistanceMatrix(2, far, profile=far[0]).diameter == math.inf
+
+
 def test_metric_axioms_odd_ring():
     report = check_metric_axioms(distance_matrix(RingSpec(7)))
     assert report.classification is MetricClassification.METRIC

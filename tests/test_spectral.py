@@ -7,8 +7,8 @@ import pytest
 
 from spinring import (
     Coupling,
-    DenseSymmetricMatrix,
     IndexOutOfRange,
+    InvalidSpec,
     NoConvergence,
     RingSpec,
     SpectralSource,
@@ -119,7 +119,7 @@ def test_circulant_eigenspaces_batch_equals_batches_of_one():
     for spec, (eigenvalues, multiplicities, order) in zip(specs, singles):
         assert len(eigenvalues) == len(multiplicities) == spec.n // 2 + 1
         assert sorted(order.tolist()) == list(range(spec.n))
-        reference = np.linalg.eigvalsh(build_single_excitation_hamiltonian(spec).entries)
+        reference = np.linalg.eigvalsh(build_single_excitation_hamiltonian(spec))
         gap = np.repeat(eigenvalues, multiplicities) - reference
         assert np.abs(gap).max() <= 1e-12 * max(1.0, float(np.abs(reference).max())), spec
 
@@ -157,7 +157,7 @@ def test_projector_invariants_closed_form():
     for n in range(3, 13):
         spec = RingSpec(n, Coupling.HEISENBERG)
         dec = circulant_spectrum(spec)
-        check_resolution(dec, build_single_excitation_hamiltonian(spec).entries)
+        check_resolution(dec, build_single_excitation_hamiltonian(spec))
 
 
 def test_projector_invariants_numerical():
@@ -166,7 +166,7 @@ def test_projector_invariants_numerical():
         matrix = build_single_excitation_hamiltonian(spec)
         dec = numerical_spectrum(matrix)
         assert dec.source is SpectralSource.NUMERICAL_SOLVER
-        check_resolution(dec, matrix.entries)
+        check_resolution(dec, matrix)
 
 
 def test_closed_form_matches_numerical():
@@ -181,7 +181,7 @@ def test_closed_form_matches_numerical():
 
 
 def test_numerical_spectrum_identity():
-    dec = numerical_spectrum(DenseSymmetricMatrix(3, np.eye(3)))
+    dec = numerical_spectrum(np.eye(3))
     assert len(dec.eigenvalues) == 1
     assert dec.eigenvalues[0] == pytest.approx(1.0)
     assert dec.multiplicities[0] == 3
@@ -189,7 +189,7 @@ def test_numerical_spectrum_identity():
 
 
 def test_numerical_spectrum_distinct_diagonal():
-    dec = numerical_spectrum(DenseSymmetricMatrix(3, np.diag([1.0, 2.0, 3.0])))
+    dec = numerical_spectrum(np.diag([1.0, 2.0, 3.0]))
     assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
     assert list(dec.multiplicities) == [1, 1, 1]
     for k, proj in enumerate(dec.projectors):
@@ -205,7 +205,7 @@ def test_jacobi_against_library_solver():
         base = rng.standard_normal((n, n))
         matrices.append(0.5 * (base + base.T))
     # Degenerate spectrum: every mode but two is a double eigenvalue.
-    matrices.append(build_single_excitation_hamiltonian(RingSpec(64)).entries)
+    matrices.append(build_single_excitation_hamiltonian(RingSpec(64)))
     # 16 shares its padded size with 15, as the degenerate block shares 64's.
     base = rng.standard_normal((16, 16))
     matrices.append(0.5 * (base + base.T))
@@ -221,12 +221,12 @@ def test_jacobi_against_library_solver():
 
 
 def test_jacobi_no_convergence():
-    matrix = build_single_excitation_hamiltonian(RingSpec(5)).entries
+    matrix = build_single_excitation_hamiltonian(RingSpec(5))
     with pytest.raises(NoConvergence):
         jacobi_eigh(matrix, max_sweeps=0)
     for n in (6, 9):
         with pytest.raises(NoConvergence):
-            jacobi_eigh(build_single_excitation_hamiltonian(RingSpec(n)).entries, max_sweeps=0)
+            jacobi_eigh(build_single_excitation_hamiltonian(RingSpec(n)), max_sweeps=0)
 
 
 def _grouped(w: np.ndarray):
@@ -261,15 +261,15 @@ def test_numerical_spectra_match_single_spectra():
         for coupling in (Coupling.XX, Coupling.HEISENBERG)
         for n in range(3, 21)
     ]
-    matrices.append(DenseSymmetricMatrix(3, np.eye(3)))
-    stacked = _per_matrix(numerical_spectra(matrices), [matrix.dim for matrix in matrices])
+    matrices.append(np.eye(3))
+    stacked = _per_matrix(numerical_spectra(matrices), [len(matrix) for matrix in matrices])
     assert len(stacked) == len(matrices)
     for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, stacked):
         single = numerical_spectrum(matrix)
         assert single.source is SpectralSource.NUMERICAL_SOLVER
-        assert single.n == basis.shape[0] == matrix.dim
-        assert list(multiplicities) == list(single.multiplicities), matrix.dim
-        assert np.abs(eigenvalues - single.eigenvalues).max() <= 1e-12, matrix.dim
+        assert single.n == basis.shape[0] == len(matrix)
+        assert list(multiplicities) == list(single.multiplicities), len(matrix)
+        assert np.abs(eigenvalues - single.eigenvalues).max() <= 1e-12, len(matrix)
 
 
 def test_flat_grouping_matches_the_per_matrix_oracle_bit_for_bit():
@@ -281,27 +281,25 @@ def test_flat_grouping_matches_the_per_matrix_oracle_bit_for_bit():
                 for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 25)]
     for n in (3, 4, 7, 7, 12):
         base = rng.standard_normal((n, n))
-        matrices.append(DenseSymmetricMatrix(n, base + base.T))
-    matrices += [DenseSymmetricMatrix(5, np.diag([2.0, 1.0, 2.0, 1.0, 1.0])),
-                 DenseSymmetricMatrix(4, np.diag([-3.0, -3.0, -3.0, 4.0])),
-                 DenseSymmetricMatrix(3, np.eye(3))]
+        matrices.append(base + base.T)
+    matrices += [np.diag([2.0, 1.0, 2.0, 1.0, 1.0]), np.diag([-3.0, -3.0, -3.0, 4.0]), np.eye(3)]
     matrices = [matrices[index] for index in rng.permutation(len(matrices))]
-    flat = _per_matrix(numerical_spectra(matrices), [matrix.dim for matrix in matrices])
+    flat = _per_matrix(numerical_spectra(matrices), [len(matrix) for matrix in matrices])
     groups = {}
     for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, flat):
-        w, v = np.linalg.eigh(matrix.entries)
+        w, v = np.linalg.eigh(matrix)
         expected_values, expected_multiplicities = _grouped(w)
-        assert np.array_equal(eigenvalues, expected_values), matrix.dim
-        assert np.array_equal(multiplicities, expected_multiplicities), matrix.dim
-        assert np.array_equal(basis, v), matrix.dim
-        groups[tuple(np.diag(matrix.entries))] = multiplicities.tolist()
+        assert np.array_equal(eigenvalues, expected_values), len(matrix)
+        assert np.array_equal(multiplicities, expected_multiplicities), len(matrix)
+        assert np.array_equal(basis, v), len(matrix)
+        groups[tuple(np.diag(matrix))] = multiplicities.tolist()
     assert groups[(2.0, 1.0, 2.0, 1.0, 1.0)] == [3, 2]
     assert groups[(-3.0, -3.0, -3.0, 4.0)] == [3, 1]
     assert groups[(1.0, 1.0, 1.0)] == [3]
     broken = np.eye(6)
     broken[2, 4] = broken[4, 2] = math.nan
     with pytest.raises(NoConvergence, match="non-finite entry in a 6 x 6 matrix"):
-        numerical_spectra(matrices + [DenseSymmetricMatrix(6, broken)] + matrices)
+        numerical_spectra(matrices + [broken] + matrices)
 
 
 def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
@@ -310,16 +308,16 @@ def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
     # and the projector entries of site 1 against every site.
     blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
               for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
-    oracle = [jacobi_eigh(block.entries) for block in blocks]
-    flat = _per_matrix(numerical_spectra(blocks), [block.dim for block in blocks])
+    oracle = [jacobi_eigh(block) for block in blocks]
+    flat = _per_matrix(numerical_spectra(blocks), [len(block) for block in blocks])
     for block, (values, counts, basis), (w, v) in zip(blocks, flat, oracle):
         eigenvalues, multiplicities = _grouped(w)
         scale = float(np.abs(w).max())
-        assert list(counts) == list(multiplicities), block.dim
-        assert np.abs(values - eigenvalues).max() <= 1e-12 * scale, block.dim
+        assert list(counts) == list(multiplicities), len(block)
+        assert np.abs(values - eigenvalues).max() <= 1e-12 * scale, len(block)
         entries = eigenspace_entries(basis[0], basis, counts)
         expected = eigenspace_entries(v[0], v, multiplicities)
-        assert np.abs(entries - expected).max() <= 1e-12 * scale, block.dim
+        assert np.abs(entries - expected).max() <= 1e-12 * scale, len(block)
 
 
 def test_jacobi_oracle_never_calls_the_library_solver(monkeypatch):
@@ -329,7 +327,7 @@ def test_jacobi_oracle_never_calls_the_library_solver(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, library_reached)
-    blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling)).entries
+    blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
               for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
     for block in blocks:
         w, v = jacobi_eigh(block)
@@ -342,7 +340,15 @@ def test_numerical_spectrum_rejects_non_finite_entries(value):
     entries = np.eye(4)
     entries[0, 1] = entries[1, 0] = value
     with pytest.raises(NoConvergence, match="non-finite"):
-        numerical_spectrum(DenseSymmetricMatrix(4, entries))
+        numerical_spectrum(entries)
+
+
+def test_numerical_spectra_reject_non_square_input():
+    for bad in (np.zeros((3, 4)), np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 0))):
+        with pytest.raises(InvalidSpec, match="square"):
+            numerical_spectra([np.eye(3), bad])
+    with pytest.raises(InvalidSpec, match=r"\(3, 4\)"):
+        numerical_spectrum(np.zeros((3, 4)))
 
 
 def test_numerical_spectra_report_a_lapack_failure_as_no_convergence(monkeypatch):
@@ -351,7 +357,7 @@ def test_numerical_spectra_report_a_lapack_failure_as_no_convergence(monkeypatch
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NoConvergence, match="did not converge"):
-        numerical_spectrum(DenseSymmetricMatrix(3, np.eye(3)))
+        numerical_spectrum(np.eye(3))
 
 
 def test_projector_overlaps_uniform_mode():
