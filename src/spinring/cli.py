@@ -10,8 +10,9 @@ matrices, a ring's circulant matrices and its CSV pairs take one ``repr``
 per distinct bit pattern, so a ring costs one per distance class; a
 circulant is written from its first row, each row's text a slice of that
 row's doubled text.  Exit codes: 0 for success or a verified positive
-verdict, 1 for a negative mathematical verdict or failed verification, 2
-for usage errors.
+verdict, 1 for a negative mathematical verdict, a failed verification or
+any other ``SpinRingError``, 2 for a ``UsageError`` (an input outside its
+domain) or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from .embedding import (
     toeplitz_minor_closed_form,
     toeplitz_minor_recursion,
 )
-from .errors import (
-    DimensionTooLarge,
-    IndexOutOfRange,
-    InvalidArgs,
-    InvalidSpec,
-    QuotientOnOddRing,
-    RestrictionMismatch,
-    SpinRingError,
-)
+from .errors import InvalidArgs, RestrictionMismatch, SpinRingError, UsageError
 from .hamiltonian import (
     RESTRICTION_TOL,
     Coupling,
@@ -496,7 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output to a file instead of standard output")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
+                        help="echoed in the document's params; changes no other output "
+                        "(default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distance", parents=[common],
@@ -550,18 +544,9 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (
-        InvalidArgs,
-        InvalidSpec,
-        QuotientOnOddRing,
-        DimensionTooLarge,
-        IndexOutOfRange,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpinRingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

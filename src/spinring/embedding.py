@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -181,7 +182,9 @@ _MODELS = {
 def _scale(space: EmbeddingSpace, kappa: float) -> float:
     """sqrt|kappa|, the unit model's scale (1 in Euclidean space).
 
-    Off Euclidean space kappa must be finite and have the space's sign.
+    Off Euclidean space kappa must be finite, normal (|kappa| at least the
+    smallest normal double) and have the space's sign.  A subnormal kappa
+    has lost precision, and its verdict can disagree with its realization.
     """
     if space is EmbeddingSpace.EUCLIDEAN:
         return 1.0
@@ -195,6 +198,8 @@ def _scale(space: EmbeddingSpace, kappa: float) -> float:
         raise InvalidArgs(f"unknown embedding space {space!r}")
     if math.isinf(kappa):
         raise InvalidArgs(f"curvature must be finite, got {kappa}")
+    if abs(kappa) < sys.float_info.min:
+        raise InvalidArgs(f"curvature must be a normal double, got {kappa}")
     return math.sqrt(abs(kappa))
 
 
@@ -351,7 +356,6 @@ class EmbeddingResult:
     True (the centred Gram matrix has rank at most N - 1).
     """
 
-    space: EmbeddingSpace
     curvature: float
     ambient_dim: int
     coordinates: np.ndarray
@@ -410,7 +414,6 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
         raise FactorizationFailure(f"{name} round-trip distortion {distortion:.3e} "
                                    f"exceeds tol {DEFAULT_REALIZE_TOL:.1e}")
     return EmbeddingResult(
-        space=space,
         curvature=0.0 if space is EmbeddingSpace.EUCLIDEAN else kappa,
         ambient_dim=verdict.rank,
         coordinates=factor / scale,

@@ -1,15 +1,19 @@
-"""Exception types shared across the spin-ring library."""
+"""Exception types shared across the spin-ring library; input refusals derive from UsageError."""
 
 
 class SpinRingError(Exception):
     """Base class for every library-specific error."""
 
 
-class InvalidSpec(SpinRingError):
+class UsageError(SpinRingError):
+    """An input outside its domain: a spec, argument, site index or size; the CLI exits 2."""
+
+
+class InvalidSpec(UsageError):
     """Ring specification violates a precondition (size or strength)."""
 
 
-class DimensionTooLarge(SpinRingError):
+class DimensionTooLarge(UsageError):
     """Full-space construction requested beyond the dense-matrix cap."""
 
 
@@ -36,15 +40,15 @@ class NoConvergence(SpinRingError):
     """Iterative eigensolver failed to reach its target accuracy."""
 
 
-class IndexOutOfRange(SpinRingError):
+class IndexOutOfRange(UsageError):
     """Site index outside the valid range 1..n."""
 
 
-class QuotientOnOddRing(SpinRingError):
+class QuotientOnOddRing(UsageError):
     """Antipodal identification requested for an odd ring size."""
 
 
-class InvalidArgs(SpinRingError):
+class InvalidArgs(UsageError):
     """Numeric argument outside its documented domain."""
 
 

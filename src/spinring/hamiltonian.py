@@ -154,7 +154,7 @@ def build_single_excitation_hamiltonian(spec: RingSpec) -> np.ndarray:
     return block
 
 
-def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
+def check_subspace_restrictions(specs) -> list:
     """``verify_subspace_restriction`` of every ring, from one row build, in input order.
 
     The n one-excitation rows of every ring come from one ``_hamiltonian_rows``
@@ -192,7 +192,7 @@ def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
 
     results = []
     for r, deviation in enumerate(np.maximum(block_dev.max(axis=(1, 2)), worst_leaks).tolist()):
-        if deviation <= tol:
+        if deviation <= RESTRICTION_TOL:
             results.append(deviation)
             continue
         if not worst_leaks[r] > block_dev[r].max():  # so a NaN block entry is reported
@@ -204,12 +204,12 @@ def check_subspace_restrictions(specs, tol: float = RESTRICTION_TOL) -> list:
             k = np.lexsort((columns[mine], site[mine], -np.abs(values[mine])))[0]  # first worst
             indices = (int(site[mine][k]) + 1, int(columns[mine][k]))
             what = f"leakage from site {indices[0]} to basis state {indices[1]}"
-        message = f"restriction deviates by {deviation:.3e} > {tol:.1e} ({what})"
+        message = f"restriction deviates by {deviation:.3e} > {RESTRICTION_TOL:.1e} ({what})"
         results.append(RestrictionMismatch(message, indices=indices, deviation=deviation))
     return results
 
 
-def verify_subspace_restriction(spec: RingSpec, tol: float = RESTRICTION_TOL) -> float:
+def verify_subspace_restriction(spec: RingSpec) -> float:
     """Check that the full Hamiltonian restricts to the direct one-excitation build.
 
     Builds only the n rows of the full 2^n Hamiltonian that belong to the
@@ -221,15 +221,15 @@ def verify_subspace_restriction(spec: RingSpec, tol: float = RESTRICTION_TOL) ->
     Returns
     -------
     float
-        The worst entry error, at most ``tol``.
+        The worst entry error, at most ``RESTRICTION_TOL``.
 
     Raises
     ------
     RestrictionMismatch
-        If any block entry or any leakage entry exceeds ``tol`` or is NaN;
+        If any block entry or any leakage entry exceeds ``RESTRICTION_TOL`` or is NaN;
         the error carries the worst offending indices.
     """
-    result = check_subspace_restrictions([spec], tol)[0]
+    result = check_subspace_restrictions([spec])[0]
     if isinstance(result, RestrictionMismatch):
         raise result
     return result

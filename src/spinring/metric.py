@@ -13,8 +13,9 @@ cosine sum stays as its oracle.  Even rings place antipodal sites (q = 2)
 at distance zero, which makes the raw space a semi-metric; identifying
 antipodal sites (the quotient) restores separation.
 
-Ring distance matrices, raw and quotiented, are circulant, their entries a
-view of their generator, which is constant on the classes gcd(s, N).  So
+Ring distance matrices, raw and quotiented, are circulant: a
+``DistanceMatrix`` is built from its generator alone, its entries a view of
+it, and the generator is constant on the classes gcd(s, N).  So
 ``check_metric_axioms`` decides the triangle inequality exactly at every
 size from one row of N slacks per divisor of N, and every ring statistic
 is read from the generator.  The dense routines (exhaustive triples up to
@@ -51,52 +52,43 @@ BLOCK = 2**14
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative distance matrix, with its circulant generator when known.
+    """Symmetric nonnegative distance matrix, built from its entries or its circulant generator.
 
-    ``n_effective`` is the point count N: n for a plain ring, n/2 after
-    antipodal identification.  ``profile`` is the circulant generator of a
-    ring metric, ``profile[s] = d(site 1, site 1 + s)`` for s = 0..N - 1, so
-    that ``entries[i, j] = profile[(j - i) mod N]``; it is None for a matrix
-    not known to be circulant.  With a profile the constructor checks the
-    first row and keeps ``entries`` as a read-only view of the profile
-    (O(N) memory, no N x N copy); without one it keeps a read-only copy.  A
-    NaN distance is refused, in the profile when there is one (O(N)).  In
-    a symmetric circulant each s = 1..N - 1 stands for N/2 unordered pairs,
+    Give exactly one of ``entries``, a square array, or ``profile``, the
+    circulant generator of a ring metric: ``profile[s] = d(site 1, site 1 + s)``
+    for s = 0..N - 1, so that ``entries[i, j] = profile[(j - i) mod N]``.  A
+    profile is kept as a read-only copy and ``entries`` as a read-only view
+    of it (O(N) memory, no N x N copy); explicit entries are kept as a
+    read-only copy and ``profile`` is None.  A NaN distance is refused, in
+    the profile when there is one (O(N)).  ``n_effective`` is the point
+    count N: n for a plain ring, n/2 after antipodal identification.  In a
+    symmetric circulant each s = 1..N - 1 stands for N/2 unordered pairs,
     so ring statistics and the diameter are read from the profile.
     """
 
-    n_effective: int
-    entries: np.ndarray
+    entries: np.ndarray | None = None
     profile: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.shape != (self.n_effective, self.n_effective):
-            raise InvalidArgs(
-                f"expected shape ({self.n_effective}, {self.n_effective}), got {arr.shape}"
-            )
-        profile = None if self.profile is None else np.array(self.profile, dtype=float, copy=True)
-        if np.isnan(arr if profile is None else profile).any():
+        circulant = self.profile is not None
+        if circulant == (self.entries is not None):
+            raise InvalidArgs("give exactly one of entries or profile")
+        arr = np.array(self.profile if circulant else self.entries, dtype=float)
+        if arr.ndim != (1 if circulant else 2) or len(set(arr.shape)) != 1:
+            raise InvalidArgs(f"expected a 1-D profile or a square matrix, got shape {arr.shape}")
+        if np.isnan(arr).any():
             raise InvalidArgs("distances must not be NaN")
-        if profile is None:
-            arr = arr.copy()
-            arr.flags.writeable = False
-        else:
-            if not np.array_equal(profile, arr[0]):
-                raise InvalidArgs("circulant profile must equal the first row of entries")
-            profile.flags.writeable = False
-            object.__setattr__(self, "profile", profile)
+        arr.flags.writeable = False
+        if circulant:
+            object.__setattr__(self, "profile", arr)
             # Row i holds profile[(j - i) mod N], which is window N - i.
-            arr = _windows(profile)[self.n_effective:0:-1]
+            arr = _windows(arr)[len(arr):0:-1]
         object.__setattr__(self, "entries", arr)
 
     @classmethod
     def from_entries(cls, entries) -> "DistanceMatrix":
         """Wrap an explicit square array, validating shape, NaNs, symmetry and sign."""
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidArgs(f"expected a square matrix, got shape {arr.shape}")
-        d = cls(arr.shape[0], arr)
+        d = cls(entries)
         if not np.array_equal(d.entries, d.entries.T):
             raise InvalidArgs("distance matrix must be symmetric")
         if np.any(np.diag(d.entries) != 0.0):
@@ -104,6 +96,10 @@ class DistanceMatrix:
         if np.any(d.entries < 0.0):
             raise InvalidArgs("distances must be nonnegative")
         return d
+
+    @property
+    def n_effective(self) -> int:
+        return len(self.entries)
 
     @property
     def diameter(self) -> float:
@@ -254,12 +250,8 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     n = spec.n
     if quotient and n % 2 == 1:
         raise QuotientOnOddRing(f"antipodal identification needs even n, got n={n}")
-    points = n // 2 if quotient else n
-    sep = np.arange(points)
-    profile = distance_profile(n)[np.minimum(sep, n - sep)]
-    # The constructor reads only row 0 of a profiled matrix's entries and
-    # builds the circulant view itself.
-    return DistanceMatrix(points, np.broadcast_to(profile, (points, points)), profile)
+    sep = np.arange(n // 2 if quotient else n)
+    return DistanceMatrix(profile=distance_profile(n)[np.minimum(sep, n - sep)])
 
 
 def _triangle_violations_exhaustive(d: np.ndarray):
@@ -451,12 +443,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def merge_distinct_values(values: np.ndarray, tol: float = DISTINCT_VALUE_TOL) -> tuple:
-    """Sorted distinct representatives of a value multiset, merging within tol."""
+def merge_distinct_values(values: np.ndarray) -> tuple:
+    """Sorted distinct representatives of a value multiset, merging within DISTINCT_VALUE_TOL."""
     if values.size == 0:
         return ()
     ordered = np.sort(values)
-    cuts = np.flatnonzero(np.diff(ordered) > tol) + 1
+    cuts = np.flatnonzero(np.diff(ordered) > DISTINCT_VALUE_TOL) + 1
     return tuple(float(np.mean(group)) for group in np.split(ordered, cuts))
 
 

@@ -15,15 +15,15 @@ The numerical route is LAPACK ``np.linalg.eigh`` on square arrays, such as
 the read-only blocks that ``hamiltonian`` builds: one stacked call per
 matrix size, then one grouping pass over all spectra (``numerical_spectra``,
 flat; ``numerical_spectrum`` decomposes one matrix).  Both routes give the
-same ``SpectralDecomposition`` shape, so downstream code never cares which
-route built it.  The round-robin Jacobi eigensolver (``jacobi_eigh``, one
-matrix at a time) runs on no CLI path: it is the named test oracle of the
-numerical route, and the benchmark's per-layer tracer binds it by name.
+same ``SpectralDecomposition``, which does not record the route, so
+downstream code never cares which route built it.  The round-robin Jacobi
+eigensolver (``jacobi_eigh``, one matrix at a time) runs on no CLI path: it
+is the named test oracle of the numerical route, and the benchmark's
+per-layer tracer binds it by name.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -35,12 +35,6 @@ from .hamiltonian import RingSpec
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_FACTOR = 1e-14
 DEGENERACY_FACTOR = 1e-8
-
-class SpectralSource(enum.Enum):
-    """Which route produced a decomposition."""
-
-    CLOSED_FORM = "ClosedForm"
-    NUMERICAL_SOLVER = "NumericalSolver"
 
 
 def eigenspace_entries(row_i: np.ndarray, rows_j: np.ndarray, multiplicities) -> np.ndarray:
@@ -58,6 +52,8 @@ def eigenspace_entries(row_i: np.ndarray, rows_j: np.ndarray, multiplicities) ->
 class SpectralDecomposition:
     """Distinct eigenvalues with multiplicities and an orthonormal eigenvector basis.
 
+    Both routes build the same fields; which route built one is not recorded.
+
     Attributes
     ----------
     eigenvalues : numpy.ndarray
@@ -68,13 +64,11 @@ class SpectralDecomposition:
         n x n orthonormal eigenvector columns, eigenspace after eigenspace:
         the first ``multiplicities[0]`` columns span the first eigenspace,
         and so on.
-    source : SpectralSource
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     basis: np.ndarray
-    source: SpectralSource
 
     @property
     def n(self) -> int:
@@ -153,14 +147,16 @@ def numerical_spectra(matrices):
     matrix's first eigenvalue and wherever a gap exceeds 1e-8 times that
     matrix's spread, and takes its group's mean.  The arrays are flat, in
     input order; each basis is raveled row by row, columns eigenspace after
-    eigenspace.  An input that is not a non-empty square 2-D array raises
-    ``InvalidSpec``; a non-finite entry or LAPACK failure raises
+    eigenspace.  An input that is not a non-empty square 2-D real array
+    raises ``InvalidSpec``; a non-finite entry or LAPACK failure raises
     ``NoConvergence``.
     """
     shapes = [np.shape(matrix) for matrix in matrices]
-    for shape in shapes:
+    for matrix, shape in zip(matrices, shapes):
         if len(shape) != 2 or not shape[0] == shape[1] > 0:
             raise InvalidSpec(f"expected a non-empty square matrix, got shape {shape}")
+        if np.iscomplexobj(matrix):
+            raise InvalidSpec("expected a real matrix, got a complex one")
     sizes = np.array([shape[0] for shape in shapes], dtype=int)
     firsts, squares = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
     w, vectors = np.empty(sizes.sum()), np.empty((sizes * sizes).sum())
@@ -185,8 +181,7 @@ def numerical_spectra(matrices):
 def numerical_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigenspace decomposition of one square symmetric array: ``numerical_spectra`` of one."""
     eigenvalues, multiplicities, vectors = numerical_spectra([matrix])
-    return SpectralDecomposition(eigenvalues, multiplicities, vectors.reshape(len(matrix), -1),
-                                 SpectralSource.NUMERICAL_SOLVER)
+    return SpectralDecomposition(eigenvalues, multiplicities, vectors.reshape(len(matrix), -1))
 
 
 def hartley_rows(n: int, rows) -> np.ndarray:
@@ -238,7 +233,7 @@ def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
     """
     eigenvalues, multiplicities, order = circulant_eigenspaces([spec])
     basis = hartley_rows(spec.n, np.arange(spec.n))[:, order]
-    return SpectralDecomposition(eigenvalues, multiplicities, basis, SpectralSource.CLOSED_FORM)
+    return SpectralDecomposition(eigenvalues, multiplicities, basis)
 
 
 def projector_overlaps(dec: SpectralDecomposition, i: int, j) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_criterion_04_coupling_equivalence():
     assert worst <= 1e-10
     for n in range(3, 11):
         for coupling in (Coupling.XX, Coupling.HEISENBERG):
-            deviation = verify_subspace_restriction(RingSpec(n, coupling), tol=1e-12)
+            deviation = verify_subspace_restriction(RingSpec(n, coupling))
             assert deviation <= 1e-12, (n, coupling)
     print("CRITERION 4 PASS: XX and Heisenberg distances agree "
           f"(worst {worst:.3e}) and full-space restrictions verify for n<=10")

@@ -30,6 +30,7 @@ from spinring import (
     p_max_closed_form,
     projector_overlaps,
 )
+from spinring import errors
 from spinring.spectral import circulant_eigenspaces
 
 SCHEMA = json.loads(
@@ -293,6 +294,45 @@ def test_usage_errors_exit_2():
     assert run_cli("embed", "--n", "5", "--space", "spherical", "--kappa", "much").returncode == 2
     assert run_cli("embed", "--n", "5", "--space", "spherical", "--kappa", "-1").returncode == 2
     assert run_cli("nonsense").returncode == 2
+
+
+_ERRORS = [value for value in vars(errors).values()
+           if isinstance(value, type) and issubclass(value, errors.SpinRingError)]
+
+
+def test_usage_errors_are_the_input_refusals():
+    usage = {error.__name__ for error in _ERRORS if issubclass(error, errors.UsageError)}
+    assert usage == {"UsageError", "InvalidArgs", "InvalidSpec", "QuotientOnOddRing",
+                     "DimensionTooLarge", "IndexOutOfRange"}
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda error: error.__name__)
+def test_exit_code_follows_the_error_type(monkeypatch, error):
+    def command(args):
+        raise error("raised inside a command")
+
+    monkeypatch.setattr(cli, "cmd_classify", command)
+    rc, out, err = _in_process(["classify", "--n", "5"])
+    assert rc == (2 if issubclass(error, errors.UsageError) else 1)
+    assert (out, err) == ("", "error: raised inside a command\n")
+
+
+@pytest.mark.parametrize("space, sign", [("spherical", ""), ("hyperbolic", "-")])
+def test_embed_subnormal_kappa_is_a_usage_error(space, sign):
+    # A subnormal kappa used to pass the verdict and then fail the realization.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kappa in (1e-316, 5e-324):
+            for n in range(3, 65):
+                rc, out, err = _in_process(["embed", "--n", str(n), "--space", space,
+                                            f"--kappa={sign}{kappa!r}"])
+                assert (rc, out) == (2, ""), (n, kappa)
+                assert err == f"error: curvature must be a normal double, got {sign}{kappa!r}\n"
+        for n in range(3, 65):
+            kappa = float(sign + repr(sys.float_info.min))
+            ring = embedding.ring_embedding(RingSpec(n), embedding.EmbeddingSpace[space.upper()],
+                                            kappa)
+            assert (ring.realization is not None) == ring.verdict.embeddable, n
 
 
 def test_metric_check_exit_codes_and_classification():

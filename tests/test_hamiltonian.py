@@ -143,13 +143,21 @@ def test_subspace_restriction_memory_is_row_sized():
     assert peak < 256 * 1024
 
 
-def test_restriction_mismatch_reports_indices():
-    # A negative tolerance turns even a perfect restriction into a mismatch,
-    # which exercises the error path and its located indices.
+def test_restriction_mismatch_reports_indices(monkeypatch):
+    build = hamiltonian.build_single_excitation_hamiltonian
+
+    def perturbed(spec):
+        # One block entry off by 0.25, at 1-based sites (2, 3).
+        block = build(spec).copy()
+        block[1, 2] += 0.25
+        return block
+
+    monkeypatch.setattr(hamiltonian, "build_single_excitation_hamiltonian", perturbed)
     with pytest.raises(RestrictionMismatch) as excinfo:
-        verify_subspace_restriction(RingSpec(4), tol=-1.0)
-    assert excinfo.value.indices is not None
-    assert excinfo.value.deviation is not None
+        verify_subspace_restriction(RingSpec(4))
+    assert excinfo.value.indices == (2, 3)
+    assert excinfo.value.deviation == 0.25
+    assert "block entry at sites (2, 3)" in str(excinfo.value)
 
 
 def test_restriction_mismatch_reports_leakage(monkeypatch):

@@ -162,21 +162,37 @@ def test_distance_matrix_from_entries_validation():
         DistanceMatrix.from_entries(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
+def test_distance_matrix_takes_exactly_one_of_entries_or_profile():
+    profile = np.array([0.0, 1.0, 1.0])
+    entries = DistanceMatrix(profile=profile).entries
+    for args in ({}, {"entries": entries, "profile": profile}):
+        with pytest.raises(InvalidArgs, match="exactly one"):
+            DistanceMatrix(**args)
+    with pytest.raises(InvalidArgs, match="1-D profile"):
+        DistanceMatrix(profile=entries)
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(InvalidArgs, match="square"):
+            DistanceMatrix(np.zeros(shape))
+    assert DistanceMatrix(profile=profile).n_effective == len(profile)
+    assert DistanceMatrix(entries).n_effective == len(entries)
+    for n, quotient in ((7, False), (8, False), (8, True)):
+        d = distance_matrix(RingSpec(n), quotient)
+        assert d.n_effective == len(d.profile) == (n // 2 if quotient else n)
+
+
 def test_nan_distances_are_refused_on_every_route():
     # Every comparison with NaN is False, so a NaN pair would pass every axiom.
     m = np.array([[0.0, 1.0, math.nan], [1.0, 0.0, 1.0], [math.nan, 1.0, 0.0]])
     with pytest.raises(InvalidArgs, match="NaN"):
-        DistanceMatrix(3, m)
+        DistanceMatrix(m)
     with pytest.raises(InvalidArgs, match="NaN"):
         DistanceMatrix.from_entries(m)
-    profile = np.array([0.0, 1.0, math.nan, 1.0])
-    entries = profile[(np.arange(4)[None, :] - np.arange(4)[:, None]) % 4]
     with pytest.raises(InvalidArgs, match="NaN"):
-        DistanceMatrix(4, entries, profile=profile)
+        DistanceMatrix(profile=np.array([0.0, 1.0, math.nan, 1.0]))
     # Infinite distances stay allowed.
     far = np.array([[0.0, math.inf], [math.inf, 0.0]])
     assert DistanceMatrix.from_entries(far).diameter == math.inf
-    assert DistanceMatrix(2, far, profile=far[0]).diameter == math.inf
+    assert DistanceMatrix(profile=far[0]).diameter == math.inf
 
 
 def test_metric_axioms_odd_ring():
@@ -216,7 +232,7 @@ def test_metric_axioms_detect_triangle_violation():
 
 def test_metric_axioms_detect_identity_violation():
     entries = np.array([[0.1, 1.0], [1.0, 0.0]])
-    report = check_metric_axioms(DistanceMatrix(2, entries))
+    report = check_metric_axioms(DistanceMatrix(entries))
     assert not report.identity_ok
     assert report.classification is MetricClassification.NOT_SEMI_METRIC
 
@@ -240,7 +256,7 @@ def test_distance_matrix_carries_circulant_profile():
         assert not d.profile.flags.writeable
     assert DistanceMatrix.from_entries(d.entries).profile is None
     with pytest.raises(InvalidArgs):
-        DistanceMatrix(points, d.entries, profile=d.profile[::-1] + 1.0)
+        DistanceMatrix(d.entries, profile=d.profile[::-1] + 1.0)
 
 
 def test_ring_entries_are_the_read_only_dense_circulant():
@@ -287,12 +303,6 @@ def test_metric_check_memory_is_bounded_on_large_rings():
     assert peak <= 32 * 2**20, peak
 
 
-def _circulant_space(profile):
-    profile = np.asarray(profile, dtype=float)
-    i, j = np.indices((len(profile), len(profile)))
-    return DistanceMatrix(len(profile), profile[(j - i) % len(profile)], profile=profile)
-
-
 def test_metric_axioms_profile_route_matches_dense_oracle_on_rings():
     for n in range(3, 201):
         for quotient in (False, True) if n % 2 == 0 else (False,):
@@ -319,9 +329,9 @@ def test_metric_axioms_profile_route_matches_dense_oracle_on_rings():
 def test_metric_axioms_profile_route_matches_dense_oracle_on_hand_built(
     profile, classification
 ):
-    space = _circulant_space(profile)
+    space = DistanceMatrix(profile=profile)
     report = check_metric_axioms(space)
-    assert report == check_metric_axioms(DistanceMatrix(space.n_effective, space.entries))
+    assert report == check_metric_axioms(DistanceMatrix(space.entries))
     assert report.exhaustive
     assert report.classification is classification
 
@@ -334,8 +344,8 @@ def test_metric_axioms_profile_route_matches_dense_oracle_on_random_profiles():
         if rng.random() < 0.5:
             profile = np.maximum(profile, profile[-np.arange(points)])
         profile[0] = 0.0 if rng.random() < 0.9 else 1.0
-        space = _circulant_space(profile)
-        dense = DistanceMatrix(points, space.entries)
+        space = DistanceMatrix(profile=profile)
+        dense = DistanceMatrix(space.entries)
         assert check_metric_axioms(space) == check_metric_axioms(dense), profile
 
 
@@ -404,7 +414,7 @@ def test_divisor_rows_leave_other_circulants_on_all_rows():
 def test_metric_axioms_list_class_constant_violations_as_the_dense_route():
     # Classes gcd(s, 12) = 1, 2, 3, 4, 6: c[4] = c[8] = 2.5 > c[2] + c[2].
     by_class = {1: 1.0, 2: 1.0, 3: 1.0, 4: 2.5, 6: 1.0, 12: 0.0}
-    space = _circulant_space([by_class[math.gcd(s, 12)] for s in range(12)])
+    space = DistanceMatrix(profile=[by_class[math.gcd(s, 12)] for s in range(12)])
     assert _class_constant(space.profile)
     report = check_metric_axioms(space)
     assert not report.triangle_ok
@@ -434,7 +444,7 @@ def _axiom_test_space():
             [2.0, 1.0, 4.5, 1.0, 0.0],
         ]
     )
-    return DistanceMatrix(5, entries)
+    return DistanceMatrix(entries)
 
 
 def _violations(report):
@@ -552,7 +562,7 @@ def test_zero_distance_pairs_profile_route_matches_dense_scan():
         pairs = zero_distance_pairs(d)
         assert np.array_equal(pairs, zero_distance_pairs(DistanceMatrix.from_entries(d.entries)))
         assert len(pairs) == (0 if quotient or n % 2 else n // 2), (n, quotient)
-    hand = _circulant_space([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    hand = DistanceMatrix(profile=[0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     expected = [[1, 3], [1, 5], [2, 4], [2, 6], [3, 5], [4, 6]]
     assert (zero_distance_pairs(hand) + 1).tolist() == expected
     assert (zero_distance_pairs(DistanceMatrix.from_entries(hand.entries)) + 1).tolist() == expected

@@ -11,7 +11,6 @@ from spinring import (
     InvalidSpec,
     NoConvergence,
     RingSpec,
-    SpectralSource,
     build_single_excitation_hamiltonian,
     circulant_spectrum,
     jacobi_eigh,
@@ -27,7 +26,6 @@ def test_circulant_spectrum_n3():
     dec = circulant_spectrum(RingSpec(3))
     assert np.allclose(dec.eigenvalues, [-2.0, 4.0], atol=1e-12)
     assert list(dec.multiplicities) == [2, 1]
-    assert dec.source is SpectralSource.CLOSED_FORM
 
 
 def test_circulant_spectrum_n4():
@@ -164,9 +162,7 @@ def test_projector_invariants_numerical():
     for n in (3, 4, 6, 9):
         spec = RingSpec(n)
         matrix = build_single_excitation_hamiltonian(spec)
-        dec = numerical_spectrum(matrix)
-        assert dec.source is SpectralSource.NUMERICAL_SOLVER
-        check_resolution(dec, matrix)
+        check_resolution(numerical_spectrum(matrix), matrix)
 
 
 def test_closed_form_matches_numerical():
@@ -266,7 +262,6 @@ def test_numerical_spectra_match_single_spectra():
     assert len(stacked) == len(matrices)
     for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, stacked):
         single = numerical_spectrum(matrix)
-        assert single.source is SpectralSource.NUMERICAL_SOLVER
         assert single.n == basis.shape[0] == len(matrix)
         assert list(multiplicities) == list(single.multiplicities), len(matrix)
         assert np.abs(eigenvalues - single.eigenvalues).max() <= 1e-12, len(matrix)
@@ -349,6 +344,15 @@ def test_numerical_spectra_reject_non_square_input():
             numerical_spectra([np.eye(3), bad])
     with pytest.raises(InvalidSpec, match=r"\(3, 4\)"):
         numerical_spectrum(np.zeros((3, 4)))
+
+
+def test_numerical_spectra_reject_complex_input():
+    # Cast to float, this Hermitian matrix would lose its imaginary part and
+    # decompose as the identity, with only a ComplexWarning.
+    hermitian = np.array([[1, 2j], [-2j, 1]])
+    for matrices in ([hermitian], [np.eye(2), hermitian.real + 0j]):
+        with pytest.raises(InvalidSpec, match="complex"):
+            numerical_spectra(matrices)
 
 
 def test_numerical_spectra_report_a_lapack_failure_as_no_convergence(monkeypatch):
