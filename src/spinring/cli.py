@@ -363,9 +363,11 @@ def _check(name: str, worst: float, tolerance: float, detail: str) -> dict:
             "detail": detail}
 
 
-def _check_subspace_restriction(n_max_full: int) -> dict:
-    specs = [RingSpec(n, coupling) for n in range(3, n_max_full + 1)
-             for coupling in (Coupling.XX, Coupling.HEISENBERG)]
+# The rings of the transfer-bound check.
+_TRANSFER_SIZES = (3, 4, 5, 7, 8)
+
+
+def _check_subspace_restriction(specs) -> dict:
     results = check_subspace_restrictions(specs)
     failures = [f"n={spec.n} {spec.coupling.value}: {result}"
                 for spec, result in zip(specs, results) if isinstance(result, RestrictionMismatch)]
@@ -373,7 +375,7 @@ def _check_subspace_restriction(n_max_full: int) -> dict:
                   for result in results]
     worst = float(np.max(deviations))  # np.max, unlike max, keeps a NaN
     return _check("subspace_restriction", worst, RESTRICTION_TOL,
-                  failures[-1] if failures else f"n=3..{n_max_full}, both couplings")
+                  failures[-1] if failures else f"n=3..{specs[-1].n}, both couplings")
 
 
 def _site_one_totals(vectors, sizes, multiplicities) -> np.ndarray:
@@ -396,19 +398,15 @@ def _site_one_totals(vectors, sizes, multiplicities) -> np.ndarray:
     return np.add.reduceat(entries, np.flatnonzero(slot[starts] == 0))
 
 
-def _check_spectrum_agreement(sizes, spectra, inject_fault: bool) -> dict:
-    specs = [RingSpec(n, strength=1.0 + 1e-6 if inject_fault else 1.0) for n in sizes.tolist()]
-    eigenvalues, multiplicities, _ = circulant_eigenspaces(specs)
-    numeric = np.repeat(spectra[0], spectra[1])[:sizes.sum()]
-    worst = float(np.abs(np.repeat(eigenvalues, multiplicities) - numeric).max())
-    return _check("spectrum_agreement", worst, 1e-9, f"n=3..{sizes[-1]}, closed form vs solver")
+def _check_spectrum_agreement(closed, numeric, n_max: int) -> dict:
+    worst = float(np.abs(closed - numeric).max())
+    return _check("spectrum_agreement", worst, 1e-9, f"n=3..{n_max}, closed form vs solver")
 
 
-def _check_coupling_invariance(sizes, spectra) -> dict:
-    totals = _site_one_totals(spectra[2], np.tile(sizes, 2), spectra[1])
+def _check_coupling_invariance(totals, is_xx, n_max: int) -> dict:
     p = np.minimum(totals * totals, 1.0)
-    worst = float(np.abs(p[:len(p) // 2] - p[len(p) // 2:]).max())
-    return _check("coupling_invariance", worst, 1e-10, f"n=3..{sizes[-1]}, XX vs Heisenberg")
+    worst = float(np.abs(p[is_xx] - p[~is_xx]).max())
+    return _check("coupling_invariance", worst, 1e-10, f"n=3..{n_max}, XX vs Heisenberg")
 
 
 def _check_toeplitz_minors() -> dict:
@@ -418,23 +416,20 @@ def _check_toeplitz_minors() -> dict:
     full[:, orders - 1, orders - 1] = 1.0
     # Row k - 1 holds the order-k leading minors of all six matrices.
     direct = np.array([np.linalg.det(full[:, :k, :k]) for k in orders])
-    candidates = np.stack((toeplitz_minor_closed_form(orders[:, None], cs),
-                           np.broadcast_arrays(*toeplitz_minor_recursion(12, cs))))
+    candidates = np.empty((2, 12, len(cs)))
+    candidates[0] = toeplitz_minor_closed_form(orders[:, None], cs)
+    for k, minors in enumerate(toeplitz_minor_recursion(12, cs)):
+        candidates[1, k] = minors
     # Within 1e-10 of max(|det|, 1e-4): relative error, absolute 1e-14 near zero.
     worst = float((np.abs(candidates - direct) / np.maximum(np.abs(direct), 1e-4)).max())
     return _check("toeplitz_minors", worst, 1e-10,
                   "k<=12, six c values, closed form and recursion vs determinant")
 
 
-def _check_transfer_bound() -> dict:
+def _check_transfer_bound(totals) -> dict:
     # p(t) = |sum_k <1|Pi_k|1+m> exp(-i lambda_k t)|^2 <= (sum_k |<1|Pi_k|1+m>|)^2
     # at every t >= 0 by the triangle inequality, so no time grid is sampled.
-    sizes = np.array((3, 4, 5, 7, 8))
-    _, multiplicities, order = circulant_eigenspaces([RingSpec(n) for n in sizes.tolist()])
-    bases = [hartley_rows(n, np.arange(n))[:, columns].ravel()
-             for n, columns in zip(sizes.tolist(), np.split(order, np.cumsum(sizes)[:-1]))]
-    totals = _site_one_totals(np.concatenate(bases), sizes, multiplicities)
-    closed = [p_max_closed_form(n, m) for n in sizes.tolist() for m in range(1, n // 2 + 1)]
+    closed = [p_max_closed_form(n, m) for n in _TRANSFER_SIZES for m in range(1, n // 2 + 1)]
     worst = float((totals * totals - closed).max())
     return _check("transfer_bound", worst, 1e-10,
                   "n in {3,4,5,7,8}, (sum_k |<1|Pi_k|1+m>|)^2 >= sup_t p(t) vs closed-form p_max")
@@ -446,16 +441,41 @@ def cmd_verify(args) -> int:
         if value < 3:
             raise InvalidArgs(f"{flag} must be at least 3, got {value}")
     sizes = np.arange(3, args.n_max_subspace + 1)
-    # Both couplings go into one call, so each size takes one eigh.
-    spectra = numerical_spectra([build_single_excitation_hamiltonian(RingSpec(n, coupling))
-                                 for coupling in (Coupling.XX, Coupling.HEISENBERG)
-                                 for n in sizes.tolist()])
+    transfer_sizes = np.array(_TRANSFER_SIZES)
+    # Every ring is built once, size-major: XX and Heisenberg side by side for
+    # n = 3 up to the larger bound (at least 8, for the transfer rings).  So
+    # the blocks of each size are adjacent and take one stacked eigh.
+    specs = [RingSpec(n, coupling)
+             for n in range(3, max(args.n_max_full, args.n_max_subspace, 8) + 1)
+             for coupling in (Coupling.XX, Coupling.HEISENBERG)]
+    block_sizes = np.repeat(sizes, 2)
+    blocks = specs[:len(block_sizes)]
+    values, multiplicities, vectors = numerical_spectra(
+        [build_single_excitation_hamiltonian(spec) for spec in blocks])
+    agreement = ([RingSpec(n, strength=1.0 + 1e-6) for n in sizes.tolist()]
+                 if args.inject_fault else blocks[::2])
+    # One closed-form table: the agreement rings, then the transfer rings.
+    closed, closed_multiplicities, order = circulant_eigenspaces(
+        agreement + [specs[2 * (n - 3)] for n in _TRANSFER_SIZES])
+    modes = int((sizes // 2 + 1).sum())
+    hartley = [hartley_rows(n, np.arange(n))[:, columns].ravel() for n, columns in
+               zip(_TRANSFER_SIZES, np.split(order[sizes.sum():], np.cumsum(transfer_sizes)[:-1]))]
+    # One overlap pass: the numerical bases, then the Hartley bases.
+    totals = _site_one_totals(np.concatenate((vectors, *hartley)),
+                              np.concatenate((block_sizes, transfer_sizes)),
+                              np.concatenate((multiplicities, closed_multiplicities[modes:])))
+    numeric_totals = int((block_sizes // 2).sum())
+    is_xx = np.tile((True, False), len(sizes))
     checks = [
-        _check_subspace_restriction(args.n_max_full),
-        _check_spectrum_agreement(sizes, spectra, args.inject_fault),
-        _check_coupling_invariance(sizes, spectra),
+        _check_subspace_restriction(specs[:2 * (args.n_max_full - 2)]),
+        _check_spectrum_agreement(
+            np.repeat(closed[:modes], closed_multiplicities[:modes]),
+            np.repeat(values, multiplicities)[np.repeat(is_xx, block_sizes)],
+            args.n_max_subspace),
+        _check_coupling_invariance(totals[:numeric_totals],
+                                   np.repeat(is_xx, block_sizes // 2), args.n_max_subspace),
         _check_toeplitz_minors(),
-        _check_transfer_bound(),
+        _check_transfer_bound(totals[numeric_totals:]),
     ]
     all_ok = all(check["ok"] for check in checks)
     payload = {

@@ -160,8 +160,9 @@ def check_subspace_restrictions(specs) -> list:
     The n one-excitation rows of every ring come from one ``_hamiltonian_rows``
     call.  An entry whose column is a one-excitation state of its own ring is
     added into that ring's block of a (rings, B, B) stack, B the largest n;
-    any other entry is leakage.  Each block is compared with its ring's own
-    ``build_single_excitation_hamiltonian``.
+    any other entry is leakage.  Each ring's own
+    ``build_single_excitation_hamiltonian`` fills the same place of a zero
+    stack of expected blocks, which is subtracted in one operation.
 
     Returns
     -------
@@ -183,9 +184,10 @@ def check_subspace_restrictions(specs) -> list:
     target = n - np.frexp(columns.astype(float))[1]  # site of a one-excitation column
     blocks = np.zeros((len(specs), sizes.max(), sizes.max()))
     np.add.at(blocks, (ring[in_sector], site[in_sector], target[in_sector]), values[in_sector])
+    expected = np.zeros_like(blocks)
     for r, spec in enumerate(specs):
-        blocks[r, :spec.n, :spec.n] -= build_single_excitation_hamiltonian(spec)
-    block_dev = np.abs(blocks)
+        expected[r, :spec.n, :spec.n] = build_single_excitation_hamiltonian(spec)
+    block_dev = np.abs(blocks - expected)
     leak = ~in_sector
     worst_leaks = np.zeros(len(specs))
     np.maximum.at(worst_leaks, ring[leak], np.abs(values[leak]))

@@ -59,11 +59,12 @@ class DistanceMatrix:
     for s = 0..N - 1, so that ``entries[i, j] = profile[(j - i) mod N]``.  A
     profile is kept as a read-only copy and ``entries`` as a read-only view
     of it (O(N) memory, no N x N copy); explicit entries are kept as a
-    read-only copy and ``profile`` is None.  A NaN distance is refused, in
-    the profile when there is one (O(N)).  ``n_effective`` is the point
-    count N: n for a plain ring, n/2 after antipodal identification.  In a
-    symmetric circulant each s = 1..N - 1 stands for N/2 unordered pairs,
-    so ring statistics and the diameter are read from the profile.
+    read-only copy and ``profile`` is None.  Zero points are refused, and so
+    is a NaN distance, in the profile when there is one (O(N)).
+    ``n_effective`` is the point count N: n for a plain ring, n/2 after
+    antipodal identification.  In a symmetric circulant each s = 1..N - 1
+    stands for N/2 unordered pairs, so ring statistics and the diameter are
+    read from the profile.
     """
 
     entries: np.ndarray | None = None
@@ -74,8 +75,9 @@ class DistanceMatrix:
         if circulant == (self.entries is not None):
             raise InvalidArgs("give exactly one of entries or profile")
         arr = np.array(self.profile if circulant else self.entries, dtype=float)
-        if arr.ndim != (1 if circulant else 2) or len(set(arr.shape)) != 1:
-            raise InvalidArgs(f"expected a 1-D profile or a square matrix, got shape {arr.shape}")
+        if arr.ndim != (1 if circulant else 2) or len(set(arr.shape)) != 1 or arr.size == 0:
+            raise InvalidArgs(
+                f"expected a non-empty 1-D profile or square matrix, got shape {arr.shape}")
         if np.isnan(arr).any():
             raise InvalidArgs("distances must not be NaN")
         arr.flags.writeable = False

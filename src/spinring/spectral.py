@@ -12,18 +12,19 @@ grouped by mode min(k, n - k), with no tolerance.  ``hartley_rows``
 builds any subset of its rows, for ``embedding``'s ring Gram matrices too.
 
 The numerical route is LAPACK ``np.linalg.eigh`` on square arrays, such as
-the read-only blocks that ``hamiltonian`` builds: one stacked call per
-matrix size, then one grouping pass over all spectra (``numerical_spectra``,
-flat; ``numerical_spectrum`` decomposes one matrix).  Both routes give the
-same ``SpectralDecomposition``, which does not record the route, so
-downstream code never cares which route built it.  The round-robin Jacobi
-eigensolver (``jacobi_eigh``, one matrix at a time) runs on no CLI path: it
-is the named test oracle of the numerical route, and the benchmark's
-per-layer tracer binds it by name.
+the read-only blocks that ``hamiltonian`` builds: one stacked call per run
+of equal-size matrices, then one grouping pass over all spectra
+(``numerical_spectra``, flat; ``numerical_spectrum`` decomposes one
+matrix).  Both routes give the same ``SpectralDecomposition``, which does
+not record the route, so downstream code never cares which route built
+it.  The round-robin Jacobi eigensolver (``jacobi_eigh``, one matrix at
+a time) runs on no CLI path: it is the named test oracle of the numerical
+route, and the benchmark's per-layer tracer binds it by name.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -142,14 +143,15 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
 def numerical_spectra(matrices):
     """Distinct eigenvalues, multiplicities and raveled eigenvector bases of symmetric matrices.
 
-    One stacked LAPACK ``np.linalg.eigh`` call per matrix size, then one
-    ``np.add.reduceat`` over all eigenvalues: an eigenspace starts at each
-    matrix's first eigenvalue and wherever a gap exceeds 1e-8 times that
-    matrix's spread, and takes its group's mean.  The arrays are flat, in
-    input order; each basis is raveled row by row, columns eigenspace after
-    eigenspace.  An input that is not a non-empty square 2-D real array
-    raises ``InvalidSpec``; a non-finite entry or LAPACK failure raises
-    ``NoConvergence``.
+    One stacked LAPACK ``np.linalg.eigh`` call per run of consecutive
+    equal-size matrices, so a caller that lists its matrices size by size
+    makes one call per size; then one ``np.add.reduceat`` over all
+    eigenvalues: an eigenspace starts at each matrix's first eigenvalue and
+    wherever a gap exceeds 1e-8 times that matrix's spread, and takes its
+    group's mean.  The arrays are flat, in input order; each basis is
+    raveled row by row, columns eigenspace after eigenspace.  An input that
+    is not a non-empty square 2-D real array raises ``InvalidSpec``; a
+    non-finite entry or LAPACK failure raises ``NoConvergence``.
     """
     shapes = [np.shape(matrix) for matrix in matrices]
     for matrix, shape in zip(matrices, shapes):
@@ -157,25 +159,29 @@ def numerical_spectra(matrices):
             raise InvalidSpec(f"expected a non-empty square matrix, got shape {shape}")
         if np.iscomplexobj(matrix):
             raise InvalidSpec("expected a real matrix, got a complex one")
-    sizes = np.array([shape[0] for shape in shapes], dtype=int)
-    firsts, squares = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
-    w, vectors = np.empty(sizes.sum()), np.empty((sizes * sizes).sum())
-    for n in set(sizes.tolist()):
-        members = np.flatnonzero(sizes == n)
-        stack = np.stack([matrices[index] for index in members])
+    # The empty float64 heads make the joined arrays float64, and empty
+    # when there are no matrices.
+    values, vectors, start = [np.empty(0)], [np.empty(0)], 0
+    for n, run in itertools.groupby(shape[0] for shape in shapes):
+        count = len(list(run))
+        stack = np.stack(matrices[start:start + count])
+        start += count
         if not np.isfinite(stack).all():
             raise NoConvergence(f"non-finite entry in a {n} x {n} matrix")
         try:
-            values, v = np.linalg.eigh(stack)
+            w, v = np.linalg.eigh(stack)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"LAPACK eigh: {exc}") from exc
-        w[firsts[members, None] + np.arange(n)] = values
-        vectors[squares[members, None] + np.arange(n * n)] = v.reshape(len(members), -1)
+        values.append(w.reshape(-1))
+        vectors.append(v.reshape(-1))
+    w = np.concatenate(values)
+    sizes = np.array([shape[0] for shape in shapes], dtype=int)
+    firsts = np.cumsum(sizes) - sizes
     tol = np.repeat(DEGENERACY_FACTOR * (w[firsts + sizes - 1] - w[firsts]), sizes)
     tol[firsts] = -np.inf
     starts = np.flatnonzero(np.diff(w, prepend=0.0) > tol)
     multiplicities = np.diff(np.append(starts, len(w)))
-    return np.add.reduceat(w, starts) / multiplicities, multiplicities, vectors
+    return np.add.reduceat(w, starts) / multiplicities, multiplicities, np.concatenate(vectors)
 
 
 def numerical_spectrum(matrix: np.ndarray) -> SpectralDecomposition:

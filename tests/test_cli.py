@@ -691,6 +691,23 @@ def test_verify_builds_all_restriction_rows_in_one_call(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("bounds", [("9", "8"), ("3", "3"), ("3", "4")])
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_verify_builds_one_closed_form_table_and_one_overlap_pass(monkeypatch, bounds,
+                                                                   inject_fault):
+    calls = {"circulant_eigenspaces": 0, "_site_one_totals": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cli, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    argv = ["verify", "--n-max-full", bounds[0], "--n-max-subspace", bounds[1]]
+    rc, _, err = _in_process(argv + ["--inject-fault"] * inject_fault)
+    assert rc == (1 if inject_fault else 0), err
+    assert calls == {"circulant_eigenspaces": 1, "_site_one_totals": 1}
+
+
 def _per_block_worst(n_max_subspace, inject_fault):
     """verify's spectrum, coupling and transfer worsts, one block and one ring at a time."""
     strength = 1.0 + 1e-6 if inject_fault else 1.0

@@ -180,6 +180,15 @@ def test_distance_matrix_takes_exactly_one_of_entries_or_profile():
         assert d.n_effective == len(d.profile) == (n // 2 if quotient else n)
 
 
+def test_distance_matrix_refuses_zero_points():
+    # With no points, diameter would meet a zero-size reduction and
+    # check_metric_axioms a division by zero.
+    for build in (lambda: DistanceMatrix(profile=[]), lambda: DistanceMatrix(np.zeros((0, 0))),
+                  lambda: DistanceMatrix.from_entries(np.zeros((0, 0)))):
+        with pytest.raises(InvalidArgs, match="non-empty"):
+            build()
+
+
 def test_nan_distances_are_refused_on_every_route():
     # Every comparison with NaN is False, so a NaN pair would pass every axiom.
     m = np.array([[0.0, 1.0, math.nan], [1.0, 0.0, 1.0], [math.nan, 1.0, 0.0]])

@@ -297,6 +297,38 @@ def test_flat_grouping_matches_the_per_matrix_oracle_bit_for_bit():
         numerical_spectra(matrices + [broken] + matrices)
 
 
+def test_numerical_spectra_on_interleaved_sizes_match_single_spectra_bit_for_bit(monkeypatch):
+    # Sizes 3, 3, 4, 3, 4: four runs of equal size, one stacked eigh each.
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((4, 4))
+    matrices = [build_single_excitation_hamiltonian(RingSpec(3)),
+                build_single_excitation_hamiltonian(RingSpec(3, Coupling.HEISENBERG)),
+                build_single_excitation_hamiltonian(RingSpec(4, Coupling.HEISENBERG)),
+                np.diag([2.0, 1.0, 2.0]), base + base.T]
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counted(stack):
+        stacks.append(stack.shape)
+        return eigh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    flat = _per_matrix(numerical_spectra(matrices), [len(matrix) for matrix in matrices])
+    assert stacks == [(2, 3, 3), (1, 4, 4), (1, 3, 3), (1, 4, 4)]
+    for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, flat):
+        single = numerical_spectrum(matrix)
+        assert np.array_equal(eigenvalues, single.eigenvalues), len(matrix)
+        assert np.array_equal(multiplicities, single.multiplicities), len(matrix)
+        assert np.array_equal(basis, single.basis), len(matrix)
+    # A bad matrix in a later run is still refused.
+    broken = np.eye(4)
+    broken[0, 3] = broken[3, 0] = math.inf
+    with pytest.raises(NoConvergence, match="non-finite entry in a 4 x 4 matrix"):
+        numerical_spectra(matrices + [np.eye(3), broken])
+    with pytest.raises(InvalidSpec, match="complex"):
+        numerical_spectra(matrices + [np.eye(3), np.eye(4) + 0j])
+
+
 def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
     # The blocks verify decomposes: n = 3..64, both couplings.  LAPACK and the
     # round-robin Jacobi oracle agree on the multiplicities, the eigenvalues
