@@ -148,8 +148,8 @@ def _json_parts(value, indent: int, out: list) -> None:
     """Append the text of ``json.dumps(value, indent=2)``, ``indent`` spaces deep, to ``out``.
 
     Arrays are written as their nested lists, enums as their values and
-    numpy scalars as Python numbers.  Finite float matrices and circulants
-    take one ``repr`` per distinct bit pattern.
+    numpy scalars as Python numbers.  Float vectors, finite float matrices
+    and circulants take one ``repr`` per distinct bit pattern.
     """
     if isinstance(value, float):
         out.append(_float_json(value))
@@ -179,6 +179,9 @@ def _json_parts(value, indent: int, out: list) -> None:
         out.append(pad[:-2] + "]" if value else "[]")
     elif isinstance(value, _Circulant):
         _circulant_parts(value.row, indent, out)
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size:
+        pad = "\n" + " " * (indent + 2)
+        out.append("[" + pad + ("," + pad).join(_texts(value, _float_json).tolist()) + pad[:-2] + "]")
     elif (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
           and value.size and np.isfinite(value).all()):
         out.append(_matrix_json(value, indent))

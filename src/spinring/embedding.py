@@ -9,10 +9,10 @@ Every decision is an inertia test on the spectrum of one Gram matrix:
 - Hyperbolic space of curvature kappa < 0: cosh(sqrt(-kappa) d) has exactly
   one positive eigenvalue.
 
-A ring's Gram matrices are symmetric circulants in its distance profile, so
-their eigenvalues are one real DFT of the kernel applied to the profile
-(Davis, Circulant Matrices, 1979).  Hand-built metrics go through LAPACK on
-the dense matrix, which is also the rings' test oracle; a Gram matrix that
+A ring's Gram matrices are circulants constant on the classes gcd(s, N), so
+their eigenvalues take one value per divisor of N, the kernel values weighed
+by Ramanujan sums (``DistanceMatrix.classes``).  Other metrics go through
+LAPACK on the dense matrix, also the rings' test oracle; a Gram matrix that
 overflows is refused with InvalidArgs.  One rule reads every spectrum: each
 mode's signed share of its own scale.  A verdict's margin is the smallest
 share and is True iff it is at least -1e-9; its rank counts the modes whose
@@ -24,9 +24,8 @@ verdicts stay valid as kappa -> 0, where they become the Euclidean test.
 The realizations decide on the spectrum they factor and factor exactly the
 modes the rank counts.  A symmetric circulant has the real Hartley basis
 cas(2 pi j k / N) / sqrt(N) as its eigenvectors (Bracewell, JOSA 73, 1983),
-so a ring's coordinates are fixed Hartley columns scaled by the square
-roots of the DFT eigenvalues, with no eigensolver; hand-built metrics are
-factored by LAPACK.
+so a ring's coordinates are Hartley columns scaled by the square roots of
+their class eigenvalues, with no eigensolver; other metrics use LAPACK.
 
 Spherical feasibility is not an interval (0, kappa*]: the ring n = 16 and
 the rings n = 4 (mod 8) with n >= 12 embed only in a window of curvatures,
@@ -225,25 +224,19 @@ def _dense_gram(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scales) 
 def _spectra(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scales) -> np.ndarray:
     """Eigenvalues of the unit-model Gram matrix at s * d for each scale s, along the last axis.
 
-    A ring's Gram matrix is a symmetric circulant in its profile, so its
-    eigenvalues are one real DFT of the kernel applied to the profile, in
-    mode order with the all-ones mode j = 0 first.  Modes j and N - j are
-    equal and are averaged to bit-equal values, so that both modes of a pair
-    get the same keep decision.  The constant reaches mode 0 alone, which
-    sums the kernel values (centering zeroes it), so the other modes are the
-    DFT of the varying part and keep full relative precision as kappa -> 0,
-    where they shrink like |kappa|.  Any other metric goes through LAPACK on
-    the dense matrix, eigenvalues ascending; that route is also the ring
-    route's test oracle.  ``kappa`` is named if the Gram matrix overflows.
+    On a ring mode j's eigenvalue is lambda_g = sum_e c_{N/e}(g) K(D_e),
+    g = gcd(j, N): one value per class of ``d.classes``, the all-ones class
+    first and alone given the constant, so the others keep full relative
+    precision as kappa -> 0, where they shrink like |kappa|.  Other metrics go
+    through LAPACK, ascending (the rings' oracle); an overflow names ``kappa``.
     """
-    if d.profile is None:
+    if d.classes is None:
         return np.linalg.eigvalsh(_dense_gram(d, space, kappa, scales))
     model = _MODELS[space]
     with np.errstate(over="ignore", invalid="ignore"):
-        varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.profile)
-        w = np.fft.fft(varying).real
-        w[..., 1:] = 0.5 * (w[..., 1:] + w[..., :0:-1])
-        w[..., 0] = 0.0 if model.center else (model.constant + varying).sum(axis=-1)
+        varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.classes.values)
+        w = varying @ d.classes.sums.T
+        w[..., 0] = 0.0 if model.center else (model.constant + varying) @ d.classes.sums[0]
     return w
 
 
@@ -290,17 +283,19 @@ class Verdict:
 def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarray):
     """The verdict on ``d`` in ``space`` from the spectrum w of its unit-model Gram matrix.
 
-    Also returns the kept modes, the indices into w whose share exceeds
-    PSD_TOL_FACTOR, in the order of w.  A non-finite w raises InvalidArgs.
+    Also returns whether each value of w, on a ring each class, is kept: its
+    share exceeds PSD_TOL_FACTOR.  A non-finite w raises InvalidArgs.
     """
     timelike = _MODELS[space].timelike
     shares = _shares(_finite(w, space, kappa), timelike)
     margin = float(shares.min())
     psd_ok = margin >= -PSD_TOL_FACTOR
     cap_ok = space is not EmbeddingSpace.SPHERICAL or kappa <= math.pi**2 / d.diameter**2
-    kept = np.flatnonzero(shares > PSD_TOL_FACTOR)
-    eigenvalues = np.sort(-w if timelike else w)
-    return Verdict(cap_ok and psd_ok, cap_ok, psd_ok, margin, eigenvalues, len(kept)), kept
+    keep = shares > PSD_TOL_FACTOR
+    sizes = 1 if d.classes is None else d.classes.ramanujan[0].astype(int)
+    eigenvalues = np.sort(np.repeat(-w if timelike else w, sizes))
+    rank = int((keep * sizes).sum())
+    return Verdict(cap_ok and psd_ok, cap_ok, psd_ok, margin, eigenvalues, rank), keep
 
 
 def _verdict(d: DistanceMatrix, space: EmbeddingSpace, kappa: float) -> Verdict:
@@ -368,15 +363,14 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
 
     One factorization serves all three spaces, which differ only in the
     unit model (``_MODELS``) and the radius r = 1 / sqrt|kappa| (1 in
-    Euclidean space).  A ring's eigenvectors are the Hartley columns, column
-    j with the DFT eigenvalue of mode j; any other metric goes through
-    LAPACK ``eigh``, each column's largest-magnitude entry made positive.
-    The verdict is decided on the same eigenvalues, and its kept modes are
-    the columns factored, in the order of the spectrum, so ``ambient_dim``
-    is its rank and the hyperboloid's one timelike column comes first; each
-    is scaled by r sqrt|w|.  The geodesic distances are read back from the
-    chords between the rows of the column-centred factor, in which the
-    constant column cancels exactly, and compared with the input.
+    Euclidean space).  A ring's eigenvectors are the Hartley columns, column j
+    gathered from row 1 at (k j) mod N; other metrics use LAPACK ``eigh``, each
+    column's largest-magnitude entry made positive.  The verdict's kept modes,
+    in the order of the spectrum, are the columns factored, each scaled by
+    r sqrt|w|, so ``ambient_dim`` is its rank and the hyperboloid's timelike
+    column comes first.  The column-centred factor's geodesic distances are
+    compared with the input; a ring's once per class e, its squared chord being
+    2/N times the kept class values weighed by phi(N/g) - c_{N/g}(e) >= 0.
 
     Raises
     ------
@@ -391,24 +385,33 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
     scale = _scale(space, kappa)
     model = _MODELS[space]
     n = d.n_effective
-    if d.profile is None:
+    classes = d.classes
+    if classes is None:
         w, v = np.linalg.eigh(_dense_gram(d, space, kappa, scale))
         v = v * np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
     else:
-        w, v = _spectra(d, space, kappa, scale), hartley_rows(n, np.arange(n))
-    verdict, kept = _decide(d, space, kappa, w)
+        w = _spectra(d, space, kappa, scale)
+    verdict, keep = _decide(d, space, kappa, w)
     name = space.name.lower()
     if not verdict.embeddable:
         raise NotEmbeddable(
             f"not embeddable in {name} space at kappa={kappa!r} (margin {verdict.margin:.3e})"
         )
-    factor = v[:, kept] * np.sqrt(np.abs(w[kept]))
-    centred = factor - factor.mean(axis=0)
-    gram = (centred * np.sign(w[kept])) @ centred.T
-    norms = np.diag(gram)
-    chords = np.sqrt(np.clip(norms[:, None] + norms - 2.0 * gram, 0.0, None))
-    error = np.abs(model.geodesic(chords) / scale - d.entries)
-    np.fill_diagonal(error, 0.0)
+    if classes is None:
+        factor = v[:, keep] * np.sqrt(np.abs(w[keep]))
+        centred = factor - factor.mean(axis=0)
+        gram = (centred * np.sign(w[keep])) @ centred.T
+        norms = np.diag(gram)
+        chords = np.sqrt(np.clip(norms[:, None] + norms - 2.0 * gram, 0.0, None))
+        error = np.abs(model.geodesic(chords) / scale - d.entries)
+        np.fill_diagonal(error, 0.0)
+    else:
+        modes = np.flatnonzero(keep[classes.mode_class])
+        phases = np.multiply.outer(np.arange(n), modes)
+        factor = hartley_rows(n, [1 % n])[0][np.remainder(phases, n, out=phases)]
+        factor *= np.sqrt(np.abs(w[classes.mode_class[modes]]))
+        chords = np.sqrt(2.0 / n * ((classes.ramanujan[0] - classes.ramanujan) @ np.where(keep, w, 0.0)))
+        error = np.abs(model.geodesic(chords) / scale - d.profile[classes.divisors % n])
     distortion = float(error.max())
     if distortion > DEFAULT_REALIZE_TOL:
         raise FactorizationFailure(f"{name} round-trip distortion {distortion:.3e} "
@@ -437,14 +440,14 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
     """Largest curvature at which the metric embeds in a sphere.
 
     Feasibility is not monotone in kappa, so the margin is first sampled at
-    ``THRESHOLD_GRID`` evenly spaced values of sqrt(kappa) in
-    (0, pi / diameter], in one batch; the last is the cap.  Each sweep then
-    samples ``SWEEP_POINTS`` evenly spaced points inside the cell above the
-    largest feasible sample, in one batch, and keeps the cell ending at the
-    first one where the margin itself (no tolerance) is negative, until its
-    ends are adjacent doubles.  ``monotone_ok`` is whether every sample below
-    the threshold is feasible; a failure is logged.  With no feasible sample
-    the threshold is 0 and ``upper`` the first sample.
+    ``THRESHOLD_GRID`` values of sqrt(kappa) evenly spaced in (0, pi / diameter],
+    in one batch of d(N) class values each on a ring; the last is the cap.
+    Each sweep then samples ``SWEEP_POINTS`` evenly spaced points inside the
+    cell above the largest feasible sample, in one batch, and keeps the cell
+    ending at the first one where the margin itself (no tolerance) is
+    negative, until its ends are adjacent doubles.  ``monotone_ok`` is whether
+    every sample below the threshold is feasible; a failure is logged.  With
+    no feasible sample the threshold is 0 and ``upper`` the first sample.
     """
     diameter = d.diameter
     if not diameter > 0:

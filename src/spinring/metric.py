@@ -26,6 +26,7 @@ and are the oracle for the profile route.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +113,38 @@ class DistanceMatrix:
         """Upper-triangle distances, flat: the dense oracle of the ``profile[1:]`` statistics."""
         iu = np.triu_indices(self.n_effective, 1)
         return self.entries[iu]
+
+    @functools.cached_property
+    def classes(self) -> "GcdClasses | None":
+        """The gcd-class table of a profile constant on the classes gcd(s, N), else None."""
+        profile, n = self.profile, self.n_effective
+        gcd = np.gcd(np.arange(n), n)
+        if profile is None or not np.array_equal(profile, profile[gcd % n]):
+            return None
+        divisors = np.flatnonzero(np.bincount(gcd))[::-1]
+        divides = divisors % divisors[:, None] == 0
+        ramanujan = (divides.T * divisors) @ np.rint(np.linalg.inv(divides))[:, ::-1]
+        distances = profile[divisors % n]
+        values = np.array(sorted(set(distances.tolist())))
+        return GcdClasses(divisors, np.searchsorted(-divisors, -gcd), ramanujan, values,
+                          ramanujan @ (distances[:, None] == values))
+
+
+@dataclass(frozen=True, eq=False)
+class GcdClasses:
+    """A ring metric's classes gcd(s, N), one per divisor e of N, largest first.
+
+    ``mode_class[j]`` indexes gcd(j, N); ``ramanujan[a, b]`` = c_{N/e_b}(e_a) sums
+    cos(2 pi e_a s / N) over class e_b (W. So, 2006), the sum of k mu(N / (e_b k)) over
+    k | gcd(N / e_b, e_a), mu from the inverse divisibility matrix (Rota 1964).  Row 0
+    holds class sizes; ``sums`` adds columns per distance ``values``: cancellations are exact.
+    """
+
+    divisors: np.ndarray
+    mode_class: np.ndarray
+    ramanujan: np.ndarray
+    values: np.ndarray
+    sums: np.ndarray
 
 
 class MetricClassification(enum.Enum):

@@ -9,7 +9,7 @@ The closed form uses the real Hartley basis cas(2 pi j k / n) / sqrt(n),
 which diagonalises every symmetric circulant (Bracewell 1983): column k of
 H_1 carries delta + 2h cos(2 pi min(k, n - k) / n), so its eigenspaces are
 grouped by mode min(k, n - k), with no tolerance.  ``hartley_rows``
-builds any subset of its rows, for ``embedding``'s ring Gram matrices too.
+builds any subset of its rows; ``embedding`` gathers ring eigenvectors from row 1.
 
 The numerical route is LAPACK ``np.linalg.eigh`` on square arrays, such as
 the read-only blocks that ``hamiltonian`` builds: one stacked call per run

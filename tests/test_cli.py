@@ -215,6 +215,29 @@ def test_emit_json_matches_json_dumps_on_edge_values(monkeypatch):
     assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
 
 
+def test_float_vectors_are_written_in_one_pass(monkeypatch):
+    # A 1-D float64 array is written from its distinct values' texts and one
+    # join: one _json_parts call, not one per entry, and json.dumps's text.
+    texts = []
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1e300, -0.0, 5e-324,
+              math.nan, math.inf, -math.inf, 1.0, 1.0, 2.5e-8]
+    docs = [
+        {"v": np.array(values)},
+        {"nested": [{"deep": {"v": np.array(values[::-1])}}], "one": np.array([1e300])},
+        [np.array(values), np.array([0.1, -0.0, 0.1], dtype=np.float32), np.zeros(0),
+         np.array([-0.0])],
+    ]
+    for doc in docs:
+        cli._emit_json(doc, None)
+    assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
+    calls = []
+    json_parts = cli._json_parts
+    monkeypatch.setattr(cli, "_json_parts", lambda *args: calls.append(1) or json_parts(*args))
+    cli._emit_json({"v": np.repeat(np.array(values), 100)}, None)
+    assert len(calls) == 2
+
+
 def test_circulant_text_matches_dense_matrix_text():
     for n in range(3, 65):
         for quotient in (False, True) if n % 2 == 0 else (False,):

@@ -290,18 +290,110 @@ def test_ring_spectra_match_dense_oracle():
             assert np.abs(fast.eigenvalues - oracle.eigenvalues).max() <= 1e-13 * scale, n
 
 
-def test_ring_spectra_pair_modes_bit_equal():
-    # Modes j and N - j are equal; bit-equal values give both modes of a pair
-    # the same keep decision in realize.
-    for n in range(3, 65):
-        d = ring(n)
-        for space, kappa in (
-            (EmbeddingSpace.SPHERICAL, auto_kappa(d, n)),
-            (EmbeddingSpace.EUCLIDEAN, 0.0),
-            (EmbeddingSpace.HYPERBOLIC, -1.0),
+def fft_spectra(d, space, kappa, scales):
+    """The FFT ring route, the class spectra's oracle: one eigenvalue per mode j = 0..N - 1.
+
+    One real DFT of the kernel applied to the profile, with modes j and
+    N - j averaged and mode 0 the sum of the kernel values (0 when centred).
+    """
+    model = embedding._MODELS[space]
+    with np.errstate(over="ignore", invalid="ignore"):
+        varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.profile)
+        w = np.fft.fft(varying).real
+        w[..., 1:] = 0.5 * (w[..., 1:] + w[..., :0:-1])
+        w[..., 0] = 0.0 if model.center else (model.constant + varying).sum(axis=-1)
+    return w
+
+
+def rings_up_to(n_max):
+    """Every ring metric n = 3..n_max, raw and (even n) quotiented."""
+    for n in range(3, n_max + 1):
+        for quotient in (False, True) if n % 2 == 0 else (False,):
+            yield n, distance_matrix(RingSpec(n), quotient)
+
+
+def test_class_spectra_match_fft_and_dense_oracles():
+    # Each class value, listed for every mode of its class, against the FFT
+    # route per mode and against LAPACK on the dense Gram matrices, at scales
+    # 0.3, 1 and the sphere's cap pi / diameter.
+    for n, d in rings_up_to(300):
+        scales = np.array([0.3, 1.0, math.pi / d.diameter])
+        sizes = d.classes.ramanujan[0].astype(int)
+        dense = DistanceMatrix.from_entries(d.entries)
+        for space in EmbeddingSpace:
+            w = embedding._spectra(d, space, 1.0, scales)
+            fft = fft_spectra(d, space, 1.0, scales)
+            scale = np.abs(fft).max(axis=-1, keepdims=True)
+            assert (np.abs(w[:, d.classes.mode_class] - fft) <= 1e-13 * scale).all(), (n, space)
+            lapack = embedding._spectra(dense, space, 1.0, scales)
+            listed = np.sort(np.repeat(w, sizes, axis=-1), axis=-1)
+            scale = np.abs(lapack).max(axis=-1, keepdims=True)
+            assert (np.abs(listed - lapack) <= 1e-13 * scale).all(), (n, space)
+
+
+def test_ring_spectra_bit_equal_within_gcd_classes():
+    # A ring spectrum holds one value per class gcd(j, N), so all modes of a
+    # class, j and N - j among them, are bit-equal and get the same keep
+    # decision in realize; the verdict lists each value once per mode.
+    for n, d in rings_up_to(64):
+        classes = d.classes
+        sizes = classes.ramanujan[0].astype(int)
+        gcd = [math.gcd(j, d.n_effective) for j in range(d.n_effective)]
+        assert classes.divisors[classes.mode_class].tolist() == gcd, n
+        assert np.array_equal(np.bincount(classes.mode_class), sizes), n
+        for space, kappa, decide in (
+            (EmbeddingSpace.SPHERICAL, auto_kappa(d, n), embeddable_spherical),
+            (EmbeddingSpace.EUCLIDEAN, 0.0, lambda d, kappa: embeddable_euclidean(d)),
+            (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic),
         ):
             w = embedding._spectra(d, space, kappa, embedding._scale(space, kappa))
-            assert np.array_equal(w[1:], w[:0:-1]), (n, space)
+            assert w.shape == classes.divisors.shape, (n, space)
+            modes = w[classes.mode_class]
+            assert np.array_equal(modes[1:], modes[:0:-1]), (n, space)
+            listed = -w if space is EmbeddingSpace.HYPERBOLIC else w
+            eigenvalues = decide(d, kappa).eigenvalues
+            assert np.array_equal(eigenvalues, np.sort(np.repeat(listed, sizes))), (n, space)
+
+
+def test_ramanujan_matrix_matches_cosine_sums():
+    # Entry (a, b) sums cos(2 pi e_a s / N) over the separations s of class
+    # e_b; the sums are integers, and the first row holds the class sizes.
+    for n in range(1, 121):
+        sep = np.arange(n)
+        gcd = np.gcd(sep, n)
+        classes = DistanceMatrix(profile=np.log1p(gcd % n)).classes
+        assert classes.divisors.tolist() == sorted({int(g) for g in gcd}, reverse=True), n
+        assert np.array_equal(classes.values, np.unique(np.log1p(gcd % n))), n
+        for a, e_a in enumerate(classes.divisors.tolist()):
+            for b, e_b in enumerate(classes.divisors.tolist()):
+                direct = math.fsum(math.cos(2.0 * math.pi * (e_a * s % n) / n)
+                                   for s in sep[gcd == e_b].tolist())
+                assert classes.ramanujan[a, b] == round(direct), (n, e_a, e_b)
+                assert abs(direct - round(direct)) <= 1e-9 * n, (n, e_a, e_b)
+
+
+def test_profile_not_constant_on_gcd_classes_takes_the_dense_route():
+    # A circulant whose profile differs within a gcd class has no class
+    # table; it decides and realizes on its dense entries, as from_entries does.
+    for profile in ([0.0, 1.0, 2.0, 2.0, 1.0], [0.0, 1.0, 1.1, 1.1, 1.0],
+                    [0.0, 1.0, 1.5, 2.0, 2.0, 1.5, 1.0]):
+        d = DistanceMatrix(profile=profile)
+        assert d.classes is None
+        dense = DistanceMatrix.from_entries(d.entries)
+        for space, kappa, decide in (
+            (EmbeddingSpace.SPHERICAL, 1.0, embeddable_spherical),
+            (EmbeddingSpace.EUCLIDEAN, 0.0, lambda d, kappa: embeddable_euclidean(d)),
+            (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic),
+        ):
+            verdict, oracle = decide(d, kappa), decide(dense, kappa)
+            assert np.array_equal(verdict.eigenvalues, oracle.eigenvalues), (profile, space)
+            assert (verdict.embeddable, verdict.margin, verdict.rank) == (
+                oracle.embeddable, oracle.margin, oracle.rank), (profile, space)
+            if verdict.embeddable:
+                result, expected = realize(d, space, kappa), realize(dense, space, kappa)
+                assert np.array_equal(result.coordinates, expected.coordinates), (profile, space)
+                assert result.max_distortion == expected.max_distortion, (profile, space)
+    assert DistanceMatrix(profile=[0.0, 1.0, 2.0, 1.0]).classes is not None
 
 
 def test_ring_verdicts_agree_with_realize():
@@ -362,6 +454,85 @@ def test_realize_ring_columns_are_hartley_columns_in_mode_order():
             matched = projections[modes, np.arange(len(modes))]
             assert np.abs(matched - 1.0).max() <= 1e-12, (n, space)
             assert (np.diff(modes) > 0).all(), (n, space, modes)
+
+
+def all_pairs_distortion(d, space, kappa, coordinates):
+    """The dense round trip: every pair's geodesic distance read back from the coordinates."""
+    model = embedding._MODELS[space]
+    scale = embedding._scale(space, kappa)
+    x = coordinates * scale
+    centred = x - x.mean(axis=0)
+    signs = np.ones(x.shape[1])
+    signs[0] = -1.0 if model.timelike else 1.0
+    gram = (centred * signs) @ centred.T
+    norms = np.diag(gram)
+    chords = np.sqrt(np.clip(norms[:, None] + norms - 2.0 * gram, 0.0, None))
+    error = np.abs(model.geodesic(chords) / scale - d.entries)
+    np.fill_diagonal(error, 0.0)
+    return float(error.max())
+
+
+def test_ring_round_trip_bounds_the_all_pairs_distortion():
+    # realize reads a ring's distances back per gcd class, from the kept
+    # class values; the dense round trip on the emitted coordinates agrees
+    # within the rounding of its own Gram products (23 ulps of the diameter
+    # at most for n <= 300, on the sphere at the threshold).
+    for n in range(3, 301):
+        d = ring(n)
+        cases = [(EmbeddingSpace.EUCLIDEAN, 0.0), (EmbeddingSpace.HYPERBOLIC, -1.0)]
+        threshold = spherical_feasibility_threshold(d).kappa
+        cases += [(EmbeddingSpace.SPHERICAL, threshold)] if threshold > 0.0 else []
+        for space, kappa in cases:
+            try:
+                result = realize(d, space, kappa)
+            except NotEmbeddable:
+                continue
+            dense = all_pairs_distortion(d, space, kappa, result.coordinates)
+            gap = abs(dense - result.max_distortion)
+            assert gap <= 32 * math.ulp(d.diameter), (n, space, dense, result.max_distortion)
+
+
+def test_realize_ring_columns_match_hartley_rows():
+    # Column j is gathered from Hartley row 1 at (k j) mod N; the full basis,
+    # one FFT per row, is its oracle.  Both come from pocketfft and agree
+    # within 27 ulps of 1/sqrt(N) for N <= 300 (Bluestein sizes such as
+    # N = 262 are the worst).
+    for n in range(3, 301):
+        d = ring(n)
+        n_points = d.n_effective
+        hartley = hartley_rows(n_points, np.arange(n_points))
+        for space, kappa in ((EmbeddingSpace.EUCLIDEAN, 0.0), (EmbeddingSpace.HYPERBOLIC, -1.0)):
+            w = embedding._spectra(d, space, kappa, embedding._scale(space, kappa))
+            verdict, keep = embedding._decide(d, space, kappa, w)
+            if not verdict.embeddable:
+                continue
+            modes = np.flatnonzero(keep[d.classes.mode_class])
+            radii = np.sqrt(np.abs(w[d.classes.mode_class[modes]])) / embedding._scale(space, kappa)
+            coordinates = realize(d, space, kappa).coordinates
+            gap = np.abs(coordinates - hartley[:, modes] * radii).max()
+            assert gap <= 32 * math.ulp(1.0 / math.sqrt(n_points)) * radii.max(), (n, space)
+
+
+def test_raw_even_rings_realize_with_coincident_antipodes():
+    # Antipodal sites of a raw even ring are at distance zero.  The class
+    # round trip reads that distance back exactly, where the dense one took
+    # the square root of a rounding error (about 1e-8) and 114 of these
+    # realizations for n <= 300 failed; the two sites get the same row.
+    for n in range(4, 301, 2):
+        d = distance_matrix(RingSpec(n))
+        threshold = spherical_feasibility_threshold(d).kappa
+        cases = [(EmbeddingSpace.EUCLIDEAN, 0.0, embeddable_euclidean(d)),
+                 (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic(d, -1.0))]
+        if threshold > 0.0:
+            cases.append((EmbeddingSpace.SPHERICAL, threshold, embeddable_spherical(d, threshold)))
+        for space, kappa, verdict in cases:
+            if not verdict.embeddable:
+                continue
+            result = realize(d, space, kappa)
+            assert result.max_distortion <= 1e-14, (n, space)
+            assert result.ambient_dim == verdict.rank, (n, space)
+            half = n // 2
+            assert np.array_equal(result.coordinates[:half], result.coordinates[half:]), (n, space)
 
 
 def test_realize_ring_memory_is_quadratic():
@@ -567,6 +738,30 @@ def test_feasibility_threshold_cell_is_one_rounding_wide():
             if threshold.kappa > 0.0:
                 gap = threshold.upper - threshold.kappa
                 assert 0.0 <= gap <= 8 * math.ulp(threshold.kappa), (n, quotient)
+
+
+def test_feasibility_threshold_lands_in_the_fft_oracle_cell(monkeypatch):
+    # The search on class spectra against the same search on the FFT route.
+    ours = [spherical_feasibility_threshold(ring(n)) for n in range(3, 301)]
+    monkeypatch.setattr(embedding, "_spectra", fft_spectra)
+    for n, threshold in zip(range(3, 301), ours):
+        oracle = spherical_feasibility_threshold(ring(n))
+        for value, expected in ((threshold.kappa, oracle.kappa), (threshold.upper, oracle.upper)):
+            assert abs(value - expected) <= 2 * math.ulp(expected), (n, value, expected)
+
+
+def test_feasibility_threshold_memory_is_linear():
+    # 256 grid samples of d(N) class values each: at n = 400001 (d(N) = 4) the
+    # search holds a few arrays of N entries, where FFT spectra held 256 x N.
+    d = distance_matrix(RingSpec(400001))
+    tracemalloc.start()
+    try:
+        threshold = spherical_feasibility_threshold(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < threshold.kappa < threshold.cap
+    assert peak <= 8 * 8 * d.n_effective, peak
 
 
 def test_feasibility_threshold_refines_in_few_sweeps(monkeypatch):
