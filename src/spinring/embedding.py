@@ -11,7 +11,7 @@ Every decision is an inertia test on the spectrum of one Gram matrix:
 
 A ring's Gram matrices are circulants constant on the classes gcd(s, N), so
 their eigenvalues take one value per divisor of N, the kernel values weighed
-by Ramanujan sums (``DistanceMatrix.classes``).  Other metrics go through
+by Ramanujan sums (``DistanceMatrix.classes``).  Explicit entries go through
 LAPACK on the dense matrix, also the rings' test oracle; a Gram matrix that
 overflows is refused with InvalidArgs.  One rule reads every spectrum: each
 mode's signed share of its own scale.  A verdict's margin is the smallest
@@ -25,7 +25,7 @@ The realizations decide on the spectrum they factor and factor exactly the
 modes the rank counts.  A symmetric circulant has the real Hartley basis
 cas(2 pi j k / N) / sqrt(N) as its eigenvectors (Bracewell, JOSA 73, 1983),
 so a ring's coordinates are Hartley columns scaled by the square roots of
-their class eigenvalues, with no eigensolver; other metrics use LAPACK.
+their class eigenvalues, with no eigensolver; explicit entries use LAPACK.
 
 Spherical feasibility is not an interval (0, kappa*]: the ring n = 16 and
 the rings n = 4 (mod 8) with n >= 12 embed only in a window of curvatures,
@@ -227,8 +227,8 @@ def _spectra(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scales) -> 
     On a ring mode j's eigenvalue is lambda_g = sum_e c_{N/e}(g) K(D_e),
     g = gcd(j, N): one value per class of ``d.classes``, the all-ones class
     first and alone given the constant, so the others keep full relative
-    precision as kappa -> 0, where they shrink like |kappa|.  Other metrics go
-    through LAPACK, ascending (the rings' oracle); an overflow names ``kappa``.
+    precision as kappa -> 0, where they shrink like |kappa|.  Explicit entries
+    go through LAPACK, ascending (the rings' oracle); an overflow names ``kappa``.
     """
     if d.classes is None:
         return np.linalg.eigvalsh(_dense_gram(d, space, kappa, scales))
@@ -267,9 +267,10 @@ class Verdict:
 
     ``margin`` is the smallest mode share (``_shares``), ``psd_ok`` is
     ``margin >= -PSD_TOL_FACTOR`` and ``cap_ok`` the sphere's diameter cap
-    (True elsewhere); the metric embeds when both hold.  ``rank`` counts the
-    kept modes, whose share exceeds PSD_TOL_FACTOR: the columns ``realize``
-    factors.  ``eigenvalues`` ascend, of the cosh matrix on the hyperboloid.
+    (True elsewhere, and at a zero diameter, which has no cap); the metric
+    embeds when both hold.  ``rank`` counts the kept modes, whose share
+    exceeds PSD_TOL_FACTOR: the columns ``realize`` factors.  ``eigenvalues``
+    ascend, of the cosh matrix on the hyperboloid.
     """
 
     embeddable: bool
@@ -290,7 +291,8 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
     shares = _shares(_finite(w, space, kappa), timelike)
     margin = float(shares.min())
     psd_ok = margin >= -PSD_TOL_FACTOR
-    cap_ok = space is not EmbeddingSpace.SPHERICAL or kappa <= math.pi**2 / d.diameter**2
+    cap_ok = (space is not EmbeddingSpace.SPHERICAL or d.diameter == 0.0
+              or kappa <= math.pi**2 / d.diameter**2)
     keep = shares > PSD_TOL_FACTOR
     sizes = 1 if d.classes is None else d.classes.ramanujan[0].astype(int)
     eigenvalues = np.sort(np.repeat(-w if timelike else w, sizes))
@@ -450,8 +452,8 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
     no feasible sample the threshold is 0 and ``upper`` the first sample.
     """
     diameter = d.diameter
-    if not diameter > 0:
-        raise InvalidArgs("feasibility search needs a positive diameter")
+    if not 0 < diameter < math.inf:
+        raise InvalidArgs("feasibility search needs a positive finite diameter")
     cap = math.pi**2 / diameter**2
     grid = math.sqrt(cap) * np.arange(1, THRESHOLD_GRID + 1) / THRESHOLD_GRID
     sphere = EmbeddingSpace.SPHERICAL

@@ -13,14 +13,14 @@ cosine sum stays as its oracle.  Even rings place antipodal sites (q = 2)
 at distance zero, which makes the raw space a semi-metric; identifying
 antipodal sites (the quotient) restores separation.
 
-Ring distance matrices, raw and quotiented, are circulant: a
-``DistanceMatrix`` is built from its generator alone, its entries a view of
-it, and the generator is constant on the classes gcd(s, N).  So
+Ring distance matrices, raw and quotiented, are circulants constant on the
+classes gcd(s, N): a ``DistanceMatrix`` takes such a profile alone, and no
+other, and keeps the divisors of N; its entries are a view of it.  So
 ``check_metric_axioms`` decides the triangle inequality exactly at every
 size from one row of N slacks per divisor of N, and every ring statistic
-is read from the generator.  The dense routines (exhaustive triples up to
-200 points, seeded Monte-Carlo beyond) serve matrices without a profile
-and are the oracle for the profile route.
+is read from the profile.  The dense routines (exhaustive triples up to
+200 points, seeded Monte-Carlo beyond) serve explicit entries and are the
+oracle for the profile route.
 """
 
 from __future__ import annotations
@@ -53,19 +53,19 @@ BLOCK = 2**14
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative distance matrix, built from its entries or its circulant generator.
+    """Symmetric nonnegative distance matrix, built from its entries or from a ring profile.
 
     Give exactly one of ``entries``, a square array, or ``profile``, the
     circulant generator of a ring metric: ``profile[s] = d(site 1, site 1 + s)``
     for s = 0..N - 1, so that ``entries[i, j] = profile[(j - i) mod N]``.  A
-    profile is kept as a read-only copy and ``entries`` as a read-only view
-    of it (O(N) memory, no N x N copy); explicit entries are kept as a
-    read-only copy and ``profile`` is None.  Zero points are refused, and so
-    is a NaN distance, in the profile when there is one (O(N)).
-    ``n_effective`` is the point count N: n for a plain ring, n/2 after
-    antipodal identification.  In a symmetric circulant each s = 1..N - 1
-    stands for N/2 unordered pairs, so ring statistics and the diameter are
-    read from the profile.
+    profile must be constant on the classes gcd(s, N), as every ring metric is
+    (other circulants go through ``from_entries``).  It is kept read-only with
+    its classes and the divisors e < N of N, ascending, and ``entries`` is a
+    read-only view of it; explicit entries are kept as a read-only copy and
+    ``profile`` is None.  Zero points and NaN distances are refused.
+    ``n_effective`` is the point count N: n for a ring, n/2 after antipodal
+    identification.  Each s = 1..N - 1 stands for N/2 unordered pairs, so
+    ring statistics and the diameter are read from the profile.
     """
 
     entries: np.ndarray | None = None
@@ -83,7 +83,13 @@ class DistanceMatrix:
             raise InvalidArgs("distances must not be NaN")
         arr.flags.writeable = False
         if circulant:
+            sep = np.arange(len(arr))
+            gcd = np.gcd(sep, len(arr))
+            if not np.array_equal(arr, arr.take(gcd, mode="wrap")):
+                raise InvalidArgs("profile is not constant on the classes gcd(s, N): use from_entries")
             object.__setattr__(self, "profile", arr)
+            object.__setattr__(self, "_divisors", sep[gcd == sep])
+            object.__setattr__(self, "_gcd", gcd)
             # Row i holds profile[(j - i) mod N], which is window N - i.
             arr = _windows(arr)[len(arr):0:-1]
         object.__setattr__(self, "entries", arr)
@@ -116,17 +122,15 @@ class DistanceMatrix:
 
     @functools.cached_property
     def classes(self) -> "GcdClasses | None":
-        """The gcd-class table of a profile constant on the classes gcd(s, N), else None."""
-        profile, n = self.profile, self.n_effective
-        gcd = np.gcd(np.arange(n), n)
-        if profile is None or not np.array_equal(profile, profile[gcd % n]):
+        """The gcd-class table of a profile, built when first read (by embeddings); else None."""
+        if self.profile is None:
             return None
-        divisors = np.flatnonzero(np.bincount(gcd))[::-1]
+        divisors = np.append(self.n_effective, self._divisors[::-1])
         divides = divisors % divisors[:, None] == 0
         ramanujan = (divides.T * divisors) @ np.rint(np.linalg.inv(divides))[:, ::-1]
-        distances = profile[divisors % n]
+        distances = self.profile[divisors % self.n_effective]
         values = np.array(sorted(set(distances.tolist())))
-        return GcdClasses(divisors, np.searchsorted(-divisors, -gcd), ramanujan, values,
+        return GcdClasses(divisors, np.searchsorted(-divisors, -self._gcd), ramanujan, values,
                           ramanujan @ (distances[:, None] == values))
 
 
@@ -356,26 +360,20 @@ def zero_distance_pairs(d: DistanceMatrix) -> np.ndarray:
     return np.stack((i[keep], j[keep]), axis=1)
 
 
-def _circulant_triangle_ok(profile: np.ndarray) -> bool:
-    """Whether no slack c[a + b] - (c[a] + c[b]) of a circulant exceeds TRIANGLE_TOL.
+def _circulant_triangle_ok(d: DistanceMatrix) -> bool:
+    """Whether no slack c[a + b] - (c[a] + c[b]) of a ring profile c exceeds TRIANGLE_TOL.
 
     The triple (i, i + a, i + a + b) has this slack, bit for bit the dense
     check's d(i, j) - (d(i, k) + d(k, j)), so checking every (a, b) is exact.
     The pairs with b = 0 or a + b = 0 (mod N) are no triples; their slacks
     -c[0] and c[0] - (c[a] + c[-a]) are not positive when c[0] = 0 and
     c >= 0, and a positive one only sends the caller to the dense listing.
-    When c[-x] == c[x] exactly, (a, b) and (-a, -b) share a slack and rows
-    a > N/2 are skipped.  When c is constant on the classes gcd(x, N), a row
-    a = u e, u a unit, has row e's slacks (b -> u b), so one row per divisor
-    e < N is checked.  Rows are taken about BLOCK slacks at a time.
+    c is constant on the classes gcd(x, N), so a row a = u e, u a unit, has
+    row e's slacks (b -> u b): one row per divisor e < N is checked, the
+    divisors the constructor found, about BLOCK slacks at a time.
     """
-    n = len(profile)
-    sep, gcd = np.arange(n), np.gcd(np.arange(n), n)
-    if np.array_equal(profile, profile[gcd % n]):
-        rows = sep[gcd == sep]
-    else:
-        rows = sep[1:n // 2 + 1 if np.array_equal(profile, profile[-sep]) else n]
-    windows, step = _windows(profile), max(1, BLOCK // n)
+    profile, rows = d.profile, d._divisors
+    windows, step = _windows(profile), max(1, BLOCK // len(profile))
     for block in (rows[i:i + step] for i in range(0, len(rows), step)):
         slack = np.add.outer(profile[block], profile)
         np.subtract(windows[block], slack, out=slack)
@@ -392,14 +390,15 @@ def check_metric_axioms(
 ) -> MetricReport:
     """Verify identity, symmetry, separation and the triangle inequality.
 
-    A matrix that carries its circulant ``profile`` (every ring metric, the
-    antipodal quotient included) is checked exactly at every size from
-    profile slacks, on a ring one row per divisor of N: the check is always
-    exhaustive and ``seed`` is not used.  Violations found there are listed
-    by the dense routines, so they come in the same order and with the same
-    magnitudes as for the dense matrix.  Without a profile, triples are
-    checked exhaustively up to ``exhaustive_limit`` points and by seeded
-    Monte-Carlo sampling above it.
+    A ring metric, given by its ``profile`` (the antipodal quotient
+    included), is exactly symmetric, as gcd(s, N) = gcd(N - s, N), and its
+    triangles are checked exactly from profile slacks, one row per divisor
+    of N, at every size: the check is always exhaustive and ``seed`` is not
+    used.  Violations found there are listed by the dense routines, so they
+    come in the same order and with the same magnitudes as for the dense
+    matrix.  Explicit entries are checked for symmetry, and their triples
+    exhaustively up to ``exhaustive_limit`` points and by seeded Monte-Carlo
+    sampling above it.
     Zero distances between distinct points are separation violations; when
     every one of them sits on an antipodal pair (j - i = n/2) the space
     classifies as a semi-metric that becomes a metric after antipodal
@@ -415,12 +414,17 @@ def check_metric_axioms(
         violations.append(Violation("identity", (int(i) + 1,), float(diag[i])))
     identity_ok = not violations
 
-    if profile is None or np.any(
-        np.abs(profile - profile[-np.arange(n)]) > ZERO_DISTANCE_TOL
-    ):
-        symmetry = _symmetry_violations(matrix)
-    else:
-        symmetry = []
+    exhaustive = profile is not None or n <= exhaustive_limit
+    # An infinite distance makes inf - inf = NaN, which no check counts: a NaN
+    # asymmetry compares inf with inf, and a NaN slack stands for inf <= inf + x.
+    with np.errstate(invalid="ignore"):
+        symmetry = [] if profile is not None else _symmetry_violations(matrix)
+        if profile is not None and _circulant_triangle_ok(d):
+            triangle = []
+        elif exhaustive:
+            triangle = _triangle_violations_exhaustive(matrix)
+        else:
+            triangle = _triangle_violations_sampled(matrix, seed, mc_samples)
     violations.extend(symmetry)
     symmetry_ok = not symmetry
 
@@ -429,13 +433,6 @@ def check_metric_axioms(
                       for i, j in zero_pairs.tolist())
     separation_ok = not len(zero_pairs)
 
-    exhaustive = profile is not None or n <= exhaustive_limit
-    if profile is not None and _circulant_triangle_ok(profile):
-        triangle = []
-    elif exhaustive:
-        triangle = _triangle_violations_exhaustive(matrix)
-    else:
-        triangle = _triangle_violations_sampled(matrix, seed, mc_samples)
     violations.extend(triangle)
     triangle_ok = not triangle
 

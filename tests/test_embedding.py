@@ -373,27 +373,65 @@ def test_ramanujan_matrix_matches_cosine_sums():
 
 
 def test_profile_not_constant_on_gcd_classes_takes_the_dense_route():
-    # A circulant whose profile differs within a gcd class has no class
-    # table; it decides and realizes on its dense entries, as from_entries does.
+    # A circulant whose profile differs within a gcd class is no ring metric:
+    # it is refused as a profile, and its entries decide and realize through
+    # from_entries, on the dense route.
+    realized = 0
     for profile in ([0.0, 1.0, 2.0, 2.0, 1.0], [0.0, 1.0, 1.1, 1.1, 1.0],
                     [0.0, 1.0, 1.5, 2.0, 2.0, 1.5, 1.0]):
-        d = DistanceMatrix(profile=profile)
-        assert d.classes is None
-        dense = DistanceMatrix.from_entries(d.entries)
+        with pytest.raises(InvalidArgs, match="from_entries"):
+            DistanceMatrix(profile=profile)
+        sites = np.arange(len(profile))
+        dense = DistanceMatrix.from_entries(np.array(profile)[(sites - sites[:, None]) % len(sites)])
+        assert dense.classes is None
         for space, kappa, decide in (
             (EmbeddingSpace.SPHERICAL, 1.0, embeddable_spherical),
             (EmbeddingSpace.EUCLIDEAN, 0.0, lambda d, kappa: embeddable_euclidean(d)),
             (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic),
         ):
-            verdict, oracle = decide(d, kappa), decide(dense, kappa)
-            assert np.array_equal(verdict.eigenvalues, oracle.eigenvalues), (profile, space)
-            assert (verdict.embeddable, verdict.margin, verdict.rank) == (
-                oracle.embeddable, oracle.margin, oracle.rank), (profile, space)
+            verdict = decide(dense, kappa)
+            assert len(verdict.eigenvalues) == len(sites), (profile, space)
             if verdict.embeddable:
-                result, expected = realize(d, space, kappa), realize(dense, space, kappa)
-                assert np.array_equal(result.coordinates, expected.coordinates), (profile, space)
-                assert result.max_distortion == expected.max_distortion, (profile, space)
+                result = realize(dense, space, kappa)
+                assert result.ambient_dim == verdict.rank, (profile, space)
+                assert result.max_distortion <= embedding.DEFAULT_REALIZE_TOL, (profile, space)
+                realized += 1
+            else:
+                with pytest.raises(NotEmbeddable):
+                    realize(dense, space, kappa)
+    assert realized
     assert DistanceMatrix(profile=[0.0, 1.0, 2.0, 1.0]).classes is not None
+
+
+def test_zero_diameter_embeds_in_every_space():
+    # One point, or two at distance 0: a zero diameter has no spherical cap.
+    for d in (DistanceMatrix(profile=[0.0]), DistanceMatrix.from_entries([[0.0]]),
+              DistanceMatrix.from_entries(np.zeros((2, 2)))):
+        for space, kappa, decide in (
+            (EmbeddingSpace.SPHERICAL, 2.0, embeddable_spherical),
+            (EmbeddingSpace.EUCLIDEAN, 0.0, lambda d, kappa: embeddable_euclidean(d)),
+            (EmbeddingSpace.HYPERBOLIC, -2.0, embeddable_hyperbolic),
+        ):
+            verdict = decide(d, kappa)
+            assert verdict.embeddable and verdict.cap_ok, (d.entries, space)
+            result = realize(d, space, kappa)
+            assert result.max_distortion == 0.0, (d.entries, space)
+            assert result.coordinates.shape == (d.n_effective, verdict.rank), (d.entries, space)
+            if space is EmbeddingSpace.SPHERICAL:
+                norms = np.linalg.norm(result.coordinates, axis=1)
+                assert norms == pytest.approx(1.0 / math.sqrt(kappa), rel=1e-15), d.entries
+        with pytest.raises(InvalidArgs, match="positive finite diameter"):
+            spherical_feasibility_threshold(d)
+
+
+def test_feasibility_threshold_refuses_an_infinite_diameter():
+    # No curvature embeds it: the Gram matrix at every kappa > 0 is not finite.
+    far = DistanceMatrix(profile=[0.0, math.inf, math.inf])
+    with pytest.raises(InvalidArgs, match="not finite"):
+        embeddable_spherical(far, 1.0)
+    for d in (far, DistanceMatrix.from_entries(far.entries)):
+        with pytest.raises(InvalidArgs, match="positive finite diameter"):
+            spherical_feasibility_threshold(d)
 
 
 def test_ring_verdicts_agree_with_realize():

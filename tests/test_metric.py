@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,8 @@ def test_distance_matrix_takes_exactly_one_of_entries_or_profile():
             DistanceMatrix(np.zeros(shape))
     assert DistanceMatrix(profile=profile).n_effective == len(profile)
     assert DistanceMatrix(entries).n_effective == len(entries)
+    assert DistanceMatrix(profile=profile).classes is not None
+    assert DistanceMatrix(entries).classes is None
     for n, quotient in ((7, False), (8, False), (8, True)):
         d = distance_matrix(RingSpec(n), quotient)
         assert d.n_effective == len(d.profile) == (n // 2 if quotient else n)
@@ -326,13 +329,11 @@ def test_metric_axioms_profile_route_matches_dense_oracle_on_rings():
     "profile, classification",
     [
         # Triangle violations: d(1, 3) = 3 > d(1, 2) + d(2, 3).
-        ([0.0, 1.0, 3.0, 3.0, 1.0], MetricClassification.NOT_SEMI_METRIC),
+        ([0.0, 1.0, 3.0, 1.0, 3.0, 1.0], MetricClassification.NOT_SEMI_METRIC),
         # Zeros at separation 2 and 4, not at the antipode 3.
         ([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], MetricClassification.NOT_SEMI_METRIC),
         # Antipodal zeros only.
         ([0.0, 1.0, 1.0, 0.0, 1.0, 1.0], MetricClassification.SEMI_METRIC_ANTIPODAL),
-        # Not symmetric; its only triangle violations have a, b > N/2.
-        ([0.0, 2.0, 2.0, 3.0, 1.0], MetricClassification.NOT_SEMI_METRIC),
     ],
 )
 def test_metric_axioms_profile_route_matches_dense_oracle_on_hand_built(
@@ -345,14 +346,49 @@ def test_metric_axioms_profile_route_matches_dense_oracle_on_hand_built(
     assert report.classification is classification
 
 
+def test_infinite_distances_check_without_runtime_warnings():
+    # inf - inf is NaN in the slacks and asymmetries, and no violation: only
+    # a finite pair sum below an infinite distance breaks a triangle.
+    for profile, triangle_ok in (([0.0, 1.0, math.inf, 1.0], False),
+                                 ([0.0, math.inf, math.inf], True)):
+        ring = DistanceMatrix(profile=profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_metric_axioms(ring)
+            assert report == check_metric_axioms(DistanceMatrix(ring.entries))
+            assert report == check_metric_axioms(DistanceMatrix.from_entries(ring.entries))
+        assert report.symmetry_ok and report.triangle_ok == triangle_ok
+        triangles = [v.magnitude for v in report.violations if v.kind == "triangle"]
+        assert triangles == ([] if triangle_ok else [math.inf] * 8), profile
+
+
+def test_metric_axioms_on_an_asymmetric_circulant_from_its_entries():
+    # Not symmetric, so no ring profile; its only triangle violations have
+    # a = b = 4 > N/2: d(i, i + 3) = 3 > d(i, i + 4) + d(i + 4, i + 3) = 2.
+    profile = np.array([0.0, 2.0, 2.0, 3.0, 1.0])
+    with pytest.raises(InvalidArgs, match="from_entries"):
+        DistanceMatrix(profile=profile)
+    sites = np.arange(5)
+    report = check_metric_axioms(DistanceMatrix(profile[(sites - sites[:, None]) % 5]))
+    assert report.exhaustive
+    assert report.identity_ok and report.separation_ok
+    assert not report.symmetry_ok and not report.triangle_ok
+    assert report.triangle_ok == _all_rows_triangle_ok(profile)
+    assert report.classification is MetricClassification.NOT_SEMI_METRIC
+    assert sorted(_violations(report)) == sorted(
+        [("symmetry", (i + 1, j + 1), 1.0) for i in range(5) for j in range(i + 1, 5)]
+        + [("triangle", (i + 1, (i + 3) % 5 + 1, (i + 4) % 5 + 1), 1.0) for i in range(5)]
+    )
+
+
 def test_metric_axioms_profile_route_matches_dense_oracle_on_random_profiles():
+    # One value per class gcd(s, N), the identity's class included.
     rng = np.random.default_rng(5)
     for _ in range(300):
         points = int(rng.integers(1, 9))
-        profile = rng.integers(0, 4, points).astype(float)
-        if rng.random() < 0.5:
-            profile = np.maximum(profile, profile[-np.arange(points)])
-        profile[0] = 0.0 if rng.random() < 0.9 else 1.0
+        by_class = rng.integers(0, 4, points + 1).astype(float)
+        by_class[points] = 0.0 if rng.random() < 0.9 else 1.0
+        profile = by_class[np.gcd(np.arange(points), points)]
         space = DistanceMatrix(profile=profile)
         dense = DistanceMatrix(space.entries)
         assert check_metric_axioms(space) == check_metric_axioms(dense), profile
@@ -379,7 +415,7 @@ def _class_constant(profile):
 def test_divisor_rows_match_all_rows_on_rings():
     for n, quotient, d in _rings(400):
         assert _class_constant(d.profile), (n, quotient)
-        assert _circulant_triangle_ok(d.profile) == _all_rows_triangle_ok(d.profile), (n, quotient)
+        assert _circulant_triangle_ok(d) == _all_rows_triangle_ok(d.profile), (n, quotient)
 
 
 def test_divisor_rows_match_all_rows_on_random_class_constant_profiles():
@@ -397,12 +433,15 @@ def test_divisor_rows_match_all_rows_on_random_class_constant_profiles():
         if n > 1:
             by_class[rng.choice(sep[gcd == sep])] = rng.uniform(1.0, 3.75)
         profile = by_class[gcd]
-        verdicts.append(_circulant_triangle_ok(profile))
+        verdicts.append(_circulant_triangle_ok(DistanceMatrix(profile=profile)))
         assert verdicts[-1] == _all_rows_triangle_ok(profile), profile
     assert 0.15 < verdicts.count(False) / len(verdicts) < 0.35
 
 
 def test_divisor_rows_leave_other_circulants_on_all_rows():
+    # A circulant that is not constant on the classes gcd(s, N) is refused as a
+    # profile; its dense matrix is checked on every triple, and its verdict
+    # is that of every row of slacks.
     rng = np.random.default_rng(21)
     for symmetric in (True, False):
         verdicts = []
@@ -415,7 +454,11 @@ def test_divisor_rows_leave_other_circulants_on_all_rows():
             profile[0] = 0.0
             assert np.array_equal(profile, profile[-np.arange(n)]) == symmetric
             assert not _class_constant(profile)
-            verdicts.append(_circulant_triangle_ok(profile))
+            with pytest.raises(InvalidArgs, match="from_entries"):
+                DistanceMatrix(profile=profile)
+            sites = np.arange(n)
+            dense = DistanceMatrix(profile[(sites - sites[:, None]) % n])
+            verdicts.append(check_metric_axioms(dense).triangle_ok)
             assert verdicts[-1] == _all_rows_triangle_ok(profile), profile
         assert True in verdicts and False in verdicts
 
@@ -525,6 +568,13 @@ def _rings(n_max):
     for n in range(3, n_max + 1):
         for quotient in (False, True) if n % 2 == 0 else (False,):
             yield n, quotient, distance_matrix(RingSpec(n), quotient)
+
+
+def test_every_ring_profile_is_accepted_with_the_divisors_of_n():
+    for n, quotient, d in _rings(2000):
+        points = d.n_effective
+        divisors = [e for e in range(1, points) if points % e == 0]
+        assert d._divisors.tolist() == divisors, (n, quotient)
 
 
 def test_ring_statistics_from_profile_match_dense_pairs():
