@@ -6,13 +6,13 @@ so identical inputs produce byte-identical output.  Documents are written
 by one recursive writer as the exact text of ``json.dumps(doc, indent=2)``,
 floats in Python's shortest round-trip representation, and streamed to
 the output as a list of parts, never joined into one string.  Float
-matrices, a ring's circulant matrices and its CSV pairs take one ``repr``
-per distinct bit pattern, so a ring costs one per distance class; a
-circulant is written from its first row, each row's text a slice of that
-row's doubled text.  Exit codes: 0 for success or a verified positive
-verdict, 1 for a negative mathematical verdict, a failed verification or
-any other ``SpinRingError``, 2 for a ``UsageError`` (an input outside its
-domain) or an argparse usage error.
+arrays, finite or not, a ring's circulants and its CSV pairs take one
+``repr`` per distinct bit pattern, so a ring costs one per distance class.
+Every float matrix goes out as one joined text per row; a circulant's row
+text is a slice of its doubled first row's text.  Exit codes: 0 for
+success or a verified positive verdict, 1 for a negative mathematical
+verdict, a failed verification or any other ``SpinRingError``, 2 for a
+``UsageError`` (an input outside its domain) or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -115,18 +115,6 @@ def _rows_parts(rows: list, pad: str, out: list) -> None:
     out.append(pad + "  ]" + pad + "]")
 
 
-def _matrix_json(matrix: np.ndarray, indent: int) -> str:
-    """``json.dumps(matrix.tolist(), indent=2)`` of a finite matrix at ``indent`` spaces deep.
-
-    ``repr`` runs once per distinct bit pattern (``_texts``).
-    """
-    pad = "\n" + " " * indent
-    rows = _texts(matrix).reshape(matrix.shape).tolist()
-    out = []
-    _rows_parts([("," + pad + "    ").join(row) for row in rows], pad, out)
-    return "".join(out)
-
-
 def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
     """Append the text ``json.dumps`` gives the circulant with first row ``row``, one part per row.
 
@@ -148,8 +136,8 @@ def _json_parts(value, indent: int, out: list) -> None:
     """Append the text of ``json.dumps(value, indent=2)``, ``indent`` spaces deep, to ``out``.
 
     Arrays are written as their nested lists, enums as their values and
-    numpy scalars as Python numbers.  Float vectors, finite float matrices
-    and circulants take one ``repr`` per distinct bit pattern.
+    numpy scalars as Python numbers.  Float vectors, float matrices and
+    circulants take one ``repr`` per distinct bit pattern.
     """
     if isinstance(value, float):
         out.append(_float_json(value))
@@ -182,9 +170,10 @@ def _json_parts(value, indent: int, out: list) -> None:
     elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size:
         pad = "\n" + " " * (indent + 2)
         out.append("[" + pad + ("," + pad).join(_texts(value, _float_json).tolist()) + pad[:-2] + "]")
-    elif (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
-          and value.size and np.isfinite(value).all()):
-        out.append(_matrix_json(value, indent))
+    elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64 and value.size:
+        pad = "\n" + " " * indent
+        rows = _texts(value, _float_json).reshape(value.shape).tolist()
+        _rows_parts([("," + pad + "    ").join(row) for row in rows], pad, out)
     elif isinstance(value, (np.ndarray, np.generic)):
         _json_parts(value.tolist(), indent, out)
     elif isinstance(value, enum.Enum):
@@ -370,8 +359,8 @@ def _check(name: str, worst: float, tolerance: float, detail: str) -> dict:
 _TRANSFER_SIZES = (3, 4, 5, 7, 8)
 
 
-def _check_subspace_restriction(specs) -> dict:
-    results = check_subspace_restrictions(specs)
+def _check_subspace_restriction(specs, blocks) -> dict:
+    results = check_subspace_restrictions(specs, blocks)
     failures = [f"n={spec.n} {spec.coupling.value}: {result}"
                 for spec, result in zip(specs, results) if isinstance(result, RestrictionMismatch)]
     deviations = [result.deviation if isinstance(result, RestrictionMismatch) else result
@@ -445,18 +434,18 @@ def cmd_verify(args) -> int:
             raise InvalidArgs(f"{flag} must be at least 3, got {value}")
     sizes = np.arange(3, args.n_max_subspace + 1)
     transfer_sizes = np.array(_TRANSFER_SIZES)
-    # Every ring is built once, size-major: XX and Heisenberg side by side for
-    # n = 3 up to the larger bound (at least 8, for the transfer rings).  So
-    # the blocks of each size are adjacent and take one stacked eigh.
-    specs = [RingSpec(n, coupling)
-             for n in range(3, max(args.n_max_full, args.n_max_subspace, 8) + 1)
+    # Rings go size-major, XX and Heisenberg side by side, for n = 3 up to the
+    # larger bound n_max (at least 8, for the transfer rings).  Each block up
+    # to n_max is built once: the restriction check certifies those up to
+    # --n-max-full, one stacked eigh per size decomposes those up to --n-max-subspace.
+    n_max = max(args.n_max_full, args.n_max_subspace)
+    specs = [RingSpec(n, coupling) for n in range(3, max(n_max, 8) + 1)
              for coupling in (Coupling.XX, Coupling.HEISENBERG)]
+    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs[:2 * (n_max - 2)]]
     block_sizes = np.repeat(sizes, 2)
-    blocks = specs[:len(block_sizes)]
-    values, multiplicities, vectors = numerical_spectra(
-        [build_single_excitation_hamiltonian(spec) for spec in blocks])
+    values, multiplicities, vectors = numerical_spectra(blocks[:len(block_sizes)])
     agreement = ([RingSpec(n, strength=1.0 + 1e-6) for n in sizes.tolist()]
-                 if args.inject_fault else blocks[::2])
+                 if args.inject_fault else specs[:len(block_sizes):2])
     # One closed-form table: the agreement rings, then the transfer rings.
     closed, closed_multiplicities, order = circulant_eigenspaces(
         agreement + [specs[2 * (n - 3)] for n in _TRANSFER_SIZES])
@@ -470,7 +459,8 @@ def cmd_verify(args) -> int:
     numeric_totals = int((block_sizes // 2).sum())
     is_xx = np.tile((True, False), len(sizes))
     checks = [
-        _check_subspace_restriction(specs[:2 * (args.n_max_full - 2)]),
+        _check_subspace_restriction(specs[:2 * (args.n_max_full - 2)],
+                                    blocks[:2 * (args.n_max_full - 2)]),
         _check_spectrum_agreement(
             np.repeat(closed[:modes], closed_multiplicities[:modes]),
             np.repeat(values, multiplicities)[np.repeat(is_xx, block_sizes)],

@@ -291,7 +291,8 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
     shares = _shares(_finite(w, space, kappa), timelike)
     margin = float(shares.min())
     psd_ok = margin >= -PSD_TOL_FACTOR
-    cap_ok = (space is not EmbeddingSpace.SPHERICAL or d.diameter == 0.0
+    # A diameter whose square is 0 leaves the cap beyond every double.
+    cap_ok = (space is not EmbeddingSpace.SPHERICAL or d.diameter**2 == 0.0
               or kappa <= math.pi**2 / d.diameter**2)
     keep = shares > PSD_TOL_FACTOR
     sizes = 1 if d.classes is None else d.classes.ramanujan[0].astype(int)
@@ -452,9 +453,9 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
     no feasible sample the threshold is 0 and ``upper`` the first sample.
     """
     diameter = d.diameter
-    if not 0 < diameter < math.inf:
-        raise InvalidArgs("feasibility search needs a positive finite diameter")
-    cap = math.pi**2 / diameter**2
+    cap = math.pi**2 / diameter**2 if diameter**2 > 0.0 else math.inf
+    if not 0.0 < cap < math.inf:
+        raise InvalidArgs("feasibility search needs a positive finite diameter with a finite cap")
     grid = math.sqrt(cap) * np.arange(1, THRESHOLD_GRID + 1) / THRESHOLD_GRID
     sphere = EmbeddingSpace.SPHERICAL
     feasible = _shares(_spectra(d, sphere, cap, grid)).min(axis=-1) >= -PSD_TOL_FACTOR

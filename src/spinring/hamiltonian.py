@@ -154,22 +154,21 @@ def build_single_excitation_hamiltonian(spec: RingSpec) -> np.ndarray:
     return block
 
 
-def check_subspace_restrictions(specs) -> list:
-    """``verify_subspace_restriction`` of every ring, from one row build, in input order.
+def check_subspace_restrictions(specs, blocks) -> list:
+    """The restriction check of each ring against its n x n block in ``blocks``, in order.
 
     The n one-excitation rows of every ring come from one ``_hamiltonian_rows``
     call.  An entry whose column is a one-excitation state of its own ring is
     added into that ring's block of a (rings, B, B) stack, B the largest n;
-    any other entry is leakage.  Each ring's own
-    ``build_single_excitation_hamiltonian`` fills the same place of a zero
-    stack of expected blocks, which is subtracted in one operation.
+    any other entry is leakage.  The given blocks, built by the caller, fill
+    the same places of a zero stack, which is subtracted in one operation.
 
     Returns
     -------
     list
-        Per ring, its worst deviation as a float, or the ``RestrictionMismatch``
-        that ``verify_subspace_restriction`` would raise (returned, not raised).
-        A NaN deviation is a mismatch, located at a NaN block entry.
+        Per ring, its worst deviation as a float, or its ``RestrictionMismatch``
+        (returned, not raised).  A NaN deviation is a mismatch, located at a
+        NaN block entry.
     """
     sizes = np.array([spec.n for spec in specs])
     ring = np.repeat(np.arange(len(specs)), sizes)
@@ -182,12 +181,12 @@ def check_subspace_restrictions(specs) -> list:
     ring, site, n = ring[rows], site[rows], n[rows]  # per entry
     in_sector = (columns > 0) & (columns & (columns - 1) == 0) & (columns >> n == 0)
     target = n - np.frexp(columns.astype(float))[1]  # site of a one-excitation column
-    blocks = np.zeros((len(specs), sizes.max(), sizes.max()))
-    np.add.at(blocks, (ring[in_sector], site[in_sector], target[in_sector]), values[in_sector])
-    expected = np.zeros_like(blocks)
-    for r, spec in enumerate(specs):
-        expected[r, :spec.n, :spec.n] = build_single_excitation_hamiltonian(spec)
-    block_dev = np.abs(blocks - expected)
+    restricted = np.zeros((len(specs), sizes.max(), sizes.max()))
+    np.add.at(restricted, (ring[in_sector], site[in_sector], target[in_sector]), values[in_sector])
+    expected = np.zeros_like(restricted)
+    for r, block in enumerate(blocks):
+        expected[r, :len(block), :len(block)] = block
+    block_dev = np.abs(restricted - expected)
     leak = ~in_sector
     worst_leaks = np.zeros(len(specs))
     np.maximum.at(worst_leaks, ring[leak], np.abs(values[leak]))
@@ -231,7 +230,7 @@ def verify_subspace_restriction(spec: RingSpec) -> float:
         If any block entry or any leakage entry exceeds ``RESTRICTION_TOL`` or is NaN;
         the error carries the worst offending indices.
     """
-    result = check_subspace_restrictions([spec])[0]
+    result = check_subspace_restrictions([spec], [build_single_excitation_hamiltonian(spec)])[0]
     if isinstance(result, RestrictionMismatch):
         raise result
     return result

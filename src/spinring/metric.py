@@ -62,7 +62,7 @@ class DistanceMatrix:
     (other circulants go through ``from_entries``).  It is kept read-only with
     its classes and the divisors e < N of N, ascending, and ``entries`` is a
     read-only view of it; explicit entries are kept as a read-only copy and
-    ``profile`` is None.  Zero points and NaN distances are refused.
+    ``profile`` is None.  Zero points, NaN and negative distances are refused.
     ``n_effective`` is the point count N: n for a ring, n/2 after antipodal
     identification.  Each s = 1..N - 1 stands for N/2 unordered pairs, so
     ring statistics and the diameter are read from the profile.
@@ -81,6 +81,8 @@ class DistanceMatrix:
                 f"expected a non-empty 1-D profile or square matrix, got shape {arr.shape}")
         if np.isnan(arr).any():
             raise InvalidArgs("distances must not be NaN")
+        if (arr < 0.0).any():
+            raise InvalidArgs("distances must be nonnegative")
         arr.flags.writeable = False
         if circulant:
             sep = np.arange(len(arr))
@@ -96,14 +98,12 @@ class DistanceMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> "DistanceMatrix":
-        """Wrap an explicit square array, validating shape, NaNs, symmetry and sign."""
+        """Wrap an explicit square array, validating shape, NaNs, sign, symmetry and diagonal."""
         d = cls(entries)
         if not np.array_equal(d.entries, d.entries.T):
             raise InvalidArgs("distance matrix must be symmetric")
         if np.any(np.diag(d.entries) != 0.0):
             raise InvalidArgs("distance matrix must have a zero diagonal")
-        if np.any(d.entries < 0.0):
-            raise InvalidArgs("distances must be nonnegative")
         return d
 
     @property

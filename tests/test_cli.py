@@ -238,6 +238,23 @@ def test_float_vectors_are_written_in_one_pass(monkeypatch):
     assert len(calls) == 2
 
 
+def test_non_finite_float_matrices_are_written_in_one_call(monkeypatch):
+    # A 2-D float64 array takes the rows branch whatever its values: one
+    # _json_parts call, not one per row and entry, and json.dumps's text.
+    texts = []
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    calls = []
+    json_parts = cli._json_parts
+    monkeypatch.setattr(cli, "_json_parts", lambda *args: calls.append(1) or json_parts(*args))
+    matrix = np.array([[0.0, math.nan, math.inf], [-math.inf, -0.0, 1e300],
+                       [-math.nan, 0.1 + 0.2, 5e-324], [math.inf, math.inf, math.nan]])
+    for doc in ({"m": matrix}, {"m": matrix[:1]}, {"m": matrix[:, :1]}):
+        calls.clear()
+        cli._emit_json(doc, None)
+        assert texts[-1] == json.dumps(_plain(doc), indent=2) + "\n"
+        assert len(calls) == 2
+
+
 def test_circulant_text_matches_dense_matrix_text():
     for n in range(3, 65):
         for quotient in (False, True) if n % 2 == 0 else (False,):
@@ -247,9 +264,10 @@ def test_circulant_text_matches_dense_matrix_text():
             for row, dense in ((d.profile, np.array(d.entries)), (np.exp(-d.profile), p)):
                 assert np.array_equal(_plain(cli._Circulant(row)), dense)
                 for indent in (4, 10):
-                    parts = []
+                    parts, dense_parts = [], []
                     cli._json_parts(cli._Circulant(row), indent, parts)
-                    assert "".join(parts) == cli._matrix_json(dense, indent), (n, quotient)
+                    cli._json_parts(dense, indent, dense_parts)
+                    assert "".join(parts) == "".join(dense_parts), (n, quotient)
 
 
 @pytest.mark.parametrize(
@@ -650,17 +668,17 @@ def test_verify_restriction_reaches_past_the_full_space_cap():
 
 
 def test_verify_restriction_names_the_last_failing_ring(monkeypatch):
-    build = spinring.hamiltonian.build_single_excitation_hamiltonian
+    rows_of = spinring.hamiltonian._hamiltonian_rows
 
-    def perturbed(spec):
-        block = build(spec)
-        if spec.coupling is not Coupling.HEISENBERG or spec.n not in (5, 7):
-            return block
-        entries = block.copy()
-        entries[2, 3] = entries[3, 2] = entries[2, 3] + 1e-9 * spec.n
-        return entries
+    def perturbed(n, strength, epsilon, states):
+        # The site 3 -> site 4 entry of the Heisenberg rings n = 5 and 7, up by 1e-9 n.
+        rows, columns, values = rows_of(n, strength, epsilon, states)
+        n, epsilon = n[rows], epsilon[rows]
+        hit = ((epsilon == 1.0) & np.isin(n, (5, 7)) & (states[rows] == 1 << (n - 3))
+               & (columns == 1 << (n - 4)))
+        return rows, columns, values + np.where(hit, 1e-9 * n, 0.0)
 
-    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", perturbed)
+    monkeypatch.setattr(spinring.hamiltonian, "_hamiltonian_rows", perturbed)
     rc, out, err = _in_process(["verify", "--n-max-full", "9", "--n-max-subspace", "8"])
     assert rc == 1
     check = json.loads(out)["payload"]["checks"][0]
@@ -712,6 +730,28 @@ def test_verify_builds_all_restriction_rows_in_one_call(monkeypatch):
     rc, _, err = _in_process(["verify", "--n-max-full", "9", "--n-max-subspace", "8"])
     assert rc == 0, err
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bounds", [(9, 8), (13, 8), (9, 24), None])
+def test_verify_builds_each_block_once(monkeypatch, bounds):
+    # The restriction check reads the blocks that are decomposed: one build per
+    # ring up to the larger bound, 14 at (9, 8) and 124 at the defaults (10, 64).
+    calls = []
+    build = spinring.hamiltonian.build_single_excitation_hamiltonian
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", counted)
+    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", counted)
+    argv = ["verify"]
+    if bounds is not None:
+        argv += ["--n-max-full", str(bounds[0]), "--n-max-subspace", str(bounds[1])]
+    rc, _, err = _in_process(argv)
+    assert rc == 0, err
+    assert len(calls) == 2 * (max(bounds or (10, 64)) - 2)
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("bounds", [("9", "8"), ("3", "3"), ("3", "4")])

@@ -434,6 +434,25 @@ def test_feasibility_threshold_refuses_an_infinite_diameter():
             spherical_feasibility_threshold(d)
 
 
+@pytest.mark.parametrize("diameter", [1e-200, 1e-160, 1e-150])
+def test_tiny_diameters_decide_realize_and_bound_the_threshold(diameter):
+    # At 1e-200 the square of the diameter underflows to 0, and at 1e-160 the
+    # cap pi^2 / diameter^2 overflows: the sphere has no cap there, and the
+    # search, which needs a finite one, refuses.
+    profile = DistanceMatrix(profile=[0.0, diameter, diameter])
+    for d in (profile, DistanceMatrix.from_entries(profile.entries)):
+        verdict = embeddable_spherical(d, 1.0)
+        assert verdict.embeddable and verdict.cap_ok
+        result = realize(d, EmbeddingSpace.SPHERICAL, 1.0)
+        assert np.linalg.norm(result.coordinates, axis=1) == pytest.approx(1.0, rel=1e-15)
+        if diameter < 1e-154:
+            with pytest.raises(InvalidArgs, match="finite cap"):
+                spherical_feasibility_threshold(d)
+        else:
+            threshold = spherical_feasibility_threshold(d)
+            assert threshold.kappa == pytest.approx(kappa_max(3, diameter), rel=1e-9)
+
+
 def test_ring_verdicts_agree_with_realize():
     # The Hartley realization of every ring, against LAPACK on the same
     # entries without the circulant profile for n <= 150.  Every embeddable

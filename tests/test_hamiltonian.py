@@ -194,8 +194,9 @@ def test_overflowing_strength_fails_the_restriction():
         assert math.isnan(excinfo.value.deviation)
         assert "block entry at sites" in str(excinfo.value)
         with np.errstate(over="ignore", invalid="ignore"):
-            checks = hamiltonian.check_subspace_restrictions([RingSpec(5, coupling, 1e308),
-                                                              RingSpec(5, coupling)])
+            specs = [RingSpec(5, coupling, 1e308), RingSpec(5, coupling)]
+            checks = hamiltonian.check_subspace_restrictions(
+                specs, [build_single_excitation_hamiltonian(spec) for spec in specs])
         assert isinstance(checks[0], RestrictionMismatch) and checks[1] == 0.0
 
 
@@ -212,7 +213,8 @@ def test_full_space_cap_enforced():
 def test_batched_restriction_matches_batch_of_one():
     specs = [RingSpec(n, coupling, strength) for strength in (1.0, 0.7)
              for n in range(3, 15) for coupling in (Coupling.XX, Coupling.HEISENBERG)]
-    for spec, batched in zip(specs, hamiltonian.check_subspace_restrictions(specs)):
+    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs]
+    for spec, batched in zip(specs, hamiltonian.check_subspace_restrictions(specs, blocks)):
         assert batched == verify_subspace_restriction(spec), spec
 
 

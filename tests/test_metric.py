@@ -192,6 +192,19 @@ def test_distance_matrix_refuses_zero_points():
             build()
 
 
+def test_negative_distances_are_refused_on_every_route():
+    # Unrefused, a negative profile passes as a rank-2 Euclidean metric that
+    # realize cannot factor.  -0.0 is not negative.
+    m = np.array([[0.0, -1.0, -1.0], [-1.0, 0.0, -1.0], [-1.0, -1.0, 0.0]])
+    for build in (lambda: DistanceMatrix(profile=[0.0, -1.0, -1.0]), lambda: DistanceMatrix(m),
+                  lambda: DistanceMatrix.from_entries(m)):
+        with pytest.raises(InvalidArgs, match="distances must be nonnegative"):
+            build()
+    zero = np.array([[-0.0, 1.0], [1.0, -0.0]])
+    assert DistanceMatrix(profile=[-0.0, 1.0, 1.0]).diameter == 1.0
+    assert np.array_equal(DistanceMatrix.from_entries(zero).entries, zero)
+
+
 def test_nan_distances_are_refused_on_every_route():
     # Every comparison with NaN is False, so a NaN pair would pass every axiom.
     m = np.array([[0.0, 1.0, math.nan], [1.0, 0.0, 1.0], [math.nan, 1.0, 0.0]])
