@@ -33,9 +33,10 @@ from .embedding import (
     toeplitz_minor_closed_form,
     toeplitz_minor_recursion,
 )
-from .errors import InvalidArgs, RestrictionMismatch, SpinRingError, UsageError
+from .errors import DimensionTooLarge, InvalidArgs, RestrictionMismatch, SpinRingError, UsageError
 from .hamiltonian import (
     RESTRICTION_TOL,
+    ROW_SPACE_CAP,
     Coupling,
     RingSpec,
     build_single_excitation_hamiltonian,
@@ -432,6 +433,8 @@ def cmd_verify(args) -> int:
                         ("--n-max-subspace", args.n_max_subspace)):
         if value < 3:
             raise InvalidArgs(f"{flag} must be at least 3, got {value}")
+    if args.n_max_full > ROW_SPACE_CAP:  # refused before any block is built
+        raise DimensionTooLarge(f"basis states need n <= {ROW_SPACE_CAP}, got n={args.n_max_full}")
     sizes = np.arange(3, args.n_max_subspace + 1)
     transfer_sizes = np.array(_TRANSFER_SIZES)
     # Rings go size-major, XX and Heisenberg side by side, for n = 3 up to the

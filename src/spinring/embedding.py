@@ -291,9 +291,9 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
     shares = _shares(_finite(w, space, kappa), timelike)
     margin = float(shares.min())
     psd_ok = margin >= -PSD_TOL_FACTOR
-    # A diameter whose square is 0 leaves the cap beyond every double.
-    cap_ok = (space is not EmbeddingSpace.SPHERICAL or d.diameter**2 == 0.0
-              or kappa <= math.pi**2 / d.diameter**2)
+    # A square of 0 puts the cap past every double; * overflows to inf (** raises): a cap of 0.
+    cap_ok = (space is not EmbeddingSpace.SPHERICAL or d.diameter * d.diameter == 0.0
+              or kappa <= math.pi**2 / (d.diameter * d.diameter))
     keep = shares > PSD_TOL_FACTOR
     sizes = 1 if d.classes is None else d.classes.ramanujan[0].astype(int)
     eigenvalues = np.sort(np.repeat(-w if timelike else w, sizes))
@@ -452,8 +452,8 @@ def spherical_feasibility_threshold(d: DistanceMatrix) -> FeasibilityThreshold:
     every sample below the threshold is feasible; a failure is logged.  With
     no feasible sample the threshold is 0 and ``upper`` the first sample.
     """
-    diameter = d.diameter
-    cap = math.pi**2 / diameter**2 if diameter**2 > 0.0 else math.inf
+    square = d.diameter * d.diameter
+    cap = math.pi**2 / square if square > 0.0 else math.inf
     if not 0.0 < cap < math.inf:
         raise InvalidArgs("feasibility search needs a positive finite diameter with a finite cap")
     grid = math.sqrt(cap) * np.arange(1, THRESHOLD_GRID + 1) / THRESHOLD_GRID

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, InvalidSpec, RestrictionMismatch
+from .errors import DimensionTooLarge, InvalidArgs, InvalidSpec, RestrictionMismatch
 
 FULL_SPACE_CAP = 14
 ROW_SPACE_CAP = 62
@@ -160,8 +160,9 @@ def check_subspace_restrictions(specs, blocks) -> list:
     The n one-excitation rows of every ring come from one ``_hamiltonian_rows``
     call.  An entry whose column is a one-excitation state of its own ring is
     added into that ring's block of a (rings, B, B) stack, B the largest n;
-    any other entry is leakage.  The given blocks, built by the caller, fill
-    the same places of a zero stack, which is subtracted in one operation.
+    any other entry is leakage.  The caller's blocks, one n x n array per ring
+    in the order of ``specs`` (else ``InvalidArgs``), fill the same places of a
+    zero stack, which is subtracted in one operation.
 
     Returns
     -------
@@ -171,6 +172,8 @@ def check_subspace_restrictions(specs, blocks) -> list:
         NaN block entry.
     """
     sizes = np.array([spec.n for spec in specs])
+    if [np.shape(block) for block in blocks] != [(n, n) for n in sizes.tolist()]:
+        raise InvalidArgs("blocks must hold one n x n block per ring, in the order of specs")
     ring = np.repeat(np.arange(len(specs)), sizes)
     site = np.arange(len(ring)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # 0-based
     n = sizes[ring]

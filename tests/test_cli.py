@@ -754,6 +754,16 @@ def test_verify_builds_each_block_once(monkeypatch, bounds):
     assert len(set(calls)) == len(calls)
 
 
+def test_verify_refuses_a_full_bound_past_the_row_cap_before_building(monkeypatch):
+    def refused(spec):
+        raise AssertionError(f"built a block for n={spec.n}")
+
+    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", refused)
+    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", refused)
+    rc, out, err = _in_process(["verify", "--n-max-full", "1000", "--n-max-subspace", "3"])
+    assert (rc, out, err) == (2, "", "error: basis states need n <= 62, got n=1000\n")
+
+
 @pytest.mark.parametrize("bounds", [("9", "8"), ("3", "3"), ("3", "4")])
 @pytest.mark.parametrize("inject_fault", [False, True])
 def test_verify_builds_one_closed_form_table_and_one_overlap_pass(monkeypatch, bounds,
@@ -840,6 +850,7 @@ def test_verify_coupling_invariance_catches_a_perturbed_heisenberg_block(monkeyp
     assert by_name["coupling_invariance"]["ok"] is False
     assert by_name["coupling_invariance"]["worst"] > 1e-10
     assert by_name["spectrum_agreement"]["ok"] is True
+    assert by_name["subspace_restriction"]["ok"] is False  # it certifies the same blocks
     assert docs[0]["payload"]["all_ok"] is False
 
 

@@ -453,6 +453,19 @@ def test_tiny_diameters_decide_realize_and_bound_the_threshold(diameter):
             assert threshold.kappa == pytest.approx(kappa_max(3, diameter), rel=1e-9)
 
 
+@pytest.mark.parametrize("diameter", [1e160, 1e200])
+def test_huge_diameters_leave_no_cap(diameter):
+    # The square of the diameter is inf, not an OverflowError: the cap is 0, so
+    # the sphere at kappa = 1 refuses and the search has no cap to sample.
+    profile = DistanceMatrix(profile=[0.0, diameter, diameter])
+    for d in (profile, DistanceMatrix.from_entries(profile.entries)):
+        assert not embeddable_spherical(d, 1.0).cap_ok
+        with pytest.raises(NotEmbeddable):
+            realize(d, EmbeddingSpace.SPHERICAL, 1.0)
+        with pytest.raises(InvalidArgs, match="finite cap"):
+            spherical_feasibility_threshold(d)
+
+
 def test_ring_verdicts_agree_with_realize():
     # The Hartley realization of every ring, against LAPACK on the same
     # entries without the circulant profile for n <= 150.  Every embeddable

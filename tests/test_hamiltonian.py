@@ -7,6 +7,7 @@ import pytest
 from spinring import (
     Coupling,
     DimensionTooLarge,
+    InvalidArgs,
     InvalidSpec,
     RestrictionMismatch,
     RingSpec,
@@ -216,6 +217,17 @@ def test_batched_restriction_matches_batch_of_one():
     blocks = [build_single_excitation_hamiltonian(spec) for spec in specs]
     for spec, batched in zip(specs, hamiltonian.check_subspace_restrictions(specs, blocks)):
         assert batched == verify_subspace_restriction(spec), spec
+
+
+def test_restriction_refuses_blocks_that_do_not_match_the_rings():
+    specs = [RingSpec(4), RingSpec(5, Coupling.HEISENBERG)]
+    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs]
+    for wrong in (blocks + blocks[:1], blocks[:1], blocks[::-1],
+                  [blocks[0], build_single_excitation_hamiltonian(RingSpec(6))],
+                  [blocks[0][:3, :3], blocks[1]], [blocks[0][:, :3], blocks[1]]):
+        with pytest.raises(InvalidArgs, match="one n x n block per ring"):
+            hamiltonian.check_subspace_restrictions(specs, wrong)
+    assert hamiltonian.check_subspace_restrictions(specs, blocks) == [0.0, 0.0]
 
 
 def test_matrices_are_read_only():
