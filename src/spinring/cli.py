@@ -12,7 +12,8 @@ Every float matrix goes out as one joined text per row; a circulant's row
 text is a slice of its doubled first row's text.  Exit codes: 0 for
 success or a verified positive verdict, 1 for a negative mathematical
 verdict, a failed verification or any other ``SpinRingError``, 2 for a
-``UsageError`` (an input outside its domain) or an argparse usage error.
+``UsageError`` (an input outside its domain, or an ``--out`` path that
+cannot be written) or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -73,8 +74,11 @@ def _document(args, payload: dict) -> dict:
 def _emit(parts, out_path) -> None:
     """Write the text parts in order to ``out_path``, or to standard output without it."""
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.writelines(parts)
+        try:
+            with open(out_path, "w") as handle:
+                handle.writelines(parts)
+        except OSError as exc:
+            raise InvalidArgs(f"cannot write --out {out_path}: {exc.strerror}")
     else:
         sys.stdout.writelines(parts)
 
@@ -284,7 +288,7 @@ def cmd_embed(args) -> int:
     spec = RingSpec(args.n)
     space = EmbeddingSpace[args.space.upper()]
     kappa = None
-    if args.kappa != "auto" and space is not EmbeddingSpace.EUCLIDEAN:
+    if args.kappa != "auto":
         try:
             kappa = float(args.kappa)
         except ValueError:
@@ -436,28 +440,25 @@ def cmd_verify(args) -> int:
     if args.n_max_full > ROW_SPACE_CAP:  # refused before any block is built
         raise DimensionTooLarge(f"basis states need n <= {ROW_SPACE_CAP}, got n={args.n_max_full}")
     sizes = np.arange(3, args.n_max_subspace + 1)
-    transfer_sizes = np.array(_TRANSFER_SIZES)
-    # Rings go size-major, XX and Heisenberg side by side, for n = 3 up to the
-    # larger bound n_max (at least 8, for the transfer rings).  Each block up
-    # to n_max is built once: the restriction check certifies those up to
-    # --n-max-full, one stacked eigh per size decomposes those up to --n-max-subspace.
-    n_max = max(args.n_max_full, args.n_max_subspace)
-    specs = [RingSpec(n, coupling) for n in range(3, max(n_max, 8) + 1)
+    # Rings go size-major, XX and Heisenberg side by side, n = 3 to the larger bound,
+    # each block built once: the restriction check certifies those up to --n-max-full,
+    # one stacked eigh per size decomposes those up to --n-max-subspace.
+    specs = [RingSpec(n, coupling) for n in range(3, max(args.n_max_full, args.n_max_subspace) + 1)
              for coupling in (Coupling.XX, Coupling.HEISENBERG)]
-    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs[:2 * (n_max - 2)]]
+    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs]
     block_sizes = np.repeat(sizes, 2)
     values, multiplicities, vectors = numerical_spectra(blocks[:len(block_sizes)])
     agreement = ([RingSpec(n, strength=1.0 + 1e-6) for n in sizes.tolist()]
                  if args.inject_fault else specs[:len(block_sizes):2])
     # One closed-form table: the agreement rings, then the transfer rings.
     closed, closed_multiplicities, order = circulant_eigenspaces(
-        agreement + [specs[2 * (n - 3)] for n in _TRANSFER_SIZES])
+        agreement + [RingSpec(n) for n in _TRANSFER_SIZES])
     modes = int((sizes // 2 + 1).sum())
     hartley = [hartley_rows(n, np.arange(n))[:, columns].ravel() for n, columns in
-               zip(_TRANSFER_SIZES, np.split(order[sizes.sum():], np.cumsum(transfer_sizes)[:-1]))]
+               zip(_TRANSFER_SIZES, np.split(order[sizes.sum():], np.cumsum(_TRANSFER_SIZES)[:-1]))]
     # One overlap pass: the numerical bases, then the Hartley bases.
     totals = _site_one_totals(np.concatenate((vectors, *hartley)),
-                              np.concatenate((block_sizes, transfer_sizes)),
+                              np.concatenate((block_sizes, _TRANSFER_SIZES)),
                               np.concatenate((multiplicities, closed_multiplicities[modes:])))
     numeric_totals = int((block_sizes // 2).sum())
     is_xx = np.tile((True, False), len(sizes))

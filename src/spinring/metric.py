@@ -7,20 +7,20 @@ The peak transfer probability between excitation sites i and j is
 and the induced distance is d(i, j) = -log p_max(i, j).  For a ring the sum
 collapses to a cosine sum over separation m = |i - j| mod n
 (``sqrt_p_max_closed_form``), and that sum depends only on the order
-q = n / gcd(n, m) of m in Z_n.  ``distance_profile`` evaluates the divisor
-closed form in q once per distinct order, so a profile costs O(n); the
-cosine sum stays as its oracle.  Even rings place antipodal sites (q = 2)
-at distance zero, which makes the raw space a semi-metric; identifying
-antipodal sites (the quotient) restores separation.
+q = n / gcd(n, m) of m in Z_n.  ``distance_profile`` writes the divisor
+closed form at q = n / e to the multiples of each divisor e of n, so a
+profile costs O(n); the cosine sum stays as its oracle.  Even rings place
+antipodal sites (q = 2) at distance zero, which makes the raw space a
+semi-metric; identifying antipodal sites (the quotient) restores separation.
 
 Ring distance matrices, raw and quotiented, are circulants constant on the
 classes gcd(s, N): a ``DistanceMatrix`` takes such a profile alone, and no
-other, and keeps the divisors of N; its entries are a view of it.  So
-``check_metric_axioms`` decides the triangle inequality exactly at every
-size from one row of N slacks per divisor of N, and every ring statistic
-is read from the profile.  The dense routines (exhaustive triples up to
-200 points, seeded Monte-Carlo beyond) serve explicit entries and are the
-oracle for the profile route.
+other, and keeps the divisors of N (``_divisors``) and the classes they
+fill; its entries are a view of it.  So ``check_metric_axioms`` decides the
+triangle inequality exactly at every size from one row of N slacks per
+divisor of N, and every ring statistic is read from the profile.  The dense
+routines (exhaustive triples up to 200 points, seeded Monte-Carlo beyond)
+serve explicit entries and are the oracle for the profile route.
 """
 
 from __future__ import annotations
@@ -85,12 +85,14 @@ class DistanceMatrix:
             raise InvalidArgs("distances must be nonnegative")
         arr.flags.writeable = False
         if circulant:
-            sep = np.arange(len(arr))
-            gcd = np.gcd(sep, len(arr))
+            divisors = _divisors(len(arr))
+            gcd = np.empty(len(arr), dtype=int)
+            for e in divisors:  # ascending, so gcd[s] ends as gcd(s, N)
+                gcd[::e] = e
             if not np.array_equal(arr, arr.take(gcd, mode="wrap")):
                 raise InvalidArgs("profile is not constant on the classes gcd(s, N): use from_entries")
             object.__setattr__(self, "profile", arr)
-            object.__setattr__(self, "_divisors", sep[gcd == sep])
+            object.__setattr__(self, "_divisors", np.array(divisors[:-1], dtype=int))
             object.__setattr__(self, "_gcd", gcd)
             # Row i holds profile[(j - i) mod N], which is window N - i.
             arr = _windows(arr)[len(arr):0:-1]
@@ -248,20 +250,24 @@ def _distance_by_order(q: int) -> float:
     return max(0.0, -2.0 * math.log(s))
 
 
+def _divisors(n: int) -> list:
+    """The divisors of n >= 1 in ascending order, from one pass up to isqrt(n)."""
+    small = [f for f in range(1, math.isqrt(n) + 1) if n % f == 0]
+    return small + [n // f for f in reversed(small) if f * f != n]
+
+
 def distance_profile(n: int) -> np.ndarray:
     """Distance per separation class m = 0..floor(n/2) for an n-ring.
 
-    The closed form is evaluated once per distinct order q = n / gcd(n, m);
-    the orders are the divisors of n, found in O(sqrt(n)) steps.
+    The closed form at order q = n / e goes to the multiples of each divisor e
+    of n in ascending order, so separation m keeps the one of e = gcd(n, m).
     """
     if n < 3:
         raise InvalidArgs(f"ring size must be at least 3, got {n}")
-    by_order = np.empty(n + 1)
-    for f in range(1, math.isqrt(n) + 1):
-        if n % f == 0:
-            by_order[f] = _distance_by_order(f)
-            by_order[n // f] = _distance_by_order(n // f)
-    return by_order[n // np.gcd(n, np.arange(n // 2 + 1))]
+    profile = np.empty(n // 2 + 1)
+    for e in _divisors(n):
+        profile[::e] = _distance_by_order(n // e)
+    return profile
 
 
 def _windows(profile: np.ndarray) -> np.ndarray:
@@ -464,17 +470,6 @@ def check_metric_axioms(
     )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def merge_distinct_values(values: np.ndarray) -> tuple:
     """Sorted distinct representatives of a value multiset, merging within DISTINCT_VALUE_TOL."""
     if values.size == 0:
@@ -486,12 +481,14 @@ def merge_distinct_values(values: np.ndarray) -> tuple:
 
 def classify_ring(n: int, d: DistanceMatrix) -> RingClassification:
     """Uniformity classification of a ring from its distance profile (quotiented when even)."""
+    if n < 3:
+        raise InvalidArgs(f"ring size must be at least 3, got {n}")
     if d.profile is None:
         raise InvalidArgs("classify_ring needs a ring distance matrix with a circulant profile")
     if n % 2 == 0:
-        kind = RingKind.TWICE_PRIME if _is_prime(n // 2) else RingKind.TWICE_COMPOSITE
+        kind = RingKind.TWICE_PRIME if len(_divisors(n // 2)) == 2 else RingKind.TWICE_COMPOSITE
     else:
-        kind = RingKind.PRIME if _is_prime(n) else RingKind.ODD_COMPOSITE
+        kind = RingKind.PRIME if len(_divisors(n)) == 2 else RingKind.ODD_COMPOSITE
     distinct = merge_distinct_values(d.profile[1:])
     return RingClassification(kind=kind, uniform=len(distinct) == 1, distinct_values=distinct)
 

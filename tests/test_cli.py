@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import enum
+import errno
 import io
 import json
 import math
@@ -542,6 +543,22 @@ def test_embed_bad_kappa_fails_before_the_threshold_search(monkeypatch):
     assert err == "error: --kappa must be 'auto' or a number, got 'much'\n"
 
 
+@pytest.mark.parametrize("space", ["spherical", "euclidean", "hyperbolic"])
+def test_every_space_parses_kappa(space):
+    rc, out, err = _in_process(["embed", "--n", "5", "--space", space, "--kappa", "much"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --kappa must be 'auto' or a number, got 'much'\n"
+
+
+def test_euclidean_embed_ignores_a_numeric_kappa():
+    rc, out, err = _in_process(["embed", "--n", "5", "--space", "euclidean", "--kappa", "5"])
+    doc = json.loads(out)
+    assert (rc, err) == (0, "")
+    assert (doc["payload"]["kappa_policy"], doc["payload"]["kappa"]) == ("value", None)
+    doc["params"]["kappa"] = doc["payload"]["kappa_policy"] = "auto"
+    assert doc == json.loads(_in_process(["embed", "--n", "5", "--space", "euclidean"])[1])
+
+
 def test_variance_sweep_csv():
     result = run_cli("variance-sweep", "--n-min", "3", "--n-max", "20")
     assert result.returncode == 0
@@ -881,6 +898,16 @@ def test_out_flag_writes_file(tmp_path):
     doc = json.loads(target.read_text())
     jsonschema.validate(doc, SCHEMA)
     assert doc["command"] == "distance"
+
+
+@pytest.mark.parametrize("argv", [["distance", "--n", "5"],
+                                  ["distance", "--n", "5", "--format", "csv"],
+                                  ["variance-sweep", "--n-max", "10"]])
+def test_unwritable_out_is_a_usage_error(tmp_path, argv):
+    for path, code in ((tmp_path, errno.EISDIR), (tmp_path / "missing" / "out", errno.ENOENT)):
+        rc, out, err = _in_process(argv + ["--out", str(path)])
+        assert (rc, out) == (2, ""), path
+        assert err == f"error: cannot write --out {path}: {os.strerror(code)}\n"
 
 
 def _in_process(argv):

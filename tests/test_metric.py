@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -122,6 +123,14 @@ def test_distance_profile_matches_cosine_sum_oracle():
             max(0.0, -2.0 * math.log(sqrt_p_max_closed_form(n, m))) for m in range(n // 2 + 1)
         ]
         np.testing.assert_allclose(profile, oracle, rtol=0.0, atol=1e-12, err_msg=f"n={n}")
+
+
+def test_distance_profile_is_the_gcd_gather_bit_for_bit():
+    # The divisor fill against the distance gathered through q = n / gcd(n, m).
+    for n in [*range(3, 3001), 720720, 2**20]:
+        orders, index = np.unique(n // np.gcd(n, np.arange(n // 2 + 1)), return_inverse=True)
+        oracle = np.array([metric._distance_by_order(q) for q in orders.tolist()])[index]
+        assert np.array_equal(distance_profile(n).view(np.int64), oracle.view(np.int64)), n
 
 
 def test_distance_profile_matches_vectorized_cosine_sum():
@@ -555,10 +564,16 @@ def test_metric_axioms_sampled_violations_are_pinned():
     ]
 
 
+def _is_prime(n):
+    """Trial division: the oracle of the divisor-count ring kind."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
 def test_classify_ring_kinds():
     for n, kind, uniform in (
         (11, RingKind.PRIME, True),
         (10, RingKind.TWICE_PRIME, True),
+        (4, RingKind.TWICE_PRIME, True),
         (15, RingKind.ODD_COMPOSITE, False),
         (12, RingKind.TWICE_COMPOSITE, False),
     ):
@@ -568,6 +583,15 @@ def test_classify_ring_kinds():
         assert cls.uniform is uniform, n
         if not uniform:
             assert len(cls.distinct_values) >= 2
+    kinds = {(True, True): RingKind.TWICE_PRIME, (True, False): RingKind.TWICE_COMPOSITE,
+             (False, True): RingKind.PRIME, (False, False): RingKind.ODD_COMPOSITE}
+    for n in range(3, 5001):
+        even = n % 2 == 0
+        d = distance_matrix(RingSpec(n), quotient=even)
+        assert classify_ring(n, d).kind is kinds[even, _is_prime(n // 2 if even else n)], n
+    for n in (2, 0, -5):
+        with pytest.raises(InvalidArgs, match="at least 3"):
+            classify_ring(n, distance_matrix(RingSpec(3)))
 
 
 def test_classify_ring_needs_a_profile():
@@ -584,10 +608,15 @@ def _rings(n_max):
 
 
 def test_every_ring_profile_is_accepted_with_the_divisors_of_n():
-    for n, quotient, d in _rings(2000):
+    # A single point, a square, highly composite sizes, a power of two and a prime.
+    profiles = ((size, None, DistanceMatrix(profile=np.log1p(np.gcd(np.arange(size), size) % size)))
+                for size in (1, 36, 1000000, 720720, 2**20, 1000003))
+    for n, quotient, d in itertools.chain(_rings(2000), profiles):
         points = d.n_effective
-        divisors = [e for e in range(1, points) if points % e == 0]
-        assert d._divisors.tolist() == divisors, (n, quotient)
+        divisors = np.flatnonzero(points % np.arange(1, points) == 0) + 1
+        assert d._divisors.dtype == divisors.dtype, (n, quotient)
+        assert np.array_equal(d._divisors, divisors), (n, quotient)
+        assert np.array_equal(d._gcd, np.gcd(np.arange(points), points)), (n, quotient)
 
 
 def test_ring_statistics_from_profile_match_dense_pairs():
