@@ -8,6 +8,8 @@ realize isometric embeddings into spheres, Euclidean space, and hyperbolic
 space of constant curvature.
 """
 
+import types
+
 from .errors import (
     DimensionTooLarge,
     FactorizationFailure,
@@ -79,63 +81,6 @@ from .embedding import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SpinRingError",
-    "UsageError",
-    "InvalidSpec",
-    "DimensionTooLarge",
-    "RestrictionMismatch",
-    "NoConvergence",
-    "IndexOutOfRange",
-    "QuotientOnOddRing",
-    "InvalidArgs",
-    "NotEmbeddable",
-    "FactorizationFailure",
-    "FULL_SPACE_CAP",
-    "Coupling",
-    "RingSpec",
-    "build_full_hamiltonian",
-    "build_single_excitation_hamiltonian",
-    "single_excitation_index",
-    "verify_subspace_restriction",
-    "SpectralDecomposition",
-    "jacobi_eigh",
-    "numerical_spectra",
-    "numerical_spectrum",
-    "circulant_spectrum",
-    "projector_overlaps",
-    "DistanceMatrix",
-    "MetricClassification",
-    "MetricReport",
-    "RingClassification",
-    "RingKind",
-    "Violation",
-    "sqrt_p_max_closed_form",
-    "p_max_closed_form",
-    "p_max",
-    "distance_profile",
-    "distance_matrix",
-    "check_metric_axioms",
-    "merge_distinct_values",
-    "classify_ring",
-    "asymptotic_distance",
-    "distance_variance_sweep",
-    "transfer_probability_time_series",
-    "zero_distance_pairs",
-    "EmbeddingResult",
-    "EmbeddingSpace",
-    "FeasibilityThreshold",
-    "RingEmbedding",
-    "Verdict",
-    "cayley_menger_minors",
-    "embeddable_euclidean",
-    "embeddable_hyperbolic",
-    "embeddable_spherical",
-    "kappa_max",
-    "realize",
-    "ring_embedding",
-    "spherical_feasibility_threshold",
-    "toeplitz_eigenvalues",
-    "toeplitz_minor_closed_form",
-    "toeplitz_minor_recursion",
-]
+# Every public name imported above, so that the export list cannot drift from the imports.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -137,39 +137,37 @@ def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
     _rows_parts([doubled[starts[n - i]:starts[2 * n - i] - len(sep)] for i in range(n)], pad, out)
 
 
+# The text json.dumps gives a value of each exact scalar type; bool is not int here.
+_SCALAR_TEXT = {float: _float_json, str: encode_basestring_ascii, int: int.__repr__,
+                bool: lambda value: "true" if value else "false", type(None): lambda value: "null"}
+
+
 def _json_parts(value, indent: int, out: list) -> None:
     """Append the text of ``json.dumps(value, indent=2)``, ``indent`` spaces deep, to ``out``.
 
-    Arrays are written as their nested lists, enums as their values and
-    numpy scalars as Python numbers.  Float vectors, float matrices and
-    circulants take one ``repr`` per distinct bit pattern.
+    Scalars of the types in ``_SCALAR_TEXT`` are written by one lookup of their
+    type, inline as dict and list members; arrays are written as their nested
+    lists, enums as their values and numpy scalars as Python numbers.  Float
+    vectors, float matrices and circulants take one ``repr`` per distinct bit pattern.
     """
-    if isinstance(value, float):
-        out.append(_float_json(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
+        brackets = "{}" if keyed else "[]"
         pad = "\n" + " " * (indent + 2)
-        opener = "{" + pad
-        for key, item in value.items():
-            out.append(opener + encode_basestring_ascii(key) + ": ")
-            _json_parts(item, indent + 2, out)
+        opener = brackets[0] + pad
+        for key, item in value.items() if keyed else zip(itertools.repeat(""), value):
+            head = opener + encode_basestring_ascii(key) + ": " if keyed else opener
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(head)
+                _json_parts(item, indent + 2, out)
+            else:
+                out.append(head + text(item))
             opener = "," + pad
-        out.append(pad[:-2] + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        pad = "\n" + " " * (indent + 2)
-        opener = "[" + pad
-        for item in value:
-            out.append(opener)
-            _json_parts(item, indent + 2, out)
-            opener = "," + pad
-        out.append(pad[:-2] + "]" if value else "[]")
+        out.append(pad[:-2] + brackets[1] if value else brackets)
     elif isinstance(value, _Circulant):
         _circulant_parts(value.row, indent, out)
     elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size:

@@ -14,13 +14,16 @@ antipodal sites (q = 2) at distance zero, which makes the raw space a
 semi-metric; identifying antipodal sites (the quotient) restores separation.
 
 Ring distance matrices, raw and quotiented, are circulants constant on the
-classes gcd(s, N): a ``DistanceMatrix`` takes such a profile alone, and no
-other, and keeps the divisors of N (``_divisors``) and the classes they
-fill; its entries are a view of it.  So ``check_metric_axioms`` decides the
-triangle inequality exactly at every size from one row of N slacks per
-divisor of N, and every ring statistic is read from the profile.  The dense
+classes gcd(s, N), so a ring metric is fixed by one distance per divisor of
+N: a ring ``DistanceMatrix`` is that class table, built from the
+factorization of N in one pass over its divisors.  Its profile and entries
+are derived only when an output or a dense oracle reads them; a profile
+given by a caller must be constant on the classes.  ``check_metric_axioms``
+decides a ring from its classes at every size, the triangle inequality
+exactly from one slack per class triple that occurs in Z_N, and
+``classify_ring`` takes the ring kind from the divisor count.  The dense
 routines (exhaustive triples up to 200 points, seeded Monte-Carlo beyond)
-serve explicit entries and are the oracle for the profile route.
+serve explicit entries and are the oracle for the class route.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -51,31 +54,28 @@ SAMPLE_CHUNK = 2**16
 BLOCK = 2**14
 
 
-@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative distance matrix, built from its entries or from a ring profile.
+    """Symmetric nonnegative distance matrix, from its entries or, on a ring, its class table.
 
     Give exactly one of ``entries``, a square array, or ``profile``, the
     circulant generator of a ring metric: ``profile[s] = d(site 1, site 1 + s)``
     for s = 0..N - 1, so that ``entries[i, j] = profile[(j - i) mod N]``.  A
     profile must be constant on the classes gcd(s, N), as every ring metric is
-    (other circulants go through ``from_entries``).  It is kept read-only with
-    its classes and the divisors e < N of N, ascending, and ``entries`` is a
-    read-only view of it; explicit entries are kept as a read-only copy and
-    ``profile`` is None.  Zero points, NaN and negative distances are refused.
-    ``n_effective`` is the point count N: n for a ring, n/2 after antipodal
-    identification.  Each s = 1..N - 1 stands for N/2 unordered pairs, so
-    ring statistics and the diameter are read from the profile.
+    (other circulants go through ``from_entries``).  A ring is its class table:
+    the factorization of N (``_factors``), the divisors of N in the mixed radix
+    order of their exponents (``_grid``, N last) and one distance per class
+    (``_by_class``); ``distance_matrix`` builds the table alone, and the
+    read-only ``profile`` and its view ``entries`` are derived when first read.
+    Explicit entries are kept as a read-only copy, with no ``profile`` or table.
+    Zero points, NaN and negative distances are refused.  ``n_effective`` is
+    the point count N: n for a ring, n/2 after antipodal identification.
     """
 
-    entries: np.ndarray | None = None
-    profile: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        circulant = self.profile is not None
-        if circulant == (self.entries is not None):
+    def __init__(self, entries=None, profile=None) -> None:
+        circulant = profile is not None
+        if circulant == (entries is not None):
             raise InvalidArgs("give exactly one of entries or profile")
-        arr = np.array(self.profile if circulant else self.entries, dtype=float)
+        arr = np.array(profile if circulant else entries, dtype=float)
         if arr.ndim != (1 if circulant else 2) or len(set(arr.shape)) != 1 or arr.size == 0:
             raise InvalidArgs(
                 f"expected a non-empty 1-D profile or square matrix, got shape {arr.shape}")
@@ -84,19 +84,32 @@ class DistanceMatrix:
         if (arr < 0.0).any():
             raise InvalidArgs("distances must be nonnegative")
         arr.flags.writeable = False
-        if circulant:
-            divisors = _divisors(len(arr))
-            gcd = np.empty(len(arr), dtype=int)
-            for e in divisors:  # ascending, so gcd[s] ends as gcd(s, N)
-                gcd[::e] = e
-            if not np.array_equal(arr, arr.take(gcd, mode="wrap")):
-                raise InvalidArgs("profile is not constant on the classes gcd(s, N): use from_entries")
-            object.__setattr__(self, "profile", arr)
-            object.__setattr__(self, "_divisors", np.array(divisors[:-1], dtype=int))
-            object.__setattr__(self, "_gcd", gcd)
-            # Row i holds profile[(j - i) mod N], which is window N - i.
-            arr = _windows(arr)[len(arr):0:-1]
-        object.__setattr__(self, "entries", arr)
+        if not circulant:
+            self.__dict__.update(n_effective=len(arr), entries=arr, profile=None, _by_class=None)
+            return
+        self._set_table(len(arr), lambda e: arr[e % len(arr)])
+        if not np.array_equal(arr, self._by_gcd(self._by_class)):
+            raise InvalidArgs("profile is not constant on the classes gcd(s, N): use from_entries")
+        self.__dict__["profile"] = arr
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _set_table(self, points: int, distance) -> None:
+        """Keep the class table of a ring of ``points`` points: ``distance(e)`` for each divisor e."""
+        factors, grid = _factorization(points), [1]
+        for p, k in factors:  # A divisor of e comes before e, so a fill in this order leaves gcds.
+            grid = [g * p**j for j in range(k + 1) for g in grid]
+        self.__dict__.update(n_effective=points, _factors=factors, _grid=np.array(grid),
+                             _by_class=np.array([distance(e) for e in grid], dtype=float))
+
+    def _by_gcd(self, values: np.ndarray) -> np.ndarray:
+        """Read-only values[class of gcd(s, N)] for s = 0..N - 1, one strided fill per class."""
+        out = np.empty(self.n_effective, dtype=values.dtype)
+        for e, value in zip(self._grid.tolist(), values.tolist()):
+            out[::e] = value
+        out.flags.writeable = False
+        return out
 
     @classmethod
     def from_entries(cls, entries) -> "DistanceMatrix":
@@ -108,14 +121,23 @@ class DistanceMatrix:
             raise InvalidArgs("distance matrix must have a zero diagonal")
         return d
 
-    @property
-    def n_effective(self) -> int:
-        return len(self.entries)
+    @functools.cached_property
+    def profile(self) -> np.ndarray:
+        """A ring's read-only distances by separation, filled from the class table."""
+        return self._by_gcd(self._by_class)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """A ring's read-only dense view: row i starts at entry N - i of the doubled profile."""
+        doubled = np.concatenate((self.profile, self.profile))
+        step = doubled.strides[0]
+        return np.lib.stride_tricks.as_strided(
+            doubled[self.n_effective:], (self.n_effective,) * 2, (-step, step), writeable=False)
 
     @property
     def diameter(self) -> float:
-        """The largest distance, read from the profile when there is one."""
-        return float((self.entries if self.profile is None else self.profile).max())
+        """The largest distance, read from the class table when there is one."""
+        return float((self.entries if self._by_class is None else self._by_class).max())
 
     def offdiagonal(self) -> np.ndarray:
         """Upper-triangle distances, flat: the dense oracle of the ``profile[1:]`` statistics."""
@@ -124,15 +146,20 @@ class DistanceMatrix:
 
     @functools.cached_property
     def classes(self) -> "GcdClasses | None":
-        """The gcd-class table of a profile, built when first read (by embeddings); else None."""
-        if self.profile is None:
+        """The gcd-class table of a ring, largest divisor first, built when first read; else None."""
+        if self._by_class is None:
             return None
-        divisors = np.append(self.n_effective, self._divisors[::-1])
-        divides = divisors % divisors[:, None] == 0
-        ramanujan = (divides.T * divisors) @ np.rint(np.linalg.inv(divides))[:, ::-1]
-        distances = self.profile[divisors % self.n_effective]
+        order = np.argsort(-self._grid)
+        # One factor per prime power: c_{p^j}(p^v) at row v, column k - j, the sum of
+        # i mu(p^j / i) over i | p^min(j, v), where mu keeps i = p^j and i = p^(j - 1).
+        ramanujan = np.ones((1, 1))
+        for p, k in self._factors:
+            ramanujan = np.kron([[(p**j if j <= v else 0) - (p ** (j - 1) if 0 < j <= v + 1 else 0)
+                                  for j in range(k, -1, -1)] for v in range(k + 1)], ramanujan)
+        ramanujan = ramanujan[np.ix_(order, order)]
+        distances = self._by_class[order]
         values = np.array(sorted(set(distances.tolist())))
-        return GcdClasses(divisors, np.searchsorted(-divisors, -self._gcd), ramanujan, values,
+        return GcdClasses(self._grid[order], self._by_gcd(np.argsort(order)), ramanujan, values,
                           ramanujan @ (distances[:, None] == values))
 
 
@@ -142,8 +169,8 @@ class GcdClasses:
 
     ``mode_class[j]`` indexes gcd(j, N); ``ramanujan[a, b]`` = c_{N/e_b}(e_a) sums
     cos(2 pi e_a s / N) over class e_b (W. So, 2006), the sum of k mu(N / (e_b k)) over
-    k | gcd(N / e_b, e_a), mu from the inverse divisibility matrix (Rota 1964).  Row 0
-    holds class sizes; ``sums`` adds columns per distance ``values``: cancellations are exact.
+    k | gcd(N / e_b, e_a) (Rota 1964), a product of one factor per prime power of N.
+    Row 0 holds class sizes; ``sums`` adds columns per distance ``values``: cancellations are exact.
     """
 
     divisors: np.ndarray
@@ -250,33 +277,25 @@ def _distance_by_order(q: int) -> float:
     return max(0.0, -2.0 * math.log(s))
 
 
-def _divisors(n: int) -> list:
-    """The divisors of n >= 1 in ascending order, from one pass up to isqrt(n)."""
-    small = [f for f in range(1, math.isqrt(n) + 1) if n % f == 0]
-    return small + [n // f for f in reversed(small) if f * f != n]
+def _factorization(n: int) -> list:
+    """The prime factorization of n >= 1 as (p, k) pairs, p ascending, by trial division."""
+    factors, p = [], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            factors.append((p, k))
+        p += 1 if p == 2 else 2
+    return factors + [(n, 1)] * (n > 1)
 
 
 def distance_profile(n: int) -> np.ndarray:
-    """Distance per separation class m = 0..floor(n/2) for an n-ring.
-
-    The closed form at order q = n / e goes to the multiples of each divisor e
-    of n in ascending order, so separation m keeps the one of e = gcd(n, m).
-    """
+    """Distance per separation class m = 0..floor(n/2) for an n-ring, read from its class table."""
     if n < 3:
         raise InvalidArgs(f"ring size must be at least 3, got {n}")
-    profile = np.empty(n // 2 + 1)
-    for e in _divisors(n):
-        profile[::e] = _distance_by_order(n // e)
-    return profile
-
-
-def _windows(profile: np.ndarray) -> np.ndarray:
-    """Read-only view W with W[r, b] = profile[(r + b) mod N] for r = 0..N, built without copying."""
-    doubled = np.concatenate((profile, profile))
-    step = doubled.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        doubled, (len(profile) + 1, len(profile)), (step, step), writeable=False
-    )
+    return np.array(distance_matrix(RingSpec(n)).profile[:n // 2 + 1])
 
 
 def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
@@ -284,8 +303,9 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
 
     With ``quotient`` the points are the antipodal classes of an even ring,
     represented by sites 1..n/2; class distances are well defined because the
-    profile satisfies d(m) = d(n/2 - m) for even n.  Either way the matrix is
-    circulant on Z_{n_effective} and carries its generator as ``profile``.
+    profile satisfies d(m) = d(n/2 - m) for even n.  Either way it is built as
+    its class table on Z_N, N = ``n_effective``: class e | N holds the closed
+    form at order n / e.
 
     Raises
     ------
@@ -295,8 +315,9 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     n = spec.n
     if quotient and n % 2 == 1:
         raise QuotientOnOddRing(f"antipodal identification needs even n, got n={n}")
-    sep = np.arange(n // 2 if quotient else n)
-    return DistanceMatrix(profile=distance_profile(n)[np.minimum(sep, n - sep)])
+    ring = object.__new__(DistanceMatrix)
+    ring._set_table(n // 2 if quotient else n, lambda e: _distance_by_order(n // e))
+    return ring
 
 
 def _triangle_violations_exhaustive(d: np.ndarray):
@@ -354,36 +375,65 @@ def _symmetry_violations(matrix: np.ndarray):
 def zero_distance_pairs(d: DistanceMatrix) -> np.ndarray:
     """Pairs i < j with d(i, j) <= ZERO_DISTANCE_TOL, as 0-based rows (i, j) in row-major order.
 
-    A circulant reads them off its profile; any other matrix scans its upper triangle.
+    A ring reads them off its profile, and only when some class s > 0 is at
+    distance zero; any other matrix scans its upper triangle.
     """
-    if d.profile is None:
+    if d._by_class is None:
         return np.argwhere(np.triu(d.entries <= ZERO_DISTANCE_TOL, 1))
     n = d.n_effective
+    if not (d._by_class[:-1] <= ZERO_DISTANCE_TOL).any():
+        return np.empty((0, 2), dtype=np.intp)
     zero = np.flatnonzero(d.profile[1:] <= ZERO_DISTANCE_TOL) + 1
     i = np.repeat(np.arange(n), len(zero))
-    j = i + np.tile(zero, n)
+    j = np.add.outer(np.arange(n), zero).ravel()
     keep = j < n
     return np.stack((i[keep], j[keep]), axis=1)
 
 
-def _circulant_triangle_ok(d: DistanceMatrix) -> bool:
-    """Whether no slack c[a + b] - (c[a] + c[b]) of a ring profile c exceeds TRIANGLE_TOL.
+@functools.lru_cache(maxsize=None)  # At most 2 x 63 small tables for int64 N.
+def _valuation_triples(two: bool, k: int) -> np.ndarray:
+    """The capped valuations (v(a), v(b), v(a + b)) of all a, b in Z_{p^k}, v(0) = k, read-only.
+
+    The least occurs at least twice (v is ultrametric), and every such triple
+    occurs but three equal values below k when p = 2 (``two``), as two units of
+    Z_{2^k} add to a non-unit.
+    """
+    triples = []
+    for low in range(k + 1):
+        if not two or low == k:
+            triples.append((low, low, low))
+        for high in range(low + 1, k + 1):
+            triples += [(low, low, high), (low, high, low), (high, low, low)]
+    table = np.array(triples)
+    table.flags.writeable = False
+    return table
+
+
+def _class_triangle_ok(d: DistanceMatrix) -> bool:
+    """Whether no slack D(gcd(a + b, N)) - (D(gcd(a, N)) + D(gcd(b, N))) exceeds TRIANGLE_TOL.
 
     The triple (i, i + a, i + a + b) has this slack, bit for bit the dense
-    check's d(i, j) - (d(i, k) + d(k, j)), so checking every (a, b) is exact.
-    The pairs with b = 0 or a + b = 0 (mod N) are no triples; their slacks
-    -c[0] and c[0] - (c[a] + c[-a]) are not positive when c[0] = 0 and
-    c >= 0, and a positive one only sends the caller to the dense listing.
-    c is constant on the classes gcd(x, N), so a row a = u e, u a unit, has
-    row e's slacks (b -> u b): one row per divisor e < N is checked, the
-    divisors the constructor found, about BLOCK slacks at a time.
+    check's d(i, j) - (d(i, k) + d(k, j)).  By the Chinese remainder theorem the
+    class triples that occur pass ``_valuation_triples`` at every prime power
+    of N, whose positions in ``_grid`` add up, so every (a, b) is checked
+    exactly, one slack per class triple, a block of BLOCK or so at a time.
+    Pairs with a, b or a + b = 0 (mod N) are no triples; their slacks are not
+    positive when D(N) = 0 and D >= 0, bar D(N) - 2 D(gcd(a, N)), whose
+    positive value only sends the caller to the dense listing.
     """
-    profile, rows = d.profile, d._divisors
-    windows, step = _windows(profile), max(1, BLOCK // len(profile))
-    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
-        slack = np.add.outer(profile[block], profile)
-        np.subtract(windows[block], slack, out=slack)
-        if (slack > TRIANGLE_TOL).any():
+    tail = head = np.zeros((1, 3), dtype=np.intp)
+    stride = 1
+    for p, k in d._factors:
+        offsets = _valuation_triples(p == 2, k) * stride
+        stride *= k + 1
+        if len(tail) * len(offsets) <= BLOCK:
+            tail = (tail[:, None] + offsets).reshape(-1, 3)
+        else:
+            head = (head[:, None] + offsets).reshape(-1, 3)
+    values, step = d._by_class, max(1, BLOCK // len(tail))
+    for start in range(0, len(head), step):
+        a, b, c = values[head[start:start + step, None] + tail].reshape(-1, 3).T
+        if (c - (a + b) > TRIANGLE_TOL).any():
             return False
     return True
 
@@ -396,99 +446,102 @@ def check_metric_axioms(
 ) -> MetricReport:
     """Verify identity, symmetry, separation and the triangle inequality.
 
-    A ring metric, given by its ``profile`` (the antipodal quotient
-    included), is exactly symmetric, as gcd(s, N) = gcd(N - s, N), and its
-    triangles are checked exactly from profile slacks, one row per divisor
-    of N, at every size: the check is always exhaustive and ``seed`` is not
-    used.  Violations found there are listed by the dense routines, so they
-    come in the same order and with the same magnitudes as for the dense
-    matrix.  Explicit entries are checked for symmetry, and their triples
-    exhaustively up to ``exhaustive_limit`` points and by seeded Monte-Carlo
-    sampling above it.
-    Zero distances between distinct points are separation violations; when
-    every one of them sits on an antipodal pair (j - i = n/2) the space
-    classifies as a semi-metric that becomes a metric after antipodal
-    identification.
+    A ring metric (the antipodal quotient included) is decided from its class
+    table at every size: identity from the class of 0, separation from the
+    classes at distance zero, the triangle inequality exactly from one slack
+    per class triple (``_class_triangle_ok``), and symmetry holds as gcd(s, N)
+    = gcd(N - s, N).  The check is always exhaustive and ``seed`` is not used;
+    the violations it finds are listed by the dense routines, in the dense
+    matrix's order and magnitudes.  Explicit entries are checked for symmetry,
+    and their triples exhaustively up to ``exhaustive_limit`` points and by
+    seeded Monte-Carlo sampling above it.  Zero distances between distinct
+    points are separation violations; when every one sits on an antipodal pair
+    (j - i = n/2) the space is a semi-metric that antipodal identification
+    makes a metric.
     """
-    matrix = d.entries
     n = d.n_effective
-    profile = d.profile
-    violations = []
-
-    diag = np.abs(np.diag(matrix))
-    for i in np.flatnonzero(diag > ZERO_DISTANCE_TOL):
-        violations.append(Violation("identity", (int(i) + 1,), float(diag[i])))
+    ring = d._by_class is not None
+    if ring:  # Every diagonal entry is the class of 0, nonnegative.
+        zero = float(d._by_class[-1])
+        sites = range(1, n + 1) if zero > ZERO_DISTANCE_TOL else ()
+        violations = [Violation("identity", (i,), zero) for i in sites]
+    else:
+        diag = np.abs(np.diag(d.entries))
+        violations = [Violation("identity", (int(i) + 1,), float(diag[i]))
+                      for i in np.flatnonzero(diag > ZERO_DISTANCE_TOL)]
     identity_ok = not violations
 
-    exhaustive = profile is not None or n <= exhaustive_limit
+    exhaustive = ring or n <= exhaustive_limit
     # An infinite distance makes inf - inf = NaN, which no check counts: a NaN
     # asymmetry compares inf with inf, and a NaN slack stands for inf <= inf + x.
     with np.errstate(invalid="ignore"):
-        symmetry = [] if profile is not None else _symmetry_violations(matrix)
-        if profile is not None and _circulant_triangle_ok(d):
+        symmetry = [] if ring else _symmetry_violations(d.entries)
+        if ring and _class_triangle_ok(d):
             triangle = []
         elif exhaustive:
-            triangle = _triangle_violations_exhaustive(matrix)
+            triangle = _triangle_violations_exhaustive(d.entries)
         else:
-            triangle = _triangle_violations_sampled(matrix, seed, mc_samples)
+            triangle = _triangle_violations_sampled(d.entries, seed, mc_samples)
     violations.extend(symmetry)
     symmetry_ok = not symmetry
 
     zero_pairs = zero_distance_pairs(d)
-    violations.extend(Violation("separation", (i + 1, j + 1), float(matrix[i, j]))
-                      for i, j in zero_pairs.tolist())
     separation_ok = not len(zero_pairs)
+    if not separation_ok:
+        first, second = zero_pairs.T
+        gaps = d.entries[first, second] if d._by_class is None else d.profile[second - first]
+        violations.extend(Violation("separation", (i + 1, j + 1), gap)
+                          for (i, j), gap in zip(zero_pairs.tolist(), gaps.tolist()))
 
     violations.extend(triangle)
     triangle_ok = not triangle
 
-    if identity_ok and symmetry_ok and triangle_ok and separation_ok:
+    # Both pair lists are in row-major order: equal sets are equal arrays.
+    others_ok = identity_ok and symmetry_ok and triangle_ok
+    if others_ok and separation_ok:
         classification = MetricClassification.METRIC
+    elif others_ok and n % 2 == 0 and np.array_equal(zero_pairs, np.arange(n // 2)[:, None] + [0, n // 2]):
+        classification = MetricClassification.SEMI_METRIC_ANTIPODAL
     else:
-        # Both pair lists are in row-major order: equal sets are equal arrays.
-        antipodal = np.arange(n // 2)[:, None] + [0, n // 2]
-        only_antipodal = (
-            identity_ok
-            and symmetry_ok
-            and triangle_ok
-            and n % 2 == 0
-            and np.array_equal(zero_pairs, antipodal)
-        )
-        classification = (
-            MetricClassification.SEMI_METRIC_ANTIPODAL
-            if only_antipodal
-            else MetricClassification.NOT_SEMI_METRIC
-        )
-    return MetricReport(
-        identity_ok=identity_ok,
-        symmetry_ok=symmetry_ok,
-        triangle_ok=triangle_ok,
-        separation_ok=separation_ok,
-        violations=tuple(violations),
-        classification=classification,
-        exhaustive=exhaustive,
-    )
+        classification = MetricClassification.NOT_SEMI_METRIC
+    return MetricReport(identity_ok=identity_ok, symmetry_ok=symmetry_ok, triangle_ok=triangle_ok,
+                        separation_ok=separation_ok, violations=tuple(violations),
+                        classification=classification, exhaustive=exhaustive)
 
 
 def merge_distinct_values(values: np.ndarray) -> tuple:
-    """Sorted distinct representatives of a value multiset, merging within DISTINCT_VALUE_TOL."""
+    """Sorted distinct representatives of a value multiset, merging within DISTINCT_VALUE_TOL.
+
+    Each is the mean of its group, bit for bit ``np.mean``: one ``np.add.reduceat``
+    sums the groups, each after one zero slot, to 0 + the pairwise sum, as ``np.sum``.
+    """
     if values.size == 0:
         return ()
     ordered = np.sort(values)
-    cuts = np.flatnonzero(np.diff(ordered) > DISTINCT_VALUE_TOL) + 1
-    return tuple(float(np.mean(group)) for group in np.split(ordered, cuts))
+    first = np.concatenate(([True], ordered[1:] - ordered[:-1] > DISTINCT_VALUE_TOL))
+    starts = np.flatnonzero(first)
+    slotted = np.zeros(len(ordered) + len(starts))
+    slotted[np.arange(len(ordered)) + np.cumsum(first)] = ordered
+    sums = np.add.reduceat(slotted, starts + np.arange(len(starts)))
+    return tuple((sums / (np.append(starts[1:], len(ordered)) - starts)).tolist())
 
 
 def classify_ring(n: int, d: DistanceMatrix) -> RingClassification:
-    """Uniformity classification of a ring from its distance profile (quotiented when even)."""
+    """Uniformity classification of an n-ring from its class table (quotiented when even).
+
+    The kind is read from the divisor count of the N = n or n/2 points of ``d``,
+    and the distinct values from its profile.
+    """
     if n < 3:
         raise InvalidArgs(f"ring size must be at least 3, got {n}")
-    if d.profile is None:
+    if d._by_class is None:
         raise InvalidArgs("classify_ring needs a ring distance matrix with a circulant profile")
-    if n % 2 == 0:
-        kind = RingKind.TWICE_PRIME if len(_divisors(n // 2)) == 2 else RingKind.TWICE_COMPOSITE
-    else:
-        kind = RingKind.PRIME if len(_divisors(n)) == 2 else RingKind.ODD_COMPOSITE
+    points = n // 2 if n % 2 == 0 else n
+    if d.n_effective != points:
+        raise InvalidArgs(f"classify_ring needs the {points} points of ring {n}, got {d.n_effective}")
+    prime = len(d._grid) == 2
+    kind = ((RingKind.TWICE_PRIME if prime else RingKind.TWICE_COMPOSITE) if n % 2 == 0
+            else RingKind.PRIME if prime else RingKind.ODD_COMPOSITE)
     distinct = merge_distinct_values(d.profile[1:])
     return RingClassification(kind=kind, uniform=len(distinct) == 1, distinct_values=distinct)
 

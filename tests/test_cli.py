@@ -216,6 +216,35 @@ def test_emit_json_matches_json_dumps_on_edge_values(monkeypatch):
     assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
 
 
+def test_inline_scalar_members_match_json_dumps(monkeypatch):
+    # Scalar dict and list members are written inline by their exact type:
+    # bool apart from int, numpy scalars and enums through the recursive branch.
+    texts = []
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    scalars = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-320, 0.1 + 0.2, True, False, 1, 0,
+               -(2**70), None, "", "caf\u00e9 \u2603 \U0001f600", '"\\\n\t\x00']
+    docs = [
+        {"scalars": scalars, "by_key": {str(i): v for i, v in enumerate(scalars)}},
+        [[[], {}], {"a": [{}], "b": [[], [[]]], "c": {"d": {}}}, (), [()]],
+        {"mixed": [True, 1, 1.0, np.float64(-0.0), np.int64(1), np.bool_(True), Coupling.XX]},
+        {"\u00e9\u2603": {"\U0001f600": [None, {"": ""}]}},
+    ]
+    for doc in docs:
+        cli._emit_json(doc, None)
+    assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
+
+
+def test_small_metric_check_document_takes_few_writer_calls(monkeypatch):
+    # Only the document, params, payload, violations and the classification
+    # enum (and its value) recurse: every other member is an inline scalar.
+    calls = []
+    json_parts = cli._json_parts
+    monkeypatch.setattr(cli, "_json_parts", lambda *args: calls.append(1) or json_parts(*args))
+    docs, texts = _emitted(monkeypatch, ["metric-check", "--n", "9"])
+    assert texts[0] == json.dumps(_plain(docs[0]), indent=2) + "\n"
+    assert len(calls) == 6
+
+
 def test_float_vectors_are_written_in_one_pass(monkeypatch):
     # A 1-D float64 array is written from its distinct values' texts and one
     # join: one _json_parts call, not one per entry, and json.dumps's text.

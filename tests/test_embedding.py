@@ -12,13 +12,13 @@ from spinring import (
     RingKind,
     RingSpec,
     cayley_menger_minors,
-    classify_ring,
     distance_matrix,
     embeddable_euclidean,
     embeddable_hyperbolic,
     embeddable_spherical,
     jacobi_eigh,
     kappa_max,
+    merge_distinct_values,
     numerical_spectrum,
     realize,
     ring_embedding,
@@ -264,15 +264,17 @@ def ring(n):
     return distance_matrix(RingSpec(n), quotient=n % 2 == 0)
 
 
-def auto_kappa(d, n):
+def auto_kappa(d):
     """The curvature ``embed --kappa auto`` picks for a ring in the sphere.
 
     The mean weight averages the N - 1 profile values, as ``embed`` reports
-    it; the mean over all pairs can differ in the last bit (n = 11).
+    it; the mean over all pairs can differ in the last bit (n = 11).  A ring
+    is uniform when ``classify_ring`` finds one distinct value in its profile.
     """
     mean = kappa_max(d.n_effective, float(d.profile[1:].mean()))
     threshold = spherical_feasibility_threshold(d).kappa
-    return mean if classify_ring(n, d).uniform or threshold == 0.0 else threshold
+    uniform = len(merge_distinct_values(d.profile[1:])) == 1
+    return mean if uniform or threshold == 0.0 else threshold
 
 
 def test_ring_spectra_match_dense_oracle():
@@ -342,7 +344,7 @@ def test_ring_spectra_bit_equal_within_gcd_classes():
         assert classes.divisors[classes.mode_class].tolist() == gcd, n
         assert np.array_equal(np.bincount(classes.mode_class), sizes), n
         for space, kappa, decide in (
-            (EmbeddingSpace.SPHERICAL, auto_kappa(d, n), embeddable_spherical),
+            (EmbeddingSpace.SPHERICAL, auto_kappa(d), embeddable_spherical),
             (EmbeddingSpace.EUCLIDEAN, 0.0, lambda d, kappa: embeddable_euclidean(d)),
             (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic),
         ):
@@ -480,7 +482,7 @@ def test_ring_verdicts_agree_with_realize():
     for n in range(3, 301):
         d = ring(n)
         dense = DistanceMatrix.from_entries(d.entries) if n <= 150 else None
-        cases = [(EmbeddingSpace.SPHERICAL, auto_kappa(d, n)), (EmbeddingSpace.EUCLIDEAN, 0.0),
+        cases = [(EmbeddingSpace.SPHERICAL, auto_kappa(d)), (EmbeddingSpace.EUCLIDEAN, 0.0),
                  (EmbeddingSpace.HYPERBOLIC, -1.0)]
         if n <= 64:
             cap = spherical_feasibility_threshold(d).cap
@@ -510,7 +512,7 @@ def test_realize_ring_columns_are_hartley_columns_in_mode_order():
     for n in range(3, 65):
         d = ring(n)
         hartley = hartley_rows(d.n_effective, np.arange(d.n_effective))
-        kappa = auto_kappa(d, n)
+        kappa = auto_kappa(d)
         for space, curvature, verdict in (
             (EmbeddingSpace.SPHERICAL, kappa, embeddable_spherical(d, kappa)),
             (EmbeddingSpace.EUCLIDEAN, 0.0, embeddable_euclidean(d)),
@@ -883,7 +885,7 @@ def test_ring_embedding_report_composite():
 
 def test_ring_embedding_auto_kappa_matches_the_policy_oracle():
     for n in range(3, 65):
-        assert ring_embedding(RingSpec(n), EmbeddingSpace.SPHERICAL).kappa == auto_kappa(ring(n), n)
+        assert ring_embedding(RingSpec(n), EmbeddingSpace.SPHERICAL).kappa == auto_kappa(ring(n))
     for n in (3, 4, 9, 16):
         assert ring_embedding(RingSpec(n), EmbeddingSpace.HYPERBOLIC).kappa == -1.0
         assert ring_embedding(RingSpec(n), EmbeddingSpace.EUCLIDEAN, 2.0).kappa is None

@@ -31,7 +31,7 @@ from spinring import (
     zero_distance_pairs,
 )
 from spinring import metric
-from spinring.metric import BLOCK, SAMPLE_CHUNK, TRIANGLE_TOL, _circulant_triangle_ok, _windows
+from spinring.metric import BLOCK, SAMPLE_CHUNK, TRIANGLE_TOL, _class_triangle_ok
 
 
 def test_p_max_closed_form_small_rings():
@@ -416,6 +416,32 @@ def test_metric_axioms_profile_route_matches_dense_oracle_on_random_profiles():
         assert check_metric_axioms(space) == check_metric_axioms(dense), profile
 
 
+def _windows(profile):
+    """Read-only view W with W[r, b] = profile[(r + b) mod N] for r = 0..N, built without copying."""
+    doubled = np.concatenate((profile, profile))
+    step = doubled.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        doubled, (len(profile) + 1, len(profile)), (step, step), writeable=False
+    )
+
+
+def _circulant_triangle_ok(d):
+    """Oracle of ``_class_triangle_ok``: whether no slack c[a + b] - (c[a] + c[b]) exceeds TRIANGLE_TOL.
+
+    c is constant on the classes gcd(x, N), so a row a = u e, u a unit, has
+    row e's slacks (b -> u b): one row per divisor e < N is checked, about
+    BLOCK slacks at a time.
+    """
+    profile, rows = d.profile, np.sort(d._grid)[:-1]
+    windows, step = _windows(profile), max(1, BLOCK // len(profile))
+    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
+        slack = np.add.outer(profile[block], profile)
+        np.subtract(windows[block], slack, out=slack)
+        if (slack > TRIANGLE_TOL).any():
+            return False
+    return True
+
+
 def _all_rows_triangle_ok(profile):
     """Oracle of ``_circulant_triangle_ok``: every row a = 1..N/2 when symmetric, else 1..N - 1."""
     n = len(profile)
@@ -614,9 +640,9 @@ def test_every_ring_profile_is_accepted_with_the_divisors_of_n():
     for n, quotient, d in itertools.chain(_rings(2000), profiles):
         points = d.n_effective
         divisors = np.flatnonzero(points % np.arange(1, points) == 0) + 1
-        assert d._divisors.dtype == divisors.dtype, (n, quotient)
-        assert np.array_equal(d._divisors, divisors), (n, quotient)
-        assert np.array_equal(d._gcd, np.gcd(np.arange(points), points)), (n, quotient)
+        assert np.sort(d._grid)[:-1].dtype == divisors.dtype, (n, quotient)
+        assert np.array_equal(np.sort(d._grid)[:-1], divisors), (n, quotient)
+        assert np.array_equal(d._by_gcd(d._grid), np.gcd(np.arange(points), points)), (n, quotient)
 
 
 def test_ring_statistics_from_profile_match_dense_pairs():
@@ -624,7 +650,9 @@ def test_ring_statistics_from_profile_match_dense_pairs():
     # pairs, so profile[1:] has the statistics of all pairs, the dense oracle.
     for n, quotient, d in _rings(300):
         pairs = d.offdiagonal()
-        distinct = classify_ring(n, d).distinct_values
+        raw_even = n % 2 == 0 and not quotient
+        distinct = (merge_distinct_values(d.profile[1:]) if raw_even
+                    else classify_ring(n, d).distinct_values)
         oracle = merge_distinct_values(pairs)
         assert len(distinct) == len(oracle), (n, quotient)
         assert np.abs(np.subtract(distinct, oracle)).max() <= 1e-14, (n, quotient)
@@ -801,3 +829,151 @@ def test_transfer_probability_matches_projector_entries():
             expected = (np.cos(phases) @ coeff) ** 2 + (np.sin(phases) @ coeff) ** 2
             series = transfer_probability_time_series(spec, i, j, grid)
             assert np.array_equal(series, expected), (n, i, j)
+
+
+def _gathered_profile(n, quotient):
+    """A ring's profile from the closed form at q = n / gcd(n, min(s, n - s)), one value per order."""
+    sep = np.arange(n // 2 if quotient else n)
+    orders, index = np.unique(n // np.gcd(n, np.minimum(sep, n - sep)), return_inverse=True)
+    return np.array([metric._distance_by_order(q) for q in orders.tolist()])[index]
+
+
+def test_class_built_rings_equal_profile_built_bit_for_bit():
+    # distance_matrix builds the class table alone; a caller's profile goes
+    # through the class-constancy check.  Both give the same table, profile,
+    # entries and gcd classes, bit for bit.
+    for n, quotient, d in _rings(3000):
+        profile = _gathered_profile(n, quotient)
+        given = DistanceMatrix(profile=profile)
+        assert np.array_equal(d.profile.view(np.int64), profile.view(np.int64)), (n, quotient)
+        assert d._factors == given._factors, (n, quotient)
+        assert np.array_equal(d._grid, given._grid), (n, quotient)
+        assert np.array_equal(d._by_class.view(np.int64), given._by_class.view(np.int64)), n
+        if n <= 64:
+            assert np.array_equal(d.entries, given.entries), (n, quotient)
+        for field in ("divisors", "mode_class", "ramanujan", "values", "sums"):
+            built, oracle = getattr(d.classes, field), getattr(given.classes, field)
+            assert built.dtype == oracle.dtype, (n, quotient, field)
+            assert np.array_equal(built.view(np.int64), oracle.view(np.int64)), (n, quotient, field)
+
+
+def _inverse_matrix_ramanujan(divisors):
+    """c_{N/e_b}(e_a) for divisors listed largest first, through the inverse divisibility matrix."""
+    divides = divisors % divisors[:, None] == 0
+    return (divides.T * divisors) @ np.rint(np.linalg.inv(divides))[:, ::-1]
+
+
+def test_ramanujan_matrix_from_the_factorization_matches_the_matrix_inverse():
+    for n in [*range(1, 400), 720720, 997920]:
+        classes = DistanceMatrix(profile=np.log1p(np.gcd(np.arange(n), n) % n)).classes
+        oracle = _inverse_matrix_ramanujan(classes.divisors)
+        assert np.array_equal(classes.ramanujan, oracle), n
+
+
+def test_a_ring_decision_reads_no_n_length_array():
+    # The quotient metric-check at n = 2^20 decides from 20 classes.
+    n = 2**20
+
+    def run():
+        d = distance_matrix(RingSpec(n), quotient=True)
+        return d, check_metric_axioms(d)
+
+    (d, report), peak = _traced(run)
+    assert report.classification is MetricClassification.METRIC and not report.violations
+    assert "profile" not in vars(d) and "entries" not in vars(d)
+    assert peak <= 2**18, peak
+    d = distance_matrix(RingSpec(735134400), quotient=True)
+    assert check_metric_axioms(d).classification is MetricClassification.METRIC
+    assert len(d._grid) == 1152 and "profile" not in vars(d)
+
+
+def _class_triples_brute_force(n):
+    """The set of (gcd(a, n), gcd(b, n), gcd(a + b, n)) over all a, b in Z_n."""
+    a, b = np.indices((n, n))
+    codes = np.unique((np.gcd(a, n) * (n + 1) + np.gcd(b, n)) * (n + 1) + np.gcd((a + b) % n, n))
+    return {(code // (n + 1) ** 2, code // (n + 1) % (n + 1), code % (n + 1)) for code in codes.tolist()}
+
+
+def _class_triples_by_rule(n):
+    """The same set from the valuation triples allowed at each prime power of n."""
+    found = set()
+    factors = metric._factorization(n)
+    tables = [metric._valuation_triples(p == 2, k).tolist() for p, k in factors]
+    for combination in itertools.product(*tables):
+        found.add(tuple(math.prod(p ** triple[slot] for (p, _), triple in zip(factors, combination))
+                        for slot in range(3)))
+    return found
+
+
+def test_valuation_triples_match_brute_force():
+    for n in range(1, 300):
+        assert _class_triples_by_rule(n) == _class_triples_brute_force(n), n
+
+
+def test_class_triangle_check_matches_the_row_loop_on_rings(monkeypatch):
+    for n, quotient, d in _rings(1500):
+        assert _class_triangle_ok(d) == _circulant_triangle_ok(d), (n, quotient)
+    # Blocks of a few triples: the class triples checked a slice at a time.
+    monkeypatch.setattr(metric, "BLOCK", 5)
+    for n, quotient, d in _rings(200):
+        assert _class_triangle_ok(d) == _circulant_triangle_ok(d), (n, quotient)
+
+
+@pytest.mark.parametrize("block", [BLOCK, 7])
+def test_class_triangle_check_matches_row_loop_and_dense_on_random_profiles(monkeypatch, block):
+    # Class values in [1, 2] pass; a redrawn class in [1, 3.75] fails in about
+    # a quarter of the profiles, and so does a perturbation of a passing one.
+    monkeypatch.setattr(metric, "BLOCK", block)
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for _ in range(1500):
+        n = int(rng.integers(1, 400))
+        sep = np.arange(n)
+        gcd = np.gcd(sep, n)
+        by_class = rng.uniform(1.0, 2.0, n + 1)
+        by_class[n] = 0.0
+        if n > 1:
+            by_class[rng.choice(sep[gcd == sep])] = rng.uniform(1.0, 3.75)
+        for profile in (by_class[gcd], np.where(gcd == gcd[-1], 2.5, by_class[gcd])):
+            profile[0] = 0.0
+            space = DistanceMatrix(profile=profile)
+            verdicts.append(_class_triangle_ok(space))
+            assert verdicts[-1] == _circulant_triangle_ok(space), profile
+            if n <= 40:
+                dense = check_metric_axioms(DistanceMatrix(space.entries))
+                assert verdicts[-1] == dense.triangle_ok, profile
+                assert check_metric_axioms(space) == dense, profile
+    assert 0.15 < verdicts.count(False) / len(verdicts) < 0.6
+
+
+def _split_means(values):
+    """The group means by np.split and np.mean, the oracle of merge_distinct_values."""
+    ordered = np.sort(values)
+    cuts = np.flatnonzero(np.diff(ordered) > metric.DISTINCT_VALUE_TOL) + 1
+    return tuple(float(np.mean(group)) for group in np.split(ordered, cuts))
+
+
+def test_merge_distinct_values_is_np_mean_of_each_group_bit_for_bit():
+    def bits(values):
+        return np.array(values).view(np.int64).tolist()
+
+    for n in range(3, 2001):
+        profile = distance_matrix(RingSpec(n), n % 2 == 0).profile[1:]
+        assert bits(merge_distinct_values(profile)) == bits(_split_means(profile)), n
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        size = int(rng.integers(1, 3000))
+        values = rng.choice(rng.uniform(0.0, 3.0, int(rng.integers(1, 12))), size)
+        values = values + rng.choice([0.0, 3e-11, -4e-11, 1e-9], size) * (rng.random() < 0.5)
+        values[rng.random(size) < 0.05] = rng.choice([0.0, -0.0])
+        assert bits(merge_distinct_values(values)) == bits(_split_means(values)), values
+
+
+def test_classify_ring_refuses_a_matrix_of_another_ring():
+    for n, d in ((7, distance_matrix(RingSpec(12), True)), (7, distance_matrix(RingSpec(8))),
+                 (12, distance_matrix(RingSpec(12))), (12, distance_matrix(RingSpec(7))),
+                 (10, distance_matrix(RingSpec(12), True))):
+        with pytest.raises(InvalidArgs, match="points of ring"):
+            classify_ring(n, d)
+    assert classify_ring(7, distance_matrix(RingSpec(7))).kind is RingKind.PRIME
+    assert classify_ring(12, distance_matrix(RingSpec(12), True)).kind is RingKind.TWICE_COMPOSITE
