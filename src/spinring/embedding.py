@@ -11,7 +11,9 @@ Every decision is an inertia test on the spectrum of one Gram matrix:
 
 A ring's Gram matrices are circulants constant on the classes gcd(s, N), so
 their eigenvalues take one value per divisor of N, the kernel values weighed
-by Ramanujan sums (``DistanceMatrix.classes``).  Explicit entries go through
+by Ramanujan sums (``DistanceMatrix.classes``).  A ring keeps its last
+decision, so one spectrum evaluation per (ring, space, kappa) serves both the
+verdict and the realization.  Explicit entries go through
 LAPACK on the dense matrix, also the rings' test oracle; a Gram matrix that
 overflows is refused with InvalidArgs.  One rule reads every spectrum: each
 mode's signed share of its own scale.  A verdict's margin is the smallest
@@ -301,8 +303,18 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
     return Verdict(cap_ok and psd_ok, cap_ok, psd_ok, margin, eigenvalues, rank), keep
 
 
-def _verdict(d: DistanceMatrix, space: EmbeddingSpace, kappa: float) -> Verdict:
-    return _decide(d, space, kappa, _spectra(d, space, kappa, _scale(space, kappa)))[0]
+def _decision(d: DistanceMatrix, space: EmbeddingSpace, kappa: float):
+    """The spectrum w of the unit-model Gram matrix at kappa, the verdict on it and its kept values.
+
+    A ring keeps its last decision beside its other derived state; explicit entries keep none.
+    """
+    memo = vars(d).get("_decision")
+    if memo is None or memo[0] != (space, kappa):
+        w = _spectra(d, space, kappa, _scale(space, kappa))
+        memo = ((space, kappa), w, *_decide(d, space, kappa, w))
+        if d.classes is not None:
+            vars(d)["_decision"] = memo
+    return memo[1:]
 
 
 def embeddable_spherical(d: DistanceMatrix, kappa: float) -> Verdict:
@@ -313,7 +325,7 @@ def embeddable_spherical(d: DistanceMatrix, kappa: float) -> Verdict:
     cos(sqrt(kappa) d) is positive semidefinite within the margin.  A single
     lost rank (the boundary case) maps to an embedding one dimension down.
     """
-    return _verdict(d, EmbeddingSpace.SPHERICAL, kappa)
+    return _decision(d, EmbeddingSpace.SPHERICAL, kappa)[1]
 
 
 def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> Verdict:
@@ -326,7 +338,7 @@ def embeddable_hyperbolic(d: DistanceMatrix, kappa: float) -> Verdict:
     magnitude among them, so it does not vanish as kappa -> 0.  The rank
     counts the Perron mode too; a kappa at which cosh overflows is refused.
     """
-    return _verdict(d, EmbeddingSpace.HYPERBOLIC, kappa)
+    return _decision(d, EmbeddingSpace.HYPERBOLIC, kappa)[1]
 
 
 def embeddable_euclidean(d: DistanceMatrix) -> Verdict:
@@ -335,7 +347,7 @@ def embeddable_euclidean(d: DistanceMatrix) -> Verdict:
     The centred Gram matrix -J (d o d) J / 2 must be positive semidefinite;
     the margin is its smallest eigenvalue over its largest magnitude.
     """
-    return _verdict(d, EmbeddingSpace.EUCLIDEAN, 0.0)
+    return _decision(d, EmbeddingSpace.EUCLIDEAN, 0.0)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,9 +404,9 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
     if classes is None:
         w, v = np.linalg.eigh(_dense_gram(d, space, kappa, scale))
         v = v * np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
+        verdict, keep = _decide(d, space, kappa, w)
     else:
-        w = _spectra(d, space, kappa, scale)
-    verdict, keep = _decide(d, space, kappa, w)
+        w, verdict, keep = _decision(d, space, kappa)
     name = space.name.lower()
     if not verdict.embeddable:
         raise NotEmbeddable(

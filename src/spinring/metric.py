@@ -153,31 +153,41 @@ class DistanceMatrix:
         # One factor per prime power: c_{p^j}(p^v) at row v, column k - j, the sum of
         # i mu(p^j / i) over i | p^min(j, v), where mu keeps i = p^j and i = p^(j - 1).
         ramanujan = np.ones((1, 1))
-        for p, k in self._factors:
-            ramanujan = np.kron([[(p**j if j <= v else 0) - (p ** (j - 1) if 0 < j <= v + 1 else 0)
-                                  for j in range(k, -1, -1)] for v in range(k + 1)], ramanujan)
+        for p, k in self._factors:  # The Kronecker product block (x) ramanujan, bit for bit np.kron.
+            block = np.array([[(p**j if j <= v else 0) - (p ** (j - 1) if 0 < j <= v + 1 else 0)
+                               for j in range(k, -1, -1)] for v in range(k + 1)])
+            size = len(block) * len(ramanujan)
+            ramanujan = (block[:, None, :, None] * ramanujan[None, :, None, :]).reshape(size, size)
         ramanujan = ramanujan[np.ix_(order, order)]
         distances = self._by_class[order]
         values = np.array(sorted(set(distances.tolist())))
-        return GcdClasses(self._grid[order], self._by_gcd(np.argsort(order)), ramanujan, values,
-                          ramanujan @ (distances[:, None] == values))
+        return GcdClasses(self._grid[order], ramanujan, values, ramanujan @ (distances[:, None] == values))
 
 
 @dataclass(frozen=True, eq=False)
 class GcdClasses:
     """A ring metric's classes gcd(s, N), one per divisor e of N, largest first.
 
-    ``mode_class[j]`` indexes gcd(j, N); ``ramanujan[a, b]`` = c_{N/e_b}(e_a) sums
-    cos(2 pi e_a s / N) over class e_b (W. So, 2006), the sum of k mu(N / (e_b k)) over
-    k | gcd(N / e_b, e_a) (Rota 1964), a product of one factor per prime power of N.
-    Row 0 holds class sizes; ``sums`` adds columns per distance ``values``: cancellations are exact.
+    ``ramanujan[a, b]`` = c_{N/e_b}(e_a) sums cos(2 pi e_a s / N) over class e_b
+    (W. So, 2006), the sum of k mu(N / (e_b k)) over k | gcd(N / e_b, e_a) (Rota 1964),
+    a product of one factor per prime power of N.  Row 0 holds class sizes; ``sums``
+    adds columns per distance ``values``: cancellations are exact.  The N-entry
+    ``mode_class`` is built on first read, so a table that is never realized stays in d(N) memory.
     """
 
     divisors: np.ndarray
-    mode_class: np.ndarray
     ramanujan: np.ndarray
     values: np.ndarray
     sums: np.ndarray
+
+    @functools.cached_property
+    def mode_class(self) -> np.ndarray:
+        """Read-only class index of gcd(j, N), j = 0..N - 1: one strided write per divisor, ascending."""
+        out = np.empty(self.divisors[0], dtype=np.intp)
+        for index in range(len(self.divisors) - 1, -1, -1):
+            out[::self.divisors[index]] = index
+        out.flags.writeable = False
+        return out
 
 
 class MetricClassification(enum.Enum):
@@ -518,7 +528,8 @@ def merge_distinct_values(values: np.ndarray) -> tuple:
     if values.size == 0:
         return ()
     ordered = np.sort(values)
-    first = np.concatenate(([True], ordered[1:] - ordered[:-1] > DISTINCT_VALUE_TOL))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which cuts no group.
+        first = np.concatenate(([True], ordered[1:] - ordered[:-1] > DISTINCT_VALUE_TOL))
     starts = np.flatnonzero(first)
     slotted = np.zeros(len(ordered) + len(starts))
     slotted[np.arange(len(ordered)) + np.cumsum(first)] = ordered

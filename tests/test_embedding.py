@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -670,6 +671,83 @@ def test_realize_computes_one_ring_spectrum(monkeypatch):
         assert len(calls) == 1, space
 
 
+def test_ring_embedding_evaluates_the_ring_spectrum_once_per_space(monkeypatch):
+    # The verdict and the realization share one class spectrum at the decided
+    # curvature; on the sphere the threshold search adds its batched sweeps.
+    scalar, batched = [], []
+    spectra = embedding._spectra
+
+    def counted(d, space, kappa, scales):
+        (scalar if np.ndim(scales) == 0 else batched).append(space)
+        return spectra(d, space, kappa, scales)
+
+    monkeypatch.setattr(embedding, "_spectra", counted)
+    for n in (5, 7, 12, 16, 25, 30, 64):
+        for space in EmbeddingSpace:
+            for kappa in (None, 0.5 if space is EmbeddingSpace.SPHERICAL else -0.5):
+                scalar.clear(), batched.clear()
+                report = ring_embedding(RingSpec(n), space, kappa)
+                assert scalar == [space], (n, space, kappa, report.verdict.embeddable)
+                assert bool(batched) == (space is EmbeddingSpace.SPHERICAL), (n, space, kappa)
+
+
+def _outcome(d, space, kappa):
+    """What ``realize`` gives: the result's fields, or the message it raises."""
+    try:
+        result = realize(d, space, kappa)
+    except NotEmbeddable as error:
+        return str(error)
+    return (result.curvature, result.ambient_dim, result.coordinates.tobytes(),
+            result.max_distortion, result.irreducible)
+
+
+def _verdict_fields(verdict):
+    return (verdict.embeddable, verdict.cap_ok, verdict.psd_ok, verdict.margin,
+            verdict.eigenvalues.tobytes(), verdict.rank)
+
+
+def test_a_kept_ring_decision_serves_only_its_space_and_kappa():
+    # A decision at one (space, kappa) followed by another on the same ring
+    # gives what a fresh ring gives, and so does the first one decided again.
+    decide = {
+        EmbeddingSpace.SPHERICAL: embeddable_spherical,
+        EmbeddingSpace.EUCLIDEAN: lambda d, kappa: embeddable_euclidean(d),
+        EmbeddingSpace.HYPERBOLIC: embeddable_hyperbolic,
+    }
+    for n in (5, 7, 9, 12, 16, 30):
+        cap = spherical_feasibility_threshold(ring(n)).cap
+        cases = [(EmbeddingSpace.SPHERICAL, share * cap) for share in (0.25, 0.5, 1.0)]
+        cases += [(EmbeddingSpace.EUCLIDEAN, 0.0), (EmbeddingSpace.HYPERBOLIC, -1.0),
+                  (EmbeddingSpace.HYPERBOLIC, -0.01)]
+        for (first, kappa1), (second, kappa2) in itertools.permutations(cases, 2):
+            d = ring(n)
+            verdict = decide[first](d, kappa1)
+            assert _outcome(d, second, kappa2) == _outcome(ring(n), second, kappa2), (n, first, second)
+            fresh = decide[first](ring(n), kappa1)
+            assert _verdict_fields(verdict) == _verdict_fields(fresh), (n, first, kappa1)
+            assert _verdict_fields(decide[first](d, kappa1)) == _verdict_fields(fresh), (n, first)
+            assert _outcome(d, first, kappa1) == _outcome(ring(n), first, kappa1), (n, first)
+
+
+def test_explicit_entries_keep_no_decision(monkeypatch):
+    calls = []
+    spectra = embedding._spectra
+    monkeypatch.setattr(embedding, "_spectra", lambda *args: calls.append(1) or spectra(*args))
+    d = DistanceMatrix.from_entries(ring(7).entries)
+    for _ in range(2):
+        assert embeddable_spherical(d, 1.0).embeddable
+        assert embeddable_euclidean(d).embeddable
+        assert embeddable_hyperbolic(d, -1.0).embeddable
+        for space, kappa in ((EmbeddingSpace.SPHERICAL, 1.0), (EmbeddingSpace.EUCLIDEAN, 0.0),
+                             (EmbeddingSpace.HYPERBOLIC, -1.0)):
+            realize(d, space, kappa)
+    assert len(calls) == 6
+    assert "_decision" not in vars(d)
+    ring_copy = ring(7)
+    embeddable_euclidean(ring_copy)
+    assert "_decision" in vars(ring_copy)
+
+
 def test_realize_spherical_ring5():
     d = distance_matrix(RingSpec(5))
     w = d.entries[0, 1]
@@ -834,6 +912,25 @@ def test_feasibility_threshold_memory_is_linear():
         tracemalloc.stop()
     assert 0.0 < threshold.kappa < threshold.cap
     assert peak <= 8 * 8 * d.n_effective, peak
+
+
+def test_class_table_and_threshold_search_stay_in_divisor_memory():
+    # N = 22972950 has 384 divisors: the class table, its spectra and the
+    # search with its sweeps hold d(N)^2 entries; the N-entry mode_class is
+    # built when read.
+    d = distance_matrix(RingSpec(45945900), quotient=True)
+    tracemalloc.start()
+    try:
+        classes = d.classes
+        threshold = spherical_feasibility_threshold(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes.divisors) == 384 and 0.0 < threshold.kappa < threshold.cap
+    assert "mode_class" not in vars(classes) and "profile" not in vars(d)
+    assert peak <= d.n_effective, peak
+    small = ring(360).classes
+    assert not small.mode_class.flags.writeable and small.mode_class is small.mode_class
 
 
 def test_feasibility_threshold_refines_in_few_sweeps(monkeypatch):

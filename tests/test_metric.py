@@ -531,6 +531,12 @@ def test_merge_distinct_values():
     # though its ends are 3e-10 apart.
     chain = 1.0 + 0.75e-10 * np.arange(5)
     assert merge_distinct_values(chain[::-1]) == (float(np.mean(chain)),)
+    # inf - inf is NaN between equal infinities, which cuts no group and warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert merge_distinct_values(np.array([math.inf, 1.0, math.inf])) == (1.0, math.inf)
+        infinite = DistanceMatrix(profile=[0.0, math.inf, math.inf])
+        assert classify_ring(3, infinite).distinct_values == (math.inf,)
 
 
 def _axiom_test_space():
