@@ -11,7 +11,7 @@ Every decision is an inertia test on the spectrum of one Gram matrix:
 
 A ring's Gram matrices are circulants constant on the classes gcd(s, N), so
 their eigenvalues take one value per divisor of N, the kernel values weighed
-by Ramanujan sums (``DistanceMatrix.classes``).  A ring keeps its last
+by Ramanujan sums (``DistanceMatrix.ramanujan``).  A ring keeps its last
 decision, so one spectrum evaluation per (ring, space, kappa) serves both the
 verdict and the realization.  Explicit entries go through
 LAPACK on the dense matrix, also the rings' test oracle; a Gram matrix that
@@ -211,12 +211,11 @@ def _finite(x: np.ndarray, space: EmbeddingSpace, kappa: float) -> np.ndarray:
     return x
 
 
-def _dense_gram(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scales) -> np.ndarray:
-    """The unit-model Gram matrix at s * d for each scale s; one that overflows is refused."""
+def _dense_gram(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scale: float) -> np.ndarray:
+    """The unit-model Gram matrix at scale * d; one that overflows is refused."""
     model = _MODELS[space]
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.asarray(scales, dtype=float)[..., None, None] * d.entries
-        g = model.constant + model.varying(x)
+        g = model.constant + model.varying(scale * d.entries)
         if model.center:
             g = g - g.mean(axis=-1, keepdims=True)
             g = g - g.mean(axis=-2, keepdims=True)
@@ -227,18 +226,21 @@ def _spectra(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, scales) -> 
     """Eigenvalues of the unit-model Gram matrix at s * d for each scale s, along the last axis.
 
     On a ring mode j's eigenvalue is lambda_g = sum_e c_{N/e}(g) K(D_e),
-    g = gcd(j, N): one value per class of ``d.classes``, the all-ones class
+    g = gcd(j, N): one value per class of ``d.divisors``, the all-ones class
     first and alone given the constant, so the others keep full relative
     precision as kappa -> 0, where they shrink like |kappa|.  Explicit entries
-    go through LAPACK, ascending (the rings' oracle); an overflow names ``kappa``.
+    go through LAPACK, ascending (the rings' oracle), one Gram matrix at a
+    time; an overflow names ``kappa``.
     """
-    if d.classes is None:
-        return np.linalg.eigvalsh(_dense_gram(d, space, kappa, scales))
+    scales = np.asarray(scales, dtype=float)
+    if d.divisors is None:
+        return np.reshape([np.linalg.eigvalsh(_dense_gram(d, space, kappa, s)) for s in scales.flat],
+                          scales.shape + (d.n_effective,))
     model = _MODELS[space]
     with np.errstate(over="ignore", invalid="ignore"):
-        varying = model.varying(np.asarray(scales, dtype=float)[..., None] * d.classes.values)
-        w = varying @ d.classes.sums.T
-        w[..., 0] = 0.0 if model.center else (model.constant + varying) @ d.classes.sums[0]
+        varying = model.varying(scales[..., None] * d.values)
+        w = varying @ d.sums.T
+        w[..., 0] = 0.0 if model.center else (model.constant + varying) @ d.sums[0]
     return w
 
 
@@ -297,7 +299,7 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
     cap_ok = (space is not EmbeddingSpace.SPHERICAL or d.diameter * d.diameter == 0.0
               or kappa <= math.pi**2 / (d.diameter * d.diameter))
     keep = shares > PSD_TOL_FACTOR
-    sizes = 1 if d.classes is None else d.classes.ramanujan[0].astype(int)
+    sizes = 1 if d.divisors is None else d.ramanujan[0].astype(int)
     eigenvalues = np.sort(np.repeat(-w if timelike else w, sizes))
     rank = int((keep * sizes).sum())
     return Verdict(cap_ok and psd_ok, cap_ok, psd_ok, margin, eigenvalues, rank), keep
@@ -312,7 +314,7 @@ def _decision(d: DistanceMatrix, space: EmbeddingSpace, kappa: float):
     if memo is None or memo[0] != (space, kappa):
         w = _spectra(d, space, kappa, _scale(space, kappa))
         memo = ((space, kappa), w, *_decide(d, space, kappa, w))
-        if d.classes is not None:
+        if d.divisors is not None:
             vars(d)["_decision"] = memo
     return memo[1:]
 
@@ -384,8 +386,8 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
     in the order of the spectrum, are the columns factored, each scaled by
     r sqrt|w|, so ``ambient_dim`` is its rank and the hyperboloid's timelike
     column comes first.  The column-centred factor's geodesic distances are
-    compared with the input; a ring's once per class e, its squared chord being
-    2/N times the kept class values weighed by phi(N/g) - c_{N/g}(e) >= 0.
+    compared with the input; a ring's with its distance once per class e, the
+    squared chord 2/N times the kept class values weighed by phi(N/g) - c_{N/g}(e) >= 0.
 
     Raises
     ------
@@ -400,8 +402,7 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
     scale = _scale(space, kappa)
     model = _MODELS[space]
     n = d.n_effective
-    classes = d.classes
-    if classes is None:
+    if d.divisors is None:
         w, v = np.linalg.eigh(_dense_gram(d, space, kappa, scale))
         v = v * np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
         verdict, keep = _decide(d, space, kappa, w)
@@ -412,7 +413,7 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
         raise NotEmbeddable(
             f"not embeddable in {name} space at kappa={kappa!r} (margin {verdict.margin:.3e})"
         )
-    if classes is None:
+    if d.divisors is None:
         factor = v[:, keep] * np.sqrt(np.abs(w[keep]))
         centred = factor - factor.mean(axis=0)
         gram = (centred * np.sign(w[keep])) @ centred.T
@@ -421,12 +422,12 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
         error = np.abs(model.geodesic(chords) / scale - d.entries)
         np.fill_diagonal(error, 0.0)
     else:
-        modes = np.flatnonzero(keep[classes.mode_class])
+        modes = np.flatnonzero(keep[d.mode_class])
         phases = np.multiply.outer(np.arange(n), modes)
         factor = hartley_rows(n, [1 % n])[0][np.remainder(phases, n, out=phases)]
-        factor *= np.sqrt(np.abs(w[classes.mode_class[modes]]))
-        chords = np.sqrt(2.0 / n * ((classes.ramanujan[0] - classes.ramanujan) @ np.where(keep, w, 0.0)))
-        error = np.abs(model.geodesic(chords) / scale - d.profile[classes.divisors % n])
+        factor *= np.sqrt(np.abs(w[d.mode_class[modes]]))
+        chords = np.sqrt(2.0 / n * ((d.ramanujan[0] - d.ramanujan) @ np.where(keep, w, 0.0)))
+        error = np.abs(model.geodesic(chords) / scale - d.by_class)
     distortion = float(error.max())
     if distortion > DEFAULT_REALIZE_TOL:
         raise FactorizationFailure(f"{name} round-trip distortion {distortion:.3e} "

@@ -62,20 +62,21 @@ class DistanceMatrix:
     for s = 0..N - 1, so that ``entries[i, j] = profile[(j - i) mod N]``.  A
     profile must be constant on the classes gcd(s, N), as every ring metric is
     (other circulants go through ``from_entries``).  A ring is its class table:
-    the factorization of N (``_factors``), the divisors of N in the mixed radix
-    order of their exponents (``_grid``, N last) and one distance per class
-    (``_by_class``); ``distance_matrix`` builds the table alone, and the
-    read-only ``profile`` and its view ``entries`` are derived when first read.
-    Explicit entries are kept as a read-only copy, with no ``profile`` or table.
-    Zero points, NaN and negative distances are refused.  ``n_effective`` is
-    the point count N: n for a ring, n/2 after antipodal identification.
+    the ``divisors`` of N, largest first, and one distance ``by_class``; its
+    other fields are derived from them when first read.  Explicit entries are
+    kept as a read-only copy, with ``divisors`` None.  Zero points, non-numbers,
+    NaN and negative distances are refused.  ``n_effective`` is the point
+    count N: n for a ring, n/2 after antipodal identification.
     """
 
     def __init__(self, entries=None, profile=None) -> None:
         circulant = profile is not None
         if circulant == (entries is not None):
             raise InvalidArgs("give exactly one of entries or profile")
-        arr = np.array(profile if circulant else entries, dtype=float)
+        try:
+            arr = np.array(profile if circulant else entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgs(f"distances must form an array of numbers: {exc}") from None
         if arr.ndim != (1 if circulant else 2) or len(set(arr.shape)) != 1 or arr.size == 0:
             raise InvalidArgs(
                 f"expected a non-empty 1-D profile or square matrix, got shape {arr.shape}")
@@ -85,10 +86,10 @@ class DistanceMatrix:
             raise InvalidArgs("distances must be nonnegative")
         arr.flags.writeable = False
         if not circulant:
-            self.__dict__.update(n_effective=len(arr), entries=arr, profile=None, _by_class=None)
+            self.__dict__.update(n_effective=len(arr), entries=arr, profile=None, divisors=None)
             return
         self._set_table(len(arr), lambda e: arr[e % len(arr)])
-        if not np.array_equal(arr, self._by_gcd(self._by_class)):
+        if not np.array_equal(arr, self._by_gcd(self.by_class)):
             raise InvalidArgs("profile is not constant on the classes gcd(s, N): use from_entries")
         self.__dict__["profile"] = arr
 
@@ -97,16 +98,15 @@ class DistanceMatrix:
 
     def _set_table(self, points: int, distance) -> None:
         """Keep the class table of a ring of ``points`` points: ``distance(e)`` for each divisor e."""
-        factors, grid = _factorization(points), [1]
-        for p, k in factors:  # A divisor of e comes before e, so a fill in this order leaves gcds.
-            grid = [g * p**j for j in range(k + 1) for g in grid]
-        self.__dict__.update(n_effective=points, _factors=factors, _grid=np.array(grid),
-                             _by_class=np.array([distance(e) for e in grid], dtype=float))
+        factors = _factorization(points)
+        divisors = sorted(_mixed_radix(factors), reverse=True)
+        self.__dict__.update(n_effective=points, _factors=factors, divisors=np.array(divisors),
+                             by_class=np.array([distance(e) for e in divisors], dtype=float))
 
     def _by_gcd(self, values: np.ndarray) -> np.ndarray:
-        """Read-only values[class of gcd(s, N)] for s = 0..N - 1, one strided fill per class."""
+        """Read-only values[class of gcd(s, N)], s = 0..N - 1: one strided fill per class, smallest first."""
         out = np.empty(self.n_effective, dtype=values.dtype)
-        for e, value in zip(self._grid.tolist(), values.tolist()):
+        for e, value in zip(self.divisors[::-1].tolist(), values[::-1].tolist()):
             out[::e] = value
         out.flags.writeable = False
         return out
@@ -124,7 +124,7 @@ class DistanceMatrix:
     @functools.cached_property
     def profile(self) -> np.ndarray:
         """A ring's read-only distances by separation, filled from the class table."""
-        return self._by_gcd(self._by_class)
+        return self._by_gcd(self.by_class)
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -137,7 +137,7 @@ class DistanceMatrix:
     @property
     def diameter(self) -> float:
         """The largest distance, read from the class table when there is one."""
-        return float((self.entries if self._by_class is None else self._by_class).max())
+        return float((self.entries if self.divisors is None else self.by_class).max())
 
     def offdiagonal(self) -> np.ndarray:
         """Upper-triangle distances, flat: the dense oracle of the ``profile[1:]`` statistics."""
@@ -145,49 +145,39 @@ class DistanceMatrix:
         return self.entries[iu]
 
     @functools.cached_property
-    def classes(self) -> "GcdClasses | None":
-        """The gcd-class table of a ring, largest divisor first, built when first read; else None."""
-        if self._by_class is None:
-            return None
-        order = np.argsort(-self._grid)
-        # One factor per prime power: c_{p^j}(p^v) at row v, column k - j, the sum of
-        # i mu(p^j / i) over i | p^min(j, v), where mu keeps i = p^j and i = p^(j - 1).
-        ramanujan = np.ones((1, 1))
-        for p, k in self._factors:  # The Kronecker product block (x) ramanujan, bit for bit np.kron.
+    def _radix(self) -> np.ndarray:
+        """The class index of each divisor in the mixed radix order of its exponents."""
+        return np.searchsorted(-self.divisors, -np.array(_mixed_radix(self._factors)))
+
+    @functools.cached_property
+    def ramanujan(self) -> np.ndarray:
+        """Entry (a, b) is c_{N/e_b}(e_a), cos(2 pi e_a s / N) summed over class e_b; row 0: class sizes."""
+        # It sums i mu(N / (e_b i)) over i | gcd(N / e_b, e_a) (W. So, 2006; Rota 1964): one factor
+        # c_{p^j}(p^v) per prime power at row v, column k - j, where mu keeps i = p^j and p^(j - 1).
+        kron = np.ones((1, 1))
+        for p, k in self._factors:  # The Kronecker product block (x) kron, bit for bit np.kron.
             block = np.array([[(p**j if j <= v else 0) - (p ** (j - 1) if 0 < j <= v + 1 else 0)
                                for j in range(k, -1, -1)] for v in range(k + 1)])
-            size = len(block) * len(ramanujan)
-            ramanujan = (block[:, None, :, None] * ramanujan[None, :, None, :]).reshape(size, size)
-        ramanujan = ramanujan[np.ix_(order, order)]
-        distances = self._by_class[order]
-        values = np.array(sorted(set(distances.tolist())))
-        return GcdClasses(self._grid[order], ramanujan, values, ramanujan @ (distances[:, None] == values))
+            size = len(block) * len(kron)
+            kron = (block[:, None, :, None] * kron[None, :, None, :]).reshape(size, size)
+        out = np.empty_like(kron)
+        out[np.ix_(self._radix, self._radix)] = kron
+        return out
 
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """A ring's distinct class distances, ascending."""
+        return np.array(sorted(set(self.by_class.tolist())))
 
-@dataclass(frozen=True, eq=False)
-class GcdClasses:
-    """A ring metric's classes gcd(s, N), one per divisor e of N, largest first.
-
-    ``ramanujan[a, b]`` = c_{N/e_b}(e_a) sums cos(2 pi e_a s / N) over class e_b
-    (W. So, 2006), the sum of k mu(N / (e_b k)) over k | gcd(N / e_b, e_a) (Rota 1964),
-    a product of one factor per prime power of N.  Row 0 holds class sizes; ``sums``
-    adds columns per distance ``values``: cancellations are exact.  The N-entry
-    ``mode_class`` is built on first read, so a table that is never realized stays in d(N) memory.
-    """
-
-    divisors: np.ndarray
-    ramanujan: np.ndarray
-    values: np.ndarray
-    sums: np.ndarray
+    @functools.cached_property
+    def sums(self) -> np.ndarray:
+        """``ramanujan``'s columns added per distinct distance in ``values``: cancellations are exact."""
+        return self.ramanujan @ (self.by_class[:, None] == self.values)
 
     @functools.cached_property
     def mode_class(self) -> np.ndarray:
-        """Read-only class index of gcd(j, N), j = 0..N - 1: one strided write per divisor, ascending."""
-        out = np.empty(self.divisors[0], dtype=np.intp)
-        for index in range(len(self.divisors) - 1, -1, -1):
-            out[::self.divisors[index]] = index
-        out.flags.writeable = False
-        return out
+        """A ring's read-only class index of gcd(j, N), j = 0..N - 1, built on first read."""
+        return self._by_gcd(np.arange(len(self.divisors)))
 
 
 class MetricClassification(enum.Enum):
@@ -301,6 +291,14 @@ def _factorization(n: int) -> list:
     return factors + [(n, 1)] * (n > 1)
 
 
+def _mixed_radix(factors: list) -> list:
+    """The divisors of the product of p^k over ``factors`` in the mixed radix order of their exponents."""
+    grid = [1]
+    for p, k in factors:
+        grid = [g * p**j for j in range(k + 1) for g in grid]
+    return grid
+
+
 def distance_profile(n: int) -> np.ndarray:
     """Distance per separation class m = 0..floor(n/2) for an n-ring, read from its class table."""
     if n < 3:
@@ -388,10 +386,10 @@ def zero_distance_pairs(d: DistanceMatrix) -> np.ndarray:
     A ring reads them off its profile, and only when some class s > 0 is at
     distance zero; any other matrix scans its upper triangle.
     """
-    if d._by_class is None:
+    if d.divisors is None:
         return np.argwhere(np.triu(d.entries <= ZERO_DISTANCE_TOL, 1))
     n = d.n_effective
-    if not (d._by_class[:-1] <= ZERO_DISTANCE_TOL).any():
+    if not (d.by_class[1:] <= ZERO_DISTANCE_TOL).any():
         return np.empty((0, 2), dtype=np.intp)
     zero = np.flatnonzero(d.profile[1:] <= ZERO_DISTANCE_TOL) + 1
     i = np.repeat(np.arange(n), len(zero))
@@ -425,8 +423,8 @@ def _class_triangle_ok(d: DistanceMatrix) -> bool:
     The triple (i, i + a, i + a + b) has this slack, bit for bit the dense
     check's d(i, j) - (d(i, k) + d(k, j)).  By the Chinese remainder theorem the
     class triples that occur pass ``_valuation_triples`` at every prime power
-    of N, whose positions in ``_grid`` add up, so every (a, b) is checked
-    exactly, one slack per class triple, a block of BLOCK or so at a time.
+    of N, whose mixed radix positions (``_radix``) add up, so every (a, b) is
+    checked exactly, one slack per class triple, a block of BLOCK or so at a time.
     Pairs with a, b or a + b = 0 (mod N) are no triples; their slacks are not
     positive when D(N) = 0 and D >= 0, bar D(N) - 2 D(gcd(a, N)), whose
     positive value only sends the caller to the dense listing.
@@ -440,7 +438,7 @@ def _class_triangle_ok(d: DistanceMatrix) -> bool:
             tail = (tail[:, None] + offsets).reshape(-1, 3)
         else:
             head = (head[:, None] + offsets).reshape(-1, 3)
-    values, step = d._by_class, max(1, BLOCK // len(tail))
+    values, step = d.by_class[d._radix], max(1, BLOCK // len(tail))
     for start in range(0, len(head), step):
         a, b, c = values[head[start:start + step, None] + tail].reshape(-1, 3).T
         if (c - (a + b) > TRIANGLE_TOL).any():
@@ -470,9 +468,9 @@ def check_metric_axioms(
     makes a metric.
     """
     n = d.n_effective
-    ring = d._by_class is not None
+    ring = d.divisors is not None
     if ring:  # Every diagonal entry is the class of 0, nonnegative.
-        zero = float(d._by_class[-1])
+        zero = float(d.by_class[0])
         sites = range(1, n + 1) if zero > ZERO_DISTANCE_TOL else ()
         violations = [Violation("identity", (i,), zero) for i in sites]
     else:
@@ -499,7 +497,7 @@ def check_metric_axioms(
     separation_ok = not len(zero_pairs)
     if not separation_ok:
         first, second = zero_pairs.T
-        gaps = d.entries[first, second] if d._by_class is None else d.profile[second - first]
+        gaps = d.profile[second - first] if ring else d.entries[first, second]
         violations.extend(Violation("separation", (i + 1, j + 1), gap)
                           for (i, j), gap in zip(zero_pairs.tolist(), gaps.tolist()))
 
@@ -545,12 +543,12 @@ def classify_ring(n: int, d: DistanceMatrix) -> RingClassification:
     """
     if n < 3:
         raise InvalidArgs(f"ring size must be at least 3, got {n}")
-    if d._by_class is None:
+    if d.divisors is None:
         raise InvalidArgs("classify_ring needs a ring distance matrix with a circulant profile")
     points = n // 2 if n % 2 == 0 else n
     if d.n_effective != points:
         raise InvalidArgs(f"classify_ring needs the {points} points of ring {n}, got {d.n_effective}")
-    prime = len(d._grid) == 2
+    prime = len(d.divisors) == 2
     kind = ((RingKind.TWICE_PRIME if prime else RingKind.TWICE_COMPOSITE) if n % 2 == 0
             else RingKind.PRIME if prime else RingKind.ODD_COMPOSITE)
     distinct = merge_distinct_values(d.profile[1:])

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,13 +326,13 @@ def test_class_spectra_match_fft_and_dense_oracles():
     # 0.3, 1 and the sphere's cap pi / diameter.
     for n, d in rings_up_to(300):
         scales = np.array([0.3, 1.0, math.pi / d.diameter])
-        sizes = d.classes.ramanujan[0].astype(int)
+        sizes = d.ramanujan[0].astype(int)
         dense = DistanceMatrix.from_entries(d.entries)
         for space in EmbeddingSpace:
             w = embedding._spectra(d, space, 1.0, scales)
             fft = fft_spectra(d, space, 1.0, scales)
             scale = np.abs(fft).max(axis=-1, keepdims=True)
-            assert (np.abs(w[:, d.classes.mode_class] - fft) <= 1e-13 * scale).all(), (n, space)
+            assert (np.abs(w[:, d.mode_class] - fft) <= 1e-13 * scale).all(), (n, space)
             lapack = embedding._spectra(dense, space, 1.0, scales)
             listed = np.sort(np.repeat(w, sizes, axis=-1), axis=-1)
             scale = np.abs(lapack).max(axis=-1, keepdims=True)
@@ -337,25 +342,81 @@ def test_class_spectra_match_fft_and_dense_oracles():
 def test_ring_spectra_bit_equal_within_gcd_classes():
     # A ring spectrum holds one value per class gcd(j, N), so all modes of a
     # class, j and N - j among them, are bit-equal and get the same keep
-    # decision in realize; the verdict lists each value once per mode.
+    # decision in realize; the verdict lists each value once per mode.  Every
+    # class-indexed field shares one order, the divisors largest first.
     for n, d in rings_up_to(64):
-        classes = d.classes
-        sizes = classes.ramanujan[0].astype(int)
+        sizes = d.ramanujan[0].astype(int)
         gcd = [math.gcd(j, d.n_effective) for j in range(d.n_effective)]
-        assert classes.divisors[classes.mode_class].tolist() == gcd, n
-        assert np.array_equal(np.bincount(classes.mode_class), sizes), n
+        assert (np.diff(d.divisors) < 0).all(), n
+        assert d.divisors[d.mode_class].tolist() == gcd, n
+        assert np.array_equal(np.bincount(d.mode_class), sizes), n
+        assert np.array_equal(d.profile[d.divisors % d.n_effective], d.by_class), n
+        assert np.array_equal(d.sums.sum(axis=1), d.ramanujan.sum(axis=1)), n
         for space, kappa, decide in (
             (EmbeddingSpace.SPHERICAL, auto_kappa(d), embeddable_spherical),
             (EmbeddingSpace.EUCLIDEAN, 0.0, lambda d, kappa: embeddable_euclidean(d)),
             (EmbeddingSpace.HYPERBOLIC, -1.0, embeddable_hyperbolic),
         ):
             w = embedding._spectra(d, space, kappa, embedding._scale(space, kappa))
-            assert w.shape == classes.divisors.shape, (n, space)
-            modes = w[classes.mode_class]
+            assert w.shape == d.divisors.shape, (n, space)
+            modes = w[d.mode_class]
             assert np.array_equal(modes[1:], modes[:0:-1]), (n, space)
             listed = -w if space is EmbeddingSpace.HYPERBOLIC else w
             eigenvalues = decide(d, kappa).eigenvalues
             assert np.array_equal(eigenvalues, np.sort(np.repeat(listed, sizes))), (n, space)
+
+
+def test_ring_realization_reads_no_profile():
+    # realize compares each class distance with its realized chord, so a
+    # fresh ring that embeds is realized without its N-entry profile.
+    for n in (7, 10, 45, 101):
+        for space, kappa in ((EmbeddingSpace.EUCLIDEAN, 0.0), (EmbeddingSpace.HYPERBOLIC, -1.0)):
+            d = ring(n)
+            assert realize(d, space, kappa).max_distortion <= embedding.DEFAULT_REALIZE_TOL, (n, space)
+            assert "profile" not in vars(d) and "entries" not in vars(d), (n, space)
+
+
+def stacked_spectra(d, space, kappa, scales):
+    """Dense spectra from one stacked LAPACK call on the Gram matrices at every scale at once."""
+    model = embedding._MODELS[space]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = model.constant + model.varying(np.asarray(scales, dtype=float)[..., None, None] * d.entries)
+        if model.center:
+            g = g - g.mean(axis=-1, keepdims=True)
+            g = g - g.mean(axis=-2, keepdims=True)
+    return np.linalg.eigvalsh(embedding._finite(g, space, kappa))
+
+
+def test_dense_spectra_one_gram_at_a_time_bit_equal_to_stacked(monkeypatch):
+    # The dense route decomposes one Gram matrix per scale; its spectra and
+    # the threshold search on them are bit-equal to the stacked route.
+    dense = {n: DistanceMatrix.from_entries(distance_matrix(RingSpec(n)).entries) for n in range(3, 61)}
+    for n, d in dense.items():
+        scales = math.pi / d.diameter * np.arange(1, 17) / 16
+        for space in EmbeddingSpace:
+            for grid in (scales, scales[3], scales.reshape(4, 4)):
+                w = embedding._spectra(d, space, 1.0, grid)
+                assert np.array_equal(w, stacked_spectra(d, space, 1.0, grid)), (n, space)
+    thresholds = [spherical_feasibility_threshold(d) for d in dense.values()]
+    monkeypatch.setattr(embedding, "_spectra", stacked_spectra)
+    assert thresholds == [spherical_feasibility_threshold(d) for d in dense.values()]
+
+
+def test_dense_threshold_search_at_401_points_under_one_gib():
+    # Stacked, the 256 Gram matrices of the first grid would need 329 MB for
+    # each temporary; one at a time the search fits a 1 GiB address space.
+    script = ("from spinring import DistanceMatrix, RingSpec, distance_matrix, spherical_feasibility_threshold\n"
+              "d = DistanceMatrix.from_entries(distance_matrix(RingSpec(401)).entries)\n"
+              "print(spherical_feasibility_threshold(d).kappa)\n")
+    root = str(Path(embedding.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert result.returncode == 0, result.stderr
+    kappa = spherical_feasibility_threshold(ring(401)).kappa
+    assert float(result.stdout) == pytest.approx(kappa, rel=1e-9)
 
 
 def test_ramanujan_matrix_matches_cosine_sums():
@@ -364,7 +425,7 @@ def test_ramanujan_matrix_matches_cosine_sums():
     for n in range(1, 121):
         sep = np.arange(n)
         gcd = np.gcd(sep, n)
-        classes = DistanceMatrix(profile=np.log1p(gcd % n)).classes
+        classes = DistanceMatrix(profile=np.log1p(gcd % n))
         assert classes.divisors.tolist() == sorted({int(g) for g in gcd}, reverse=True), n
         assert np.array_equal(classes.values, np.unique(np.log1p(gcd % n))), n
         for a, e_a in enumerate(classes.divisors.tolist()):
@@ -386,7 +447,7 @@ def test_profile_not_constant_on_gcd_classes_takes_the_dense_route():
             DistanceMatrix(profile=profile)
         sites = np.arange(len(profile))
         dense = DistanceMatrix.from_entries(np.array(profile)[(sites - sites[:, None]) % len(sites)])
-        assert dense.classes is None
+        assert dense.divisors is None
         for space, kappa, decide in (
             (EmbeddingSpace.SPHERICAL, 1.0, embeddable_spherical),
             (EmbeddingSpace.EUCLIDEAN, 0.0, lambda d, kappa: embeddable_euclidean(d)),
@@ -403,7 +464,7 @@ def test_profile_not_constant_on_gcd_classes_takes_the_dense_route():
                 with pytest.raises(NotEmbeddable):
                     realize(dense, space, kappa)
     assert realized
-    assert DistanceMatrix(profile=[0.0, 1.0, 2.0, 1.0]).classes is not None
+    assert DistanceMatrix(profile=[0.0, 1.0, 2.0, 1.0]).divisors is not None
 
 
 def test_zero_diameter_embeds_in_every_space():
@@ -579,8 +640,8 @@ def test_realize_ring_columns_match_hartley_rows():
             verdict, keep = embedding._decide(d, space, kappa, w)
             if not verdict.embeddable:
                 continue
-            modes = np.flatnonzero(keep[d.classes.mode_class])
-            radii = np.sqrt(np.abs(w[d.classes.mode_class[modes]])) / embedding._scale(space, kappa)
+            modes = np.flatnonzero(keep[d.mode_class])
+            radii = np.sqrt(np.abs(w[d.mode_class[modes]])) / embedding._scale(space, kappa)
             coordinates = realize(d, space, kappa).coordinates
             gap = np.abs(coordinates - hartley[:, modes] * radii).max()
             assert gap <= 32 * math.ulp(1.0 / math.sqrt(n_points)) * radii.max(), (n, space)
@@ -921,15 +982,14 @@ def test_class_table_and_threshold_search_stay_in_divisor_memory():
     d = distance_matrix(RingSpec(45945900), quotient=True)
     tracemalloc.start()
     try:
-        classes = d.classes
         threshold = spherical_feasibility_threshold(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(classes.divisors) == 384 and 0.0 < threshold.kappa < threshold.cap
-    assert "mode_class" not in vars(classes) and "profile" not in vars(d)
+    assert len(d.divisors) == 384 and 0.0 < threshold.kappa < threshold.cap
+    assert "mode_class" not in vars(d) and "profile" not in vars(d)
     assert peak <= d.n_effective, peak
-    small = ring(360).classes
+    small = ring(360)
     assert not small.mode_class.flags.writeable and small.mode_class is small.mode_class
 
 

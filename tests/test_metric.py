@@ -185,8 +185,8 @@ def test_distance_matrix_takes_exactly_one_of_entries_or_profile():
             DistanceMatrix(np.zeros(shape))
     assert DistanceMatrix(profile=profile).n_effective == len(profile)
     assert DistanceMatrix(entries).n_effective == len(entries)
-    assert DistanceMatrix(profile=profile).classes is not None
-    assert DistanceMatrix(entries).classes is None
+    assert DistanceMatrix(profile=profile).divisors is not None
+    assert DistanceMatrix(entries).divisors is None
     for n, quotient in ((7, False), (8, False), (8, True)):
         d = distance_matrix(RingSpec(n), quotient)
         assert d.n_effective == len(d.profile) == (n // 2 if quotient else n)
@@ -198,6 +198,14 @@ def test_distance_matrix_refuses_zero_points():
     for build in (lambda: DistanceMatrix(profile=[]), lambda: DistanceMatrix(np.zeros((0, 0))),
                   lambda: DistanceMatrix.from_entries(np.zeros((0, 0)))):
         with pytest.raises(InvalidArgs, match="non-empty"):
+            build()
+
+
+def test_distance_matrix_refuses_entries_that_are_not_numbers():
+    for build in (lambda: DistanceMatrix.from_entries([["a"]]),
+                  lambda: DistanceMatrix.from_entries([[0.0, 1.0], [1.0]]),
+                  lambda: DistanceMatrix(profile=["x", 1])):
+        with pytest.raises(InvalidArgs, match="array of numbers"):
             build()
 
 
@@ -432,7 +440,7 @@ def _circulant_triangle_ok(d):
     row e's slacks (b -> u b): one row per divisor e < N is checked, about
     BLOCK slacks at a time.
     """
-    profile, rows = d.profile, np.sort(d._grid)[:-1]
+    profile, rows = d.profile, np.sort(d.divisors)[:-1]
     windows, step = _windows(profile), max(1, BLOCK // len(profile))
     for block in (rows[i:i + step] for i in range(0, len(rows), step)):
         slack = np.add.outer(profile[block], profile)
@@ -646,9 +654,9 @@ def test_every_ring_profile_is_accepted_with_the_divisors_of_n():
     for n, quotient, d in itertools.chain(_rings(2000), profiles):
         points = d.n_effective
         divisors = np.flatnonzero(points % np.arange(1, points) == 0) + 1
-        assert np.sort(d._grid)[:-1].dtype == divisors.dtype, (n, quotient)
-        assert np.array_equal(np.sort(d._grid)[:-1], divisors), (n, quotient)
-        assert np.array_equal(d._by_gcd(d._grid), np.gcd(np.arange(points), points)), (n, quotient)
+        assert np.sort(d.divisors)[:-1].dtype == divisors.dtype, (n, quotient)
+        assert np.array_equal(np.sort(d.divisors)[:-1], divisors), (n, quotient)
+        assert np.array_equal(d._by_gcd(d.divisors), np.gcd(np.arange(points), points)), (n, quotient)
 
 
 def test_ring_statistics_from_profile_match_dense_pairs():
@@ -853,12 +861,12 @@ def test_class_built_rings_equal_profile_built_bit_for_bit():
         given = DistanceMatrix(profile=profile)
         assert np.array_equal(d.profile.view(np.int64), profile.view(np.int64)), (n, quotient)
         assert d._factors == given._factors, (n, quotient)
-        assert np.array_equal(d._grid, given._grid), (n, quotient)
-        assert np.array_equal(d._by_class.view(np.int64), given._by_class.view(np.int64)), n
+        assert np.array_equal(d.divisors, given.divisors), (n, quotient)
+        assert np.array_equal(d.by_class.view(np.int64), given.by_class.view(np.int64)), n
         if n <= 64:
             assert np.array_equal(d.entries, given.entries), (n, quotient)
         for field in ("divisors", "mode_class", "ramanujan", "values", "sums"):
-            built, oracle = getattr(d.classes, field), getattr(given.classes, field)
+            built, oracle = getattr(d, field), getattr(given, field)
             assert built.dtype == oracle.dtype, (n, quotient, field)
             assert np.array_equal(built.view(np.int64), oracle.view(np.int64)), (n, quotient, field)
 
@@ -871,7 +879,7 @@ def _inverse_matrix_ramanujan(divisors):
 
 def test_ramanujan_matrix_from_the_factorization_matches_the_matrix_inverse():
     for n in [*range(1, 400), 720720, 997920]:
-        classes = DistanceMatrix(profile=np.log1p(np.gcd(np.arange(n), n) % n)).classes
+        classes = DistanceMatrix(profile=np.log1p(np.gcd(np.arange(n), n) % n))
         oracle = _inverse_matrix_ramanujan(classes.divisors)
         assert np.array_equal(classes.ramanujan, oracle), n
 
@@ -890,7 +898,7 @@ def test_a_ring_decision_reads_no_n_length_array():
     assert peak <= 2**18, peak
     d = distance_matrix(RingSpec(735134400), quotient=True)
     assert check_metric_axioms(d).classification is MetricClassification.METRIC
-    assert len(d._grid) == 1152 and "profile" not in vars(d)
+    assert len(d.divisors) == 1152 and "profile" not in vars(d)
 
 
 def _class_triples_brute_force(n):
