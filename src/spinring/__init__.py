@@ -28,6 +28,7 @@ from .hamiltonian import (
     Coupling,
     RingSpec,
     build_full_hamiltonian,
+    build_single_excitation_blocks,
     build_single_excitation_hamiltonian,
     single_excitation_index,
     verify_subspace_restriction,

@@ -34,13 +34,13 @@ from .embedding import (
     toeplitz_minor_closed_form,
     toeplitz_minor_recursion,
 )
-from .errors import DimensionTooLarge, InvalidArgs, RestrictionMismatch, SpinRingError, UsageError
+from .errors import DimensionTooLarge, InvalidArgs, SpinRingError, UsageError
 from .hamiltonian import (
     RESTRICTION_TOL,
     ROW_SPACE_CAP,
     Coupling,
     RingSpec,
-    build_single_excitation_hamiltonian,
+    build_single_excitation_blocks,
     check_subspace_restrictions,
 )
 from .metric import (
@@ -360,17 +360,20 @@ def _check(name: str, worst: float, tolerance: float, detail: str) -> dict:
 
 # The rings of the transfer-bound check.
 _TRANSFER_SIZES = (3, 4, 5, 7, 8)
+# Each ring size of verify comes in both couplings, in this order.
+_COUPLINGS = (Coupling.XX, Coupling.HEISENBERG)
+# The largest --n-max-subspace whose 2 (N - 2) blocks of N x N float64 fit 1 GiB.
+VERIFY_SUBSPACE_CAP = 407
 
 
-def _check_subspace_restriction(specs, blocks) -> dict:
-    results = check_subspace_restrictions(specs, blocks)
-    failures = [f"n={spec.n} {spec.coupling.value}: {result}"
-                for spec, result in zip(specs, results) if isinstance(result, RestrictionMismatch)]
-    deviations = [result.deviation if isinstance(result, RestrictionMismatch) else result
-                  for result in results]
+def _check_subspace_restriction(n, strength, epsilon, blocks) -> dict:
+    deviations, mismatches = check_subspace_restrictions(n, strength, epsilon, blocks)
     worst = float(np.max(deviations))  # np.max, unlike max, keeps a NaN
-    return _check("subspace_restriction", worst, RESTRICTION_TOL,
-                  failures[-1] if failures else f"n=3..{specs[-1].n}, both couplings")
+    detail = f"n=3..{n[-1]}, both couplings"
+    if mismatches:  # the last failing ring
+        r = max(mismatches)
+        detail = f"n={n[r]} {_COUPLINGS[r % 2].value}: {mismatches[r]}"
+    return _check("subspace_restriction", worst, RESTRICTION_TOL, detail)
 
 
 def _site_one_totals(vectors, sizes, multiplicities) -> np.ndarray:
@@ -437,32 +440,38 @@ def cmd_verify(args) -> int:
             raise InvalidArgs(f"{flag} must be at least 3, got {value}")
     if args.n_max_full > ROW_SPACE_CAP:  # refused before any block is built
         raise DimensionTooLarge(f"basis states need n <= {ROW_SPACE_CAP}, got n={args.n_max_full}")
-    sizes = np.arange(3, args.n_max_subspace + 1)
-    # Rings go size-major, XX and Heisenberg side by side, n = 3 to the larger bound,
-    # each block built once: the restriction check certifies those up to --n-max-full,
-    # one stacked eigh per size decomposes those up to --n-max-subspace.
-    specs = [RingSpec(n, coupling) for n in range(3, max(args.n_max_full, args.n_max_subspace) + 1)
-             for coupling in (Coupling.XX, Coupling.HEISENBERG)]
-    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs]
-    block_sizes = np.repeat(sizes, 2)
-    values, multiplicities, vectors = numerical_spectra(blocks[:len(block_sizes)])
-    agreement = ([RingSpec(n, strength=1.0 + 1e-6) for n in sizes.tolist()]
-                 if args.inject_fault else specs[:len(block_sizes):2])
-    # One closed-form table: the agreement rings, then the transfer rings.
+    if args.n_max_subspace > VERIFY_SUBSPACE_CAP:
+        raise DimensionTooLarge(f"verify's blocks fit 1 GiB for --n-max-subspace <= "
+                                f"{VERIFY_SUBSPACE_CAP}, got {args.n_max_subspace}")
+    # The rings (n, strength, epsilon) go size-major, XX and Heisenberg side by side, n = 3
+    # to the larger bound, and one stack holds their blocks: the restriction check
+    # certifies those up to --n-max-full, one eigh per size decomposes those up to
+    # --n-max-subspace.
+    n_max = max(args.n_max_full, args.n_max_subspace)
+    n = np.arange(6, 2 * n_max + 2) // 2
+    rings = n, np.ones(len(n)), np.array([coupling.epsilon for coupling in _COUPLINGS] * (n_max - 2))
+    blocks = build_single_excitation_blocks(*rings)
+    full, subspace = 2 * (args.n_max_full - 2), 2 * (args.n_max_subspace - 2)
+    block_sizes, sizes = n[:subspace], n[:subspace:2]
+    values, multiplicities, vectors = numerical_spectra(blocks[:subspace], block_sizes)
+    # One closed-form table: the agreement rings (XX), then the transfer rings.
+    closed_sizes = np.concatenate((sizes, _TRANSFER_SIZES))
+    strength = np.ones(len(closed_sizes))
+    if args.inject_fault:
+        strength[:len(sizes)] = 1.0 + 1e-6
     closed, closed_multiplicities, order = circulant_eigenspaces(
-        agreement + [RingSpec(n) for n in _TRANSFER_SIZES])
+        closed_sizes, strength, np.zeros(len(closed_sizes)))
     modes = int((sizes // 2 + 1).sum())
-    hartley = [hartley_rows(n, np.arange(n))[:, columns].ravel() for n, columns in
-               zip(_TRANSFER_SIZES, np.split(order[sizes.sum():], np.cumsum(_TRANSFER_SIZES)[:-1]))]
+    hartley = [hartley_rows(k, np.arange(k))[:, order[end - k:end]].ravel()
+               for k, end in zip(_TRANSFER_SIZES, np.cumsum(closed_sizes)[len(sizes):].tolist())]
     # One overlap pass: the numerical bases, then the Hartley bases.
     totals = _site_one_totals(np.concatenate((vectors, *hartley)),
                               np.concatenate((block_sizes, _TRANSFER_SIZES)),
                               np.concatenate((multiplicities, closed_multiplicities[modes:])))
     numeric_totals = int((block_sizes // 2).sum())
-    is_xx = np.tile((True, False), len(sizes))
+    is_xx = rings[2][:subspace] == Coupling.XX.epsilon
     checks = [
-        _check_subspace_restriction(specs[:2 * (args.n_max_full - 2)],
-                                    blocks[:2 * (args.n_max_full - 2)]),
+        _check_subspace_restriction(*(array[:full] for array in (*rings, blocks))),
         _check_spectrum_agreement(
             np.repeat(closed[:modes], closed_multiplicities[:modes]),
             np.repeat(values, multiplicities)[np.repeat(is_xx, block_sizes)],

@@ -10,8 +10,11 @@ Heisenberg model.  H preserves the number of up spins, so its restriction to
 the n-dimensional one-excitation sector is an n x n circulant matrix H_1 with
 off-diagonal coupling h and a uniform diagonal shift.  The off-diagonal value
 is derived constructively (h = 2J for both couplings) and verified against
-the full-space restriction rather than hardcoded.  Both builders return a
-read-only float64 array; they write (i, j) and (j, i) alike, so symmetry
+the full-space restriction rather than hardcoded.  The batched routines take
+rings as three arrays, n, coupling strength J and sz sz weight eps, one entry
+per ring; ``build_single_excitation_blocks`` returns every ring's block in
+one read-only zero-padded float64 stack, and ``build_full_hamiltonian`` a
+read-only dense array.  Both write (i, j) and (j, i) alike, so symmetry
 holds exactly and is never repaired after the fact.
 """
 
@@ -43,16 +46,9 @@ class Coupling(enum.Enum):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Uniform ring of n spins with nearest-neighbour exchange coupling.
+    """Uniform ring of n >= 3 spins with nearest-neighbour XX or Heisenberg exchange.
 
-    Parameters
-    ----------
-    n : int
-        Number of spins, at least 3.
-    coupling : Coupling
-        XX or Heisenberg exchange.
-    strength : float
-        Uniform positive, finite coupling constant J on every bond.
+    ``strength`` is the coupling constant J on every bond, positive and finite.
     """
 
     n: int
@@ -138,67 +134,67 @@ def build_full_hamiltonian(spec: RingSpec) -> np.ndarray:
     return ham
 
 
+def _ring_sites(n: np.ndarray):
+    """Ring index and 0-based site of each site of rings of n[0], n[1], ... spins, in turn."""
+    ring = np.repeat(np.arange(len(n)), n)
+    return ring, np.arange(len(ring)) - np.repeat(np.cumsum(n) - n, n)
+
+
+def build_single_excitation_blocks(n, strength, epsilon) -> np.ndarray:
+    """One-excitation blocks H_1 of rings as one read-only (rings, B, B) stack, B = max(n).
+
+    Ring r's n x n circulant fills the leading corner of slab r, zeros pad
+    the rest: h = 2J on the cyclic super and sub diagonal including the
+    (1, n) corner, and the uniform shift J * eps * (n - 4) on the diagonal.
+    """
+    n, strength, epsilon = np.asarray(n), np.asarray(strength), np.asarray(epsilon)
+    ring, site = _ring_sites(n)
+    after = (site + 1) % n[ring]
+    blocks = np.zeros((len(n), n.max(), n.max()))
+    blocks[ring, site, after] = blocks[ring, after, site] = (2.0 * strength)[ring]
+    blocks[ring, site, site] = (strength * epsilon * (n - 4))[ring]
+    blocks.flags.writeable = False
+    return blocks
+
+
 def build_single_excitation_hamiltonian(spec: RingSpec) -> np.ndarray:
-    """Direct n x n circulant build of the one-excitation block H_1.
+    """Direct n x n circulant build of the one-excitation block H_1: a stack of one ring."""
+    return build_single_excitation_blocks([spec.n], [spec.strength], [spec.coupling.epsilon])[0]
 
-    Off-diagonal h sits on the cyclic super and sub diagonal including the
-    (1, n) corner; the diagonal is the uniform shift J * eps * (n - 4).
+
+def check_subspace_restrictions(n, strength, epsilon, blocks):
+    """Per ring, its worst restriction deviation, and by ring index the ``RestrictionMismatch``es.
+
+    The one-excitation rows of all rings come from one ``_hamiltonian_rows``
+    call.  An entry whose column is a one-excitation state of its own ring
+    is added into that ring's slab of a zero stack shaped like ``blocks``
+    (one B x B slab per ring, B >= max(n), else ``InvalidArgs``); any other
+    entry is leakage.  The stacks are subtracted in one operation.  A ring
+    whose deviation exceeds ``RESTRICTION_TOL`` or is NaN gets a mismatch
+    (returned, not raised) located at its worst entry, or at a NaN one.
     """
-    n = spec.n
-    h = spec.subspace_coupling
-    block = np.zeros((n, n))
-    block.flat[::n + 1] = spec.subspace_shift
-    block.flat[1::n + 1] = block.flat[n::n + 1] = h  # super and sub diagonal
-    block[0, -1] = block[-1, 0] = h
-    block.flags.writeable = False
-    return block
-
-
-def check_subspace_restrictions(specs, blocks) -> list:
-    """The restriction check of each ring against its n x n block in ``blocks``, in order.
-
-    The n one-excitation rows of every ring come from one ``_hamiltonian_rows``
-    call.  An entry whose column is a one-excitation state of its own ring is
-    added into that ring's block of a (rings, B, B) stack, B the largest n;
-    any other entry is leakage.  The caller's blocks, one n x n array per ring
-    in the order of ``specs`` (else ``InvalidArgs``), fill the same places of a
-    zero stack, which is subtracted in one operation.
-
-    Returns
-    -------
-    list
-        Per ring, its worst deviation as a float, or its ``RestrictionMismatch``
-        (returned, not raised).  A NaN deviation is a mismatch, located at a
-        NaN block entry.
-    """
-    sizes = np.array([spec.n for spec in specs])
-    if [np.shape(block) for block in blocks] != [(n, n) for n in sizes.tolist()]:
-        raise InvalidArgs("blocks must hold one n x n block per ring, in the order of specs")
-    ring = np.repeat(np.arange(len(specs)), sizes)
-    site = np.arange(len(ring)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # 0-based
-    n = sizes[ring]
-    strength = np.array([spec.strength for spec in specs])[ring]
-    epsilon = np.array([spec.coupling.epsilon for spec in specs])[ring]
-    rows, columns, values = _hamiltonian_rows(n, strength, epsilon,
+    n = np.asarray(n)
+    shape = np.shape(blocks)
+    if len(shape) != 3 or shape[0] != len(n) or not shape[1] == shape[2] >= n.max():
+        raise InvalidArgs("blocks must hold one B x B slab per ring, B at least its n")
+    ring, site = _ring_sites(n)
+    n = n[ring]  # per state
+    rows, columns, values = _hamiltonian_rows(n, np.asarray(strength)[ring],
+                                              np.asarray(epsilon)[ring],
                                               single_excitation_index(n, site + 1))
     ring, site, n = ring[rows], site[rows], n[rows]  # per entry
     in_sector = (columns > 0) & (columns & (columns - 1) == 0) & (columns >> n == 0)
     target = n - np.frexp(columns.astype(float))[1]  # site of a one-excitation column
-    restricted = np.zeros((len(specs), sizes.max(), sizes.max()))
+    restricted = np.zeros(shape)
     np.add.at(restricted, (ring[in_sector], site[in_sector], target[in_sector]), values[in_sector])
-    expected = np.zeros_like(restricted)
-    for r, block in enumerate(blocks):
-        expected[r, :len(block), :len(block)] = block
-    block_dev = np.abs(restricted - expected)
+    block_dev = np.abs(restricted - blocks)
     leak = ~in_sector
-    worst_leaks = np.zeros(len(specs))
+    worst_leaks = np.zeros(shape[0])
     np.maximum.at(worst_leaks, ring[leak], np.abs(values[leak]))
+    deviations = np.maximum(block_dev.max(axis=(1, 2)), worst_leaks)
 
-    results = []
-    for r, deviation in enumerate(np.maximum(block_dev.max(axis=(1, 2)), worst_leaks).tolist()):
-        if deviation <= RESTRICTION_TOL:
-            results.append(deviation)
-            continue
+    mismatches = {}
+    for r in np.flatnonzero(~(deviations <= RESTRICTION_TOL)).tolist():
         if not worst_leaks[r] > block_dev[r].max():  # so a NaN block entry is reported
             i, j = np.unravel_index(int(block_dev[r].argmax()), block_dev[r].shape)
             indices = (int(i) + 1, int(j) + 1)
@@ -208,32 +204,22 @@ def check_subspace_restrictions(specs, blocks) -> list:
             k = np.lexsort((columns[mine], site[mine], -np.abs(values[mine])))[0]  # first worst
             indices = (int(site[mine][k]) + 1, int(columns[mine][k]))
             what = f"leakage from site {indices[0]} to basis state {indices[1]}"
-        message = f"restriction deviates by {deviation:.3e} > {RESTRICTION_TOL:.1e} ({what})"
-        results.append(RestrictionMismatch(message, indices=indices, deviation=deviation))
-    return results
+        message = f"restriction deviates by {deviations[r]:.3e} > {RESTRICTION_TOL:.1e} ({what})"
+        mismatches[r] = RestrictionMismatch(message, indices=indices, deviation=float(deviations[r]))
+    return deviations, mismatches
 
 
 def verify_subspace_restriction(spec: RingSpec) -> float:
-    """Check that the full Hamiltonian restricts to the direct one-excitation build.
+    """The worst restriction error of one ring against ``build_single_excitation_hamiltonian``.
 
-    Builds only the n rows of the full 2^n Hamiltonian that belong to the
-    basis states with a single up spin, compares their one-excitation block
-    entrywise with ``build_single_excitation_hamiltonian``, and additionally
-    checks that these rows do not couple the one-excitation sector to any
-    other excitation sector: ``check_subspace_restrictions`` of one ring.
-
-    Returns
-    -------
-    float
-        The worst entry error, at most ``RESTRICTION_TOL``.
-
-    Raises
-    ------
-    RestrictionMismatch
-        If any block entry or any leakage entry exceeds ``RESTRICTION_TOL`` or is NaN;
-        the error carries the worst offending indices.
+    ``check_subspace_restrictions`` of a batch of one: block entries and
+    leakage to other sectors.  Raises its ``RestrictionMismatch``, which
+    carries the worst offending indices, if the error exceeds
+    ``RESTRICTION_TOL`` or is NaN.
     """
-    result = check_subspace_restrictions([spec], [build_single_excitation_hamiltonian(spec)])[0]
-    if isinstance(result, RestrictionMismatch):
-        raise result
-    return result
+    deviations, mismatches = check_subspace_restrictions(
+        [spec.n], [spec.strength], [spec.coupling.epsilon],
+        build_single_excitation_hamiltonian(spec)[None])
+    if mismatches:
+        raise mismatches[0]
+    return float(deviations[0])

@@ -622,7 +622,8 @@ def transfer_probability_time_series(
         raise InvalidArgs(f"j must be a site or a non-empty 1-D array of sites, got {j!r}")
     if not (1 <= i <= n) or np.any((sites < 1) | (sites > n)):
         raise IndexOutOfRange(f"sites must lie in 1..{n}, got ({i}, {j})")
-    eigenvalues, multiplicities, order = circulant_eigenspaces([spec])
+    eigenvalues, multiplicities, order = circulant_eigenspaces([n], [spec.strength],
+                                                               [spec.coupling.epsilon])
     rows = hartley_rows(n, np.append(i, sites.ravel()) - 1)[:, order]
     coeff = eigenspace_entries(rows[0], rows[1:], multiplicities)
     phases = np.outer(t, eigenvalues)

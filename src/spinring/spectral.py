@@ -11,20 +11,18 @@ H_1 carries delta + 2h cos(2 pi min(k, n - k) / n), so its eigenspaces are
 grouped by mode min(k, n - k), with no tolerance.  ``hartley_rows``
 builds any subset of its rows; ``embedding`` gathers ring eigenvectors from row 1.
 
-The numerical route is LAPACK ``np.linalg.eigh`` on square arrays, such as
-the read-only blocks that ``hamiltonian`` builds: one stacked call per run
-of equal-size matrices, then one grouping pass over all spectra
-(``numerical_spectra``, flat; ``numerical_spectrum`` decomposes one
-matrix).  Both routes give the same ``SpectralDecomposition``, which does
-not record the route, so downstream code never cares which route built
-it.  The round-robin Jacobi eigensolver (``jacobi_eigh``, one matrix at
-a time) runs on no CLI path: it is the named test oracle of the numerical
-route, and the benchmark's per-layer tracer binds it by name.
+The numerical route (``numerical_spectra``) is LAPACK ``np.linalg.eigh``
+on a stack of square arrays, such as the padded block stack ``hamiltonian``
+builds: one call per run of equal sizes on views of the stack, then one
+grouping pass over all spectra.  Both routes give the same
+``SpectralDecomposition``, which does not record the route.  The
+round-robin Jacobi eigensolver (``jacobi_eigh``) runs on no CLI path: it is
+the test oracle of the numerical route, and the benchmark's per-layer
+tracer binds it by name.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,42 +138,45 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     )
 
 
-def numerical_spectra(matrices):
+def numerical_spectra(stack, sizes=None):
     """Distinct eigenvalues, multiplicities and raveled eigenvector bases of symmetric matrices.
 
-    One stacked LAPACK ``np.linalg.eigh`` call per run of consecutive
-    equal-size matrices, so a caller that lists its matrices size by size
-    makes one call per size; then one ``np.add.reduceat`` over all
-    eigenvalues: an eigenspace starts at each matrix's first eigenvalue and
-    wherever a gap exceeds 1e-8 times that matrix's spread, and takes its
-    group's mean.  The arrays are flat, in input order; each basis is
-    raveled row by row, columns eigenspace after eigenspace.  An input that
-    is not a non-empty square 2-D real array raises ``InvalidSpec``; a
-    non-finite entry or LAPACK failure raises ``NoConvergence``.
+    Matrix k is the leading sizes[k] x sizes[k] corner of slab k of the
+    real (matrices, B, B) ``stack``, or all of the slab without ``sizes``.
+    The stack is checked once; then one LAPACK ``np.linalg.eigh`` call runs
+    per run of equal sizes, on a view, so a stack listed size by size takes
+    one call per size; then one ``np.add.reduceat`` over all eigenvalues: an
+    eigenspace starts at each matrix's first eigenvalue and wherever a gap
+    exceeds 1e-8 times that matrix's spread, and takes its group's mean.
+    The arrays are flat, in stack order; each basis is raveled row by row,
+    columns eigenspace after eigenspace.  A malformed stack or size raises
+    ``InvalidSpec``; a non-finite entry or LAPACK failure ``NoConvergence``.
     """
-    shapes = [np.shape(matrix) for matrix in matrices]
-    for matrix, shape in zip(matrices, shapes):
-        if len(shape) != 2 or not shape[0] == shape[1] > 0:
-            raise InvalidSpec(f"expected a non-empty square matrix, got shape {shape}")
-        if np.iscomplexobj(matrix):
-            raise InvalidSpec("expected a real matrix, got a complex one")
+    stack = np.asarray(stack)
+    shape = stack.shape
+    if len(shape) != 3 or not shape[1] == shape[2] > 0:
+        raise InvalidSpec(f"expected a non-empty square matrix, got shape {shape[1:]}")
+    if np.iscomplexobj(stack):
+        raise InvalidSpec("expected a real matrix, got a complex one")
+    sizes = np.full(shape[0], shape[1]) if sizes is None else np.asarray(sizes)
+    if sizes.shape != shape[:1] or not np.all((sizes >= 1) & (sizes <= shape[1])):
+        raise InvalidSpec(f"expected one size in 1..{shape[1]} per matrix, got {sizes}")
+    if not np.isfinite(stack).all():
+        n = sizes[np.argmin(np.isfinite(stack).all(axis=(1, 2)))]
+        raise NoConvergence(f"non-finite entry in a {n} x {n} matrix")
     # The empty float64 heads make the joined arrays float64, and empty
     # when there are no matrices.
-    values, vectors, start = [np.empty(0)], [np.empty(0)], 0
-    for n, run in itertools.groupby(shape[0] for shape in shapes):
-        count = len(list(run))
-        stack = np.stack(matrices[start:start + count])
-        start += count
-        if not np.isfinite(stack).all():
-            raise NoConvergence(f"non-finite entry in a {n} x {n} matrix")
+    values, vectors = [np.empty(0)], [np.empty(0)]
+    bounds = np.flatnonzero(np.diff(sizes, prepend=0, append=0)).tolist()  # sizes are positive
+    for start, stop in zip(bounds, bounds[1:]):
+        n = sizes[start]
         try:
-            w, v = np.linalg.eigh(stack)
+            w, v = np.linalg.eigh(stack[start:stop, :n, :n])
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"LAPACK eigh: {exc}") from exc
-        values.append(w.reshape(-1))
-        vectors.append(v.reshape(-1))
+        values.append(w.ravel())
+        vectors.append(v.ravel())
     w = np.concatenate(values)
-    sizes = np.array([shape[0] for shape in shapes], dtype=int)
     firsts = np.cumsum(sizes) - sizes
     tol = np.repeat(DEGENERACY_FACTOR * (w[firsts + sizes - 1] - w[firsts]), sizes)
     tol[firsts] = -np.inf
@@ -186,7 +187,7 @@ def numerical_spectra(matrices):
 
 def numerical_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigenspace decomposition of one square symmetric array: ``numerical_spectra`` of one."""
-    eigenvalues, multiplicities, vectors = numerical_spectra([matrix])
+    eigenvalues, multiplicities, vectors = numerical_spectra(np.asarray(matrix)[None])
     return SpectralDecomposition(eigenvalues, multiplicities, vectors.reshape(len(matrix), -1))
 
 
@@ -205,7 +206,7 @@ def hartley_rows(n: int, rows) -> np.ndarray:
     return (f.real - f.imag) / math.sqrt(n)
 
 
-def circulant_eigenspaces(specs):
+def circulant_eigenspaces(n, strength, epsilon):
     """Closed-form distinct eigenvalues ascending, multiplicities and Hartley column order per ring.
 
     Hartley columns m and n - m carry delta + 2h cos(2 pi m / n), and the
@@ -213,15 +214,16 @@ def circulant_eigenspaces(specs):
     m = floor(n/2)..0 give the eigenvalues ascending.  ``order`` lists the
     columns eigenspace after eigenspace, (m, n - m) for each mode; modes 0
     and n/2 are simple.  The grouping is by mode, with no tolerance, and no
-    basis row is built.  The arrays hold ``specs`` ring after ring, so a
-    batch of one gives that ring's arrays.
+    basis row is built.  The rings are given as in
+    ``hamiltonian.build_single_excitation_blocks``, and the arrays hold them
+    ring after ring, so a batch of one gives that ring's arrays.
     """
-    sizes = np.array([spec.n for spec in specs], dtype=int)
+    sizes, strength, epsilon = np.asarray(n), np.asarray(strength), np.asarray(epsilon)
     counts = sizes // 2 + 1
-    ring = np.repeat(np.arange(len(specs)), counts)
+    ring = np.repeat(np.arange(len(sizes)), counts)
     n = sizes[ring]
     modes = n // 2 - np.arange(counts.sum()) + np.repeat(np.cumsum(counts) - counts, counts)
-    shift, h = np.array([(spec.subspace_shift, spec.subspace_coupling) for spec in specs]).T
+    shift, h = strength * epsilon * (sizes - 4), 2.0 * strength
     eigenvalues = shift[ring] + 2.0 * h[ring] * np.cos(2.0 * math.pi * modes / n)
     paired = (modes > 0) & (2 * modes < n)
     order = np.column_stack((modes, n - modes))[np.column_stack((np.ones_like(paired), paired))]
@@ -237,7 +239,8 @@ def circulant_spectrum(spec: RingSpec) -> SpectralDecomposition:
     other modes are double.  Each mode is its own eigenspace, however close
     adjacent modes come at large n, since the grouping is by mode.
     """
-    eigenvalues, multiplicities, order = circulant_eigenspaces([spec])
+    eigenvalues, multiplicities, order = circulant_eigenspaces([spec.n], [spec.strength],
+                                                               [spec.coupling.epsilon])
     basis = hartley_rows(spec.n, np.arange(spec.n))[:, order]
     return SpectralDecomposition(eigenvalues, multiplicities, basis)
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -30,6 +31,7 @@ from spinring import (
     p_max,
     p_max_closed_form,
     projector_overlaps,
+    verify_subspace_restriction,
 )
 from spinring import errors
 from spinring.spectral import circulant_eigenspaces
@@ -674,15 +676,14 @@ def test_verify_transfer_bound_catches_a_low_closed_form(monkeypatch):
 
 
 def test_verify_reports_a_non_finite_block_as_an_error(monkeypatch):
-    build = cli.build_single_excitation_hamiltonian
+    build = cli.build_single_excitation_blocks
 
-    def broken(spec):
-        entries = build(spec).copy()
-        if spec.n == 7:
-            entries[0, 1] = entries[1, 0] = math.nan
-        return entries
+    def broken(n, strength, epsilon):
+        blocks = build(n, strength, epsilon).copy()
+        blocks[n == 7, 0, 1] = blocks[n == 7, 1, 0] = math.nan
+        return blocks
 
-    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", broken)
+    monkeypatch.setattr(cli, "build_single_excitation_blocks", broken)
     rc, out, err = _in_process(["verify", "--n-max-full", "3", "--n-max-subspace", "8"])
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and "non-finite" in err
@@ -740,18 +741,16 @@ def test_every_verify_check_passes_exactly_when_its_worst_is_within_its_toleranc
                                                                                    run):
     argv = ["verify"] + ["--inject-fault"] * (run == "inject_fault")
     if run == "perturbed_block":
-        build = spinring.hamiltonian.build_single_excitation_hamiltonian
+        build = spinring.hamiltonian.build_single_excitation_blocks
 
-        def perturbed(spec):
-            block = build(spec)
-            if spec.coupling is not Coupling.HEISENBERG or spec.n != 7:
-                return block
-            entries = block.copy()
-            entries[2, 3] = entries[3, 2] = entries[2, 3] + 1e-6
-            return entries
+        def perturbed(n, strength, epsilon):
+            blocks = build(n, strength, epsilon).copy()
+            hit = (n == 7) & (epsilon == Coupling.HEISENBERG.epsilon)
+            blocks[hit, 2, 3] = blocks[hit, 3, 2] = blocks[hit, 2, 3] + 1e-6
+            return blocks
 
-        monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", perturbed)
-        monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", perturbed)
+        monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_blocks", perturbed)
+        monkeypatch.setattr(cli, "build_single_excitation_blocks", perturbed)
     rc, out, err = _in_process(argv)
     checks = {check["name"]: check for check in json.loads(out)["payload"]["checks"]}
     for check in checks.values():
@@ -780,34 +779,61 @@ def test_verify_builds_all_restriction_rows_in_one_call(monkeypatch):
 
 @pytest.mark.parametrize("bounds", [(9, 8), (13, 8), (9, 24), None])
 def test_verify_builds_each_block_once(monkeypatch, bounds):
-    # The restriction check reads the blocks that are decomposed: one build per
-    # ring up to the larger bound, 14 at (9, 8) and 124 at the defaults (10, 64).
+    # The restriction check reads the blocks that are decomposed: one build
+    # call holds one block per ring up to the larger bound, each ring once,
+    # 14 rings at (9, 8) and 124 at the defaults (10, 64).
     calls = []
-    build = spinring.hamiltonian.build_single_excitation_hamiltonian
+    build = spinring.hamiltonian.build_single_excitation_blocks
 
-    def counted(spec):
-        calls.append(spec)
-        return build(spec)
+    def counted(n, strength, epsilon):
+        calls.append((n, strength, epsilon))
+        return build(n, strength, epsilon)
 
-    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", counted)
-    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", counted)
+    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_blocks", counted)
+    monkeypatch.setattr(cli, "build_single_excitation_blocks", counted)
     argv = ["verify"]
     if bounds is not None:
         argv += ["--n-max-full", str(bounds[0]), "--n-max-subspace", str(bounds[1])]
     rc, _, err = _in_process(argv)
     assert rc == 0, err
-    assert len(calls) == 2 * (max(bounds or (10, 64)) - 2)
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == 1
+    n, strength, epsilon = calls[0]
+    n_max = max(bounds or (10, 64))
+    assert len(n) == len(strength) == len(epsilon) == 2 * (n_max - 2)
+    assert sorted(zip(n.tolist(), epsilon.tolist())) == [
+        (size, coupling.epsilon) for size in range(3, n_max + 1)
+        for coupling in (Coupling.XX, Coupling.HEISENBERG)]
+    assert np.all(strength == 1.0)
+
+
+def _refuse_to_build(monkeypatch):
+    def refused(n, strength, epsilon):
+        raise AssertionError(f"built blocks up to n={max(n)}")
+
+    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_blocks", refused)
+    monkeypatch.setattr(cli, "build_single_excitation_blocks", refused)
 
 
 def test_verify_refuses_a_full_bound_past_the_row_cap_before_building(monkeypatch):
-    def refused(spec):
-        raise AssertionError(f"built a block for n={spec.n}")
-
-    monkeypatch.setattr(spinring.hamiltonian, "build_single_excitation_hamiltonian", refused)
-    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", refused)
+    _refuse_to_build(monkeypatch)
     rc, out, err = _in_process(["verify", "--n-max-full", "1000", "--n-max-subspace", "3"])
     assert (rc, out, err) == (2, "", "error: basis states need n <= 62, got n=1000\n")
+
+
+def test_verify_refuses_a_subspace_bound_past_the_block_budget_before_building(monkeypatch):
+    # The stack holds 2 (N - 2) blocks of N x N float64; the cap is the largest N within 1 GiB.
+    cap = cli.VERIFY_SUBSPACE_CAP
+    assert 2 * (cap - 2) * cap * cap * 8 <= 2**30 < 2 * (cap - 1) * (cap + 1) ** 2 * 8
+    _refuse_to_build(monkeypatch)
+    for argv in (["--n-max-subspace", str(cap + 1)],
+                 ["--n-max-full", "62", "--n-max-subspace", "100000"]):
+        rc, out, err = _in_process(["verify", *argv])
+        assert (rc, out) == (2, ""), argv
+        assert err == (f"error: verify's blocks fit 1 GiB for --n-max-subspace <= {cap}, "
+                       f"got {argv[-1]}\n")
+    # The cap itself reaches the build, which is refused here before it allocates.
+    with pytest.raises(AssertionError, match=f"built blocks up to n={cap}$"):
+        _in_process(["verify", "--n-max-subspace", str(cap)])
 
 
 @pytest.mark.parametrize("bounds", [("9", "8"), ("3", "3"), ("3", "4")])
@@ -827,14 +853,16 @@ def test_verify_builds_one_closed_form_table_and_one_overlap_pass(monkeypatch, b
     assert calls == {"circulant_eigenspaces": 1, "_site_one_totals": 1}
 
 
-def _per_block_worst(n_max_subspace, inject_fault):
-    """verify's spectrum, coupling and transfer worsts, one block and one ring at a time."""
+def _per_block_worst(n_max_full, n_max_subspace, inject_fault):
+    """verify's worst of each check but the Toeplitz one, one block and one ring at a time."""
+    restriction = max(verify_subspace_restriction(RingSpec(n, c)) for n in range(3, n_max_full + 1)
+                      for c in (Coupling.XX, Coupling.HEISENBERG))
     strength = 1.0 + 1e-6 if inject_fault else 1.0
     agreement = coupling = 0.0
     for n in range(3, n_max_subspace + 1):
         xx, heisenberg = (numerical_spectrum(build_single_excitation_hamiltonian(RingSpec(n, c)))
                           for c in (Coupling.XX, Coupling.HEISENBERG))
-        eigenvalues, multiplicities, _ = circulant_eigenspaces([RingSpec(n, strength=strength)])
+        eigenvalues, multiplicities, _ = circulant_eigenspaces([n], [strength], [0.0])
         gap = np.repeat(eigenvalues, multiplicities) - np.repeat(xx.eigenvalues, xx.multiplicities)
         agreement = max(agreement, float(np.abs(gap).max()))
         sites = np.arange(2, n // 2 + 2)
@@ -845,14 +873,32 @@ def _per_block_worst(n_max_subspace, inject_fault):
         totals = projector_overlaps(circulant_spectrum(RingSpec(n)), 1, np.arange(2, n // 2 + 2))
         for m, total in enumerate(totals.sum(axis=0).tolist(), start=1):
             transfer = max(transfer, total * total - p_max_closed_form(n, m))
-    return {"spectrum_agreement": agreement, "coupling_invariance": coupling,
-            "transfer_bound": transfer}
+    return {"subspace_restriction": restriction, "spectrum_agreement": agreement,
+            "coupling_invariance": coupling, "transfer_bound": transfer}
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _oracle_pairs():
+    """The distinct (--n-max-full, --n-max-subspace) pairs of the benchmark's oracle workload.
+
+    The module is executed from its source text, not imported, so no bytecode
+    is written next to it.
+    """
+    module = types.ModuleType("workloads")
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    return list(dict.fromkeys(module.ORACLE))
+
+
+# The first four keep their ids from when --n-max-full was always 3.
 @pytest.mark.parametrize("inject_fault", [False, True])
-@pytest.mark.parametrize("n_max_subspace", [3, 8, 16, 24])
-def test_verify_flat_checks_match_a_per_block_reference(monkeypatch, n_max_subspace, inject_fault):
-    expected = _per_block_worst(n_max_subspace, inject_fault)
+@pytest.mark.parametrize("bounds", [pytest.param((3, sub), id=str(sub)) for sub in (3, 8, 16, 24)]
+                         + [pytest.param(pair, id="-".join(map(str, pair)))
+                            for pair in _oracle_pairs()])
+def test_verify_flat_checks_match_a_per_block_reference(monkeypatch, bounds, inject_fault):
+    n_max_full, n_max_subspace = bounds
+    expected = _per_block_worst(n_max_full, n_max_subspace, inject_fault)
     sizes = []
     eigh = np.linalg.eigh
 
@@ -861,11 +907,12 @@ def test_verify_flat_checks_match_a_per_block_reference(monkeypatch, n_max_subsp
         return eigh(stack)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    argv = ["verify", "--n-max-full", "3", "--n-max-subspace", str(n_max_subspace)]
+    argv = ["verify", "--n-max-full", str(n_max_full), "--n-max-subspace", str(n_max_subspace)]
     rc, out, err = _in_process(argv + ["--inject-fault"] * inject_fault)
     assert rc == (1 if inject_fault else 0), err
     checks = {check["name"]: check for check in json.loads(out)["payload"]["checks"]}
     assert {name: checks[name]["worst"] for name in expected} == expected
+    assert checks["subspace_restriction"]["detail"] == f"n=3..{n_max_full}, both couplings"
     assert checks["spectrum_agreement"]["ok"] is not inject_fault
     assert sorted(sizes) == list(range(3, n_max_subspace + 1))
 
@@ -880,17 +927,15 @@ def test_verify_rejects_bounds_below_3():
 
 
 def test_verify_coupling_invariance_catches_a_perturbed_heisenberg_block(monkeypatch):
-    build = cli.build_single_excitation_hamiltonian
+    build = cli.build_single_excitation_blocks
 
-    def perturbed(spec):
-        block = build(spec)
-        if spec.coupling is not Coupling.HEISENBERG:
-            return block
-        entries = block.copy()
-        entries[0, 1] = entries[1, 0] = entries[0, 1] * (1.0 + 1e-6)
-        return entries
+    def perturbed(n, strength, epsilon):
+        blocks = build(n, strength, epsilon).copy()
+        hit = epsilon == Coupling.HEISENBERG.epsilon
+        blocks[hit, 0, 1] = blocks[hit, 1, 0] = blocks[hit, 0, 1] * (1.0 + 1e-6)
+        return blocks
 
-    monkeypatch.setattr(cli, "build_single_excitation_hamiltonian", perturbed)
+    monkeypatch.setattr(cli, "build_single_excitation_blocks", perturbed)
     docs, _ = _emitted(monkeypatch, ["verify", "--n-max-full", "3", "--n-max-subspace", "8"])
     by_name = {check["name"]: check for check in docs[0]["payload"]["checks"]}
     assert by_name["coupling_invariance"]["ok"] is False

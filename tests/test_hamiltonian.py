@@ -12,6 +12,7 @@ from spinring import (
     RestrictionMismatch,
     RingSpec,
     build_full_hamiltonian,
+    build_single_excitation_blocks,
     build_single_excitation_hamiltonian,
     single_excitation_index,
     verify_subspace_restriction,
@@ -119,6 +120,39 @@ def test_single_excitation_block_matches_a_per_site_loop():
             assert block.tobytes() == expected.tobytes(), (n, coupling)
 
 
+def _strided_block(spec):
+    """The per-ring zeros-and-strides build the batched builder replaced, kept as its oracle."""
+    n = spec.n
+    h = spec.subspace_coupling
+    block = np.zeros((n, n))
+    block.flat[::n + 1] = spec.subspace_shift
+    block.flat[1::n + 1] = block.flat[n::n + 1] = h  # super and sub diagonal
+    block[0, -1] = block[-1, 0] = h
+    return block
+
+
+def _rings(specs):
+    """The ring arrays (n, strength, epsilon) of ``specs``."""
+    return ([spec.n for spec in specs], [spec.strength for spec in specs],
+            [spec.coupling.epsilon for spec in specs])
+
+
+def test_batched_blocks_equal_the_per_ring_strided_build_bit_for_bit():
+    # One stack of every ring n = 3..64, both couplings and three strengths.
+    specs = [RingSpec(n, coupling, strength) for strength in (1.0, 1.0 + 1e-6, 0.37)
+             for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
+    blocks = build_single_excitation_blocks(*_rings(specs))
+    assert blocks.dtype == np.float64 and blocks.shape == (len(specs), 64, 64)
+    assert not blocks.flags.writeable
+    for spec, slab in zip(specs, blocks):
+        expected = _strided_block(spec)
+        assert slab[:spec.n, :spec.n].tobytes() == expected.tobytes(), spec
+        assert not slab[spec.n:].any() and not slab[:, spec.n:].any(), spec
+        single = build_single_excitation_hamiltonian(spec)
+        assert single.shape == (spec.n, spec.n) and not single.flags.writeable
+        assert single.tobytes() == expected.tobytes(), spec
+
+
 def test_coupling_models_differ_by_identity_shift():
     # For n = 6 the Heisenberg diagonal shift is J * (6 - 4) = 2.
     xx = build_single_excitation_hamiltonian(RingSpec(6, Coupling.XX))
@@ -195,10 +229,11 @@ def test_overflowing_strength_fails_the_restriction():
         assert math.isnan(excinfo.value.deviation)
         assert "block entry at sites" in str(excinfo.value)
         with np.errstate(over="ignore", invalid="ignore"):
-            specs = [RingSpec(5, coupling, 1e308), RingSpec(5, coupling)]
-            checks = hamiltonian.check_subspace_restrictions(
-                specs, [build_single_excitation_hamiltonian(spec) for spec in specs])
-        assert isinstance(checks[0], RestrictionMismatch) and checks[1] == 0.0
+            rings = _rings([RingSpec(5, coupling, 1e308), RingSpec(5, coupling)])
+            deviations, mismatches = hamiltonian.check_subspace_restrictions(
+                *rings, build_single_excitation_blocks(*rings))
+        assert list(mismatches) == [0] and math.isnan(deviations[0]) and deviations[1] == 0.0
+        assert "block entry at sites" in str(mismatches[0])
 
 
 def test_full_space_cap_enforced():
@@ -214,20 +249,33 @@ def test_full_space_cap_enforced():
 def test_batched_restriction_matches_batch_of_one():
     specs = [RingSpec(n, coupling, strength) for strength in (1.0, 0.7)
              for n in range(3, 15) for coupling in (Coupling.XX, Coupling.HEISENBERG)]
-    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs]
-    for spec, batched in zip(specs, hamiltonian.check_subspace_restrictions(specs, blocks)):
+    rings = _rings(specs)
+    deviations, mismatches = hamiltonian.check_subspace_restrictions(
+        *rings, build_single_excitation_blocks(*rings))
+    assert mismatches == {}
+    for spec, batched in zip(specs, deviations.tolist()):
         assert batched == verify_subspace_restriction(spec), spec
 
 
 def test_restriction_refuses_blocks_that_do_not_match_the_rings():
-    specs = [RingSpec(4), RingSpec(5, Coupling.HEISENBERG)]
-    blocks = [build_single_excitation_hamiltonian(spec) for spec in specs]
-    for wrong in (blocks + blocks[:1], blocks[:1], blocks[::-1],
-                  [blocks[0], build_single_excitation_hamiltonian(RingSpec(6))],
-                  [blocks[0][:3, :3], blocks[1]], [blocks[0][:, :3], blocks[1]]):
-        with pytest.raises(InvalidArgs, match="one n x n block per ring"):
-            hamiltonian.check_subspace_restrictions(specs, wrong)
-    assert hamiltonian.check_subspace_restrictions(specs, blocks) == [0.0, 0.0]
+    rings = _rings([RingSpec(4), RingSpec(5, Coupling.HEISENBERG)])
+    blocks = build_single_excitation_blocks(*rings)
+    for wrong in (np.concatenate((blocks, blocks[:1])), blocks[:1], blocks[:, :4, :4],
+                  blocks[:, :, :4], blocks[0]):
+        with pytest.raises(InvalidArgs, match="one B x B slab per ring"):
+            hamiltonian.check_subspace_restrictions(*rings, wrong)
+    deviations, mismatches = hamiltonian.check_subspace_restrictions(*rings, blocks)
+    assert deviations.tolist() == [0.0, 0.0] and mismatches == {}
+    # Swapped rings fit the shape and fail the check; so does a nonzero pad.
+    assert sorted(hamiltonian.check_subspace_restrictions(*rings, blocks[::-1])[1]) == [0, 1]
+    padded = blocks.copy()
+    padded[0, 4, 4] = 0.5
+    deviations, mismatches = hamiltonian.check_subspace_restrictions(*rings, padded)
+    assert deviations.tolist() == [0.5, 0.0] and mismatches[0].indices == (5, 5)
+    # A wider pad than the largest ring needs is accepted.
+    wide = np.zeros((2, 6, 6))
+    wide[:, :5, :5] = blocks
+    assert hamiltonian.check_subspace_restrictions(*rings, wide)[1] == {}
 
 
 def test_matrices_are_read_only():

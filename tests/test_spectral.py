@@ -11,6 +11,7 @@ from spinring import (
     InvalidSpec,
     NoConvergence,
     RingSpec,
+    build_single_excitation_blocks,
     build_single_excitation_hamiltonian,
     circulant_spectrum,
     jacobi_eigh,
@@ -61,7 +62,7 @@ def test_closed_form_projectors_match_cosine_formula():
         for coupling in (Coupling.XX, Coupling.HEISENBERG):
             spec = RingSpec(n, coupling)
             dec = circulant_spectrum(spec)
-            _, _, order = circulant_eigenspaces([spec])
+            _, _, order = circulant_eigenspaces([n], [1.0], [coupling.epsilon])
             modes = np.minimum(order, n - order)
             starts = np.cumsum(dec.multiplicities) - dec.multiplicities
             for start, count, proj in zip(starts, dec.multiplicities, dec.projectors):
@@ -95,7 +96,7 @@ def test_closed_form_grouping_is_by_mode(caplog):
     # other from n = 31 416 on, yet each mode keeps its own eigenspace.  The
     # eigenvalue-only route builds no basis.
     with caplog.at_level(logging.INFO, logger="spinring.spectral"):
-        eigenvalues, multiplicities, order = circulant_eigenspaces([RingSpec(31500)])
+        eigenvalues, multiplicities, order = circulant_eigenspaces([31500], [1.0], [0.0])
     assert len(eigenvalues) == 15751
     assert int(multiplicities.max()) == 2
     assert int(multiplicities.sum()) == 31500
@@ -108,8 +109,10 @@ def test_circulant_eigenspaces_batch_equals_batches_of_one():
     specs = [RingSpec(n, coupling, strength)
              for n in (3, 4, 5, 8, 13, 64, 31, 3, 100)
              for coupling in (Coupling.XX, Coupling.HEISENBERG) for strength in (1.0, 0.7)]
-    batch = circulant_eigenspaces(specs)
-    singles = [circulant_eigenspaces([spec]) for spec in specs]
+    batch = circulant_eigenspaces([spec.n for spec in specs], [spec.strength for spec in specs],
+                                  [spec.coupling.epsilon for spec in specs])
+    singles = [circulant_eigenspaces([spec.n], [spec.strength], [spec.coupling.epsilon])
+               for spec in specs]
     for batched, single in zip(batch, zip(*singles)):
         expected = np.concatenate(single)
         assert batched.dtype == expected.dtype
@@ -126,7 +129,7 @@ def test_closed_form_eigenspace_p_max_matches_closed_form_at_large_n():
     # A merged pair of modes would turn |a| + |b| into |a + b| in the sum.
     for n in (31416, 40000):
         m = n // 3
-        _, multiplicities, order = circulant_eigenspaces([RingSpec(n)])
+        _, multiplicities, order = circulant_eigenspaces([n], [1.0], [0.0])
         row_1, row_m = hartley_rows(n, [0, m])[:, order]
         total = np.abs(eigenspace_entries(row_1, row_m, multiplicities)).sum()
         assert abs(total * total - p_max_closed_form(n, m)) <= 1e-12, n
@@ -238,6 +241,15 @@ def _grouped(w: np.ndarray):
     return np.add.reduceat(w, starts) / multiplicities, multiplicities
 
 
+def _stacked(matrices):
+    """Square matrices of any sizes as a zero-padded (matrices, B, B) stack and their sizes."""
+    sizes = [len(matrix) for matrix in matrices]
+    stack = np.zeros((len(matrices), max(sizes), max(sizes)), np.result_type(*matrices))
+    for slab, matrix in zip(stack, matrices):
+        slab[:len(matrix), :len(matrix)] = matrix
+    return stack, sizes
+
+
 def _per_matrix(spectra, sizes):
     """The flat ``numerical_spectra`` arrays as (eigenvalues, multiplicities, basis) per matrix."""
     eigenvalues, multiplicities, vectors = spectra
@@ -258,7 +270,7 @@ def test_numerical_spectra_match_single_spectra():
         for n in range(3, 21)
     ]
     matrices.append(np.eye(3))
-    stacked = _per_matrix(numerical_spectra(matrices), [len(matrix) for matrix in matrices])
+    stacked = _per_matrix(numerical_spectra(*_stacked(matrices)), [len(m) for m in matrices])
     assert len(stacked) == len(matrices)
     for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, stacked):
         single = numerical_spectrum(matrix)
@@ -279,7 +291,7 @@ def test_flat_grouping_matches_the_per_matrix_oracle_bit_for_bit():
         matrices.append(base + base.T)
     matrices += [np.diag([2.0, 1.0, 2.0, 1.0, 1.0]), np.diag([-3.0, -3.0, -3.0, 4.0]), np.eye(3)]
     matrices = [matrices[index] for index in rng.permutation(len(matrices))]
-    flat = _per_matrix(numerical_spectra(matrices), [len(matrix) for matrix in matrices])
+    flat = _per_matrix(numerical_spectra(*_stacked(matrices)), [len(m) for m in matrices])
     groups = {}
     for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, flat):
         w, v = np.linalg.eigh(matrix)
@@ -294,7 +306,7 @@ def test_flat_grouping_matches_the_per_matrix_oracle_bit_for_bit():
     broken = np.eye(6)
     broken[2, 4] = broken[4, 2] = math.nan
     with pytest.raises(NoConvergence, match="non-finite entry in a 6 x 6 matrix"):
-        numerical_spectra(matrices + [broken] + matrices)
+        numerical_spectra(*_stacked(matrices + [broken] + matrices))
 
 
 def test_numerical_spectra_on_interleaved_sizes_match_single_spectra_bit_for_bit(monkeypatch):
@@ -313,7 +325,7 @@ def test_numerical_spectra_on_interleaved_sizes_match_single_spectra_bit_for_bit
         return eigh(stack)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    flat = _per_matrix(numerical_spectra(matrices), [len(matrix) for matrix in matrices])
+    flat = _per_matrix(numerical_spectra(*_stacked(matrices)), [len(m) for m in matrices])
     assert stacks == [(2, 3, 3), (1, 4, 4), (1, 3, 3), (1, 4, 4)]
     for matrix, (eigenvalues, multiplicities, basis) in zip(matrices, flat):
         single = numerical_spectrum(matrix)
@@ -324,19 +336,38 @@ def test_numerical_spectra_on_interleaved_sizes_match_single_spectra_bit_for_bit
     broken = np.eye(4)
     broken[0, 3] = broken[3, 0] = math.inf
     with pytest.raises(NoConvergence, match="non-finite entry in a 4 x 4 matrix"):
-        numerical_spectra(matrices + [np.eye(3), broken])
+        numerical_spectra(*_stacked(matrices + [np.eye(3), broken]))
     with pytest.raises(InvalidSpec, match="complex"):
-        numerical_spectra(matrices + [np.eye(3), np.eye(4) + 0j])
+        numerical_spectra(*_stacked(matrices + [np.eye(3), np.eye(4) + 0j]))
+
+
+def test_numerical_spectra_of_the_padded_verify_stack_match_single_spectra_bit_for_bit():
+    # Each block is decomposed at its own size, on a view of the 64 x 64
+    # slabs: LAPACK on a padded slab gives other bits.
+    couplings = (Coupling.XX, Coupling.HEISENBERG)
+    sizes = np.arange(6, 130) // 2
+    stack = build_single_excitation_blocks(sizes, np.ones(len(sizes)),
+                                           [coupling.epsilon for coupling in couplings] * 62)
+    flat = _per_matrix(numerical_spectra(stack, sizes), sizes)
+    for k, (eigenvalues, multiplicities, basis) in enumerate(flat):
+        single = numerical_spectrum(build_single_excitation_hamiltonian(
+            RingSpec(int(sizes[k]), couplings[k % 2])))
+        assert np.array_equal(eigenvalues, single.eigenvalues), k
+        assert np.array_equal(multiplicities, single.multiplicities), k
+        assert np.array_equal(basis, single.basis), k
 
 
 def test_numerical_spectra_match_the_jacobi_oracle_on_verify_blocks():
     # The blocks verify decomposes: n = 3..64, both couplings.  LAPACK and the
     # round-robin Jacobi oracle agree on the multiplicities, the eigenvalues
     # and the projector entries of site 1 against every site.
-    blocks = [build_single_excitation_hamiltonian(RingSpec(n, coupling))
-              for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
+    sizes = [n for coupling in (Coupling.XX, Coupling.HEISENBERG) for n in range(3, 65)]
+    epsilon = [coupling.epsilon for coupling in (Coupling.XX, Coupling.HEISENBERG)
+               for n in range(3, 65)]
+    stack = build_single_excitation_blocks(sizes, np.ones(len(sizes)), epsilon)
+    blocks = [slab[:n, :n] for slab, n in zip(stack, sizes)]
     oracle = [jacobi_eigh(block) for block in blocks]
-    flat = _per_matrix(numerical_spectra(blocks), [len(block) for block in blocks])
+    flat = _per_matrix(numerical_spectra(stack, sizes), sizes)
     for block, (values, counts, basis), (w, v) in zip(blocks, flat, oracle):
         eigenvalues, multiplicities = _grouped(w)
         scale = float(np.abs(w).max())
@@ -373,9 +404,15 @@ def test_numerical_spectrum_rejects_non_finite_entries(value):
 def test_numerical_spectra_reject_non_square_input():
     for bad in (np.zeros((3, 4)), np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 0))):
         with pytest.raises(InvalidSpec, match="square"):
-            numerical_spectra([np.eye(3), bad])
+            numerical_spectra(np.stack([bad, bad]))
+        with pytest.raises(InvalidSpec, match="square"):
+            numerical_spectrum(bad)
     with pytest.raises(InvalidSpec, match=r"\(3, 4\)"):
         numerical_spectrum(np.zeros((3, 4)))
+    # Each matrix's size lies in 1..B, one size per slab.
+    for sizes in ([3, 0], [3, 5], [3], [3, 3, 3]):
+        with pytest.raises(InvalidSpec, match="one size in 1..4 per matrix"):
+            numerical_spectra(np.zeros((2, 4, 4)), sizes)
 
 
 def test_numerical_spectra_reject_complex_input():
