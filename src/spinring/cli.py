@@ -2,14 +2,13 @@
 
 Every command emits a single self-describing JSON document with a stable
 field order (or CSV with a fixed header where tabular output makes sense),
-so identical inputs produce byte-identical output.  Documents are written
-by one recursive writer as the exact text of ``json.dumps(doc, indent=2)``,
-floats in Python's shortest round-trip representation, and streamed to
-the output as a list of parts, never joined into one string.  Float
-arrays, finite or not, a ring's circulants and its CSV pairs take one
-``repr`` per distinct bit pattern, so a ring costs one per distance class.
-Every float matrix goes out as one joined text per row; a circulant's row
-text is a slice of its doubled first row's text.  Exit codes: 0 for
+so identical inputs produce byte-identical output.  A request that starts
+with a subcommand is parsed once, by that subcommand's parser.  Documents
+are the text of ``json.dumps(doc, indent=2)``, streamed as a list of parts.
+Float arrays, a ring's circulants and its CSV pairs take one ``repr`` per
+distinct bit pattern, so a ring costs one per distance class.  A circulant's
+row text is a slice of its doubled first row's text; a record list fills one
+``%`` template per record shape.  Exit codes: 0 for
 success or a verified positive verdict, 1 for a negative mathematical
 verdict, a failed verification or any other ``SpinRingError``, 2 for a
 ``UsageError`` (an input outside its domain, or an ``--out`` path that
@@ -23,6 +22,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import json
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -63,12 +63,8 @@ def _document(args, payload: dict) -> dict:
               if key not in ("command", "out", "seed")}
     # Documents list the seed last; argparse puts the shared --seed first.
     params["seed"] = args.seed
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "params": params,
-        "payload": payload,
-    }
+    return {"schema_version": SCHEMA_VERSION, "command": args.command, "params": params,
+            "payload": payload}
 
 
 def _emit(parts, out_path) -> None:
@@ -88,6 +84,14 @@ class _Circulant:
     """The matrix M[i, j] = row[(j - i) mod N], written from the text of its first row."""
 
     row: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class _Records:
+    """A JSON list: record i is item i of each column, keyed by ``keys`` or as a list item."""
+
+    keys: tuple
+    columns: tuple  # each of ints, floats, strs or (one column at most) tuples of ints
 
 
 # json.dumps writes these float reprs as JavaScript names.
@@ -137,6 +141,29 @@ def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
     _rows_parts([doubled[starts[n - i]:starts[2 * n - i] - len(sep)] for i in range(n)], pad, out)
 
 
+def _records_parts(records: _Records, indent: int, out: list) -> None:
+    """Append the text ``json.dumps`` gives the records, one ``%`` per run of one shape.
+
+    A run fills its shape's record text (%d per int, %s per text) repeated once per record:
+    ints through %d, strs through ``encode_basestring_ascii`` and floats through ``_texts``."""
+    pad = "\n" + " " * (indent + 2)
+    columns = [list(map(encode_basestring_ascii, c)) if c and type(c[0]) is str else
+               _texts(np.array(c), _float_json).tolist() if c and type(c[0]) is float else c
+               for c in records.columns]
+    tuples = next((c for c in columns if c and type(c[0]) is tuple), [()] * len(columns[0]))
+    stop = 0
+    for width, run in itertools.groupby(map(len, tuples)):
+        start, stop = stop, stop + len(list(run))
+        slots = [["%d"] * width if c is tuples else "%d" if type(c[start]) is int else "%s"
+                 for c in columns]
+        text = json.dumps(dict(zip(records.keys, slots)) if records.keys else slots, indent=2)
+        record = pad + text.replace('"%d"', "%d").replace('"%s"', "%s").replace("\n", pad)
+        rows = zip(*(c[start:stop] if c is tuples else zip(c[start:stop]) for c in columns))
+        values = tuple(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
+        out.append(("," if start else "[") + ",".join([record] * (stop - start)) % values)
+    out.append(pad[:-2] + "]" if stop else "[]")
+
+
 # The text json.dumps gives a value of each exact scalar type; bool is not int here.
 _SCALAR_TEXT = {float: _float_json, str: encode_basestring_ascii, int: int.__repr__,
                 bool: lambda value: "true" if value else "false", type(None): lambda value: "null"}
@@ -170,6 +197,8 @@ def _json_parts(value, indent: int, out: list) -> None:
         out.append(pad[:-2] + brackets[1] if value else brackets)
     elif isinstance(value, _Circulant):
         _circulant_parts(value.row, indent, out)
+    elif isinstance(value, _Records):
+        _records_parts(value, indent, out)
     elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size:
         pad = "\n" + " " * (indent + 2)
         out.append("[" + pad + ("," + pad).join(_texts(value, _float_json).tolist()) + pad[:-2] + "]")
@@ -219,7 +248,7 @@ def cmd_distance(args) -> int:
     if args.format == "csv":
         _emit(_pairs_csv(d.profile, p), args.out)
         return 0
-    zero_pairs = (zero_distance_pairs(d) + 1).tolist()
+    zero_pairs = zero_distance_pairs(d) + 1
     payload = {
         "n": args.n,
         "coupling": args.coupling,
@@ -229,7 +258,7 @@ def cmd_distance(args) -> int:
         "distance_matrix": _Circulant(d.profile),
         "p_max_matrix": _Circulant(p),
         "semi_metric": len(zero_pairs) > 0,
-        "zero_distance_pairs": zero_pairs,
+        "zero_distance_pairs": _Records((), tuple(zero_pairs.T.tolist())),
     }
     _emit_json(_document(args, payload), args.out)
     return 0
@@ -239,6 +268,7 @@ def cmd_metric_check(args) -> int:
     spec = RingSpec(args.n)
     d = distance_matrix(spec, quotient=args.quotient)
     report = check_metric_axioms(d, seed=args.seed)
+    keys = ("kind", "sites", "magnitude")
     payload = {
         "n": args.n,
         "quotient": args.quotient,
@@ -249,16 +279,10 @@ def cmd_metric_check(args) -> int:
         "separation_ok": report.separation_ok,
         "exhaustive": report.exhaustive,
         "classification": report.classification,
-        "violations": [
-            {"kind": v.kind, "sites": v.sites, "magnitude": v.magnitude}
-            for v in report.violations
-        ],
+        "violations": _Records(keys, [[getattr(v, k) for v in report.violations] for k in keys]),
     }
     _emit_json(_document(args, payload), args.out)
-    acceptable = (
-        MetricClassification.METRIC,
-        MetricClassification.SEMI_METRIC_ANTIPODAL,
-    )
+    acceptable = (MetricClassification.METRIC, MetricClassification.SEMI_METRIC_ANTIPODAL)
     return 0 if report.classification in acceptable else 1
 
 
@@ -274,9 +298,7 @@ def cmd_classify(args) -> int:
         "kind": classification.kind,
         "uniform": classification.uniform,
         "distinct_values": list(classification.distinct_values),
-        "uniform_distance": (
-            classification.distinct_values[0] if classification.uniform else None
-        ),
+        "uniform_distance": classification.distinct_values[0] if classification.uniform else None,
     }
     _emit_json(_document(args, payload), args.out)
     return 0
@@ -346,7 +368,7 @@ def cmd_variance_sweep(args) -> int:
         "n_min": args.n_min,
         "n_max": args.n_max,
         "quotient_policy": args.quotient_policy,
-        "rows": [{"n": n, "variance": v} for n, v in rows],
+        "rows": _Records(("n", "variance"), ([n for n, _ in rows], [v for _, v in rows])),
     }
     _emit_json(_document(args, payload), args.out)
     return 0
@@ -558,11 +580,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest n for subspace checks (default 64)")
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one closed-form path to demonstrate failure detection")
+    parser.commands = sub.choices  # the subcommand parsers by name, for main
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    # A subcommand's parser takes the rest once, as the top parser would hand it on.
+    args, extra = (command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                   if command else parser.parse_known_args(argv))
+    if extra:  # refused as parse_args refuses them
+        parser.error("unrecognized arguments: " + " ".join(extra))
     # The handler is looked up by name on each call rather than bound into the
     # shared parser, so a wrapper installed over a cmd_* function later is run.
     handler = globals()["cmd_" + args.command.replace("-", "_")]

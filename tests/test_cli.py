@@ -106,7 +106,8 @@ def test_distance_csv_format():
 
 def _plain(value):
     """The document in the types json.dumps takes: arrays and circulants as nested lists,
-    enums as their values and numpy scalars as Python numbers."""
+    record columns as a list of records, enums as their values and numpy scalars as
+    Python numbers."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -114,6 +115,9 @@ def _plain(value):
     if isinstance(value, cli._Circulant):
         sites = np.arange(len(value.row))
         return value.row[(sites[None, :] - sites[:, None]) % len(sites)].tolist()
+    if isinstance(value, cli._Records):
+        rows = map(_plain, zip(*value.columns))
+        return [dict(zip(value.keys, row)) if value.keys else row for row in rows]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, enum.Enum):
@@ -880,15 +884,27 @@ def _per_block_worst(n_max_full, n_max_subspace, inject_fault):
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def _oracle_pairs():
-    """The distinct (--n-max-full, --n-max-subspace) pairs of the benchmark's oracle workload.
+def _workloads():
+    """The benchmark's workloads module.
 
     The module is executed from its source text, not imported, so no bytecode
     is written next to it.
     """
     module = types.ModuleType("workloads")
     exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
-    return list(dict.fromkeys(module.ORACLE))
+    return module
+
+
+def _oracle_pairs():
+    """The distinct (--n-max-full, --n-max-subspace) pairs of the benchmark's oracle workload."""
+    return list(dict.fromkeys(_workloads().ORACLE))
+
+
+def _workload_requests(*names):
+    """The distinct seed-1 requests of the named benchmark workloads, in workload order."""
+    module = _workloads()
+    requests = [request for name in names for request in module.make_requests(name, 1)]
+    return list(map(list, dict.fromkeys(map(tuple, requests))))
 
 
 # The first four keep their ids from when --n-max-full was always 3.
@@ -984,12 +1000,12 @@ def test_unwritable_out_is_a_usage_error(tmp_path, argv):
         assert err == f"error: cannot write --out {path}: {os.strerror(code)}\n"
 
 
-def _in_process(argv):
-    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
+def _in_process(argv, main=None):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, or of ``main(argv)``, in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = cli.main(argv)
+            rc = (main or cli.main)(argv)
         except SystemExit as exc:
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
@@ -1036,3 +1052,94 @@ def test_parser_is_built_once_per_process_not_on_import():
                             env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[0, 1]"
+
+
+def _reference_main(argv):
+    """``cli.main`` with every request parsed by the top parser: the routing's oracle."""
+    args = cli._build_parser().parse_args(argv)
+    handler = getattr(cli, "cmd_" + args.command.replace("-", "_"))
+    try:
+        return handler(args)
+    except errors.SpinRingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, errors.UsageError) else 1
+
+
+# Requests the top parser refuses, or parses in a way a subcommand's own parse
+# could get wrong: leftovers, "--", abbreviations, repeats and negative values.
+USAGE_REQUESTS = [
+    [], ["-h"], ["--help"], ["nonsense"], ["-x", "distance", "--n", "5"],
+    ["distance"], ["distance", "--n", "x"], ["distance", "--n=5"],
+    ["distance", "--n", "5", "--bogus"], ["distance", "--n", "5", "extra"],
+    ["distance", "--", "--n", "5"], ["distance", "--n", "5", "--format", "xml"],
+    ["variance-sweep", "--n-m", "9"],
+    ["embed", "--n", "5", "--space", "hyperbolic", "--kappa", "-1"],
+    ["classify", "--n", "9", "--n", "11"],
+    ["verify", "--n-max-full", "4", "--n-max-subspace", "5", "--"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_REQUESTS, ids=" ".join)
+def test_routing_matches_the_top_parser_on_usage_requests(argv):
+    assert _in_process(argv) == _in_process(argv, _reference_main)
+
+
+def test_routing_matches_the_top_parser_on_every_workload_request():
+    requests = _workload_requests("scan", "embed", "oracle")
+    assert len(requests) > 200
+    for argv in requests:
+        assert _in_process(argv) == _in_process(argv, _reference_main), argv
+
+
+def test_a_subcommand_request_is_parsed_once_by_its_own_parser(monkeypatch):
+    parser = cli._build_parser()
+    calls = []
+    for name, command in [("top", parser), *parser.commands.items()]:
+        parse = command.parse_known_args
+        monkeypatch.setattr(command, "parse_known_args",
+                            lambda *args, name=name, parse=parse: calls.append(name) or parse(*args))
+    for argv in _workload_requests("scan", "embed", "oracle") + USAGE_REQUESTS[5:]:
+        calls.clear()
+        _in_process(argv)
+        assert calls == [argv[0]], argv
+    for argv in USAGE_REQUESTS[:5]:  # no subcommand first: the top parser takes it
+        calls.clear()
+        _in_process(argv)
+        assert calls[0] == "top", argv
+
+
+def test_records_match_json_dumps(monkeypatch):
+    texts = []
+    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    kinds = ["identity", "separation", "triangle", "separation", "identity", "triangle",
+             "café \"%d%s\" \\", "separation", "separation"]
+    sites = [(1,), (2, 3), (4, 5, 6), (10**6, 10**6 + 1), (2**40,), (7, 10**9, 9), (10, 11),
+             (12, 13), (14, 15)]
+    magnitudes = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1 + 0.2, -0.0, 0.0]
+    violations = cli._Records(("kind", "sites", "magnitude"), (kinds, sites, magnitudes))
+    docs = [
+        {"payload": {"violations": violations}},
+        {"violations": cli._Records(("kind", "sites", "magnitude"), ([], [], []))},
+        [violations, {"deep": [violations, cli._Records(("kind",), (["one"],))]}],
+        {"pairs": cli._Records((), ([1, 10**6, 2**70], [4, 10**6 + 3, 2**71]))},
+        {"pairs": cli._Records((), ([], []))},
+        {"rows": cli._Records(("n", "variance"), ([3, 10**7, 5], [math.nan, -0.0, 1e-300]))},
+    ]
+    for doc in docs:
+        cli._emit_json(doc, None)
+    assert texts == [json.dumps(_plain(doc), indent=2) + "\n" for doc in docs]
+
+
+def test_workload_record_lists_match_json_dumps(monkeypatch):
+    # Every scan request with a record list and n <= 400, and one JSON sweep.
+    requests = [argv for argv in _workload_requests("scan")
+                if argv[0] in ("distance", "metric-check") and "--format" not in argv
+                and int(argv[argv.index("--n") + 1]) <= 400]
+    requests.append(["variance-sweep", "--n-max", "50", "--format", "json"])
+    listed = 0
+    for argv in requests:
+        docs, texts = _emitted(monkeypatch, argv)
+        assert texts == [json.dumps(_plain(docs[0]), indent=2) + "\n"], argv
+        payload = _plain(docs[0]["payload"])
+        listed += bool(payload.get("violations") or payload.get("zero_distance_pairs"))
+    assert listed >= 10
