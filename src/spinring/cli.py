@@ -7,8 +7,8 @@ with a subcommand is parsed once, by that subcommand's parser.  Documents
 are the text of ``json.dumps(doc, indent=2)``, streamed as a list of parts.
 Float arrays, a ring's circulants and its CSV pairs take one ``repr`` per
 distinct bit pattern, so a ring costs one per distance class.  A circulant's
-row text is a slice of its doubled first row's text; a record list fills one
-``%`` template per record shape.  Exit codes: 0 for
+row text is a slice of its doubled first row's text; a record list is given
+as its rows and fills one ``%`` template per record shape.  Exit codes: 0 for
 success or a verified positive verdict, 1 for a negative mathematical
 verdict, a failed verification or any other ``SpinRingError``, 2 for a
 ``UsageError`` (an input outside its domain, or an ``--out`` path that
@@ -45,6 +45,7 @@ from .hamiltonian import (
 )
 from .metric import (
     MetricClassification,
+    Violation,
     check_metric_axioms,
     classify_ring,
     distance_matrix,
@@ -88,10 +89,10 @@ class _Circulant:
 
 @dataclasses.dataclass(frozen=True)
 class _Records:
-    """A JSON list: record i is item i of each column, keyed by ``keys`` or as a list item."""
+    """A JSON list of ``rows``, each row's items keyed by ``keys`` or as a list."""
 
     keys: tuple
-    columns: tuple  # each of ints, floats, strs or (one column at most) tuples of ints
+    rows: list  # or tuple; a place holds ints, floats, strs or (one place at most) tuples of ints
 
 
 # json.dumps writes these float reprs as JavaScript names.
@@ -144,13 +145,17 @@ def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
 def _records_parts(records: _Records, indent: int, out: list) -> None:
     """Append the text ``json.dumps`` gives the records, one ``%`` per run of one shape.
 
-    A run fills its shape's record text (%d per int, %s per text) repeated once per record:
-    ints through %d, strs through ``encode_basestring_ascii`` and floats through ``_texts``."""
+    The rows are transposed once into columns for their text: ints through %d, strs through
+    ``encode_basestring_ascii`` and floats through ``_texts``.  A run fills its shape's
+    record text (%d per int, %s per text) repeated once per record."""
     pad = "\n" + " " * (indent + 2)
-    columns = [list(map(encode_basestring_ascii, c)) if c and type(c[0]) is str else
-               _texts(np.array(c), _float_json).tolist() if c and type(c[0]) is float else c
-               for c in records.columns]
-    tuples = next((c for c in columns if c and type(c[0]) is tuple), [()] * len(columns[0]))
+    if not records.rows:
+        out.append("[]")
+        return
+    columns = [list(map(encode_basestring_ascii, c)) if type(c[0]) is str else
+               _texts(np.array(c), _float_json).tolist() if type(c[0]) is float else c
+               for c in zip(*records.rows)]
+    tuples = next((c for c in columns if type(c[0]) is tuple), [()] * len(columns[0]))
     stop = 0
     for width, run in itertools.groupby(map(len, tuples)):
         start, stop = stop, stop + len(list(run))
@@ -161,7 +166,7 @@ def _records_parts(records: _Records, indent: int, out: list) -> None:
         rows = zip(*(c[start:stop] if c is tuples else zip(c[start:stop]) for c in columns))
         values = tuple(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
         out.append(("," if start else "[") + ",".join([record] * (stop - start)) % values)
-    out.append(pad[:-2] + "]" if stop else "[]")
+    out.append(pad[:-2] + "]")
 
 
 # The text json.dumps gives a value of each exact scalar type; bool is not int here.
@@ -258,7 +263,7 @@ def cmd_distance(args) -> int:
         "distance_matrix": _Circulant(d.profile),
         "p_max_matrix": _Circulant(p),
         "semi_metric": len(zero_pairs) > 0,
-        "zero_distance_pairs": _Records((), tuple(zero_pairs.T.tolist())),
+        "zero_distance_pairs": _Records((), zero_pairs.tolist()),
     }
     _emit_json(_document(args, payload), args.out)
     return 0
@@ -268,7 +273,6 @@ def cmd_metric_check(args) -> int:
     spec = RingSpec(args.n)
     d = distance_matrix(spec, quotient=args.quotient)
     report = check_metric_axioms(d, seed=args.seed)
-    keys = ("kind", "sites", "magnitude")
     payload = {
         "n": args.n,
         "quotient": args.quotient,
@@ -279,7 +283,7 @@ def cmd_metric_check(args) -> int:
         "separation_ok": report.separation_ok,
         "exhaustive": report.exhaustive,
         "classification": report.classification,
-        "violations": _Records(keys, [[getattr(v, k) for v in report.violations] for k in keys]),
+        "violations": _Records(Violation._fields, report.violations),
     }
     _emit_json(_document(args, payload), args.out)
     acceptable = (MetricClassification.METRIC, MetricClassification.SEMI_METRIC_ANTIPODAL)
@@ -368,7 +372,7 @@ def cmd_variance_sweep(args) -> int:
         "n_min": args.n_min,
         "n_max": args.n_max,
         "quotient_policy": args.quotient_policy,
-        "rows": _Records(("n", "variance"), ([n for n, _ in rows], [v for _, v in rows])),
+        "rows": _Records(("n", "variance"), rows),
     }
     _emit_json(_document(args, payload), args.out)
     return 0

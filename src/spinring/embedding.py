@@ -299,8 +299,11 @@ def _decide(d: DistanceMatrix, space: EmbeddingSpace, kappa: float, w: np.ndarra
     cap_ok = (space is not EmbeddingSpace.SPHERICAL or d.diameter * d.diameter == 0.0
               or kappa <= math.pi**2 / (d.diameter * d.diameter))
     keep = shares > PSD_TOL_FACTOR
-    sizes = 1 if d.divisors is None else d.ramanujan[0].astype(int)
-    eigenvalues = np.sort(np.repeat(-w if timelike else w, sizes))
+    sizes = np.ones(len(w), dtype=int) if d.divisors is None else d.ramanujan[0].astype(int)
+    # Each value once per mode of its class, ascending: a sort of the d(N) class values.
+    listed = -w if timelike else w
+    order = np.argsort(listed, kind="stable")
+    eigenvalues = np.repeat(listed[order], sizes[order])
     rank = int((keep * sizes).sum())
     return Verdict(cap_ok and psd_ok, cap_ok, psd_ok, margin, eigenvalues, rank), keep
 
@@ -422,10 +425,10 @@ def realize(d: DistanceMatrix, space: EmbeddingSpace, kappa: float = 0.0) -> Emb
         error = np.abs(model.geodesic(chords) / scale - d.entries)
         np.fill_diagonal(error, 0.0)
     else:
-        modes = np.flatnonzero(keep[d.mode_class])
+        modes = np.flatnonzero(d._by_gcd(keep))
         phases = np.multiply.outer(np.arange(n), modes)
         factor = hartley_rows(n, [1 % n])[0][np.remainder(phases, n, out=phases)]
-        factor *= np.sqrt(np.abs(w[d.mode_class[modes]]))
+        factor *= d._by_gcd(np.sqrt(np.abs(w)))[modes]
         chords = np.sqrt(2.0 / n * ((d.ramanujan[0] - d.ramanujan) @ np.where(keep, w, 0.0)))
         error = np.abs(model.geodesic(chords) / scale - d.by_class)
     distortion = float(error.max())

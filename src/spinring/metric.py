@@ -23,15 +23,19 @@ decides a ring from its classes at every size, the triangle inequality
 exactly from one slack per class triple that occurs in Z_N, and
 ``classify_ring`` takes the ring kind from the divisor count.  The dense
 routines (exhaustive triples up to 200 points, seeded Monte-Carlo beyond)
-serve explicit entries and are the oracle for the class route.
+serve explicit entries and are the oracle for the class route.  Every route
+lists its violations as rows, ``Violation`` named tuples built from one
+array of sites and one of magnitudes.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,11 +178,6 @@ class DistanceMatrix:
         """``ramanujan``'s columns added per distinct distance in ``values``: cancellations are exact."""
         return self.ramanujan @ (self.by_class[:, None] == self.values)
 
-    @functools.cached_property
-    def mode_class(self) -> np.ndarray:
-        """A ring's read-only class index of gcd(j, N), j = 0..N - 1, built on first read."""
-        return self._by_gcd(np.arange(len(self.divisors)))
-
 
 class MetricClassification(enum.Enum):
     METRIC = "Metric"
@@ -186,13 +185,18 @@ class MetricClassification(enum.Enum):
     NOT_SEMI_METRIC = "NotSemiMetric"
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed axiom instance; sites are 1-based."""
+class Violation(NamedTuple):
+    """One failed axiom instance, a row; sites are 1-based."""
 
     kind: str
     sites: tuple
     magnitude: float
+
+
+def _rows(kind: str, sites: np.ndarray, magnitudes: np.ndarray) -> list:
+    """One ``kind`` violation per row of the 0-based ``sites`` array, with its magnitude."""
+    return list(map(Violation, itertools.repeat(kind), zip(*(sites + 1).T.tolist()),
+                    magnitudes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -328,22 +332,19 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     return ring
 
 
-def _triangle_violations_exhaustive(d: np.ndarray):
-    """All (i, j, k) with d(i,j) - d(i,k) - d(k,j) above tolerance, vectorized per k."""
-    n = d.shape[0]
+def _triangle_violations_exhaustive(d: np.ndarray) -> list:
+    """All (i, j, k), k-major, with d(i,j) - d(i,k) - d(k,j) above tolerance, vectorized per k."""
     found = []
-    for k in range(n):
+    for k in range(d.shape[0]):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
-        bad = np.argwhere(slack > TRIANGLE_TOL)
-        for i, j in bad:
-            if i != j and i != k and j != k:
-                found.append(
-                    Violation("triangle", (int(i) + 1, int(j) + 1, k + 1), float(slack[i, j]))
-                )
+        i, j = np.nonzero(slack > TRIANGLE_TOL)
+        keep = (i != j) & (i != k) & (j != k)
+        i, j = i[keep], j[keep]
+        found += _rows("triangle", np.stack((i, j, np.full_like(i, k)), axis=1), slack[i, j])
     return found
 
 
-def _triangle_violations_sampled(d: np.ndarray, seed: int, samples: int):
+def _triangle_violations_sampled(d: np.ndarray, seed: int, samples: int) -> list:
     rng = np.random.default_rng(seed)
     n = d.shape[0]
     i = rng.integers(0, n, samples)
@@ -358,26 +359,14 @@ def _triangle_violations_sampled(d: np.ndarray, seed: int, samples: int):
         slack[start:start + SAMPLE_CHUNK] = (
             flat[ci * n + cj] - flat[ci * n + ck] - flat[ck * n + cj]
         )
-    bad = np.flatnonzero(slack > TRIANGLE_TOL)
-    found = []
-    for b in bad:
-        if i[b] != j[b] and i[b] != k[b] and j[b] != k[b]:
-            found.append(
-                Violation(
-                    "triangle",
-                    (int(i[b]) + 1, int(j[b]) + 1, int(k[b]) + 1),
-                    float(slack[b]),
-                )
-            )
-    return found
+    bad = np.flatnonzero((slack > TRIANGLE_TOL) & (i != j) & (i != k) & (j != k))
+    return _rows("triangle", np.stack((i[bad], j[bad], k[bad]), axis=1), slack[bad])
 
 
-def _symmetry_violations(matrix: np.ndarray):
+def _symmetry_violations(matrix: np.ndarray) -> list:
     asym = np.abs(matrix - matrix.T)
-    return [
-        Violation("symmetry", (int(i) + 1, int(j) + 1), float(asym[i, j]))
-        for i, j in np.argwhere(np.triu(asym, 1) > ZERO_DISTANCE_TOL)
-    ]
+    pairs = np.argwhere(np.triu(asym, 1) > ZERO_DISTANCE_TOL)
+    return _rows("symmetry", pairs, asym[pairs[:, 0], pairs[:, 1]])
 
 
 def zero_distance_pairs(d: DistanceMatrix) -> np.ndarray:
@@ -470,13 +459,12 @@ def check_metric_axioms(
     n = d.n_effective
     ring = d.divisors is not None
     if ring:  # Every diagonal entry is the class of 0, nonnegative.
-        zero = float(d.by_class[0])
-        sites = range(1, n + 1) if zero > ZERO_DISTANCE_TOL else ()
-        violations = [Violation("identity", (i,), zero) for i in sites]
+        diag = np.full(n if d.by_class[0] > ZERO_DISTANCE_TOL else 0, d.by_class[0])
+        sites = np.arange(len(diag))
     else:
         diag = np.abs(np.diag(d.entries))
-        violations = [Violation("identity", (int(i) + 1,), float(diag[i]))
-                      for i in np.flatnonzero(diag > ZERO_DISTANCE_TOL)]
+        sites = np.flatnonzero(diag > ZERO_DISTANCE_TOL)
+    violations = _rows("identity", sites[:, None], diag[sites])
     identity_ok = not violations
 
     exhaustive = ring or n <= exhaustive_limit
@@ -498,8 +486,7 @@ def check_metric_axioms(
     if not separation_ok:
         first, second = zero_pairs.T
         gaps = d.profile[second - first] if ring else d.entries[first, second]
-        violations.extend(Violation("separation", (i + 1, j + 1), gap)
-                          for (i, j), gap in zip(zero_pairs.tolist(), gaps.tolist()))
+        violations.extend(_rows("separation", zero_pairs, gaps))
 
     violations.extend(triangle)
     triangle_ok = not triangle

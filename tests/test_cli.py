@@ -106,7 +106,7 @@ def test_distance_csv_format():
 
 def _plain(value):
     """The document in the types json.dumps takes: arrays and circulants as nested lists,
-    record columns as a list of records, enums as their values and numpy scalars as
+    record rows as a list of records, enums as their values and numpy scalars as
     Python numbers."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
@@ -116,7 +116,7 @@ def _plain(value):
         sites = np.arange(len(value.row))
         return value.row[(sites[None, :] - sites[:, None]) % len(sites)].tolist()
     if isinstance(value, cli._Records):
-        rows = map(_plain, zip(*value.columns))
+        rows = map(_plain, value.rows)
         return [dict(zip(value.keys, row)) if value.keys else row for row in rows]
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -936,10 +936,20 @@ def test_verify_flat_checks_match_a_per_block_reference(monkeypatch, bounds, inj
 def test_verify_rejects_bounds_below_3():
     for flag in ("--n-max-subspace", "--n-max-full"):
         for value in ("2", "-5"):
-            result = run_cli("verify", flag, value)
-            assert result.returncode == 2, (flag, value)
-            assert result.stdout == ""
-            assert flag in result.stderr
+            rc, out, err = _in_process(["verify", flag, value])
+            assert (rc, out) == (2, ""), (flag, value)
+            assert err == f"error: {flag} must be at least 3, got {value}\n"
+
+
+def test_embed_round_trip_failure_exits_1(monkeypatch):
+    # A realization whose distances miss the input by more than the tolerance
+    # is a FactorizationFailure: one error line, no document, exit 1.
+    monkeypatch.setattr(embedding, "DEFAULT_REALIZE_TOL", -1.0)
+    for space in ("spherical", "euclidean", "hyperbolic"):
+        rc, out, err = _in_process(["embed", "--n", "5", "--space", space])
+        assert (rc, out) == (1, ""), space
+        assert err.startswith(f"error: {space} round-trip distortion "), err
+        assert err.endswith(" exceeds tol -1.0e+00\n") and err.count("\n") == 1, err
 
 
 def test_verify_coupling_invariance_catches_a_perturbed_heisenberg_block(monkeypatch):
@@ -1116,14 +1126,14 @@ def test_records_match_json_dumps(monkeypatch):
     sites = [(1,), (2, 3), (4, 5, 6), (10**6, 10**6 + 1), (2**40,), (7, 10**9, 9), (10, 11),
              (12, 13), (14, 15)]
     magnitudes = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1 + 0.2, -0.0, 0.0]
-    violations = cli._Records(("kind", "sites", "magnitude"), (kinds, sites, magnitudes))
+    violations = cli._Records(("kind", "sites", "magnitude"), list(zip(kinds, sites, magnitudes)))
     docs = [
         {"payload": {"violations": violations}},
-        {"violations": cli._Records(("kind", "sites", "magnitude"), ([], [], []))},
-        [violations, {"deep": [violations, cli._Records(("kind",), (["one"],))]}],
-        {"pairs": cli._Records((), ([1, 10**6, 2**70], [4, 10**6 + 3, 2**71]))},
-        {"pairs": cli._Records((), ([], []))},
-        {"rows": cli._Records(("n", "variance"), ([3, 10**7, 5], [math.nan, -0.0, 1e-300]))},
+        {"violations": cli._Records(("kind", "sites", "magnitude"), [])},
+        [violations, {"deep": [violations, cli._Records(("kind",), [("one",)])]}],
+        {"pairs": cli._Records((), [[1, 4], [10**6, 10**6 + 3], [2**70, 2**71]])},
+        {"pairs": cli._Records((), [])},
+        {"rows": cli._Records(("n", "variance"), [(3, math.nan), (10**7, -0.0), (5, 1e-300)])},
     ]
     for doc in docs:
         cli._emit_json(doc, None)

@@ -313,6 +313,12 @@ def fft_spectra(d, space, kappa, scales):
     return w
 
 
+def mode_class(d):
+    """The class index of each mode j = 0..N - 1 of a ring: where gcd(j, N) sits in its divisors."""
+    n = d.n_effective
+    return np.searchsorted(-d.divisors, -np.gcd(np.arange(n), n))
+
+
 def rings_up_to(n_max):
     """Every ring metric n = 3..n_max, raw and (even n) quotiented."""
     for n in range(3, n_max + 1):
@@ -332,7 +338,7 @@ def test_class_spectra_match_fft_and_dense_oracles():
             w = embedding._spectra(d, space, 1.0, scales)
             fft = fft_spectra(d, space, 1.0, scales)
             scale = np.abs(fft).max(axis=-1, keepdims=True)
-            assert (np.abs(w[:, d.mode_class] - fft) <= 1e-13 * scale).all(), (n, space)
+            assert (np.abs(w[:, mode_class(d)] - fft) <= 1e-13 * scale).all(), (n, space)
             lapack = embedding._spectra(dense, space, 1.0, scales)
             listed = np.sort(np.repeat(w, sizes, axis=-1), axis=-1)
             scale = np.abs(lapack).max(axis=-1, keepdims=True)
@@ -348,8 +354,8 @@ def test_ring_spectra_bit_equal_within_gcd_classes():
         sizes = d.ramanujan[0].astype(int)
         gcd = [math.gcd(j, d.n_effective) for j in range(d.n_effective)]
         assert (np.diff(d.divisors) < 0).all(), n
-        assert d.divisors[d.mode_class].tolist() == gcd, n
-        assert np.array_equal(np.bincount(d.mode_class), sizes), n
+        assert d.divisors[mode_class(d)].tolist() == gcd, n
+        assert np.array_equal(np.bincount(mode_class(d)), sizes), n
         assert np.array_equal(d.profile[d.divisors % d.n_effective], d.by_class), n
         assert np.array_equal(d.sums.sum(axis=1), d.ramanujan.sum(axis=1)), n
         for space, kappa, decide in (
@@ -359,11 +365,29 @@ def test_ring_spectra_bit_equal_within_gcd_classes():
         ):
             w = embedding._spectra(d, space, kappa, embedding._scale(space, kappa))
             assert w.shape == d.divisors.shape, (n, space)
-            modes = w[d.mode_class]
+            modes = w[mode_class(d)]
             assert np.array_equal(modes[1:], modes[:0:-1]), (n, space)
             listed = -w if space is EmbeddingSpace.HYPERBOLIC else w
             eigenvalues = decide(d, kappa).eigenvalues
             assert np.array_equal(eigenvalues, np.sort(np.repeat(listed, sizes))), (n, space)
+
+
+def test_ring_verdict_eigenvalues_sort_the_class_values_bit_for_bit():
+    # The verdict sorts the d(N) class values and repeats each over its class:
+    # bit for bit the sort of all N listed values, signed zeros included.
+    for n, d in rings_up_to(200):
+        sizes = d.ramanujan[0].astype(int)
+        cap = math.pi**2 / (d.diameter * d.diameter)
+        for space, kappas in ((EmbeddingSpace.SPHERICAL, (0.5 * cap, cap)),
+                              (EmbeddingSpace.EUCLIDEAN, (0.0,)),
+                              (EmbeddingSpace.HYPERBOLIC, (-0.01, -1.0))):
+            for kappa in kappas:
+                w = embedding._spectra(d, space, kappa, embedding._scale(space, kappa))
+                listed = -w if space is EmbeddingSpace.HYPERBOLIC else w
+                eigenvalues = embedding._decide(d, space, kappa, w)[0].eigenvalues
+                oracle = np.sort(np.repeat(listed, sizes))
+                assert np.array_equal(eigenvalues.view(np.int64), oracle.view(np.int64)), (
+                    n, space, kappa)
 
 
 def test_ring_realization_reads_no_profile():
@@ -640,8 +664,8 @@ def test_realize_ring_columns_match_hartley_rows():
             verdict, keep = embedding._decide(d, space, kappa, w)
             if not verdict.embeddable:
                 continue
-            modes = np.flatnonzero(keep[d.mode_class])
-            radii = np.sqrt(np.abs(w[d.mode_class[modes]])) / embedding._scale(space, kappa)
+            modes = np.flatnonzero(keep[mode_class(d)])
+            radii = np.sqrt(np.abs(w[mode_class(d)[modes]])) / embedding._scale(space, kappa)
             coordinates = realize(d, space, kappa).coordinates
             gap = np.abs(coordinates - hartley[:, modes] * radii).max()
             assert gap <= 32 * math.ulp(1.0 / math.sqrt(n_points)) * radii.max(), (n, space)
@@ -977,8 +1001,8 @@ def test_feasibility_threshold_memory_is_linear():
 
 def test_class_table_and_threshold_search_stay_in_divisor_memory():
     # N = 22972950 has 384 divisors: the class table, its spectra and the
-    # search with its sweeps hold d(N)^2 entries; the N-entry mode_class is
-    # built when read.
+    # search with its sweeps hold d(N)^2 entries.  A ring keeps no N-entry
+    # array for its modes: realize reads them from the class table.
     d = distance_matrix(RingSpec(45945900), quotient=True)
     tracemalloc.start()
     try:
@@ -987,10 +1011,13 @@ def test_class_table_and_threshold_search_stay_in_divisor_memory():
     finally:
         tracemalloc.stop()
     assert len(d.divisors) == 384 and 0.0 < threshold.kappa < threshold.cap
-    assert "mode_class" not in vars(d) and "profile" not in vars(d)
+    assert "profile" not in vars(d)
     assert peak <= d.n_effective, peak
-    small = ring(360)
-    assert not small.mode_class.flags.writeable and small.mode_class is small.mode_class
+    small = ring(45)
+    realize(small, EmbeddingSpace.EUCLIDEAN)
+    kept = [key for key, value in vars(small).items()
+            if isinstance(value, np.ndarray) and value.size >= small.n_effective]
+    assert not hasattr(small, "mode_class") and not kept, kept
 
 
 def test_feasibility_threshold_refines_in_few_sweeps(monkeypatch):

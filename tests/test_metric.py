@@ -583,6 +583,69 @@ def test_metric_axioms_exhaustive_violations_are_pinned():
     ]
 
 
+def test_violations_are_rows():
+    # A violation is a named tuple: it equals its plain (kind, sites, magnitude)
+    # row and its fields cannot be assigned.
+    first = check_metric_axioms(_axiom_test_space()).violations[0]
+    assert first == ("identity", (1,), 0.5)
+    assert (first.kind, first.sites, first.magnitude) == tuple(first)
+    with pytest.raises(AttributeError):
+        first.kind = "separation"
+
+
+def _planted_space(n, seed):
+    """Random symmetric distances in [1, 2] with one bad diagonal entry, one asymmetric
+    pair and a pair each at 5 (triangles), 0 (separation) and inf (NaN slacks)."""
+    rng = np.random.default_rng(seed)
+    entries = np.triu(rng.uniform(1.0, 2.0, (n, n)), 1)
+    entries += entries.T
+    for value in (5.0, 0.0, math.inf):
+        i, j = rng.choice(n, 2, replace=False)
+        entries[i, j] = entries[j, i] = value
+    entries[3, 7] += 0.5
+    entries[1, 1] = 0.25
+    return entries
+
+
+def _per_item_violations(d, triples, slack):
+    """The dense findings one at a time: identity, symmetry, separation, then the triples
+    with their ``slack(i, j, k)``."""
+    n = len(d)
+    found = [("identity", (i + 1,), abs(d[i, i])) for i in range(n) if abs(d[i, i]) > 1e-12]
+    found += [("symmetry", (i + 1, j + 1), abs(d[i, j] - d[j, i]))
+              for i in range(n) for j in range(i + 1, n) if abs(d[i, j] - d[j, i]) > 1e-12]
+    found += [("separation", (i + 1, j + 1), d[i, j])
+              for i in range(n) for j in range(i + 1, n) if d[i, j] <= 1e-12]
+    for i, j, k in triples:
+        if slack(i, j, k) > TRIANGLE_TOL and len({i, j, k}) == 3:
+            found.append(("triangle", (i + 1, j + 1, k + 1), slack(i, j, k)))
+    return found
+
+
+def test_dense_violations_match_the_per_item_oracle():
+    # Exhaustive triples run k-major, i and j row-major; sampled triples in
+    # draw order, repeats kept.  The rows, their order and magnitudes are
+    # those of one finding at a time (each route adds its slack in its own order).
+    for n, seed in ((12, 0), (30, 1), (40, 2)):
+        d = _planted_space(n, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            exhaustive = check_metric_axioms(DistanceMatrix(d))
+            sampled = check_metric_axioms(DistanceMatrix(d), seed=seed, exhaustive_limit=0,
+                                          mc_samples=5000)
+        assert exhaustive.exhaustive and not sampled.exhaustive
+        triples = [(i, j, k) for k in range(n) for i in range(n) for j in range(n)]
+        rng = np.random.default_rng(seed)
+        drawn = zip(*(rng.integers(0, n, 5000).tolist() for _ in range(3)))
+        with np.errstate(invalid="ignore"):
+            assert _violations(exhaustive) == _per_item_violations(
+                d, triples, lambda i, j, k: d[i, j] - (d[i, k] + d[k, j])), n
+            assert _violations(sampled) == _per_item_violations(
+                d, drawn, lambda i, j, k: d[i, j] - d[i, k] - d[k, j]), n
+        kinds = {kind for kind, _, _ in _violations(sampled)}
+        assert kinds == {"identity", "symmetry", "separation", "triangle"}, n
+
+
 def test_metric_axioms_sampled_violations_are_pinned():
     report = check_metric_axioms(
         _axiom_test_space(), seed=3, exhaustive_limit=0, mc_samples=200
@@ -865,7 +928,7 @@ def test_class_built_rings_equal_profile_built_bit_for_bit():
         assert np.array_equal(d.by_class.view(np.int64), given.by_class.view(np.int64)), n
         if n <= 64:
             assert np.array_equal(d.entries, given.entries), (n, quotient)
-        for field in ("divisors", "mode_class", "ramanujan", "values", "sums"):
+        for field in ("divisors", "ramanujan", "values", "sums"):
             built, oracle = getattr(d, field), getattr(given, field)
             assert built.dtype == oracle.dtype, (n, quotient, field)
             assert np.array_equal(built.view(np.int64), oracle.view(np.int64)), (n, quotient, field)
