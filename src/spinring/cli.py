@@ -4,7 +4,7 @@ Every command emits a single self-describing JSON document with a stable
 field order (or CSV with a fixed header where tabular output makes sense),
 so identical inputs produce byte-identical output.  A request that starts
 with a subcommand is parsed once, by that subcommand's parser.  Documents
-are the text of ``json.dumps(doc, indent=2)``, streamed as a list of parts.
+are the text of ``json.dumps(doc, indent=2)``, written out as it is made.
 Float arrays, a ring's circulants and its CSV pairs take one ``repr`` per
 distinct bit pattern, so a ring costs one per distance class.  A circulant's
 row text is a slice of its doubled first row's text; a record list is given
@@ -68,16 +68,16 @@ def _document(args, payload: dict) -> dict:
             "payload": payload}
 
 
-def _emit(parts, out_path) -> None:
-    """Write the text parts in order to ``out_path``, or to standard output without it."""
-    if out_path:
-        try:
-            with open(out_path, "w") as handle:
-                handle.writelines(parts)
-        except OSError as exc:
-            raise InvalidArgs(f"cannot write --out {out_path}: {exc.strerror}")
-    else:
-        sys.stdout.writelines(parts)
+def _emit(write, out_path) -> None:
+    """Call ``write`` with ``out_path`` opened for writing, or with standard output without it."""
+    if not out_path:
+        write(sys.stdout)
+        return
+    try:
+        with open(out_path, "w") as sink:
+            write(sink)
+    except OSError as exc:
+        raise InvalidArgs(f"cannot write --out {out_path}: {exc.strerror}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,28 +105,25 @@ def _float_json(value: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def _texts(values: np.ndarray, write=repr) -> np.ndarray:
-    """``write(v)`` for each float of ``values``, flat, as an object array.
-
-    ``write`` runs once per distinct bit pattern (-0.0 apart from 0.0).
-    """
+def _texts(values: np.ndarray, text=repr) -> np.ndarray:
+    """``text(v)`` for each float of ``values``, flat, as objects; one call per distinct bit pattern."""
     distinct, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    texts = np.array([write(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    texts = np.array([text(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     return texts[index]
 
 
-def _rows_parts(rows: list, pad: str, out: list) -> None:
-    """Append a JSON list of lists from each row's joined text; ``pad`` is newline plus indent."""
+def _rows_parts(rows, pad: str, sink) -> None:
+    """Write a JSON list of lists from each row's joined text as it comes; ``rows`` is non-empty."""
     start = pad + "  [" + pad + "    "
-    cells = [pad + "  ]," + start] * (2 * len(rows))
-    cells[0] = "[" + start
-    cells[1::2] = rows
-    out += cells
-    out.append(pad + "  ]" + pad + "]")
+    separators = itertools.chain(["[" + start], itertools.repeat(pad + "  ]," + start))
+    for separator, row in zip(separators, rows):
+        sink.write(separator)
+        sink.write(row)
+    sink.write(pad + "  ]" + pad + "]")
 
 
-def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
-    """Append the text ``json.dumps`` gives the circulant with first row ``row``, one part per row.
+def _circulant_parts(row: np.ndarray, indent: int, sink) -> None:
+    """Write the text ``json.dumps`` gives the circulant with first row ``row``, row by row.
 
     Its floats take one ``repr`` per distinct bit pattern of ``row``
     (``_texts``), so a ring's rows cost one per distance class.  Row i of
@@ -139,18 +136,18 @@ def _circulant_parts(row: np.ndarray, indent: int, out: list) -> None:
     texts = _texts(row, _float_json).tolist() * 2
     starts = [0, *itertools.accumulate(len(text) + len(sep) for text in texts)]
     doubled = sep.join(texts)
-    _rows_parts([doubled[starts[n - i]:starts[2 * n - i] - len(sep)] for i in range(n)], pad, out)
+    _rows_parts((doubled[a:b - len(sep)] for a, b in zip(starts[n:0:-1], starts[2 * n:n:-1])), pad, sink)
 
 
-def _records_parts(records: _Records, indent: int, out: list) -> None:
-    """Append the text ``json.dumps`` gives the records, one ``%`` per run of one shape.
+def _records_parts(records: _Records, indent: int, sink) -> None:
+    """Write the text ``json.dumps`` gives the records, one ``%`` per run of one shape.
 
     The rows are transposed once into columns for their text: ints through %d, strs through
     ``encode_basestring_ascii`` and floats through ``_texts``.  A run fills its shape's
     record text (%d per int, %s per text) repeated once per record."""
     pad = "\n" + " " * (indent + 2)
     if not records.rows:
-        out.append("[]")
+        sink.write("[]")
         return
     columns = [list(map(encode_basestring_ascii, c)) if type(c[0]) is str else
                _texts(np.array(c), _float_json).tolist() if type(c[0]) is float else c
@@ -165,8 +162,8 @@ def _records_parts(records: _Records, indent: int, out: list) -> None:
         record = pad + text.replace('"%d"', "%d").replace('"%s"', "%s").replace("\n", pad)
         rows = zip(*(c[start:stop] if c is tuples else zip(c[start:stop]) for c in columns))
         values = tuple(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
-        out.append(("," if start else "[") + ",".join([record] * (stop - start)) % values)
-    out.append(pad[:-2] + "]")
+        sink.write(("," if start else "[") + ",".join([record] * (stop - start)) % values)
+    sink.write(pad[:-2] + "]")
 
 
 # The text json.dumps gives a value of each exact scalar type; bool is not int here.
@@ -174,8 +171,8 @@ _SCALAR_TEXT = {float: _float_json, str: encode_basestring_ascii, int: int.__rep
                 bool: lambda value: "true" if value else "false", type(None): lambda value: "null"}
 
 
-def _json_parts(value, indent: int, out: list) -> None:
-    """Append the text of ``json.dumps(value, indent=2)``, ``indent`` spaces deep, to ``out``.
+def _json_parts(value, indent: int, sink) -> None:
+    """Write the text of ``json.dumps(value, indent=2)``, ``indent`` spaces deep, to ``sink``.
 
     Scalars of the types in ``_SCALAR_TEXT`` are written by one lookup of their
     type, inline as dict and list members; arrays are written as their nested
@@ -184,7 +181,7 @@ def _json_parts(value, indent: int, out: list) -> None:
     """
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
-        out.append(text(value))
+        sink.write(text(value))
     elif isinstance(value, (dict, list, tuple)):
         keyed = isinstance(value, dict)
         brackets = "{}" if keyed else "[]"
@@ -194,40 +191,40 @@ def _json_parts(value, indent: int, out: list) -> None:
             head = opener + encode_basestring_ascii(key) + ": " if keyed else opener
             text = _SCALAR_TEXT.get(type(item))
             if text is None:
-                out.append(head)
-                _json_parts(item, indent + 2, out)
+                sink.write(head)
+                _json_parts(item, indent + 2, sink)
             else:
-                out.append(head + text(item))
+                sink.write(head + text(item))
             opener = "," + pad
-        out.append(pad[:-2] + brackets[1] if value else brackets)
+        sink.write(pad[:-2] + brackets[1] if value else brackets)
     elif isinstance(value, _Circulant):
-        _circulant_parts(value.row, indent, out)
+        _circulant_parts(value.row, indent, sink)
     elif isinstance(value, _Records):
-        _records_parts(value, indent, out)
+        _records_parts(value, indent, sink)
     elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size:
         pad = "\n" + " " * (indent + 2)
-        out.append("[" + pad + ("," + pad).join(_texts(value, _float_json).tolist()) + pad[:-2] + "]")
+        sink.write("[" + pad + ("," + pad).join(_texts(value, _float_json).tolist()) + pad[:-2] + "]")
     elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64 and value.size:
         pad = "\n" + " " * indent
         rows = _texts(value, _float_json).reshape(value.shape).tolist()
-        _rows_parts([("," + pad + "    ").join(row) for row in rows], pad, out)
+        _rows_parts(map(("," + pad + "    ").join, rows), pad, sink)
     elif isinstance(value, (np.ndarray, np.generic)):
-        _json_parts(value.tolist(), indent, out)
+        _json_parts(value.tolist(), indent, sink)
     elif isinstance(value, enum.Enum):
-        _json_parts(value.value, indent, out)
+        _json_parts(value.value, indent, sink)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_json(doc: dict, out_path) -> None:
-    out = []
-    _json_parts(doc, 0, out)
-    out.append("\n")
-    _emit(out, out_path)
+    def write(sink):
+        _json_parts(doc, 0, sink)
+        sink.write("\n")
+    _emit(write, out_path)
 
 
-def _pairs_csv(profile: np.ndarray, p: np.ndarray) -> list:
-    """The ``distance`` CSV of a ring with circulant rows ``profile`` and ``p``, one part per site.
+def _pairs_csv(profile: np.ndarray, p: np.ndarray):
+    """Yield the ``distance`` CSV of a ring with circulant rows ``profile`` and ``p``, by site.
 
     Pair (i, j), i < j, has separation j - i: its line is "i," + "j," + "d,p",
     with the text of d and p from one ``repr`` per distinct bit pattern.
@@ -235,14 +232,13 @@ def _pairs_csv(profile: np.ndarray, p: np.ndarray) -> list:
     n = len(profile)
     sites = [f"{k}," for k in range(1, n + 1)]
     values = [a + "," + b for a, b in zip(_texts(profile).tolist(), _texts(p).tolist())]
-    parts = ["i,j,distance,p_max"]
+    yield "i,j,distance,p_max"
     for i in range(n - 1):
         line = ["\n" + sites[i]] * (3 * (n - 1 - i))
         line[1::3] = sites[i + 1:]
         line[2::3] = values[1:n - i]
-        parts.append("".join(line))
-    parts.append("\n")
-    return parts
+        yield "".join(line)
+    yield "\n"
 
 
 def cmd_distance(args) -> int:
@@ -251,7 +247,7 @@ def cmd_distance(args) -> int:
     # profile[0] is +0.0, so the diagonal of p_max is exactly 1.0.
     p = np.exp(-d.profile)
     if args.format == "csv":
-        _emit(_pairs_csv(d.profile, p), args.out)
+        _emit(lambda sink: sink.writelines(_pairs_csv(d.profile, p)), args.out)
         return 0
     zero_pairs = zero_distance_pairs(d) + 1
     payload = {
@@ -366,7 +362,8 @@ def cmd_embed(args) -> int:
 def cmd_variance_sweep(args) -> int:
     rows = distance_variance_sweep(args.n_min, args.n_max, args.quotient_policy)
     if args.format == "csv":
-        _emit(["n,variance\n", *(f"{n},{v!r}\n" for n, v in rows)], args.out)
+        lines = itertools.chain(["n,variance\n"], (f"{n},{v!r}\n" for n, v in rows))
+        _emit(lambda sink: sink.writelines(lines), args.out)
         return 0
     payload = {
         "n_min": args.n_min,
@@ -393,7 +390,7 @@ VERIFY_SUBSPACE_CAP = 407
 
 
 def _check_subspace_restriction(n, strength, epsilon, blocks) -> dict:
-    deviations, mismatches = check_subspace_restrictions(n, strength, epsilon, blocks)
+    deviations, mismatches = check_subspace_restrictions(n, strength, epsilon, blocks[:, :n[-1], :n[-1]])
     worst = float(np.max(deviations))  # np.max, unlike max, keeps a NaN
     detail = f"n=3..{n[-1]}, both couplings"
     if mismatches:  # the last failing ring
@@ -471,8 +468,8 @@ def cmd_verify(args) -> int:
                                 f"{VERIFY_SUBSPACE_CAP}, got {args.n_max_subspace}")
     # The rings (n, strength, epsilon) go size-major, XX and Heisenberg side by side, n = 3
     # to the larger bound, and one stack holds their blocks: the restriction check
-    # certifies those up to --n-max-full, one eigh per size decomposes those up to
-    # --n-max-subspace.
+    # certifies those up to --n-max-full from the stack's leading corner, one eigh per
+    # size decomposes those up to --n-max-subspace.
     n_max = max(args.n_max_full, args.n_max_subspace)
     n = np.arange(6, 2 * n_max + 2) // 2
     rings = n, np.ones(len(n)), np.array([coupling.epsilon for coupling in _COUPLINGS] * (n_max - 2))

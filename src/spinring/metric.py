@@ -176,7 +176,9 @@ class DistanceMatrix:
     @functools.cached_property
     def sums(self) -> np.ndarray:
         """``ramanujan``'s columns added per distinct distance in ``values``: cancellations are exact."""
-        return self.ramanujan @ (self.by_class[:, None] == self.values)
+        order = np.argsort(self.by_class, kind="stable")  # each distance's columns side by side
+        starts = np.searchsorted(self.by_class[order], self.values)
+        return np.add.reduceat(self.ramanujan[:, order], starts, axis=1)
 
 
 class MetricClassification(enum.Enum):

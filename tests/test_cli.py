@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from importlib import resources
@@ -127,10 +128,17 @@ def _plain(value):
     return value
 
 
+def _written(write) -> str:
+    """The text that ``write`` writes to a fresh in-memory sink."""
+    sink = io.StringIO()
+    write(sink)
+    return sink.getvalue()
+
+
 def _emitted(monkeypatch, argv):
     """Run one command in process; return (documents passed to _emit_json, emitted texts).
 
-    Each text joins the parts passed to one `_emit` call.
+    Each text is what the writer passed to one `_emit` call writes.
     """
     docs, texts = [], []
     emit_json = cli._emit_json
@@ -140,7 +148,7 @@ def _emitted(monkeypatch, argv):
         emit_json(doc, out_path)
 
     monkeypatch.setattr(cli, "_emit_json", record)
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     cli.main(argv)
     return docs, texts
 
@@ -186,7 +194,7 @@ def test_params_are_pinned(monkeypatch, argv, params):
 
 def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     signed = np.array([[0.0, -0.0, 1e-300], [-0.0, 0.0, 1.5], [2.0, 1.5, 0.1 + 0.2]])
     docs = [
         {"a": {"nan": np.array([[0.0, math.nan], [math.inf, 1.0]]), "signed": signed}},
@@ -202,7 +210,7 @@ def test_emit_json_matches_json_dumps_on_edge_matrices(monkeypatch):
 
 def test_emit_json_matches_json_dumps_on_edge_values(monkeypatch):
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 0.1 + 0.2]
     docs = [
         {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0},
@@ -226,7 +234,7 @@ def test_inline_scalar_members_match_json_dumps(monkeypatch):
     # Scalar dict and list members are written inline by their exact type:
     # bool apart from int, numpy scalars and enums through the recursive branch.
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     scalars = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-320, 0.1 + 0.2, True, False, 1, 0,
                -(2**70), None, "", "caf\u00e9 \u2603 \U0001f600", '"\\\n\t\x00']
     docs = [
@@ -255,7 +263,7 @@ def test_float_vectors_are_written_in_one_pass(monkeypatch):
     # A 1-D float64 array is written from its distinct values' texts and one
     # join: one _json_parts call, not one per entry, and json.dumps's text.
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1e300, -0.0, 5e-324,
               math.nan, math.inf, -math.inf, 1.0, 1.0, 2.5e-8]
     docs = [
@@ -278,7 +286,7 @@ def test_non_finite_float_matrices_are_written_in_one_call(monkeypatch):
     # A 2-D float64 array takes the rows branch whatever its values: one
     # _json_parts call, not one per row and entry, and json.dumps's text.
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     calls = []
     json_parts = cli._json_parts
     monkeypatch.setattr(cli, "_json_parts", lambda *args: calls.append(1) or json_parts(*args))
@@ -300,10 +308,9 @@ def test_circulant_text_matches_dense_matrix_text():
             for row, dense in ((d.profile, np.array(d.entries)), (np.exp(-d.profile), p)):
                 assert np.array_equal(_plain(cli._Circulant(row)), dense)
                 for indent in (4, 10):
-                    parts, dense_parts = [], []
-                    cli._json_parts(cli._Circulant(row), indent, parts)
-                    cli._json_parts(dense, indent, dense_parts)
-                    assert "".join(parts) == "".join(dense_parts), (n, quotient)
+                    text = _written(lambda sink: cli._json_parts(cli._Circulant(row), indent, sink))
+                    dense_text = _written(lambda sink: cli._json_parts(dense, indent, sink))
+                    assert text == dense_text, (n, quotient)
 
 
 @pytest.mark.parametrize(
@@ -318,7 +325,7 @@ def test_circulant_writers_match_per_entry_reprs(monkeypatch, profile):
     # Each writer calls repr once per distinct bit pattern; the references
     # call it once per entry.
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     row, p = np.array(profile), np.array(profile[::-1])
     n = len(profile)
     dense = [[profile[(j - i) % n] for j in range(n)] for i in range(n)]
@@ -1010,6 +1017,46 @@ def test_unwritable_out_is_a_usage_error(tmp_path, argv):
         assert err == f"error: cannot write --out {path}: {os.strerror(code)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["distance", "--n", "300"],
+                                  ["distance", "--n", "300", "--format", "csv"],
+                                  ["variance-sweep", "--n-max", "300"]])
+def test_out_on_a_full_device_is_a_usage_error(argv):
+    # The writes fail part way through the document, after the file opened.
+    rc, out, err = _in_process(argv + ["--out", "/dev/full"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write --out /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_out_file_holds_the_standard_output_bytes(tmp_path):
+    target = tmp_path / "out"
+    for argv in _workload_requests("scan", "embed", "oracle")[::9]:
+        rc, out, err = _in_process(argv)
+        assert _in_process(argv + ["--out", str(target)]) == (rc, "", err), argv
+        assert target.read_bytes() == out.encode(), argv
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_large_distance_document_streams_in_bounded_memory(fmt):
+    # The n^2 entries (about 100 MB of JSON) go to the sink row by row, or a
+    # site's CSV lines at a time: no list of the document's parts is held.
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert cli.main(["distance", "--n", "2000", "--format", fmt]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def _in_process(argv, main=None):
     """(exit code, stdout, stderr) of ``cli.main(argv)``, or of ``main(argv)``, in this process."""
     out, err = io.StringIO(), io.StringIO()
@@ -1120,7 +1167,7 @@ def test_a_subcommand_request_is_parsed_once_by_its_own_parser(monkeypatch):
 
 def test_records_match_json_dumps(monkeypatch):
     texts = []
-    monkeypatch.setattr(cli, "_emit", lambda parts, out_path: texts.append("".join(parts)))
+    monkeypatch.setattr(cli, "_emit", lambda write, out_path: texts.append(_written(write)))
     kinds = ["identity", "separation", "triangle", "separation", "identity", "triangle",
              "café \"%d%s\" \\", "separation", "separation"]
     sites = [(1,), (2, 3), (4, 5, 6), (10**6, 10**6 + 1), (2**40,), (7, 10**9, 9), (10, 11),

@@ -947,6 +947,19 @@ def test_ramanujan_matrix_from_the_factorization_matches_the_matrix_inverse():
         assert np.array_equal(classes.ramanujan, oracle), n
 
 
+def test_class_sums_equal_the_indicator_product():
+    # sums adds ramanujan's columns per distinct distance; the product with the
+    # class-by-value indicator is its oracle.  A hand-built profile may hold
+    # -0.0 beside 0.0: one value, one column of sums, and values keep their bits.
+    signed = DistanceMatrix(profile=[0.0, 1.0, -0.0, 1.0, 0.0, 1.0])
+    rings = (d for _, _, d in _rings(1999))
+    for d in itertools.chain([signed], rings):
+        oracle = d.ramanujan @ (d.by_class[:, None] == d.values)
+        assert np.array_equal(d.sums, oracle), d.n_effective
+    assert signed.values.view(np.int64).tolist() == np.array([0.0, 1.0]).view(np.int64).tolist()
+    assert signed.sums.shape == (4, 2)
+
+
 def test_a_ring_decision_reads_no_n_length_array():
     # The quotient metric-check at n = 2^20 decides from 20 classes.
     n = 2**20
