@@ -11,18 +11,20 @@ row text is a slice of its doubled first row's text; a record list is given
 as its rows and fills one ``%`` template per record shape.  Exit codes: 0 for
 success or a verified positive verdict, 1 for a negative mathematical
 verdict, a failed verification or any other ``SpinRingError``, 2 for a
-``UsageError`` (an input outside its domain, or an ``--out`` path that
-cannot be written) or an argparse usage error.
+``UsageError`` (an input outside its domain, or an ``--out`` path or a
+standard output that cannot be written) or an argparse usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import functools
 import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -71,7 +73,15 @@ def _document(args, payload: dict) -> dict:
 def _emit(write, out_path) -> None:
     """Call ``write`` with ``out_path`` opened for writing, or with standard output without it."""
     if not out_path:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # A closed pipe: the descriptor is pointed at the null device, so the
+            # interpreter's last flush of what is still buffered does not fail again.
+            with contextlib.suppress(OSError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise InvalidArgs(f"cannot write standard output: {exc.strerror}")
         return
     try:
         with open(out_path, "w") as sink:
@@ -430,7 +440,11 @@ def _check_coupling_invariance(totals, is_xx, n_max: int) -> dict:
     return _check("coupling_invariance", worst, 1e-10, f"n=3..{n_max}, XX vs Heisenberg")
 
 
-def _check_toeplitz_minors() -> dict:
+# The two fixed checks read no flag.  Each is computed on a process's first verify and
+# kept for the routines it checks, so a replaced routine is checked again; one entry,
+# as a tracer installs fresh wrappers on every request.
+@functools.lru_cache(maxsize=1)
+def _check_toeplitz_minors(closed_form, recursion) -> dict:
     cs = np.array((-0.9, -0.25, 0.0, 0.3, 0.5, 0.99))
     orders = np.arange(1, 13)
     full = cs[:, None, None] * np.ones((12, 12))
@@ -438,8 +452,8 @@ def _check_toeplitz_minors() -> dict:
     # Row k - 1 holds the order-k leading minors of all six matrices.
     direct = np.array([np.linalg.det(full[:, :k, :k]) for k in orders])
     candidates = np.empty((2, 12, len(cs)))
-    candidates[0] = toeplitz_minor_closed_form(orders[:, None], cs)
-    for k, minors in enumerate(toeplitz_minor_recursion(12, cs)):
+    candidates[0] = closed_form(orders[:, None], cs)
+    for k, minors in enumerate(recursion(12, cs)):
         candidates[1, k] = minors
     # Within 1e-10 of max(|det|, 1e-4): relative error, absolute 1e-14 near zero.
     worst = float((np.abs(candidates - direct) / np.maximum(np.abs(direct), 1e-4)).max())
@@ -447,10 +461,16 @@ def _check_toeplitz_minors() -> dict:
                   "k<=12, six c values, closed form and recursion vs determinant")
 
 
-def _check_transfer_bound(totals) -> dict:
+@functools.lru_cache(maxsize=1)
+def _check_transfer_bound(closed_form) -> dict:
     # p(t) = |sum_k <1|Pi_k|1+m> exp(-i lambda_k t)|^2 <= (sum_k |<1|Pi_k|1+m>|)^2
     # at every t >= 0 by the triangle inequality, so no time grid is sampled.
-    closed = [p_max_closed_form(n, m) for n in _TRANSFER_SIZES for m in range(1, n // 2 + 1)]
+    sizes = np.array(_TRANSFER_SIZES)
+    _, multiplicities, order = circulant_eigenspaces(sizes, np.ones(len(sizes)), np.zeros(len(sizes)))
+    bases = [hartley_rows(k, np.arange(k))[:, order[end - k:end]].ravel()
+             for k, end in zip(_TRANSFER_SIZES, np.cumsum(sizes).tolist())]
+    totals = _site_one_totals(np.concatenate(bases), sizes, multiplicities)
+    closed = [closed_form(n, m) for n in _TRANSFER_SIZES for m in range(1, n // 2 + 1)]
     worst = float((totals * totals - closed).max())
     return _check("transfer_bound", worst, 1e-10,
                   "n in {3,4,5,7,8}, (sum_k |<1|Pi_k|1+m>|)^2 >= sup_t p(t) vs closed-form p_max")
@@ -466,10 +486,10 @@ def cmd_verify(args) -> int:
     if args.n_max_subspace > VERIFY_SUBSPACE_CAP:
         raise DimensionTooLarge(f"verify's blocks fit 1 GiB for --n-max-subspace <= "
                                 f"{VERIFY_SUBSPACE_CAP}, got {args.n_max_subspace}")
-    # The rings (n, strength, epsilon) go size-major, XX and Heisenberg side by side, n = 3
-    # to the larger bound, and one stack holds their blocks: the restriction check
-    # certifies those up to --n-max-full from the stack's leading corner, one eigh per
-    # size decomposes those up to --n-max-subspace.
+    # The three ring checks run on every request.  Their rings (n, strength, epsilon) go
+    # size-major, XX and Heisenberg side by side, n = 3 to the larger bound, and one stack
+    # holds their blocks: the restriction check certifies those up to --n-max-full from
+    # the stack's leading corner, one eigh per size decomposes those up to --n-max-subspace.
     n_max = max(args.n_max_full, args.n_max_subspace)
     n = np.arange(6, 2 * n_max + 2) // 2
     rings = n, np.ones(len(n)), np.array([coupling.epsilon for coupling in _COUPLINGS] * (n_max - 2))
@@ -477,32 +497,22 @@ def cmd_verify(args) -> int:
     full, subspace = 2 * (args.n_max_full - 2), 2 * (args.n_max_subspace - 2)
     block_sizes, sizes = n[:subspace], n[:subspace:2]
     values, multiplicities, vectors = numerical_spectra(blocks[:subspace], block_sizes)
-    # One closed-form table: the agreement rings (XX), then the transfer rings.
-    closed_sizes = np.concatenate((sizes, _TRANSFER_SIZES))
-    strength = np.ones(len(closed_sizes))
-    if args.inject_fault:
-        strength[:len(sizes)] = 1.0 + 1e-6
-    closed, closed_multiplicities, order = circulant_eigenspaces(
-        closed_sizes, strength, np.zeros(len(closed_sizes)))
-    modes = int((sizes // 2 + 1).sum())
-    hartley = [hartley_rows(k, np.arange(k))[:, order[end - k:end]].ravel()
-               for k, end in zip(_TRANSFER_SIZES, np.cumsum(closed_sizes)[len(sizes):].tolist())]
-    # One overlap pass: the numerical bases, then the Hartley bases.
-    totals = _site_one_totals(np.concatenate((vectors, *hartley)),
-                              np.concatenate((block_sizes, _TRANSFER_SIZES)),
-                              np.concatenate((multiplicities, closed_multiplicities[modes:])))
-    numeric_totals = int((block_sizes // 2).sum())
+    # One closed-form table for the agreement rings (XX), one overlap pass over the bases.
+    strength = np.full(len(sizes), 1.0 + 1e-6 if args.inject_fault else 1.0)
+    closed, closed_multiplicities, _ = circulant_eigenspaces(sizes, strength, np.zeros(len(sizes)))
+    totals = _site_one_totals(vectors, block_sizes, multiplicities)
     is_xx = rings[2][:subspace] == Coupling.XX.epsilon
     checks = [
         _check_subspace_restriction(*(array[:full] for array in (*rings, blocks))),
         _check_spectrum_agreement(
-            np.repeat(closed[:modes], closed_multiplicities[:modes]),
+            np.repeat(closed, closed_multiplicities),
             np.repeat(values, multiplicities)[np.repeat(is_xx, block_sizes)],
             args.n_max_subspace),
-        _check_coupling_invariance(totals[:numeric_totals],
-                                   np.repeat(is_xx, block_sizes // 2), args.n_max_subspace),
-        _check_toeplitz_minors(),
-        _check_transfer_bound(totals[numeric_totals:]),
+        _check_coupling_invariance(totals, np.repeat(is_xx, block_sizes // 2),
+                                   args.n_max_subspace),
+        # The fixed checks of the routines cli holds now, copied so no request changes a cached record.
+        dict(_check_toeplitz_minors(toeplitz_minor_closed_form, toeplitz_minor_recursion)),
+        dict(_check_transfer_bound(p_max_closed_form)),
     ]
     all_ok = all(check["ok"] for check in checks)
     payload = {

@@ -670,9 +670,11 @@ def test_verify_never_runs_the_time_series(monkeypatch):
 
 
 def test_verify_transfer_bound_catches_a_low_closed_form(monkeypatch):
+    argv = ["verify", "--n-max-full", "4", "--n-max-subspace", "8"]
+    assert _in_process(argv)[0] == 0  # the fixed checks are computed before the patch
     closed_form = cli.p_max_closed_form
     monkeypatch.setattr(cli, "p_max_closed_form", lambda n, m: 0.999 * closed_form(n, m))
-    rc, out, err = _in_process(["verify", "--n-max-full", "4", "--n-max-subspace", "8"])
+    rc, out, err = _in_process(argv)
     assert rc == 1
     payload = json.loads(out)["payload"]
     assert payload["all_ok"] is False
@@ -684,6 +686,116 @@ def test_verify_transfer_bound_catches_a_low_closed_form(monkeypatch):
         "transfer_bound": False,
     }
     assert err == "error: verification failed: transfer_bound\n"
+
+
+def test_verify_toeplitz_minors_catches_a_perturbed_recursion(monkeypatch):
+    argv = ["verify", "--n-max-full", "4", "--n-max-subspace", "8"]
+    assert _in_process(argv)[0] == 0  # the fixed checks are computed before the patch
+    recursion = cli.toeplitz_minor_recursion
+    monkeypatch.setattr(cli, "toeplitz_minor_recursion",
+                        lambda k_max, c: [t * (1.0 + 1e-9) for t in recursion(k_max, c)])
+    rc, out, err = _in_process(argv)
+    assert rc == 1
+    payload = json.loads(out)["payload"]
+    assert payload["all_ok"] is False
+    assert {check["name"]: check["ok"] for check in payload["checks"]} == {
+        "subspace_restriction": True,
+        "spectrum_agreement": True,
+        "coupling_invariance": True,
+        "toeplitz_minors": False,
+        "transfer_bound": True,
+    }
+    assert err == "error: verification failed: toeplitz_minors\n"
+
+
+# The checks that read no flag, each computed once for the routines it checks.
+FIXED_CHECKS = {"toeplitz_minors": cli._check_toeplitz_minors,
+                "transfer_bound": cli._check_transfer_bound}
+# Those routines, by name in cli: the check each one fails when perturbed, and its perturbation.
+FIXED_ROUTINES = {
+    "toeplitz_minor_closed_form": ("toeplitz_minors",
+                                   lambda f: lambda k, c: f(k, c) * (1.0 + 1e-9)),
+    "toeplitz_minor_recursion": ("toeplitz_minors",
+                                 lambda f: lambda k_max, c: [t * (1.0 + 1e-9) for t in f(k_max, c)]),
+    "p_max_closed_form": ("transfer_bound", lambda f: lambda n, m: 0.999 * f(n, m)),
+}
+
+
+def _clear_fixed_checks():
+    for check in FIXED_CHECKS.values():
+        check.cache_clear()
+
+
+@pytest.mark.parametrize("routine", list(FIXED_ROUTINES))
+def test_a_replaced_routine_is_checked_again(monkeypatch, routine):
+    argv = ["verify", "--n-max-full", "3", "--n-max-subspace", "3"]
+    _clear_fixed_checks()
+    passing = _in_process(argv)
+    assert passing[0] == 0, passing[2]
+    check, perturb = FIXED_ROUTINES[routine]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, routine, perturb(getattr(cli, routine)))
+        rc, out, err = _in_process(argv)
+    assert (rc, err) == (1, f"error: verification failed: {check}\n")
+    assert [c["name"] for c in json.loads(out)["payload"]["checks"] if not c["ok"]] == [check]
+    # The restored routine is checked again, and gives the first request's bytes.
+    assert _in_process(argv) == passing
+    assert {name: fixed.cache_info().misses for name, fixed in FIXED_CHECKS.items()} == {
+        name: 3 if name == check else 1 for name in FIXED_CHECKS}
+
+
+def test_verify_runs_the_fixed_checks_routines_once_per_process(monkeypatch):
+    calls = dict.fromkeys(FIXED_ROUTINES, 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cli, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    requests = (["verify", "--n-max-full", "4", "--n-max-subspace", "5"], ["verify", "--inject-fault"],
+                ["verify", "--n-max-full", "3", "--n-max-subspace", "3"])
+    assert [_in_process(argv)[0] for argv in requests * 2] == [0, 1, 0] * 2
+    # One order-12 table each for the minors, one closed form per transfer ring and separation.
+    assert calls == {"toeplitz_minor_closed_form": 1, "toeplitz_minor_recursion": 1,
+                     "p_max_closed_form": sum(n // 2 for n in (3, 4, 5, 7, 8))}
+
+
+def test_each_verify_gets_its_own_fixed_check_records(monkeypatch):
+    argv = ["verify", "--n-max-full", "3", "--n-max-subspace", "3"]
+    expected = _in_process(argv)[1]
+    first, _ = _emitted(monkeypatch, argv)
+    for record in first[0]["payload"]["checks"]:
+        record["ok"], record["detail"] = None, "changed"
+    _, texts = _emitted(monkeypatch, argv)
+    assert texts == [expected]
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--inject-fault"],
+                                  ["verify", "--n-max-full", "3", "--n-max-subspace", "8"]])
+def test_a_warm_verify_prints_what_a_fresh_process_prints(argv):
+    assert _in_process(["verify", "--n-max-full", "3", "--n-max-subspace", "3"])[0] == 0
+    assert all(check.cache_info().currsize == 1 for check in FIXED_CHECKS.values())
+    child = run_cli(*argv)
+    assert _in_process(argv) == (child.returncode, child.stdout, child.stderr)
+
+
+def test_fixed_checks_run_on_the_first_verify_not_on_import():
+    script = (
+        "import contextlib, io, spinring.cli as cli\n"
+        "checks = (cli._check_toeplitz_minors, cli._check_transfer_bound)\n"
+        "misses = [[check.cache_info().misses for check in checks]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['classify', '--n', '5'])\n"
+        "    misses.append([check.cache_info().misses for check in checks])\n"
+        "    for bound in ('3', '4', '5'):\n"
+        "        cli.main(['verify', '--n-max-full', '3', '--n-max-subspace', bound])\n"
+        "print(misses + [[check.cache_info().misses for check in checks]])\n"
+    )
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[[0, 0], [0, 0], [1, 1]]"
 
 
 def test_verify_reports_a_non_finite_block_as_an_error(monkeypatch):
@@ -859,9 +971,15 @@ def test_verify_builds_one_closed_form_table_and_one_overlap_pass(monkeypatch, b
 
         monkeypatch.setattr(cli, name, counted)
     argv = ["verify", "--n-max-full", bounds[0], "--n-max-subspace", bounds[1]]
-    rc, _, err = _in_process(argv + ["--inject-fault"] * inject_fault)
-    assert rc == (1 if inject_fault else 0), err
-    assert calls == {"circulant_eigenspaces": 1, "_site_one_totals": 1}
+    argv += ["--inject-fault"] * inject_fault
+    # The first verify of a process also computes the transfer check's own
+    # table and pass; every later one reuses that check.
+    _clear_fixed_checks()
+    for expected in (2, 1):
+        calls.update(dict.fromkeys(calls, 0))
+        rc, _, err = _in_process(argv)
+        assert rc == (1 if inject_fault else 0), err
+        assert calls == {"circulant_eigenspaces": expected, "_site_one_totals": expected}
 
 
 def _per_block_worst(n_max_full, n_max_subspace, inject_fault):
@@ -1034,6 +1152,56 @@ def test_out_file_holds_the_standard_output_bytes(tmp_path):
         rc, out, err = _in_process(argv)
         assert _in_process(argv + ["--out", str(target)]) == (rc, "", err), argv
         assert target.read_bytes() == out.encode(), argv
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A text sink whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+# A standard output whose reader closed early: one error line and exit 2.
+BROKEN_PIPE = (2, "", f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.parametrize("argv", [["distance", "--n", "5"], ["distance", "--n", "5", "--format", "csv"],
+                                  ["verify", "--n-max-full", "3", "--n-max-subspace", "3"]])
+def test_a_failed_standard_output_write_is_a_usage_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert (rc, "", err.getvalue()) == BROKEN_PIPE
+
+
+@pytest.mark.parametrize("entry", [["-m", "spinring"],  # and the installed script's call
+                                   ["-c", "import sys; from spinring.cli import main; sys.exit(main())"]],
+                         ids=["module", "script"])
+@pytest.mark.parametrize("argv", [["distance", "--n", "2000"], ["classify", "--n", "5"]])
+def test_a_standard_output_closed_early_exits_2_with_one_error_line(entry, argv):
+    # The reader closes before the first write, so a small document fails at
+    # its flush rather than at the interpreter's exit, and a large one part way.
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *entry, *argv],
+                                stdout=write, stderr=subprocess.PIPE, text=True,
+                                env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write)
+    assert (result.returncode, "", result.stderr) == BROKEN_PIPE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_standard_output_on_a_full_device_exits_2_with_one_error_line():
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "spinring", "classify", "--n", "5"],
+                                stdout=full, stderr=subprocess.PIPE, text=True,
+                                env=dict(os.environ, PYTHONPATH=path))
+    assert (result.returncode, result.stderr) == (
+        2, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
 
 
 class _Discard(io.TextIOBase):
