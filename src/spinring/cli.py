@@ -55,7 +55,7 @@ from .metric import (
     p_max_closed_form,
     zero_distance_pairs,
 )
-from .spectral import circulant_eigenspaces, hartley_rows, numerical_spectra
+from .spectral import circulant_eigenspaces, circulant_spectrum, numerical_spectra, projector_overlaps
 
 SCHEMA_VERSION = "1"
 
@@ -440,37 +440,31 @@ def _check_coupling_invariance(totals, is_xx, n_max: int) -> dict:
     return _check("coupling_invariance", worst, 1e-10, f"n=3..{n_max}, XX vs Heisenberg")
 
 
-# The two fixed checks read no flag.  Each is computed on a process's first verify and
-# kept for the routines it checks, so a replaced routine is checked again; one entry,
-# as a tracer installs fresh wrappers on every request.
-@functools.lru_cache(maxsize=1)
-def _check_toeplitz_minors(closed_form, recursion) -> dict:
+# The two fixed checks read no flag, so each is computed on a process's first verify and kept.
+@functools.cache
+def _check_toeplitz_minors() -> dict:
     cs = np.array((-0.9, -0.25, 0.0, 0.3, 0.5, 0.99))
     orders = np.arange(1, 13)
     full = cs[:, None, None] * np.ones((12, 12))
     full[:, orders - 1, orders - 1] = 1.0
     # Row k - 1 holds the order-k leading minors of all six matrices.
     direct = np.array([np.linalg.det(full[:, :k, :k]) for k in orders])
-    candidates = np.empty((2, 12, len(cs)))
-    candidates[0] = closed_form(orders[:, None], cs)
-    for k, minors in enumerate(recursion(12, cs)):
-        candidates[1, k] = minors
+    candidates = np.array([toeplitz_minor_closed_form(orders[:, None], cs),
+                           np.broadcast_arrays(*toeplitz_minor_recursion(12, cs))])
     # Within 1e-10 of max(|det|, 1e-4): relative error, absolute 1e-14 near zero.
     worst = float((np.abs(candidates - direct) / np.maximum(np.abs(direct), 1e-4)).max())
     return _check("toeplitz_minors", worst, 1e-10,
                   "k<=12, six c values, closed form and recursion vs determinant")
 
 
-@functools.lru_cache(maxsize=1)
-def _check_transfer_bound(closed_form) -> dict:
+@functools.cache
+def _check_transfer_bound() -> dict:
     # p(t) = |sum_k <1|Pi_k|1+m> exp(-i lambda_k t)|^2 <= (sum_k |<1|Pi_k|1+m>|)^2
     # at every t >= 0 by the triangle inequality, so no time grid is sampled.
-    sizes = np.array(_TRANSFER_SIZES)
-    _, multiplicities, order = circulant_eigenspaces(sizes, np.ones(len(sizes)), np.zeros(len(sizes)))
-    bases = [hartley_rows(k, np.arange(k))[:, order[end - k:end]].ravel()
-             for k, end in zip(_TRANSFER_SIZES, np.cumsum(sizes).tolist())]
-    totals = _site_one_totals(np.concatenate(bases), sizes, multiplicities)
-    closed = [closed_form(n, m) for n in _TRANSFER_SIZES for m in range(1, n // 2 + 1)]
+    totals = np.concatenate([
+        projector_overlaps(circulant_spectrum(RingSpec(n)), 1, np.arange(2, n // 2 + 2)).sum(axis=0)
+        for n in _TRANSFER_SIZES])
+    closed = [p_max_closed_form(n, m) for n in _TRANSFER_SIZES for m in range(1, n // 2 + 1)]
     worst = float((totals * totals - closed).max())
     return _check("transfer_bound", worst, 1e-10,
                   "n in {3,4,5,7,8}, (sum_k |<1|Pi_k|1+m>|)^2 >= sup_t p(t) vs closed-form p_max")
@@ -510,9 +504,9 @@ def cmd_verify(args) -> int:
             args.n_max_subspace),
         _check_coupling_invariance(totals, np.repeat(is_xx, block_sizes // 2),
                                    args.n_max_subspace),
-        # The fixed checks of the routines cli holds now, copied so no request changes a cached record.
-        dict(_check_toeplitz_minors(toeplitz_minor_closed_form, toeplitz_minor_recursion)),
-        dict(_check_transfer_bound(p_max_closed_form)),
+        # The process's fixed checks, copied so no request changes a cached record.
+        dict(_check_toeplitz_minors()),
+        dict(_check_transfer_bound()),
     ]
     all_ok = all(check["ok"] for check in checks)
     payload = {

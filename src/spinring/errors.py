@@ -14,7 +14,7 @@ class InvalidSpec(UsageError):
 
 
 class DimensionTooLarge(UsageError):
-    """Full-space construction requested beyond the dense-matrix cap."""
+    """A size past a build cap: the dense full space, 62-spin basis rows, or verify's 407 block budget."""
 
 
 class RestrictionMismatch(SpinRingError):

@@ -102,6 +102,8 @@ class DistanceMatrix:
 
     def _set_table(self, points: int, distance) -> None:
         """Keep the class table of a ring of ``points`` points: ``distance(e)`` for each divisor e."""
+        if points >= 2**63:  # the divisors must fit int64
+            raise InvalidArgs(f"a ring needs fewer than 2**63 points, got N={points}")
         factors = _factorization(points)
         divisors = sorted(_mixed_radix(factors), reverse=True)
         self.__dict__.update(n_effective=points, _factors=factors, divisors=np.array(divisors),
@@ -325,6 +327,8 @@ def distance_matrix(spec: RingSpec, quotient: bool = False) -> DistanceMatrix:
     ------
     QuotientOnOddRing
         If the quotient is requested for odd n.
+    InvalidArgs
+        If N is 2**63 or more, so its divisors would not fit int64.
     """
     n = spec.n
     if quotient and n % 2 == 1:

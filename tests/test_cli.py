@@ -380,6 +380,28 @@ def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "--n", str(2**63)],
+    ["metric-check", "--n", str(2**63)],
+    ["metric-check", "--n", str(2**63 + 1)],
+    ["metric-check", "--n", str(2**64 + 1)],
+    ["metric-check", "--n", str(2**65), "--quotient"],
+])
+def test_a_ring_of_2_to_the_63_points_is_a_usage_error(argv):
+    rc, out, err = _in_process(argv)
+    assert (rc, out) == (2, "")
+    n_effective = int(argv[2]) >> ("--quotient" in argv)
+    assert err == f"error: a ring needs fewer than 2**63 points, got N={n_effective}\n"
+
+
+@pytest.mark.parametrize("argv", [["metric-check", "--n", str(2**63 - 1)],
+                                  ["metric-check", "--n", str(2**63), "--quotient"]])
+def test_a_ring_just_inside_the_point_bound_is_checked(argv):
+    rc, out, err = _in_process(argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["payload"]["classification"] == "Metric"
+
+
 _ERRORS = [value for value in vars(errors).values()
            if isinstance(value, type) and issubclass(value, errors.SpinRingError)]
 
@@ -669,11 +691,12 @@ def test_verify_never_runs_the_time_series(monkeypatch):
     assert json.loads(out)["payload"]["all_ok"] is True
 
 
-def test_verify_transfer_bound_catches_a_low_closed_form(monkeypatch):
+def test_verify_transfer_bound_catches_a_low_closed_form(monkeypatch, fixed_checks):
     argv = ["verify", "--n-max-full", "4", "--n-max-subspace", "8"]
     assert _in_process(argv)[0] == 0  # the fixed checks are computed before the patch
     closed_form = cli.p_max_closed_form
     monkeypatch.setattr(cli, "p_max_closed_form", lambda n, m: 0.999 * closed_form(n, m))
+    fixed_checks()
     rc, out, err = _in_process(argv)
     assert rc == 1
     payload = json.loads(out)["payload"]
@@ -688,12 +711,13 @@ def test_verify_transfer_bound_catches_a_low_closed_form(monkeypatch):
     assert err == "error: verification failed: transfer_bound\n"
 
 
-def test_verify_toeplitz_minors_catches_a_perturbed_recursion(monkeypatch):
+def test_verify_toeplitz_minors_catches_a_perturbed_recursion(monkeypatch, fixed_checks):
     argv = ["verify", "--n-max-full", "4", "--n-max-subspace", "8"]
     assert _in_process(argv)[0] == 0  # the fixed checks are computed before the patch
     recursion = cli.toeplitz_minor_recursion
     monkeypatch.setattr(cli, "toeplitz_minor_recursion",
                         lambda k_max, c: [t * (1.0 + 1e-9) for t in recursion(k_max, c)])
+    fixed_checks()
     rc, out, err = _in_process(argv)
     assert rc == 1
     payload = json.loads(out)["payload"]
@@ -708,7 +732,7 @@ def test_verify_toeplitz_minors_catches_a_perturbed_recursion(monkeypatch):
     assert err == "error: verification failed: toeplitz_minors\n"
 
 
-# The checks that read no flag, each computed once for the routines it checks.
+# The checks that read no flag, each computed once per process.
 FIXED_CHECKS = {"toeplitz_minors": cli._check_toeplitz_minors,
                 "transfer_bound": cli._check_transfer_bound}
 # Those routines, by name in cli: the check each one fails when perturbed, and its perturbation.
@@ -726,25 +750,38 @@ def _clear_fixed_checks():
         check.cache_clear()
 
 
-@pytest.mark.parametrize("routine", list(FIXED_ROUTINES))
-def test_a_replaced_routine_is_checked_again(monkeypatch, routine):
-    argv = ["verify", "--n-max-full", "3", "--n-max-subspace", "3"]
+@pytest.fixture
+def fixed_checks():
+    """Clears the fixed checks' records when called, and again at teardown.
+
+    A test that replaces a routine calls it once the replacement is installed,
+    and no later test reads a record built from the replaced routine.
+    """
+    yield _clear_fixed_checks
     _clear_fixed_checks()
+
+
+@pytest.mark.parametrize("routine", list(FIXED_ROUTINES))
+def test_a_replaced_routine_is_checked_again(monkeypatch, fixed_checks, routine):
+    argv = ["verify", "--n-max-full", "3", "--n-max-subspace", "3"]
+    fixed_checks()
     passing = _in_process(argv)
     assert passing[0] == 0, passing[2]
     check, perturb = FIXED_ROUTINES[routine]
     with monkeypatch.context() as patch:
         patch.setattr(cli, routine, perturb(getattr(cli, routine)))
+        # A process keeps its first records until they are cleared.
+        assert _in_process(argv) == passing
+        fixed_checks()
         rc, out, err = _in_process(argv)
     assert (rc, err) == (1, f"error: verification failed: {check}\n")
     assert [c["name"] for c in json.loads(out)["payload"]["checks"] if not c["ok"]] == [check]
-    # The restored routine is checked again, and gives the first request's bytes.
+    # The restored routine, checked again, gives the first request's bytes.
+    fixed_checks()
     assert _in_process(argv) == passing
-    assert {name: fixed.cache_info().misses for name, fixed in FIXED_CHECKS.items()} == {
-        name: 3 if name == check else 1 for name in FIXED_CHECKS}
 
 
-def test_verify_runs_the_fixed_checks_routines_once_per_process(monkeypatch):
+def test_verify_runs_the_fixed_checks_routines_once_per_process(monkeypatch, fixed_checks):
     calls = dict.fromkeys(FIXED_ROUTINES, 0)
     for name in calls:
         def counted(*args, _name=name, _original=getattr(cli, name)):
@@ -752,6 +789,7 @@ def test_verify_runs_the_fixed_checks_routines_once_per_process(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(cli, name, counted)
+    fixed_checks()
     requests = (["verify", "--n-max-full", "4", "--n-max-subspace", "5"], ["verify", "--inject-fault"],
                 ["verify", "--n-max-full", "3", "--n-max-subspace", "3"])
     assert [_in_process(argv)[0] for argv in requests * 2] == [0, 1, 0] * 2
@@ -961,8 +999,8 @@ def test_verify_refuses_a_subspace_bound_past_the_block_budget_before_building(m
 
 @pytest.mark.parametrize("bounds", [("9", "8"), ("3", "3"), ("3", "4")])
 @pytest.mark.parametrize("inject_fault", [False, True])
-def test_verify_builds_one_closed_form_table_and_one_overlap_pass(monkeypatch, bounds,
-                                                                   inject_fault):
+def test_verify_builds_one_closed_form_table_and_one_overlap_pass(monkeypatch, fixed_checks,
+                                                                   bounds, inject_fault):
     calls = {"circulant_eigenspaces": 0, "_site_one_totals": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(cli, name)):
@@ -972,14 +1010,13 @@ def test_verify_builds_one_closed_form_table_and_one_overlap_pass(monkeypatch, b
         monkeypatch.setattr(cli, name, counted)
     argv = ["verify", "--n-max-full", bounds[0], "--n-max-subspace", bounds[1]]
     argv += ["--inject-fault"] * inject_fault
-    # The first verify of a process also computes the transfer check's own
-    # table and pass; every later one reuses that check.
-    _clear_fixed_checks()
-    for expected in (2, 1):
+    # The first verify of a process, which also computes the fixed checks, included.
+    fixed_checks()
+    for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         rc, _, err = _in_process(argv)
         assert rc == (1 if inject_fault else 0), err
-        assert calls == {"circulant_eigenspaces": expected, "_site_one_totals": expected}
+        assert calls == {"circulant_eigenspaces": 1, "_site_one_totals": 1}
 
 
 def _per_block_worst(n_max_full, n_max_subspace, inject_fault):

@@ -201,6 +201,17 @@ def test_distance_matrix_refuses_zero_points():
             build()
 
 
+def test_distance_matrix_refuses_a_ring_of_2_to_the_63_points():
+    # Past int64 the divisors would become float64 or object and the class table wrong.
+    for n, quotient in ((2**63, False), (2**64, True), (2**64 + 1, False)):
+        with pytest.raises(InvalidArgs, match=f"fewer than 2\\*\\*63 points, got N={n >> quotient}$"):
+            distance_matrix(RingSpec(n), quotient)
+    d = distance_matrix(RingSpec(2**63 - 1))
+    assert d.n_effective == 2**63 - 1
+    assert d.divisors.dtype == np.int64 and d.divisors[0] == 2**63 - 1
+    assert distance_matrix(RingSpec(2**63), quotient=True).divisors.dtype == np.int64
+
+
 def test_distance_matrix_refuses_entries_that_are_not_numbers():
     for build in (lambda: DistanceMatrix.from_entries([["a"]]),
                   lambda: DistanceMatrix.from_entries([[0.0, 1.0], [1.0]]),

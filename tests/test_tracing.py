@@ -44,3 +44,36 @@ def test_tracer_records_the_cli_layers():
     assert metrics["embedding.realize.calls"][0] > 0
     assert metrics["metric.check_metric_axioms.triples"][0] > 0
     assert metrics["cli.self_s"][0] > 0.0
+
+
+# verify's routines whose checks read no flag.
+FIXED_ROUTINES = ("embedding.toeplitz_minor_closed_form", "embedding.toeplitz_minor_recursion",
+                  "metric.p_max_closed_form")
+
+
+def test_a_traced_verify_reuses_the_fixed_checks_and_prints_the_untraced_bytes():
+    # As a traced benchmark pass runs them: each request untraced, then traced
+    # with the wrappers installed for that request alone.
+    for check in (spinring.cli._check_toeplitz_minors, spinring.cli._check_transfer_bound):
+        check.cache_clear()
+    tracer = load_tracing().Tracer()
+    requests = (["verify", "--n-max-full", "4", "--n-max-subspace", "5"],
+                ["verify", "--n-max-full", "3", "--n-max-subspace", "3"], ["verify", "--inject-fault"])
+    for request in requests:
+        untraced = _run(request)
+        tracer.request += 1
+        tracer.install()
+        try:
+            assert _run(request) == untraced, request
+        finally:
+            tracer.uninstall()
+    traced = {span.request for span in tracer.spans if span.name in FIXED_ROUTINES}
+    assert len(traced) <= 1, sorted(traced)
+    assert {span.request for span in tracer.spans if span.name == "cli.cmd_verify"} == {1, 2, 3}
+
+
+def _run(request):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = spinring.cli.main(request)
+    return rc, out.getvalue(), err.getvalue()
