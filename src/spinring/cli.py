@@ -42,6 +42,7 @@ from .hamiltonian import (
     ROW_SPACE_CAP,
     Coupling,
     RingSpec,
+    _ring_sites,
     build_single_excitation_blocks,
     check_subspace_restrictions,
 )
@@ -62,10 +63,7 @@ SCHEMA_VERSION = "1"
 
 def _document(args, payload: dict) -> dict:
     """The output document of one parsed command; its ``params`` are the parsed options."""
-    params = {key: value for key, value in vars(args).items()
-              if key not in ("command", "out", "seed")}
-    # Documents list the seed last; argparse puts the shared --seed first.
-    params["seed"] = args.seed
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
     return {"schema_version": SCHEMA_VERSION, "command": args.command, "params": params,
             "payload": payload}
 
@@ -278,7 +276,7 @@ def cmd_distance(args) -> int:
 def cmd_metric_check(args) -> int:
     spec = RingSpec(args.n)
     d = distance_matrix(spec, quotient=args.quotient)
-    report = check_metric_axioms(d, seed=args.seed)
+    report = check_metric_axioms(d)
     payload = {
         "n": args.n,
         "quotient": args.quotient,
@@ -305,9 +303,7 @@ def cmd_classify(args) -> int:
         "n": args.n,
         "n_effective": d.n_effective,
         "quotient_applied": quotient,
-        "kind": classification.kind,
-        "uniform": classification.uniform,
-        "distinct_values": list(classification.distinct_values),
+        **vars(classification),
         "uniform_distance": classification.distinct_values[0] if classification.uniform else None,
     }
     _emit_json(_document(args, payload), args.out)
@@ -341,7 +337,6 @@ def cmd_embed(args) -> int:
             "max_distortion": result.max_distortion,
             "irreducible": result.irreducible,
         }
-    classification = ring.classification
     payload = {
         "n": args.n,
         "quotient": ring.quotiented,
@@ -349,11 +344,7 @@ def cmd_embed(args) -> int:
         "space": space,
         "kappa_policy": "auto" if args.kappa == "auto" else "value",
         "kappa": ring.kappa,
-        "classification": {
-            "kind": classification.kind,
-            "uniform": classification.uniform,
-            "distinct_values": list(classification.distinct_values),
-        },
+        "classification": vars(ring.classification),
         "weights": {"mean": ring.weight_mean, "min": ring.weight_min, "max": ring.weight_max},
         "kappa_max_mean_weight": ring.kappa_max_mean_weight,
         "threshold": None if ring.threshold is None else dataclasses.asdict(ring.threshold),
@@ -417,14 +408,12 @@ def _site_one_totals(vectors, sizes, multiplicities) -> np.ndarray:
     after a zero slot: reduceat adds a segment's first element to the sum of
     the rest, np.sum adds 0 to the sum of all, so the totals equal ``p_max``'s.
     """
-    lengths = sizes // 2 * (sizes + 1)
-    basis = np.repeat(np.arange(len(sizes)), lengths)
-    position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    basis, position = _ring_sites(sizes // 2 * (sizes + 1))
     site, slot = np.divmod(position, sizes[basis] + 1)  # site m - 1, then slot 0 or column + 1
     row_1 = (np.cumsum(sizes * sizes) - sizes * sizes)[basis] + slot - 1
     products = np.where(slot > 0, vectors[row_1] * vectors[row_1 + (site + 1) * sizes[basis]], 0.0)
     first = np.bincount(np.cumsum(multiplicities) - multiplicities, minlength=sizes.sum()) > 0
-    starts = np.flatnonzero(first[np.repeat(np.cumsum(sizes) - sizes, lengths) + slot - 1] | (slot == 0))
+    starts = np.flatnonzero(first[(np.cumsum(sizes) - sizes)[basis] + slot - 1] | (slot == 0))
     entries = np.abs(np.add.reduceat(products, starts))
     return np.add.reduceat(entries, np.flatnonzero(slot[starts] == 0))
 
@@ -536,55 +525,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Transfer-probability distances on spin rings, metric checks, "
         "and constant-curvature embeddings.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="write output to a file instead of standard output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="echoed in the document's params; changes no other output "
-                        "(default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("distance", parents=[common],
-                       help="distance and p_max matrices for one ring")
+    p = sub.add_parser("distance", help="distance and p_max matrices for one ring")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--coupling", choices=["xx", "heisenberg"], default="xx")
-    p.add_argument("--strength", type=float, default=1.0)
+    # The distance does not depend on the coupling: verify's coupling_invariance checks it.
+    p.add_argument("--coupling", choices=["xx", "heisenberg"], default="xx",
+                   help="echoed in params and the payload; changes no distance (default xx)")
+    p.add_argument("--strength", type=float, default=1.0,
+                   help="positive finite J, echoed in params and the payload; changes no "
+                   "distance (default 1.0)")
     p.add_argument("--quotient", action="store_true",
                    help="identify antipodal sites (even n only)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("metric-check", parents=[common],
-                       help="verify the metric axioms for one ring")
+    p = sub.add_parser("metric-check", help="verify the metric axioms for one ring")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--quotient", action="store_true")
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="classify a ring by its distance spectrum")
+    p = sub.add_parser("classify", help="classify a ring by its distance spectrum")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("embed", parents=[common],
-                       help="decide and realize a constant-curvature embedding")
+    p = sub.add_parser("embed", help="decide and realize a constant-curvature embedding")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--space", choices=["spherical", "euclidean", "hyperbolic"],
                    required=True)
     p.add_argument("--kappa", default="auto",
                    help="curvature: 'auto' or a number (default auto)")
 
-    p = sub.add_parser("variance-sweep", parents=[common],
-                       help="variance of off-diagonal distances across ring sizes")
+    p = sub.add_parser("variance-sweep", help="variance of off-diagonal distances across ring sizes")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--quotient-policy", choices=["auto", "never"], default="auto")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the cross-module invariant suite")
+    p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--n-max-full", type=int, default=10,
                    help="largest n for full-space restriction checks (default 10)")
     p.add_argument("--n-max-subspace", type=int, default=64,
                    help="largest n for subspace checks (default 64)")
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one closed-form path to demonstrate failure detection")
+    for p in sub.choices.values():  # after each command's own options, as params lists them
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write output to a file instead of standard output")
+        p.add_argument("--seed", type=int, default=0,
+                       help="echoed in the document's params; changes no other output (default 0)")
     parser.commands = sub.choices  # the subcommand parsers by name, for main
     return parser
 

@@ -135,7 +135,7 @@ def build_full_hamiltonian(spec: RingSpec) -> np.ndarray:
 
 
 def _ring_sites(n: np.ndarray):
-    """Ring index and 0-based site of each site of rings of n[0], n[1], ... spins, in turn."""
+    """Ring and 0-based site of each site of rings (or segments) of n[0], n[1], ... spins, in turn."""
     ring = np.repeat(np.arange(len(n)), n)
     return ring, np.arange(len(ring)) - np.repeat(np.cumsum(n) - n, n)
 

@@ -510,22 +510,23 @@ def check_metric_axioms(
                         classification=classification, exhaustive=exhaustive)
 
 
-def merge_distinct_values(values: np.ndarray) -> tuple:
-    """Sorted distinct representatives of a value multiset, merging within DISTINCT_VALUE_TOL.
+def merge_distinct_values(values) -> tuple:
+    """Sorted distinct representatives of a 1-D value multiset, merging within DISTINCT_VALUE_TOL.
 
-    Each is the mean of its group, bit for bit ``np.mean``: one ``np.add.reduceat``
-    sums the groups, each after one zero slot, to 0 + the pairwise sum, as ``np.sum``.
+    Each is the mean of its group, bit for bit ``np.mean``: numpy's sum of the
+    group over its size.
     """
-    if values.size == 0:
-        return ()
-    ordered = np.sort(values)
+    try:
+        ordered = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgs(f"values must form an array of numbers: {exc}") from None
+    if ordered.ndim != 1:
+        raise InvalidArgs(f"expected a 1-D array of values, got shape {ordered.shape}")
+    ordered = np.sort(ordered)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which cuts no group.
-        first = np.concatenate(([True], ordered[1:] - ordered[:-1] > DISTINCT_VALUE_TOL))
-    starts = np.flatnonzero(first)
-    slotted = np.zeros(len(ordered) + len(starts))
-    slotted[np.arange(len(ordered)) + np.cumsum(first)] = ordered
-    sums = np.add.reduceat(slotted, starts + np.arange(len(starts)))
-    return tuple((sums / (np.append(starts[1:], len(ordered)) - starts)).tolist())
+        cuts = np.flatnonzero(np.diff(ordered) > DISTINCT_VALUE_TOL) + 1
+    bounds = [0, *cuts.tolist(), len(ordered)] if len(ordered) else []
+    return tuple(float(ordered[a:b].sum()) / (b - a) for a, b in zip(bounds, bounds[1:]))
 
 
 def classify_ring(n: int, d: DistanceMatrix) -> RingClassification:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidSpec, NoConvergence
-from .hamiltonian import RingSpec
+from .hamiltonian import RingSpec, _ring_sites
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_FACTOR = 1e-14
@@ -219,10 +219,9 @@ def circulant_eigenspaces(n, strength, epsilon):
     ring after ring, so a batch of one gives that ring's arrays.
     """
     sizes, strength, epsilon = np.asarray(n), np.asarray(strength), np.asarray(epsilon)
-    counts = sizes // 2 + 1
-    ring = np.repeat(np.arange(len(sizes)), counts)
+    ring, position = _ring_sites(sizes // 2 + 1)
     n = sizes[ring]
-    modes = n // 2 - np.arange(counts.sum()) + np.repeat(np.cumsum(counts) - counts, counts)
+    modes = n // 2 - position
     shift, h = strength * epsilon * (sizes - 4), 2.0 * strength
     eigenvalues = shift[ring] + 2.0 * h[ring] * np.cos(2.0 * math.pi * modes / n)
     paired = (modes > 0) & (2 * modes < n)

@@ -1152,6 +1152,40 @@ def test_output_is_deterministic():
         assert first.stdout != ""
 
 
+def _seedless(text):
+    """The JSON text of a document without its params' seed."""
+    doc = json.loads(text)
+    del doc["params"]["seed"]
+    return json.dumps(doc)
+
+
+def test_echoed_flags_change_no_other_output():
+    # --seed changes only params.seed: every distinct seed-1 request of the benchmark.
+    for argv in _workload_requests("scan", "embed", "oracle"):
+        rc, out, err = _in_process(argv)
+        echoed = _in_process(argv + ["--seed", "7919"])
+        assert echoed[::2] == (rc, err), argv
+        if out.startswith("{"):
+            assert json.loads(echoed[1])["params"]["seed"] == 7919
+            assert _seedless(echoed[1]) == _seedless(out), argv
+        else:
+            assert echoed[1] == out, argv
+    # The distance depends on neither the coupling nor its strength.
+    echoes = ["--coupling", "heisenberg", "--strength", "2.5"]
+    for argv in (["distance", "--n", "12"], ["distance", "--n", "12", "--quotient"]):
+        default = _in_process(argv)
+        echoed = _in_process(argv + echoes)
+        assert default[0] == echoed[0] == 0 and default[2] == echoed[2] == ""
+        doc, echoed_doc = json.loads(default[1]), json.loads(echoed[1])
+        payload = echoed_doc["payload"]
+        assert (payload["coupling"], payload["strength"]) == ("heisenberg", 2.5)
+        for each in (doc, echoed_doc):
+            del each["params"], each["payload"]["coupling"], each["payload"]["strength"]
+        assert echoed_doc == doc
+        csv_argv = argv + ["--format", "csv"]
+        assert _in_process(csv_argv + echoes) == _in_process(csv_argv)
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "distance.json"
     result = run_cli("distance", "--n", "5", "--out", str(target))

@@ -556,6 +556,14 @@ def test_merge_distinct_values():
         assert merge_distinct_values(np.array([math.inf, 1.0, math.inf])) == (1.0, math.inf)
         infinite = DistanceMatrix(profile=[0.0, math.inf, math.inf])
         assert classify_ring(3, infinite).distinct_values == (math.inf,)
+    # Anything numpy reads as a 1-D float array is a multiset; other shapes are refused.
+    assert merge_distinct_values([2.0, 1, 1.0 + 5e-11]) == merge_distinct_values(values)
+    assert merge_distinct_values((0.5, 0.5)) == (0.5,)
+    assert merge_distinct_values([]) == ()
+    for refused in (np.ones((2, 3)), [[1.0, 2.0]], np.float64(1.0), 1.0, np.empty((0, 2)),
+                    ["a", "b"], [[1.0], [2.0, 3.0]], None):
+        with pytest.raises(InvalidArgs):
+            merge_distinct_values(refused)
 
 
 def _axiom_test_space():
@@ -1050,8 +1058,9 @@ def test_class_triangle_check_matches_row_loop_and_dense_on_random_profiles(monk
 def _split_means(values):
     """The group means by np.split and np.mean, the oracle of merge_distinct_values."""
     ordered = np.sort(values)
-    cuts = np.flatnonzero(np.diff(ordered) > metric.DISTINCT_VALUE_TOL) + 1
-    return tuple(float(np.mean(group)) for group in np.split(ordered, cuts))
+    with np.errstate(invalid="ignore"):  # inf - inf and NaN - x are NaN, which cuts no group.
+        cuts = np.flatnonzero(np.diff(ordered) > metric.DISTINCT_VALUE_TOL) + 1
+        return tuple(float(np.mean(group)) for group in np.split(ordered, cuts))
 
 
 def test_merge_distinct_values_is_np_mean_of_each_group_bit_for_bit():
@@ -1067,7 +1076,13 @@ def test_merge_distinct_values_is_np_mean_of_each_group_bit_for_bit():
         values = rng.choice(rng.uniform(0.0, 3.0, int(rng.integers(1, 12))), size)
         values = values + rng.choice([0.0, 3e-11, -4e-11, 1e-9], size) * (rng.random() < 0.5)
         values[rng.random(size) < 0.05] = rng.choice([0.0, -0.0])
-        assert bits(merge_distinct_values(values)) == bits(_split_means(values)), values
+        if rng.random() < 0.5:  # NaN and infinities planted in half the multisets
+            planted = rng.random(size) < rng.choice([0.001, 0.02, 0.3])
+            values[planted] = rng.choice([math.nan, math.inf, -math.inf], planted.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            merged = merge_distinct_values(values)
+        assert bits(merged) == bits(_split_means(values)), values
 
 
 def test_classify_ring_refuses_a_matrix_of_another_ring():
